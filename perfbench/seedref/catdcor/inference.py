@@ -1,0 +1,558 @@
+"""Null distributions, p-values, and delta-method inference.
+
+Under independence, ``n`` times the bias-corrected squared distance
+correlation converges to a weighted sum of centered chi-squared variables
+
+    ( sum_{i,j} lambda_i mu_j (Z_ij^2 - 1) ) / sqrt(sum lambda^2 sum mu^2)
+
+whose weights come from the eigenvalues of two small margin-weighted,
+row-centered distance matrices (one per variable).  The plug-in
+estimator obeys the same law shifted by a constant ``B``, the product of
+the two mean within-margin distances.  Tail probabilities of the weighted
+sum are computed by numerical inversion of its characteristic function
+(Imhof-type oscillatory integration), with a four-cumulant moment match
+as a flagged fallback and a permutation test as a distribution-free
+alternative.
+
+Under a fixed alternative the estimators are asymptotically normal; the
+variance here is the full delta-method variance of the correlation ratio,
+including the contribution of the variance estimates in the denominator.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+from scipy.stats import chi2, ncx2, norm
+
+from .encodings import DistanceMatrix
+from .estimators import (
+    JointTable,
+    dcor2_mle,
+    dcor2_unbiased,
+)
+from .exceptions import (
+    DegenerateCategoryError,
+    DegenerateDistributionError,
+    DegenerateMarginError,
+    InsufficientReplicatesError,
+    InternalConsistencyError,
+    ShapeError,
+)
+from .measures import JointDistribution, dcov2, dvar2
+
+__all__ = [
+    "NullSpectrum",
+    "AltInference",
+    "TestResult",
+    "q_matrix",
+    "spectrum",
+    "null_spectrum",
+    "weighted_chisq_sf",
+    "independence_test",
+    "null_pvalue_mle",
+    "null_pvalue_unbiased",
+    "permutation_test",
+    "alt_inference",
+    "confidence_interval",
+]
+
+# Relative threshold below which an eigenvalue counts as the structural zero.
+_EIG_ZERO_REL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Null spectra
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NullSpectrum:
+    """Eigenvalue weights of the null law plus the plug-in shift.
+
+    ``lambdas`` has length I-1 and ``mus`` length J-1, each sorted by
+    decreasing magnitude; the sums of their squares equal the two squared
+    distance variances.  ``bias_shift`` is the constant added to the
+    plug-in statistic's null law.
+    """
+
+    lambdas: np.ndarray
+    mus: np.ndarray
+    bias_shift: float
+    dvar_x: float
+    dvar_y: float
+
+
+def q_matrix(marginal, d: DistanceMatrix) -> np.ndarray:
+    """Margin-weighted row-centered distance matrix driving the null law.
+
+    Entry ``(i, k)`` is ``(d_ik - dbar_i) sqrt(pi_i pi_k)`` with ``dbar_i``
+    the weighted average distance from category ``i``; on the diagonal this
+    reduces to ``-dbar_i pi_i``.  Requires a strictly positive marginal.
+    """
+    m = np.asarray(marginal, dtype=float)
+    if m.ndim != 1 or m.shape[0] != d.n_categories:
+        raise ShapeError("marginal length must match the distance matrix")
+    if m.min() <= 0.0:
+        raise DegenerateCategoryError(
+            "null spectrum requires strictly positive category probabilities; "
+            "drop zero-probability categories first"
+        )
+    dbar = d.d @ m
+    sqrt_m = np.sqrt(m)
+    return (d.d - dbar[:, None]) * np.outer(sqrt_m, sqrt_m)
+
+
+def _surrogate(marginal: np.ndarray, d: DistanceMatrix) -> np.ndarray:
+    """Symmetric matrix sharing the nonzero eigenvalues of the Q matrix.
+
+    Double-centers the distances under the marginal weights and symmetrizes
+    with sqrt-probability scaling; the rank-one difference from Q lies in
+    Q's kernel, so the nonzero spectra coincide while this form is
+    guaranteed real-diagonalizable.
+    """
+    dbar = d.d @ marginal
+    grand = float(marginal @ dbar)
+    centered = d.d - dbar[:, None] - dbar[None, :] + grand
+    sqrt_m = np.sqrt(marginal)
+    return centered * np.outer(sqrt_m, sqrt_m)
+
+
+def spectrum(marginal, d: DistanceMatrix) -> np.ndarray:
+    """The I-1 informative eigenvalues of the Q matrix for one margin.
+
+    Computed from the symmetric surrogate (real spectrum, deterministic
+    ordering); the structural zero eigenvalue is identified as the
+    smallest-magnitude one, verified against ``1e-9`` times the spectral
+    radius, and dropped.  Returned sorted by decreasing magnitude, signs
+    preserved.
+    """
+    m = np.asarray(marginal, dtype=float)
+    if m.ndim != 1 or m.shape[0] != d.n_categories:
+        raise ShapeError("marginal length must match the distance matrix")
+    if m.min() <= 0.0:
+        raise DegenerateCategoryError(
+            "null spectrum requires strictly positive category probabilities; "
+            "drop zero-probability categories first"
+        )
+    eigvals = np.linalg.eigvalsh(_surrogate(m, d))
+    order = np.argsort(np.abs(eigvals))
+    radius = float(np.abs(eigvals).max())
+    zero_candidate = eigvals[order[0]]
+    if abs(zero_candidate) > _EIG_ZERO_REL * radius:
+        raise InternalConsistencyError(
+            f"expected one structural zero eigenvalue, smallest magnitude is "
+            f"{zero_candidate!r} against spectral radius {radius!r}"
+        )
+    kept = eigvals[order[1:]]
+    return kept[np.argsort(-np.abs(kept), kind="stable")]
+
+
+def _positive_part(marginal: np.ndarray, d: DistanceMatrix) -> tuple[np.ndarray, DistanceMatrix]:
+    """Drop zero-probability categories, warning when any are removed."""
+    keep = marginal > 0.0
+    if np.all(keep):
+        return marginal, d
+    n_dropped = int((~keep).sum())
+    warnings.warn(
+        f"dropping {n_dropped} zero-count categor{'y' if n_dropped == 1 else 'ies'} "
+        "before building the null spectrum",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    if keep.sum() < 2:
+        raise DegenerateMarginError("fewer than two observed categories on a margin")
+    sub = d.d[np.ix_(keep, keep)]
+    return marginal[keep], DistanceMatrix(d=sub, scale=d.scale)
+
+
+def null_spectrum(row_marginal, col_marginal,
+                  dx: DistanceMatrix, dy: DistanceMatrix) -> NullSpectrum:
+    """Null-law ingredients for given marginals and distance matrices.
+
+    Zero-probability categories are dropped (with a warning) before the
+    eigenvalue computation, which requires strictly positive mass.
+    """
+    row = np.asarray(row_marginal, dtype=float)
+    col = np.asarray(col_marginal, dtype=float)
+    row, dx_pos = _positive_part(row, dx)
+    col, dy_pos = _positive_part(col, dy)
+    lambdas = spectrum(row, dx_pos)
+    mus = spectrum(col, dy_pos)
+    bias_shift = float((row @ dx_pos.d @ row) * (col @ dy_pos.d @ col))
+    return NullSpectrum(
+        lambdas=lambdas,
+        mus=mus,
+        bias_shift=bias_shift,
+        dvar_x=dvar2(row, dx_pos),
+        dvar_y=dvar2(col, dy_pos),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Weighted chi-squared tail probabilities
+# ---------------------------------------------------------------------------
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_MAX_PANELS = 2000000
+
+
+def _imhof_sf(weights: np.ndarray, quantile: float, eps_abs: float = 1e-9
+              ) -> float | None:
+    """P(sum w_k Z_k^2 > quantile) by characteristic-function inversion.
+
+    Evaluates ``1/2 + (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du``
+    with panel-wise Gauss-Legendre quadrature, panels a quarter of the
+    fastest oscillation period, truncated where the envelope undercuts
+    both 1e-12 and the integration-by-parts tail bound for ``eps_abs``.
+    Returns None when the truncation point would require more panels than
+    the cap (extremely slow envelope decay), signalling the caller to use
+    the moment-matching fallback.
+    """
+    w = weights
+
+    def envelope_log(u: float) -> float:
+        return -(np.log(u) + 0.25 * np.sum(np.log1p(w**2 * u**2)))
+
+    def find_cutoff(target_log: float) -> float:
+        lo, hi = 0.0, 60.0  # log-u scale
+        if envelope_log(np.exp(lo)) < target_log:
+            return 1.0
+        while envelope_log(np.exp(hi)) > target_log:
+            hi += 30.0
+            if hi > 400.0:
+                return float("inf")
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if envelope_log(np.exp(mid)) > target_log:
+                lo = mid
+            else:
+                hi = mid
+        return float(np.exp(hi))
+
+    cutoff = find_cutoff(np.log(1e-12))
+    if abs(quantile) > 1e-12:
+        # Oscillation cancels the tail: |∫_U^inf| <= 4 envelope(U) / |q|.
+        cutoff = min(cutoff, find_cutoff(np.log(eps_abs * abs(quantile) / 8.0)))
+    if not np.isfinite(cutoff):
+        return None
+
+    rate = 0.5 * float(np.sum(np.abs(w))) + 0.5 * abs(quantile)
+    width = 0.5 * np.pi / max(rate, 1e-12)
+    n_panels = int(np.ceil(cutoff / width))
+    n_panels = max(n_panels, 8)
+    if n_panels > _MAX_PANELS:
+        return None
+
+    edges = np.linspace(0.0, cutoff, n_panels + 1)
+    total = 0.0
+    block = 20000
+    for start in range(0, n_panels, block):
+        end = min(start + block, n_panels)
+        lo = edges[start:end]
+        hi = edges[start + 1:end + 1]
+        half = 0.5 * (hi - lo)
+        u = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES[None, :]
+        flat = u.ravel()
+        theta = 0.5 * np.arctan(flat[:, None] * w[None, :]).sum(axis=1) \
+            - 0.5 * quantile * flat
+        log_rho = 0.25 * np.log1p((flat[:, None] * w[None, :]) ** 2).sum(axis=1)
+        vals = (np.sin(theta) / (flat * np.exp(log_rho))).reshape(u.shape)
+        total += float(np.sum((vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half))
+    p = 0.5 + total / np.pi
+    return float(min(max(p, 0.0), 1.0))
+
+
+def _moment_match_sf(weights: np.ndarray, x: float) -> float:
+    """Four-cumulant noncentral chi-squared approximation to the tail.
+
+    Matches the first four cumulants of ``sum w_k (Z_k^2 - 1)`` to a
+    location-scale noncentral chi-squared, mirroring the distribution when
+    the skewness is negative.  Used only when the oscillatory integral is
+    unavailable.
+    """
+    w = weights
+    c2 = 2.0 * np.sum(w**2)
+    c3 = 8.0 * np.sum(w**3)
+    c4 = 48.0 * np.sum(w**4)
+    sd = np.sqrt(c2)
+    t = x / sd
+    s1 = c3 / c2**1.5
+    s2 = c4 / c2**2
+    if s1 < 0.0:
+        # Mirror: the tail of the sum equals the lower tail of the flipped sum.
+        return 1.0 - _moment_match_sf(-w, -x)
+    if s1 < 1e-12:
+        return float(norm.sf(t))
+    if s1**2 > s2:
+        a = 1.0 / (s1 - np.sqrt(s1**2 - s2))
+        delta = s1 * a**3 - a**2
+        df = a**2 - 2.0 * delta
+    else:
+        a = 1.0 / s1
+        delta = 0.0
+        df = a**2
+    df = max(df, 1e-8)
+    delta = max(delta, 0.0)
+    mu_chi = df + delta
+    sd_chi = np.sqrt(2.0 * (df + 2.0 * delta))
+    value = t * sd_chi + mu_chi
+    if delta > 0.0:
+        return float(ncx2.sf(value, df, delta))
+    return float(chi2.sf(value, df))
+
+
+def _weighted_chisq_sf_impl(weights, x: float) -> tuple[float, str]:
+    """Tail probability plus the method tag ('imhof' or 'moment-match')."""
+    w = np.asarray(weights, dtype=float).ravel()
+    if w.size == 0 or np.all(w == 0.0):
+        raise DegenerateDistributionError(
+            "the weighted chi-squared law needs at least one nonzero weight"
+        )
+    w = w[w != 0.0]
+    x = float(x)
+    if w.size == 1:
+        # Single component: exact chi-squared tail.
+        scale = w[0]
+        quantile = 1.0 + x / scale
+        if scale > 0.0:
+            return (1.0 if quantile <= 0.0 else float(chi2.sf(quantile, 1))), "imhof"
+        return (0.0 if quantile <= 0.0 else float(chi2.cdf(quantile, 1))), "imhof"
+    quantile = x + float(np.sum(w))
+    # Same-sign weights pin the support to a half line; outside it the
+    # answer is exact and the oscillatory integral is unnecessary.
+    if np.all(w > 0.0) and quantile <= 0.0:
+        return 1.0, "imhof"
+    if np.all(w < 0.0) and quantile >= 0.0:
+        return 0.0, "imhof"
+    p = _imhof_sf(w, quantile)
+    if p is not None:
+        return p, "imhof"
+    return float(min(max(_moment_match_sf(w, x), 0.0), 1.0)), "moment-match"
+
+
+def weighted_chisq_sf(weights, x: float) -> float:
+    """P(sum_k w_k (Z_k^2 - 1) > x) for independent standard normals.
+
+    Weights may be signed.  Uses characteristic-function inversion with
+    absolute accuracy around 1e-8; falls back to a four-cumulant moment
+    match (flagged via :func:`independence_test`) if the integral cannot
+    be resolved.
+    """
+    return _weighted_chisq_sf_impl(weights, x)[0]
+
+
+# ---------------------------------------------------------------------------
+# Independence tests
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TestResult:
+    """Outcome of an independence test on one contingency table."""
+
+    statistic: float
+    estimator: str
+    p_value: float
+    method: str
+    lambdas: np.ndarray
+    mus: np.ndarray
+    bias_shift: float
+    n: float
+
+
+def independence_test(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
+                      estimator: str = "unbiased") -> TestResult:
+    """Analytic independence test based on the asymptotic null law.
+
+    The statistic is ``n`` times the chosen squared distance correlation
+    estimate.  Its null distribution is the normalized weighted sum of
+    centered chi-squares with weights ``lambda_i mu_j`` estimated from the
+    sample marginals; the plug-in variant adds the shift ``B``.
+    """
+    if estimator not in ("mle", "unbiased"):
+        raise ValueError("estimator must be 'mle' or 'unbiased'")
+    ns = null_spectrum(t.row_counts / t.n, t.col_counts / t.n, dx, dy)
+    lam, mu = ns.lambdas, ns.mus
+    norm_const = np.sqrt(np.sum(lam**2) * np.sum(mu**2))
+    if norm_const <= 0.0:
+        raise DegenerateMarginError("null spectrum has zero total weight")
+    weights = np.outer(lam, mu).ravel() / norm_const
+    if estimator == "unbiased":
+        stat = t.n * dcor2_unbiased(t, dx, dy)
+        threshold = stat
+    else:
+        stat = t.n * dcor2_mle(t, dx, dy)
+        threshold = stat - ns.bias_shift / norm_const
+    p, method = _weighted_chisq_sf_impl(weights, threshold)
+    return TestResult(
+        statistic=float(stat),
+        estimator=estimator,
+        p_value=p,
+        method=method,
+        lambdas=lam,
+        mus=mu,
+        bias_shift=ns.bias_shift,
+        n=t.n,
+    )
+
+
+def null_pvalue_unbiased(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
+    """Analytic p-value for the bias-corrected statistic."""
+    return independence_test(t, dx, dy, estimator="unbiased").p_value
+
+
+def null_pvalue_mle(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
+    """Analytic p-value for the plug-in statistic (shifted null law)."""
+    return independence_test(t, dx, dy, estimator="mle").p_value
+
+
+def permutation_test(x, y, dx: DistanceMatrix, dy: DistanceMatrix,
+                     estimator: str = "unbiased", reps: int = 999,
+                     seed: int = 0) -> float:
+    """Permutation p-value from shuffling the second variable's labels.
+
+    ``x`` and ``y`` are integer-coded samples.  Each replicate draws an
+    independent uniform permutation from a generator keyed by
+    ``(seed, replicate index)``, so results are reproducible and do not
+    depend on any execution ordering.  The p-value is
+    ``(1 + #{permuted statistic >= observed}) / (reps + 1)``.
+    """
+    if reps < 99:
+        raise InsufficientReplicatesError(
+            f"permutation test needs at least 99 replicates, got {reps}"
+        )
+    if estimator not in ("mle", "unbiased"):
+        raise ValueError("estimator must be 'mle' or 'unbiased'")
+    x = np.asarray(x)
+    y = np.asarray(y)
+    stat_fn: Callable[[JointTable], float]
+    if estimator == "mle":
+        stat_fn = lambda table: dcor2_mle(table, dx, dy)  # noqa: E731
+    else:
+        stat_fn = lambda table: dcor2_unbiased(table, dx, dy)  # noqa: E731
+    n_rows = dx.n_categories
+    n_cols = dy.n_categories
+    observed = stat_fn(JointTable.from_codes(x, y, n_rows, n_cols))
+    exceed = 0
+    for rep in range(reps):
+        rng = np.random.default_rng((seed, rep))
+        permuted = rng.permutation(y)
+        stat = stat_fn(JointTable.from_codes(x, permuted, n_rows, n_cols))
+        if stat >= observed:
+            exceed += 1
+    return (1.0 + exceed) / (reps + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Inference under alternatives
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AltInference:
+    """Delta-method ingredients under a fixed alternative.
+
+    ``dprime`` holds the partial derivatives of the squared distance
+    covariance with respect to each cell probability, divided by two (the
+    half-gradient form in which the derivative is usually quoted; the
+    centered table enters the covariance quadratically, hence the factor).
+    ``sigma`` is the multinomial covariance of the scaled cell proportions.
+    ``asymp_var`` is the variance of ``sqrt(n)`` times the estimated
+    squared distance correlation around its population value, from the
+    full delta method applied to the covariance-over-variances ratio
+    (both the numerator and the two variance estimates contribute).
+    """
+
+    dprime: np.ndarray
+    sigma: np.ndarray
+    asymp_var: float
+
+
+def _dcov2_half_gradient(p: JointDistribution, dx: DistanceMatrix,
+                         dy: DistanceMatrix) -> np.ndarray:
+    """Half the gradient of dcov2 with respect to the cell probabilities."""
+    delta = p.delta()
+    dbar_x = dx.d @ p.row_marginal
+    dbar_y = dy.d @ p.col_marginal
+    core = dx.d @ delta @ dy.d
+    row_part = dx.d @ (delta @ dbar_y)
+    col_part = dy.d @ (delta.T @ dbar_x)
+    return core - row_part[:, None] - col_part[None, :]
+
+
+def _dvar2_marginal_gradient(marginal: np.ndarray, d: DistanceMatrix) -> np.ndarray:
+    """Gradient of dvar2 with respect to the marginal probabilities."""
+    dbar = d.d @ marginal
+    mean_dist = float(marginal @ dbar)
+    sq_term = 2.0 * ((d.d * d.d) @ marginal)
+    return sq_term - 2.0 * dbar**2 - 4.0 * (d.d @ (marginal * dbar)) + 4.0 * mean_dist * dbar
+
+
+def multinomial_sigma(p: JointDistribution) -> np.ndarray:
+    """Covariance matrix of the scaled cell proportions, row-major order.
+
+    Diagonal ``pi_ij (1 - pi_ij)``, off-diagonal ``-pi_ij pi_km``; every
+    row sums to zero because the proportions sum to one.
+    """
+    vec = p.pi.ravel(order="C")
+    return np.diag(vec) - np.outer(vec, vec)
+
+
+def alt_inference(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> AltInference:
+    """Asymptotic variance of the squared distance correlation estimators.
+
+    Both estimators share one limit variance.  Under exact independence
+    every derivative vanishes and the variance is zero (the estimators are
+    then degenerate at root-n scale and follow the weighted chi-squared
+    law instead).
+    """
+    var_x = dvar2(p.row_marginal, dx)
+    var_y = dvar2(p.col_marginal, dy)
+    if var_x <= 1e-14 or var_y <= 1e-14:
+        raise DegenerateMarginError(
+            "distance variance is zero on at least one margin"
+        )
+    dprime = _dcov2_half_gradient(p, dx, dy)
+    sigma = multinomial_sigma(p)
+
+    denom = np.sqrt(var_x * var_y)
+    cov = dcov2(p, dx, dy)
+    ratio = cov / denom
+    grad_vx = _dvar2_marginal_gradient(p.row_marginal, dx)
+    grad_vy = _dvar2_marginal_gradient(p.col_marginal, dy)
+    # d/dpi_ij of cov/sqrt(VX VY): the covariance gradient is 2*dprime and
+    # each variance enters through its own marginal.
+    grad = (
+        2.0 * dprime / denom
+        - ratio * (grad_vx[:, None] / (2.0 * var_x) + grad_vy[None, :] / (2.0 * var_y))
+    )
+    grad_vec = grad.ravel(order="C")
+    asymp_var = float(grad_vec @ sigma @ grad_vec)
+    return AltInference(dprime=dprime, sigma=sigma, asymp_var=max(asymp_var, 0.0))
+
+
+def confidence_interval(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
+                        level: float = 0.95, estimator: str = "mle"
+                        ) -> tuple[float, float]:
+    """Normal-approximation confidence interval for squared distance correlation.
+
+    Centered at the chosen estimate with half-width
+    ``z_{(1+level)/2} sqrt(asymp_var / n)``, the variance evaluated at the
+    observed proportions.  The plug-in interval is intersected with
+    [0, 1]; the bias-corrected one is left unclipped.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValueError("confidence level must lie strictly between 0 and 1")
+    if estimator == "mle":
+        point = dcor2_mle(t, dx, dy)
+    elif estimator == "unbiased":
+        point = dcor2_unbiased(t, dx, dy)
+    else:
+        raise ValueError("estimator must be 'mle' or 'unbiased'")
+    info = alt_inference(t.to_distribution(), dx, dy)
+    half = float(norm.ppf(0.5 * (1.0 + level))) * np.sqrt(info.asymp_var / t.n)
+    lo, hi = point - half, point + half
+    if estimator == "mle":
+        lo, hi = max(lo, 0.0), min(hi, 1.0)
+    return float(lo), float(hi)
