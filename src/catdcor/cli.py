@@ -26,7 +26,14 @@ from .exceptions import (
     LabelError,
     ParseError,
 )
-from .inference import confidence_interval, independence_test, permutation_test
+from .inference import (
+    NullSpectrum,
+    TestResult,
+    confidence_interval,
+    independence_test,
+    null_spectrum,
+    permutation_test,
+)
 from .screening import apply_changepoint, screen
 from .simulate import build_joint, roc_points, run_benchmark, setting_spec
 
@@ -174,13 +181,19 @@ def cmd_encode(args: argparse.Namespace) -> None:
             fh.write(text)
 
 
-def _pvalues_both(x: np.ndarray, y: np.ndarray,
+def _pvalues_both(table: JointTable, x: np.ndarray, y: np.ndarray,
                   dx: DistanceMatrix, dy: DistanceMatrix,
-                  method: str, perms: int, seed: int
-                  ) -> tuple[dict[str, float], str]:
-    """P-values for both estimators plus the method actually used."""
-    n = x.size
-    table = JointTable.from_codes(x, y, dx.n_categories, dy.n_categories)
+                  estimator: str, method: str, perms: int, seed: int
+                  ) -> tuple[dict[str, float], str, NullSpectrum | TestResult]:
+    """P-values for both estimators, the method actually used, and the null law.
+
+    The last item carries the reported ``lambdas``, ``mus`` and
+    ``bias_shift``: the analytic test result for ``estimator``, or the
+    bare null spectrum when permutation p-values are used.  Either way a
+    degenerate variable fails as the analytic test for ``estimator``
+    does: spectrum, then zero total weight, then the statistic.
+    """
+    n = table.n
     if method == "analytic":
         # Small-sample guard: the asymptotic law is unreliable when any
         # observed category is rarer than 5/n.
@@ -189,17 +202,21 @@ def _pvalues_both(x: np.ndarray, y: np.ndarray,
         if np.any(margins < guard):
             method = "permutation"
     if method == "permutation":
+        ns = null_spectrum(table.row_counts / n, table.col_counts / n, dx, dy)
+        ns.normalizer()
+        (dcor2_mle if estimator == "mle" else dcor2_unbiased)(table, dx, dy)
         values = {
             kind: permutation_test(x, y, dx, dy, estimator=kind,
                                    reps=perms, seed=seed)
             for kind in ("mle", "unbiased")
         }
-        return values, "permutation"
+        return values, "permutation", ns
+    other = "unbiased" if estimator == "mle" else "mle"
     results = {kind: independence_test(table, dx, dy, estimator=kind)
-               for kind in ("mle", "unbiased")}
+               for kind in (estimator, other)}
     tags = {r.method for r in results.values()}
     tag = "imhof" if tags == {"imhof"} else "moment-match"
-    return {kind: r.p_value for kind, r in results.items()}, tag
+    return {kind: r.p_value for kind, r in results.items()}, tag, results[estimator]
 
 
 def cmd_test(args: argparse.Namespace) -> None:
@@ -215,9 +232,8 @@ def cmd_test(args: argparse.Namespace) -> None:
         x = _column(dataset, name)
         dx = distance_matrix(encodings[name])
         table = JointTable.from_codes(x, y, dx.n_categories, dy.n_categories)
-        analytic = independence_test(table, dx, dy, estimator=args.estimator)
-        p_values, method = _pvalues_both(
-            x, y, dx, dy, args.pvalue, args.perms, args.seed,
+        p_values, method, null_law = _pvalues_both(
+            table, x, y, dx, dy, args.estimator, args.pvalue, args.perms, args.seed,
         )
         ci_lo, ci_hi = confidence_interval(table, dx, dy, level=0.95,
                                            estimator=args.estimator)
@@ -231,9 +247,9 @@ def cmd_test(args: argparse.Namespace) -> None:
             "p_value": p_values[args.estimator],
             "p_values": p_values,
             "method": method,
-            "lambdas": analytic.lambdas,
-            "mus": analytic.mus,
-            "bias_shift": analytic.bias_shift,
+            "lambdas": null_law.lambdas,
+            "mus": null_law.mus,
+            "bias_shift": null_law.bias_shift,
             "confidence_interval": {
                 "level": 0.95,
                 "estimator": args.estimator,
@@ -345,16 +361,17 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--out", default=None)
     enc.set_defaults(func=cmd_encode)
 
-    common = dict(estimator=("mle", "unbiased"), pvalue=("analytic", "permutation"))
     for name, func in (("test", cmd_test), ("screen", cmd_screen)):
         cmd = sub.add_parser(name, help=f"{name} variables against a response")
         cmd.add_argument("--input", required=True)
         cmd.add_argument("--metadata", required=True)
         cmd.add_argument("--response", required=True)
-        cmd.add_argument("--estimator", choices=common["estimator"], default="mle")
-        cmd.add_argument("--pvalue", choices=common["pvalue"], default="analytic")
-        cmd.add_argument("--perms", type=int, default=999)
-        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--estimator", choices=("mle", "unbiased"), default="mle")
+        if name == "test":
+            cmd.add_argument("--pvalue", choices=("analytic", "permutation"),
+                             default="analytic")
+            cmd.add_argument("--perms", type=int, default=999)
+            cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--out", default=None)
         cmd.set_defaults(func=func)
 

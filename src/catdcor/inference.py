@@ -9,10 +9,12 @@ whose weights come from the eigenvalues of two small margin-weighted,
 row-centered distance matrices (one per variable).  The plug-in
 estimator obeys the same law shifted by a constant ``B``, the product of
 the two mean within-margin distances.  Tail probabilities of the weighted
-sum are computed by numerical inversion of its characteristic function
-(Imhof-type oscillatory integration), with a four-cumulant moment match
-as a flagged fallback and a permutation test as a distribution-free
-alternative.
+sum are exact for one weight (a chi-squared tail), a finite polar-angle
+integral for two (the 2 x k tables of binary variables), and otherwise
+computed by numerical inversion of its characteristic function
+(Imhof-type oscillatory integration, truncated by a vectorized log-grid
+search), with a four-cumulant moment match as a flagged fallback and a
+permutation test as a distribution-free alternative.
 
 Under a fixed alternative the estimators are asymptotically normal; the
 variance here is the full delta-method variance of the correlation ratio,
@@ -84,14 +86,20 @@ class NullSpectrum:
     dvar_x: float
     dvar_y: float
 
+    def normalizer(self) -> float:
+        """``sqrt(sum lambda^2 sum mu^2)``, the scale of the null law.
 
-def q_matrix(marginal, d: DistanceMatrix) -> np.ndarray:
-    """Margin-weighted row-centered distance matrix driving the null law.
+        Raises :class:`DegenerateMarginError` when the spectrum has zero
+        total weight.
+        """
+        norm_const = float(np.sqrt(np.sum(self.lambdas**2) * np.sum(self.mus**2)))
+        if norm_const <= 0.0:
+            raise DegenerateMarginError("null spectrum has zero total weight")
+        return norm_const
 
-    Entry ``(i, k)`` is ``(d_ik - dbar_i) sqrt(pi_i pi_k)`` with ``dbar_i``
-    the weighted average distance from category ``i``; on the diagonal this
-    reduces to ``-dbar_i pi_i``.  Requires a strictly positive marginal.
-    """
+
+def _positive_marginal(marginal, d: DistanceMatrix) -> np.ndarray:
+    """The marginal as a float vector, checked to match ``d`` and be strictly positive."""
     m = np.asarray(marginal, dtype=float)
     if m.ndim != 1 or m.shape[0] != d.n_categories:
         raise ShapeError("marginal length must match the distance matrix")
@@ -100,6 +108,17 @@ def q_matrix(marginal, d: DistanceMatrix) -> np.ndarray:
             "null spectrum requires strictly positive category probabilities; "
             "drop zero-probability categories first"
         )
+    return m
+
+
+def q_matrix(marginal, d: DistanceMatrix) -> np.ndarray:
+    """Margin-weighted row-centered distance matrix driving the null law.
+
+    Entry ``(i, k)`` is ``(d_ik - dbar_i) sqrt(pi_i pi_k)`` with ``dbar_i``
+    the weighted average distance from category ``i``; on the diagonal this
+    reduces to ``-dbar_i pi_i``.  Requires a strictly positive marginal.
+    """
+    m = _positive_marginal(marginal, d)
     dbar = d.d @ m
     sqrt_m = np.sqrt(m)
     return (d.d - dbar[:, None]) * np.outer(sqrt_m, sqrt_m)
@@ -129,14 +148,7 @@ def spectrum(marginal, d: DistanceMatrix) -> np.ndarray:
     radius, and dropped.  Returned sorted by decreasing magnitude, signs
     preserved.
     """
-    m = np.asarray(marginal, dtype=float)
-    if m.ndim != 1 or m.shape[0] != d.n_categories:
-        raise ShapeError("marginal length must match the distance matrix")
-    if m.min() <= 0.0:
-        raise DegenerateCategoryError(
-            "null spectrum requires strictly positive category probabilities; "
-            "drop zero-probability categories first"
-        )
+    m = _positive_marginal(marginal, d)
     eigvals = np.linalg.eigvalsh(_surrogate(m, d))
     order = np.argsort(np.abs(eigvals))
     radius = float(np.abs(eigvals).max())
@@ -198,6 +210,48 @@ def null_spectrum(row_marginal, col_marginal,
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _MAX_PANELS = 2000000
 
+# Truncation search on the log-u scale: a coarse pass over the integer
+# grid 0..390, then one refinement of the bracketing cell in steps of
+# _CUTOFF_STEP, so a cutoff overshoots its crossing by at most ~3%.
+_CUTOFF_GRID = np.arange(391.0)
+_CUTOFF_REFINE = 32
+_CUTOFF_STEP = 1.0 / _CUTOFF_REFINE
+
+
+def _envelope_log(log_u, weights: np.ndarray) -> np.ndarray:
+    """Log of the Imhof integrand's envelope ``u^-1 prod_k (1 + w_k^2 u^2)^(-1/4)``.
+
+    Vectorized over ``log_u``.  Each ``log1p(w^2 u^2)`` is evaluated as
+    ``logaddexp(0, 2 log|w u|)``, which cannot overflow for any ``u``.
+    """
+    log_u = np.asarray(log_u, dtype=float)
+    log_wu = np.log(np.abs(weights)) + log_u[..., None]
+    return -(log_u + 0.25 * np.logaddexp(0.0, 2.0 * log_wu).sum(axis=-1))
+
+
+def _find_cutoff(weights: np.ndarray, target_log: float,
+                 coarse: np.ndarray | None = None) -> float:
+    """Smallest grid point ``u >= 1`` where the envelope is at or below ``exp(target_log)``.
+
+    The envelope decreases in ``u``, so the points above the target form a
+    prefix of each grid.  ``coarse`` may carry the envelope already
+    evaluated on ``_CUTOFF_GRID``.  The returned point is the upper end of
+    the refined bracket: never below the exact crossing, at most a factor
+    ``exp(_CUTOFF_STEP)`` above it.  Returns 1.0 when the envelope starts
+    at or below the target and inf when it has not reached it by
+    ``u = e^390``.
+    """
+    if coarse is None:
+        coarse = _envelope_log(_CUTOFF_GRID, weights)
+    above = int(np.count_nonzero(coarse > target_log))
+    if above == 0:
+        return 1.0
+    if above == coarse.size:
+        return float("inf")
+    fine = _CUTOFF_GRID[above - 1] + _CUTOFF_STEP * np.arange(1, _CUTOFF_REFINE + 1)
+    j = int(np.count_nonzero(_envelope_log(fine, weights) > target_log))
+    return float(np.exp(fine[min(j, _CUTOFF_REFINE - 1)]))
+
 
 def _imhof_sf(weights: np.ndarray, quantile: float, eps_abs: float = 1e-9
               ) -> float | None:
@@ -206,36 +260,19 @@ def _imhof_sf(weights: np.ndarray, quantile: float, eps_abs: float = 1e-9
     Evaluates ``1/2 + (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du``
     with panel-wise Gauss-Legendre quadrature, panels a quarter of the
     fastest oscillation period, truncated where the envelope undercuts
-    both 1e-12 and the integration-by-parts tail bound for ``eps_abs``.
-    Returns None when the truncation point would require more panels than
-    the cap (extremely slow envelope decay), signalling the caller to use
-    the moment-matching fallback.
+    both 1e-12 and the integration-by-parts tail bound for ``eps_abs``
+    (:func:`_find_cutoff`, one vectorized grid pass shared by both
+    targets).  Absolute accuracy is about ``eps_abs``.  Returns None when
+    the truncation point would require more panels than the cap
+    (extremely slow envelope decay), signalling the caller to use the
+    moment-matching fallback.
     """
     w = weights
-
-    def envelope_log(u: float) -> float:
-        return -(np.log(u) + 0.25 * np.sum(np.log1p(w**2 * u**2)))
-
-    def find_cutoff(target_log: float) -> float:
-        lo, hi = 0.0, 60.0  # log-u scale
-        if envelope_log(np.exp(lo)) < target_log:
-            return 1.0
-        while envelope_log(np.exp(hi)) > target_log:
-            hi += 30.0
-            if hi > 400.0:
-                return float("inf")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if envelope_log(np.exp(mid)) > target_log:
-                lo = mid
-            else:
-                hi = mid
-        return float(np.exp(hi))
-
-    cutoff = find_cutoff(np.log(1e-12))
+    coarse = _envelope_log(_CUTOFF_GRID, w)
+    cutoff = _find_cutoff(w, np.log(1e-12), coarse)
     if abs(quantile) > 1e-12:
         # Oscillation cancels the tail: |∫_U^inf| <= 4 envelope(U) / |q|.
-        cutoff = min(cutoff, find_cutoff(np.log(eps_abs * abs(quantile) / 8.0)))
+        cutoff = min(cutoff, _find_cutoff(w, np.log(eps_abs * abs(quantile) / 8.0), coarse))
     if not np.isfinite(cutoff):
         return None
 
@@ -263,6 +300,75 @@ def _imhof_sf(weights: np.ndarray, quantile: float, eps_abs: float = 1e-9
         total += float(np.sum((vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half))
     p = 0.5 + total / np.pi
     return float(min(max(p, 0.0), 1.0))
+
+
+# Two-weight tail: trapezoid rule in the tanh-sinh variable t on
+# [-_K2_T, _K2_T], step halved from 1/2 until two successive estimates
+# agree to _K2_RTOL relative.  Node weights at |t| = _K2_T are below 1e-20.
+_K2_T = 3.5
+_K2_RTOL = 1e-12
+_K2_MAX_HALVINGS = 8
+
+
+def _two_weight_sf(w0: float, w1: float, quantile: float) -> float | None:
+    """P(w0 Z0^2 + w1 Z1^2 > quantile) without the oscillatory integral.
+
+    In polar coordinates the sum is ``R^2 g(theta)`` with ``g = w0 cos^2 +
+    w1 sin^2``, ``R^2 ~ Exp(mean 2)`` and ``theta`` uniform and independent,
+    so for ``quantile >= 0``
+
+        P = (2/pi) int_0^end exp(-quantile / (2 g(theta))) dtheta,
+
+    where ``end`` is pi/2 for two positive weights and the zero of ``g``
+    when the signs differ (larger weight first).  A negative quantile uses
+    ``P(S > q) = 1 - P(-S > -q)``.  The integrand is smooth and every
+    sharp feature (the extremes and the zero of ``g``) sits at an end of
+    the interval, where tanh-sinh nodes cluster; skewed weights such as
+    ``[1, 1e-6]`` therefore cost a few hundred evaluations.  Both ends are
+    evaluated from their distance ``d`` to the node, so ``g`` keeps full
+    relative precision near them.  The caller guarantees that the event
+    has positive probability on one side (a weight of the right sign).
+    Returns None when the halvings do not converge.
+    """
+    flip = quantile < 0.0
+    if flip:
+        w0, w1, quantile = -w0, -w1, -quantile
+    w0, w1 = max(w0, w1), min(w0, w1)
+    same_sign = w1 > 0.0
+    end = 0.5 * np.pi if same_sign else float(np.arctan(np.sqrt(w0 / -w1)))
+    if quantile == 0.0:  # P(g > 0); never flipped
+        return end / (0.5 * np.pi)
+    half = 0.5 * end
+
+    def mirrored_sum(t: np.ndarray) -> float:
+        """Integrand times Jacobian at the nodes -t (near 0) and +t (near end)."""
+        e = np.exp(-np.pi * np.sinh(t))
+        d = half * 2.0 * e / (1.0 + e)
+        jacobian = half * 2.0 * np.pi * np.cosh(t) * e / (1.0 + e) ** 2
+        cos2, sin2 = np.cos(d) ** 2, np.sin(d) ** 2
+        g_lo = w0 * cos2 + w1 * sin2
+        if same_sign:
+            g_hi = w0 * sin2 + w1 * cos2
+        else:
+            g_hi = (w0 - w1) * np.sin(2.0 * end - d) * np.sin(d)
+        # g underflows only at nodes whose integrand is exp(-inf) = 0.
+        with np.errstate(divide="ignore", over="ignore"):
+            f = np.exp(-quantile / (2.0 * g_lo)) + np.exp(-quantile / (2.0 * g_hi))
+        return float(jacobian @ f)
+
+    g_mid = w0 * np.cos(half) ** 2 + w1 * np.sin(half) ** 2
+    h = 0.5
+    total = 0.5 * np.pi * half * float(np.exp(-quantile / (2.0 * g_mid)))
+    total += mirrored_sum(h * np.arange(1, int(_K2_T / h) + 1))
+    estimate = h * total
+    for _ in range(_K2_MAX_HALVINGS):
+        h *= 0.5
+        total += mirrored_sum(h * np.arange(1, int(_K2_T / h) + 1, 2))
+        previous, estimate = estimate, h * total
+        if abs(estimate - previous) <= _K2_RTOL * estimate:
+            p = min(estimate / (0.5 * np.pi), 1.0)
+            return 1.0 - p if flip else p
+    return None
 
 
 def _moment_match_sf(weights: np.ndarray, x: float) -> float:
@@ -305,7 +411,12 @@ def _moment_match_sf(weights: np.ndarray, x: float) -> float:
 
 
 def _weighted_chisq_sf_impl(weights, x: float) -> tuple[float, str]:
-    """Tail probability plus the method tag ('imhof' or 'moment-match')."""
+    """Tail probability plus the method tag ('imhof' or 'moment-match').
+
+    The tag 'imhof' covers every exact route: the chi-squared tail for one
+    weight, :func:`_two_weight_sf` for two, the inversion integral for
+    more (and for two if the two-weight rule fails to converge).
+    """
     w = np.asarray(weights, dtype=float).ravel()
     if w.size == 0 or np.all(w == 0.0):
         raise DegenerateDistributionError(
@@ -327,7 +438,9 @@ def _weighted_chisq_sf_impl(weights, x: float) -> tuple[float, str]:
         return 1.0, "imhof"
     if np.all(w < 0.0) and quantile >= 0.0:
         return 0.0, "imhof"
-    p = _imhof_sf(w, quantile)
+    p = _two_weight_sf(float(w[0]), float(w[1]), quantile) if w.size == 2 else None
+    if p is None:
+        p = _imhof_sf(w, quantile)
     if p is not None:
         return p, "imhof"
     return float(min(max(_moment_match_sf(w, x), 0.0), 1.0)), "moment-match"
@@ -336,10 +449,14 @@ def _weighted_chisq_sf_impl(weights, x: float) -> tuple[float, str]:
 def weighted_chisq_sf(weights, x: float) -> float:
     """P(sum_k w_k (Z_k^2 - 1) > x) for independent standard normals.
 
-    Weights may be signed.  Uses characteristic-function inversion with
-    absolute accuracy around 1e-8; falls back to a four-cumulant moment
-    match (flagged via :func:`independence_test`) if the integral cannot
-    be resolved.
+    Weights may be signed; zero weights are dropped.  One weight gives the
+    exact chi-squared tail.  Two weights use a finite polar-angle integral
+    (tanh-sinh rule, stopped when successive estimates agree to 1e-12
+    relative, so the absolute error is below 1e-12 and far-tail values keep
+    their relative accuracy).  Three or more use characteristic-function
+    inversion with absolute accuracy about 1e-9, falling back to a
+    four-cumulant moment match (flagged via :func:`independence_test`) if
+    the integral cannot be resolved.
     """
     return _weighted_chisq_sf_impl(weights, x)[0]
 
@@ -375,9 +492,7 @@ def independence_test(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
         raise ValueError("estimator must be 'mle' or 'unbiased'")
     ns = null_spectrum(t.row_counts / t.n, t.col_counts / t.n, dx, dy)
     lam, mu = ns.lambdas, ns.mus
-    norm_const = np.sqrt(np.sum(lam**2) * np.sum(mu**2))
-    if norm_const <= 0.0:
-        raise DegenerateMarginError("null spectrum has zero total weight")
+    norm_const = ns.normalizer()
     weights = np.outer(lam, mu).ravel() / norm_const
     if estimator == "unbiased":
         stat = t.n * dcor2_unbiased(t, dx, dy)

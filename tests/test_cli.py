@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from catdcor import JointTable, dcor2_mle, distance_matrix, load_metadata
+from catdcor import (
+    JointTable,
+    dcor2_mle,
+    distance_matrix,
+    independence_test,
+    load_metadata,
+    null_spectrum,
+)
 from catdcor.cli import Dataset, ingest, main
 from catdcor.exceptions import ConfigurationError, LabelError, ParseError
 
@@ -159,6 +166,44 @@ class TestTestCommand:
         report = json.loads(open(out_path).read())
         assert all(r["method"] == "permutation" for r in report["results"])
 
+    @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
+    def test_reported_spectrum_matches_library(self, tmp_path, pvalue):
+        csv_path, meta_path = write_inputs(tmp_path, n=150)
+        out_path = str(tmp_path / "report.json")
+        code = main(["test", "--input", csv_path, "--metadata", meta_path,
+                     "--response", "grade", "--estimator", "unbiased",
+                     "--pvalue", pvalue, "--perms", "99", "--out", out_path])
+        assert code == 0
+        report = json.loads(open(out_path).read())
+        dataset, encodings = ingest(csv_path, meta_path)
+        names = list(dataset.column_names)
+        y = dataset.codes[:, names.index("grade")]
+        dy = distance_matrix(encodings["grade"])
+        for entry in report["results"]:
+            x = dataset.codes[:, names.index(entry["variable"])]
+            dx = distance_matrix(encodings[entry["variable"]])
+            t = JointTable.from_codes(x, y, dx.n_categories, dy.n_categories)
+            ns = null_spectrum(t.row_counts / t.n, t.col_counts / t.n, dx, dy)
+            assert entry["lambdas"] == ns.lambdas.tolist()
+            assert entry["mus"] == ns.mus.tolist()
+            assert entry["bias_shift"] == ns.bias_shift
+            if pvalue == "analytic":
+                result = independence_test(t, dx, dy, estimator="unbiased")
+                assert entry["method"] == result.method
+                assert entry["p_value"] == result.p_value
+
+    @pytest.mark.filterwarnings("ignore:dropping .* zero-count")
+    @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
+    def test_statistic_error_precedes_replicate_check(self, tmp_path, capsys, pvalue):
+        # Three rows: the analytic guard falls back to permutation, and the
+        # bias-corrected statistic fails before the replicate count is checked.
+        csv_path, meta_path = write_inputs(tmp_path, n=3)
+        code = main(["test", "--input", csv_path, "--metadata", meta_path,
+                     "--response", "grade", "--estimator", "unbiased",
+                     "--pvalue", pvalue, "--perms", "10"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: InsufficientSampleError:")
+
     def test_invalid_response_errors(self, tmp_path, capsys):
         csv_path, meta_path = write_inputs(tmp_path, n=30)
         code = main(["test", "--input", csv_path, "--metadata", meta_path,
@@ -201,6 +246,13 @@ class TestScreenCommand:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert values == sorted(values, reverse=True)
         assert len(values) == 4
+
+    def test_test_only_flags_rejected(self, tmp_path):
+        csv_path, meta_path = write_inputs(tmp_path, n=30)
+        with pytest.raises(SystemExit) as exc:
+            main(["screen", "--input", csv_path, "--metadata", meta_path,
+                  "--response", "grade", "--seed", "1"])
+        assert exc.value.code == 2
 
 
 class TestSimulateCommand:

@@ -12,13 +12,17 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import integrate
+from scipy.stats import chi2, norm
 
 from catdcor import (
     DegenerateCategoryError,
     DegenerateDistributionError,
+    DegenerateMarginError,
     InsufficientReplicatesError,
     JointDistribution,
     JointTable,
+    NullSpectrum,
     alt_inference,
     confidence_interval,
     custom,
@@ -27,6 +31,7 @@ from catdcor import (
     distance_matrix,
     dvar2,
     independence_test,
+    inference,
     null_pvalue_mle,
     null_pvalue_unbiased,
     null_spectrum,
@@ -152,6 +157,14 @@ class TestNullSpectrum:
             ns = null_spectrum([0.5, 0.5, 0.0], [0.4, 0.6], dm3, DM2)
         assert ns.lambdas.shape == (1,)
 
+    def test_normalizer(self):
+        ns = null_spectrum([0.5, 0.5], [0.5, 0.5], DM2, DM2)
+        assert_allclose(ns.normalizer(), 0.25)
+        flat = NullSpectrum(lambdas=np.zeros(1), mus=np.array([-0.5]),
+                            bias_shift=0.0, dvar_x=0.0, dvar_y=0.25)
+        with pytest.raises(DegenerateMarginError, match="zero total weight"):
+            flat.normalizer()
+
 
 class TestWeightedChisqSf:
     def test_single_weight_chi2_tail(self):
@@ -199,6 +212,100 @@ class TestWeightedChisqSf:
         w = rng.uniform(-1.0, 1.0, size=5)
         for x in (-50.0, 0.0, 50.0):
             assert 0.0 <= weighted_chisq_sf(w, x) <= 1.0
+
+
+def two_weight_reference(w0, w1, q):
+    """P(w0 Z0^2 + w1 Z1^2 > q) by quadrature over Z0 of the exact Z1 tail.
+
+    Independent of the library's polar-angle rule: given Z0 = z the event
+    is a chi-squared(1) tail (w1 > 0) or body (w1 < 0) at
+    ``(q - w0 z^2) / w1``; the kink at ``w0 z^2 = q`` is a breakpoint.
+    Accurate when Z1 carries the larger weight, so callers put the
+    smaller weight first.
+    """
+    def integrand(z):
+        s = (q - w0 * z * z) / w1
+        tail = chi2.sf(s, 1) if w1 > 0.0 else chi2.cdf(s, 1)
+        return 2.0 * norm.pdf(z) * tail
+
+    edges = [0.0, 40.0]
+    if 0.0 < q / w0 < 40.0**2:
+        edges.insert(1, math.sqrt(q / w0))
+    return sum(integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-13,
+                              limit=500)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+def five_by_five_weights():
+    rng = np.random.default_rng(51)
+    ns = null_spectrum(random_marginal(rng, 5), random_marginal(rng, 5),
+                       random_distance(rng, 5), random_distance(rng, 5))
+    weights = np.outer(ns.lambdas, ns.mus).ravel()
+    return weights / np.sqrt(np.sum(weights**2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestTailExactReferences:
+    """Tails against exact references; any floating-point warning fails."""
+
+    @pytest.mark.parametrize("w", [0.3, 1.0 / math.sqrt(2.0), 2.0])
+    def test_equal_pair_is_chi2_two(self, w):
+        # w (Z0^2 + Z1^2) - 2w > x  iff  chi2_2 > (x + 2w) / w
+        for s in (0.5, 2.0, 10.0, 30.0, 45.0, 55.0):
+            expected = chi2.sf(s, 2)
+            got = weighted_chisq_sf([w, w], w * s - 2.0 * w)
+            assert abs(got - expected) <= 1e-12 * expected
+        assert chi2.sf(55.0, 2) < 2e-12
+
+    @pytest.mark.parametrize("weights", [
+        (0.9, 0.1), (0.3, 0.7), (0.8, -0.2), (-0.3, 0.9), (-0.6, -0.4),
+        (1.0, -1.0),
+    ])
+    def test_unequal_and_mixed_pairs_match_quadrature(self, weights):
+        small, large = sorted(weights, key=abs)
+        for x in (-1.5, -0.4, 0.0, 0.3, 1.0, 4.0, 12.0):
+            q = x + sum(weights)
+            if (min(weights) > 0.0 and q <= 0.0) or (max(weights) < 0.0 and q >= 0.0):
+                continue  # outside the support: handled before any integral
+            expected = two_weight_reference(small, large, q)
+            assert abs(weighted_chisq_sf(weights, x) - expected) <= 1e-12
+
+    def test_mixed_pair_at_zero_quantile(self):
+        # P(0.75 Z0^2 - 0.25 Z1^2 > 0) = (2/pi) atan(sqrt(3)) = 2/3
+        assert abs(weighted_chisq_sf([0.75, -0.25], -0.5) - 2.0 / 3.0) <= 1e-15
+
+    def test_skewed_pair_needs_no_inversion(self, monkeypatch):
+        def inversion_called(*args, **kwargs):
+            raise AssertionError("the two-weight path fell back to inversion")
+
+        monkeypatch.setattr(inference, "_imhof_sf", inversion_called)
+        for x in (-0.9, -0.5, 0.0, 1.0, 5.0, 30.0):
+            q = x + 1.0 + 1e-6
+            expected = two_weight_reference(1e-6, 1.0, q)
+            assert abs(weighted_chisq_sf([1.0, 1e-6], x) - expected) <= 1e-12
+            assert abs(weighted_chisq_sf([-1e-6, -1.0], -x) - (1.0 - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["5x5", "2x3", "skewed"])
+    def test_cutoff_brackets_the_envelope_crossing(self, name):
+        weights = {
+            "5x5": five_by_five_weights(),
+            "2x3": np.array([0.70746042, 0.70675296]),
+            "skewed": np.array([1.0, 1e-6]),
+        }[name]
+        for target in (1e-12, 1e-9 * 0.5 / 8.0, 1e-9 * 20.0 / 8.0):
+            log_target = math.log(target)
+            cutoff = inference._find_cutoff(weights, log_target)
+            assert 1.0 < cutoff < math.inf
+            log_cut = math.log(cutoff)
+            assert inference._envelope_log(log_cut, weights) <= log_target
+            step_below = log_cut - inference._CUTOFF_STEP
+            assert inference._envelope_log(step_below, weights) > log_target
+
+    def test_cutoff_search_is_overflow_free(self):
+        # not reached by the end of the grid, u = e^390, where w u overflows
+        # a plain square
+        assert inference._find_cutoff(np.array([1e-3, 2e-3]), -1000.0) == math.inf
+        assert inference._find_cutoff(np.array([1.0, 0.5, 0.1]), 1.0) == 1.0
 
 
 class TestAnalyticNull:
