@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import DistanceMatrix, Encoding, distance_matrix, load_metadata
-from .estimators import JointTable, dcor2_mle, dcor2_unbiased
+from .encodings import Encoding, distance_matrix, load_metadata
+from .estimators import JointTable
 from .exceptions import (
     CatdcorError,
     ConfigurationError,
@@ -27,12 +27,12 @@ from .exceptions import (
     ParseError,
 )
 from .inference import (
-    NullSpectrum,
-    TestResult,
+    _permutation_pvalues,
+    _require_replicates,
+    _statistic,
+    _test_result,
     confidence_interval,
-    independence_test,
     null_spectrum,
-    permutation_test,
 )
 from .screening import apply_changepoint, screen
 from .simulate import build_joint, roc_points, run_benchmark, setting_spec
@@ -181,50 +181,20 @@ def cmd_encode(args: argparse.Namespace) -> None:
             fh.write(text)
 
 
-def _pvalues_both(table: JointTable, x: np.ndarray, y: np.ndarray,
-                  dx: DistanceMatrix, dy: DistanceMatrix,
-                  estimator: str, method: str, perms: int, seed: int
-                  ) -> tuple[dict[str, float], str, NullSpectrum | TestResult]:
-    """P-values for both estimators, the method actually used, and the null law.
-
-    The last item carries the reported ``lambdas``, ``mus`` and
-    ``bias_shift``: the analytic test result for ``estimator``, or the
-    bare null spectrum when permutation p-values are used.  Either way a
-    degenerate variable fails as the analytic test for ``estimator``
-    does: spectrum, then zero total weight, then the statistic.
-    """
-    n = table.n
-    if method == "analytic":
-        # Small-sample guard: the asymptotic law is unreliable when any
-        # observed category is rarer than 5/n.
-        guard = 5.0 / n
-        margins = np.concatenate([table.row_counts / n, table.col_counts / n])
-        if np.any(margins < guard):
-            method = "permutation"
-    if method == "permutation":
-        ns = null_spectrum(table.row_counts / n, table.col_counts / n, dx, dy)
-        ns.normalizer()
-        (dcor2_mle if estimator == "mle" else dcor2_unbiased)(table, dx, dy)
-        values = {
-            kind: permutation_test(x, y, dx, dy, estimator=kind,
-                                   reps=perms, seed=seed)
-            for kind in ("mle", "unbiased")
-        }
-        return values, "permutation", ns
-    other = "unbiased" if estimator == "mle" else "mle"
-    results = {kind: independence_test(table, dx, dy, estimator=kind)
-               for kind in (estimator, other)}
-    tags = {r.method for r in results.values()}
-    tag = "imhof" if tags == {"imhof"} else "moment-match"
-    return {kind: r.p_value for kind, r in results.items()}, tag, results[estimator]
-
-
 def cmd_test(args: argparse.Namespace) -> None:
-    """Test every non-response variable for dependence on the response."""
+    """Test every non-response variable for dependence on the response.
+
+    Per variable: one null spectrum and each statistic computed once; both
+    analytic tails come from that spectrum, or both permutation p-values
+    from one loop over shared permutations.  A degenerate variable fails
+    in a fixed order: spectrum, zero total weight, the ``--estimator``
+    statistic, the replicate count (permutation only), the other statistic.
+    """
     dataset, encodings = ingest(args.input, args.metadata)
     _require_response(dataset, args.response)
     y = _column(dataset, args.response)
     dy = distance_matrix(encodings[args.response])
+    other = "unbiased" if args.estimator == "mle" else "mle"
     results = []
     for name in dataset.column_names:
         if name == args.response:
@@ -232,24 +202,38 @@ def cmd_test(args: argparse.Namespace) -> None:
         x = _column(dataset, name)
         dx = distance_matrix(encodings[name])
         table = JointTable.from_codes(x, y, dx.n_categories, dy.n_categories)
-        p_values, method, null_law = _pvalues_both(
-            table, x, y, dx, dy, args.estimator, args.pvalue, args.perms, args.seed,
-        )
+        n = table.n
+        row, col = table.row_counts / n, table.col_counts / n
+        method = args.pvalue
+        # Small-sample guard: the asymptotic law is unreliable when any
+        # observed category is rarer than 5/n.
+        if method == "analytic" and np.any(np.concatenate([row, col]) < 5.0 / n):
+            method = "permutation"
+        ns = null_spectrum(row, col, dx, dy)
+        ns.normalizer()
+        dcor2 = {args.estimator: _statistic(table, dx, dy, args.estimator)}
+        if method == "permutation":
+            _require_replicates(args.perms)
+        dcor2[other] = _statistic(table, dx, dy, other)
+        if method == "permutation":
+            p_values = _permutation_pvalues(x, y, dx, dy, dcor2, args.perms, args.seed)
+        else:
+            tests = [_test_result(ns, n * dcor2[kind], kind, n) for kind in dcor2]
+            p_values = {r.estimator: r.p_value for r in tests}
+            imhof = all(r.method == "imhof" for r in tests)
+            method = "imhof" if imhof else "moment-match"
         ci_lo, ci_hi = confidence_interval(table, dx, dy, level=0.95,
                                            estimator=args.estimator)
         results.append({
             "variable": name,
-            "n": table.n,
-            "statistic": {
-                "mle": table.n * dcor2_mle(table, dx, dy),
-                "unbiased": table.n * dcor2_unbiased(table, dx, dy),
-            },
+            "n": n,
+            "statistic": {kind: n * value for kind, value in dcor2.items()},
             "p_value": p_values[args.estimator],
             "p_values": p_values,
             "method": method,
-            "lambdas": null_law.lambdas,
-            "mus": null_law.mus,
-            "bias_shift": null_law.bias_shift,
+            "lambdas": ns.lambdas,
+            "mus": ns.mus,
+            "bias_shift": ns.bias_shift,
             "confidence_interval": {
                 "level": 0.95,
                 "estimator": args.estimator,

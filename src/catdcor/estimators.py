@@ -37,7 +37,7 @@ from .exceptions import (
     InsufficientSampleError,
     ShapeError,
 )
-from .measures import JointDistribution, _dcov2_raw
+from .measures import JointDistribution, _check_shapes, _dcov2_raw
 
 __all__ = [
     "JointTable",
@@ -130,25 +130,13 @@ class EstimatePair:
     n: float
 
 
-def _check_table_shapes(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> None:
-    n_rows, n_cols = t.shape
-    if dx.n_categories != n_rows:
-        raise ShapeError(
-            f"row distance matrix has {dx.n_categories} categories, table has {n_rows}"
-        )
-    if dy.n_categories != n_cols:
-        raise ShapeError(
-            f"column distance matrix has {dy.n_categories} categories, table has {n_cols}"
-        )
-
-
 def t_stats(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> tuple[float, float, float]:
     """The three contingency sums (T1, T2, T3) behind both joint estimators.
 
     Each is a four-index sum over category pairs, evaluated with bilinear
     contractions.  All three are linear in either distance matrix.
     """
-    _check_table_shapes(t, dx, dy)
+    _check_shapes(t, dx, dy)
     counts = t.counts
     row = t.row_counts
     col = t.col_counts
@@ -197,7 +185,7 @@ def dcov2_mle(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
     Equals the population formula applied to the observed proportions and,
     identically, the V-statistic combination of (T1, T2, T3).
     """
-    _check_table_shapes(t, dx, dy)
+    _check_shapes(t, dx, dy)
     pi_hat = t.counts / t.n
     delta = pi_hat - np.outer(pi_hat.sum(axis=1), pi_hat.sum(axis=0))
     return max(_dcov2_raw(delta, dx.d, dy.d), 0.0)
@@ -237,7 +225,7 @@ def dcor2_mle(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
     Raises :class:`DegenerateMarginError` when either margin's estimated
     distance variance vanishes (for example a constant column).
     """
-    _check_table_shapes(t, dx, dy)
+    _check_shapes(t, dx, dy)
     var_x = dvar2_mle(t, dx, axis=0)
     var_y = dvar2_mle(t, dy, axis=1)
     if var_x <= _DEGENERATE_TOL or var_y <= _DEGENERATE_TOL:
@@ -254,7 +242,7 @@ def dcor2_unbiased(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> flo
     U-statistic variances.  Deliberately not clamped: values slightly
     outside [0, 1] carry ranking information near independence.
     """
-    _check_table_shapes(t, dx, dy)
+    _check_shapes(t, dx, dy)
     _require_u_sample(t.n)
     var_x = dvar2_unbiased(t, dx, axis=0)
     var_y = dvar2_unbiased(t, dy, axis=1)

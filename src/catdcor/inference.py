@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.stats import chi2, ncx2, norm
@@ -479,6 +478,34 @@ class TestResult:
     n: float
 
 
+def _statistic(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
+               estimator: str) -> float:
+    """The unscaled squared distance correlation estimate named by ``estimator``."""
+    return (dcor2_mle if estimator == "mle" else dcor2_unbiased)(t, dx, dy)
+
+
+def _test_result(ns: NullSpectrum, statistic: float, estimator: str,
+                 n: float) -> TestResult:
+    """Analytic p-value of ``statistic`` (``n`` times the estimate) under ``ns``."""
+    norm_const = ns.normalizer()
+    weights = np.outer(ns.lambdas, ns.mus).ravel() / norm_const
+    if estimator == "unbiased":
+        threshold = statistic
+    else:
+        threshold = statistic - ns.bias_shift / norm_const
+    p, method = _weighted_chisq_sf_impl(weights, threshold)
+    return TestResult(
+        statistic=float(statistic),
+        estimator=estimator,
+        p_value=p,
+        method=method,
+        lambdas=ns.lambdas,
+        mus=ns.mus,
+        bias_shift=ns.bias_shift,
+        n=n,
+    )
+
+
 def independence_test(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
                       estimator: str = "unbiased") -> TestResult:
     """Analytic independence test based on the asymptotic null law.
@@ -491,26 +518,8 @@ def independence_test(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
     if estimator not in ("mle", "unbiased"):
         raise ValueError("estimator must be 'mle' or 'unbiased'")
     ns = null_spectrum(t.row_counts / t.n, t.col_counts / t.n, dx, dy)
-    lam, mu = ns.lambdas, ns.mus
-    norm_const = ns.normalizer()
-    weights = np.outer(lam, mu).ravel() / norm_const
-    if estimator == "unbiased":
-        stat = t.n * dcor2_unbiased(t, dx, dy)
-        threshold = stat
-    else:
-        stat = t.n * dcor2_mle(t, dx, dy)
-        threshold = stat - ns.bias_shift / norm_const
-    p, method = _weighted_chisq_sf_impl(weights, threshold)
-    return TestResult(
-        statistic=float(stat),
-        estimator=estimator,
-        p_value=p,
-        method=method,
-        lambdas=lam,
-        mus=mu,
-        bias_shift=ns.bias_shift,
-        n=t.n,
-    )
+    ns.normalizer()  # zero total weight fails before the statistic
+    return _test_result(ns, t.n * _statistic(t, dx, dy, estimator), estimator, t.n)
 
 
 def null_pvalue_unbiased(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
@@ -521,6 +530,35 @@ def null_pvalue_unbiased(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) 
 def null_pvalue_mle(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
     """Analytic p-value for the plug-in statistic (shifted null law)."""
     return independence_test(t, dx, dy, estimator="mle").p_value
+
+
+def _require_replicates(reps: int) -> None:
+    if reps < 99:
+        raise InsufficientReplicatesError(
+            f"permutation test needs at least 99 replicates, got {reps}"
+        )
+
+
+def _permutation_pvalues(x: np.ndarray, y: np.ndarray, dx: DistanceMatrix,
+                         dy: DistanceMatrix, observed: dict[str, float],
+                         reps: int, seed: int) -> dict[str, float]:
+    """Permutation p-values for every estimator in ``observed`` from one loop.
+
+    ``observed`` maps each estimator to its unscaled estimate on the
+    unpermuted sample.  Replicate ``rep`` draws one permutation of ``y``
+    from ``default_rng((seed, rep))``, tabulates it once, and scores that
+    table with every estimator.
+    """
+    n_rows = dx.n_categories
+    n_cols = dy.n_categories
+    exceed = dict.fromkeys(observed, 0)
+    for rep in range(reps):
+        rng = np.random.default_rng((seed, rep))
+        table = JointTable.from_codes(x, rng.permutation(y), n_rows, n_cols)
+        for kind, value in observed.items():
+            if _statistic(table, dx, dy, kind) >= value:
+                exceed[kind] += 1
+    return {kind: (1.0 + count) / (reps + 1.0) for kind, count in exceed.items()}
 
 
 def permutation_test(x, y, dx: DistanceMatrix, dy: DistanceMatrix,
@@ -534,30 +572,14 @@ def permutation_test(x, y, dx: DistanceMatrix, dy: DistanceMatrix,
     depend on any execution ordering.  The p-value is
     ``(1 + #{permuted statistic >= observed}) / (reps + 1)``.
     """
-    if reps < 99:
-        raise InsufficientReplicatesError(
-            f"permutation test needs at least 99 replicates, got {reps}"
-        )
+    _require_replicates(reps)
     if estimator not in ("mle", "unbiased"):
         raise ValueError("estimator must be 'mle' or 'unbiased'")
     x = np.asarray(x)
     y = np.asarray(y)
-    stat_fn: Callable[[JointTable], float]
-    if estimator == "mle":
-        stat_fn = lambda table: dcor2_mle(table, dx, dy)  # noqa: E731
-    else:
-        stat_fn = lambda table: dcor2_unbiased(table, dx, dy)  # noqa: E731
-    n_rows = dx.n_categories
-    n_cols = dy.n_categories
-    observed = stat_fn(JointTable.from_codes(x, y, n_rows, n_cols))
-    exceed = 0
-    for rep in range(reps):
-        rng = np.random.default_rng((seed, rep))
-        permuted = rng.permutation(y)
-        stat = stat_fn(JointTable.from_codes(x, permuted, n_rows, n_cols))
-        if stat >= observed:
-            exceed += 1
-    return (1.0 + exceed) / (reps + 1.0)
+    table = JointTable.from_codes(x, y, dx.n_categories, dy.n_categories)
+    observed = {estimator: _statistic(table, dx, dy, estimator)}
+    return _permutation_pvalues(x, y, dx, dy, observed, reps, seed)[estimator]
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +681,9 @@ def confidence_interval(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie strictly between 0 and 1")
-    if estimator == "mle":
-        point = dcor2_mle(t, dx, dy)
-    elif estimator == "unbiased":
-        point = dcor2_unbiased(t, dx, dy)
-    else:
+    if estimator not in ("mle", "unbiased"):
         raise ValueError("estimator must be 'mle' or 'unbiased'")
+    point = _statistic(t, dx, dy, estimator)
     info = alt_inference(t.to_distribution(), dx, dy)
     half = float(norm.ppf(0.5 * (1.0 + level))) * np.sqrt(info.asymp_var / t.n)
     lo, hi = point - half, point + half

@@ -94,7 +94,11 @@ class JointDistribution:
         return cls(np.outer(np.asarray(row_marginal, float), np.asarray(col_marginal, float)))
 
 
-def _check_shapes(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> None:
+def _check_shapes(p, dx: DistanceMatrix, dy: DistanceMatrix) -> None:
+    """Check the distance matrices against the shape of ``p``.
+
+    ``p`` is any table with a ``shape``: a JointDistribution or a JointTable.
+    """
     n_rows, n_cols = p.shape
     if dx.n_categories != n_rows:
         raise ShapeError(

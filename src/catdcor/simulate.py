@@ -7,10 +7,11 @@ or nonmonotone patterns over 5x5 or 8x8 grids) while irrelevant features
 are drawn independently.  The positive perturbation must be paid for by
 negative mass elsewhere; that allocation is not part of the scenario
 definition, so constructions are layered (see :func:`build_joint`):
-capped proportional fitting on the non-listed cells when it exists, the
-exact-departure linear program otherwise, and, only when explicitly
-enabled, a clipped rank-one compensation for scenarios whose listed
-cells exceed what the stated marginals can carry at all.  Every result
+a capped linear program that keeps every non-listed cell at or below
+independence when one exists, the uncapped exact-departure linear
+program otherwise, and, only when explicitly enabled, a clipped
+rank-one compensation for scenarios whose listed cells exceed what the
+stated marginals can carry at all.  Every result
 carries a method tag naming the construction used.
 
 A harness samples datasets, screens them under one-hot, ordinal, and
@@ -124,13 +125,13 @@ class SettingSpec:
 class ConstructedJoint:
     """A constructed joint distribution plus the construction that produced it.
 
-    ``method`` is ``"ipf"`` for the capped proportional fit (non-listed
-    cells at or below independence), ``"exact"`` for the linear-program
-    construction (exact marginals and departures, some non-listed cells
-    above independence), ``"rank-one"`` for the explicitly enabled
-    rank-one compensation, and ``"rank-one-clipped"`` when its negative
-    cells had to be clipped and the table renormalized (marginals then
-    hold only approximately).
+    ``method`` is ``"ipf"`` for the capped linear program (exact marginals
+    and departures, non-listed cells at or below independence),
+    ``"exact"`` for the uncapped linear program (exact marginals and
+    departures, some non-listed cells above independence), ``"rank-one"``
+    for the explicitly enabled rank-one compensation, and
+    ``"rank-one-clipped"`` when its negative cells had to be clipped and
+    the table renormalized (marginals then hold only approximately).
     """
 
     joint: JointDistribution
@@ -165,59 +166,8 @@ def setting_spec(setting_id: int, n: int, n_features: int = 1000,
     )
 
 
-def _margin_solve(caps_vec: np.ndarray, mult: np.ndarray, target: float) -> float | None:
-    """Solve ``sum_j caps_j min(x mult_j, 1) = target`` for ``x >= 0``.
-
-    The left side is piecewise linear and increasing in ``x``, saturating
-    at the active caps total; returns None when the target is unreachable.
-    """
-    mask = (caps_vec > 0.0) & (mult > 0.0)
-    if target <= 0.0:
-        return 0.0
-    active_caps = caps_vec[mask]
-    total = active_caps.sum()
-    if target > total + 1e-14:
-        return None
-    thresholds = 1.0 / mult[mask]
-    order = np.argsort(thresholds)
-    cv = active_caps[order]
-    th = thresholds[order]
-    rates = cv / th
-    saturated = 0.0
-    slope = float(rates.sum())
-    for k in range(th.size):
-        if slope > 0.0 and saturated + slope * th[k] >= target:
-            return (target - saturated) / slope
-        saturated += cv[k]
-        slope -= rates[k]
-    return float(th[-1])
-
-
-def _lp_feasible_correction(caps: np.ndarray, row_targets: np.ndarray,
-                            col_targets: np.ndarray) -> np.ndarray | None:
-    """Exact feasibility probe for the capped transportation polytope.
-
-    Returns some matrix with ``0 <= E <= caps`` matching both margins, or
-    None when the polytope is empty.  Small problem (at most 8x8), solved
-    as a linear program.
-    """
-    n_rows, n_cols = caps.shape
-    nvar = n_rows * n_cols
-    a_eq = np.zeros((n_rows + n_cols, nvar))
-    for i in range(n_rows):
-        a_eq[i, i * n_cols:(i + 1) * n_cols] = 1.0
-    for j in range(n_cols):
-        a_eq[n_rows + j, j::n_cols] = 1.0
-    b_eq = np.concatenate([row_targets, col_targets])
-    bounds = [(0.0, float(cap)) for cap in caps.ravel()]
-    result = linprog(np.zeros(nvar), A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-                     method="highs")
-    if result.status != 0:
-        return None
-    return result.x.reshape(n_rows, n_cols)
-
-
-def _exact_pin_lp(product: np.ndarray, bump: np.ndarray) -> np.ndarray | None:
+def _exact_pin_lp(product: np.ndarray, bump: np.ndarray,
+                  capped: bool = False) -> np.ndarray | None:
     """Joint table with exact marginals and exact listed departures.
 
     Finds ``pi >= 0`` whose margins equal those of ``product`` and whose
@@ -225,10 +175,11 @@ def _exact_pin_lp(product: np.ndarray, bump: np.ndarray) -> np.ndarray | None:
     cells, choosing among all such tables the one whose largest absolute
     departure on the non-listed cells is smallest (a deterministic linear
     program), which spreads the compensating mass as flatly as possible.
-    Unlike the capped correction, non-listed cells are allowed to sit
-    above the product level, which is what makes tight scenarios
-    representable at all.  Returns None when even this is impossible
-    (the listed cells alone exceed a marginal).
+    With ``capped`` every non-listed cell is also bounded above by its
+    independence level; without it such cells may rise above that level,
+    which is what makes tight scenarios representable at all.  Returns
+    None when the program is infeasible (uncapped: the listed cells alone
+    exceed a marginal).
     """
     n_rows, n_cols = product.shape
     n_cells = n_rows * n_cols
@@ -265,53 +216,14 @@ def _exact_pin_lp(product: np.ndarray, bump: np.ndarray) -> np.ndarray | None:
         rhs_ub.append(-product[i, j])
     objective = np.zeros(nvar)
     objective[n_cells] = 1.0
+    caps = np.where(capped & ~listed, product, None).ravel()
     result = linprog(objective, A_eq=a_eq, b_eq=b_eq,
                      A_ub=np.array(rows_ub), b_ub=np.array(rhs_ub),
-                     bounds=[(0.0, None)] * nvar, method="highs")
+                     bounds=[(0.0, cap) for cap in caps] + [(0.0, None)],
+                     method="highs")
     if result.status != 0:
         return None
     return result.x[:n_cells].reshape(n_rows, n_cols)
-
-
-def _fit_correction_ipf(caps: np.ndarray, row_targets: np.ndarray,
-                        col_targets: np.ndarray, tol: float = 1e-12,
-                        max_iter: int = 20000) -> np.ndarray | None:
-    """Nonnegative matrix under elementwise caps matching both margins.
-
-    Feasibility is decided exactly first.  When the polytope is nonempty,
-    proportional fitting with capacity limits finds the allocation of the
-    form ``E_ij = caps_ij min(a_i b_j, 1)``, the multipliers coming from
-    alternating exact one-dimensional solves (monotone dual coordinate
-    ascent).  If that iteration stalls on a boundary-tight instance, the
-    feasible point from the probe is returned instead.
-    """
-    if np.any(row_targets > caps.sum(axis=1) + tol):
-        return None
-    if np.any(col_targets > caps.sum(axis=0) + tol):
-        return None
-    probe = _lp_feasible_correction(caps, row_targets, col_targets)
-    if probe is None:
-        return None
-    n_rows, n_cols = caps.shape
-    a = np.ones(n_rows)
-    b = np.ones(n_cols)
-    for _ in range(max_iter):
-        for i in range(n_rows):
-            solved = _margin_solve(caps[i], b, row_targets[i])
-            if solved is None:
-                return probe
-            a[i] = solved
-        for j in range(n_cols):
-            solved = _margin_solve(caps[:, j], a, col_targets[j])
-            if solved is None:
-                return probe
-            b[j] = solved
-        correction = caps * np.minimum(np.outer(a, b), 1.0)
-        row_err = np.abs(correction.sum(axis=1) - row_targets).max()
-        col_err = np.abs(correction.sum(axis=0) - col_targets).max()
-        if row_err < tol and col_err < tol:
-            return correction
-    return probe
 
 
 def build_joint(spec: SettingSpec, allow_rank_one: bool = False) -> ConstructedJoint:
@@ -321,13 +233,12 @@ def build_joint(spec: SettingSpec, allow_rank_one: bool = False) -> ConstructedJ
     listed cell, and pays for it on the non-listed cells, preferring (in
     order):
 
-    1. ``"ipf"`` -- a nonnegative correction fitted on the non-listed
-       cells by capped proportional scaling, so every non-listed cell
-       stays at or below its independence level;
-    2. ``"exact"`` -- the direct linear-program construction with exact
-       marginals and exact listed departures, minimizing the largest
-       absolute departure of the non-listed cells (some of which may then
-       exceed independence);
+    1. ``"ipf"`` -- the capped linear program: exact marginals and exact
+       listed departures, every non-listed cell at or below its
+       independence level, the largest departure of the non-listed cells
+       minimized;
+    2. ``"exact"`` -- the same linear program without the caps, so some
+       non-listed cells may then exceed independence;
     3. with ``allow_rank_one`` explicitly set, the rank-one compensation
        ``outer(row excess, column excess)/total`` (``"rank-one"``),
        clipped and renormalized when it goes negative
@@ -346,24 +257,12 @@ def build_joint(spec: SettingSpec, allow_rank_one: bool = False) -> ConstructedJ
     if not spec.cells:
         return ConstructedJoint(joint=JointDistribution(product), method="ipf")
 
-    row_excess = bump.sum(axis=1)
-    col_excess = bump.sum(axis=0)
-    complement = bump == 0.0
-    caps = np.where(complement, product, 0.0)
-
-    correction = _fit_correction_ipf(caps, row_excess, col_excess)
-    if correction is not None:
-        pi = product + bump - correction
-        if pi.min() >= -1e-12:
+    for capped, method in ((True, "ipf"), (False, "exact")):
+        pi = _exact_pin_lp(product, bump, capped=capped)
+        if pi is not None and pi.min() >= -1e-9:
             pi = np.clip(pi, 0.0, None)
             pi /= pi.sum()
-            return ConstructedJoint(joint=JointDistribution(pi), method="ipf")
-
-    pi = _exact_pin_lp(product, bump)
-    if pi is not None and pi.min() >= -1e-9:
-        pi = np.clip(pi, 0.0, None)
-        pi /= pi.sum()
-        return ConstructedJoint(joint=JointDistribution(pi), method="exact")
+            return ConstructedJoint(joint=JointDistribution(pi), method=method)
 
     if not allow_rank_one:
         raise InfeasibleSettingError(
@@ -372,8 +271,9 @@ def build_joint(spec: SettingSpec, allow_rank_one: bool = False) -> ConstructedJ
             "the flagged approximate construction"
         )
 
-    total = bump.sum()
-    pi = product + bump - np.outer(row_excess, col_excess) / total
+    row_excess = bump.sum(axis=1)
+    col_excess = bump.sum(axis=0)
+    pi = product + bump - np.outer(row_excess, col_excess) / bump.sum()
     if pi.min() >= -1e-12:
         pi = np.clip(pi, 0.0, None)
         pi /= pi.sum()

@@ -15,11 +15,14 @@ from numpy.testing import assert_allclose
 
 from catdcor import (
     JointTable,
+    confidence_interval,
     dcor2_mle,
+    dcor2_unbiased,
     distance_matrix,
     independence_test,
     load_metadata,
     null_spectrum,
+    permutation_test,
 )
 from catdcor.cli import Dataset, ingest, main
 from catdcor.exceptions import ConfigurationError, LabelError, ParseError
@@ -191,18 +194,38 @@ class TestTestCommand:
                 result = independence_test(t, dx, dy, estimator="unbiased")
                 assert entry["method"] == result.method
                 assert entry["p_value"] == result.p_value
+            for kind, score in (("mle", dcor2_mle), ("unbiased", dcor2_unbiased)):
+                if pvalue == "analytic":
+                    expected = independence_test(t, dx, dy, estimator=kind).p_value
+                else:
+                    expected = permutation_test(x, y, dx, dy, estimator=kind,
+                                                reps=99, seed=report["seed"])
+                assert entry["p_values"][kind] == expected
+                assert entry["statistic"][kind] == t.n * score(t, dx, dy)
+            lo, hi = confidence_interval(t, dx, dy, level=0.95, estimator="unbiased")
+            assert (entry["confidence_interval"]["lo"],
+                    entry["confidence_interval"]["hi"]) == (lo, hi)
 
     @pytest.mark.filterwarnings("ignore:dropping .* zero-count")
-    @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
-    def test_statistic_error_precedes_replicate_check(self, tmp_path, capsys, pvalue):
-        # Three rows: the analytic guard falls back to permutation, and the
-        # bias-corrected statistic fails before the replicate count is checked.
+    @pytest.mark.parametrize("pvalue, estimator, error", [
+        pytest.param(pvalue, estimator, error,
+                     id=pvalue + ("" if estimator == "unbiased" else "-" + estimator))
+        for estimator, error in (("unbiased", "InsufficientSampleError"),
+                                 ("mle", "InsufficientReplicatesError"))
+        for pvalue in ("analytic", "permutation")
+    ])
+    def test_statistic_error_precedes_replicate_check(self, tmp_path, capsys, pvalue,
+                                                      estimator, error):
+        # Three rows: the analytic guard falls back to permutation.  The
+        # bias-corrected statistic fails before the replicate count is
+        # checked; the plug-in one succeeds, so the replicate count fails
+        # before the bias-corrected statistic is computed.
         csv_path, meta_path = write_inputs(tmp_path, n=3)
         code = main(["test", "--input", csv_path, "--metadata", meta_path,
-                     "--response", "grade", "--estimator", "unbiased",
+                     "--response", "grade", "--estimator", estimator,
                      "--pvalue", pvalue, "--perms", "10"])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: InsufficientSampleError:")
+        assert capsys.readouterr().err.startswith(f"error: {error}:")
 
     def test_invalid_response_errors(self, tmp_path, capsys):
         csv_path, meta_path = write_inputs(tmp_path, n=30)

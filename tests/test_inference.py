@@ -411,6 +411,17 @@ class TestPermutation:
         p2 = permutation_test(x, y, d3, d3, estimator="mle", reps=199, seed=7)
         assert p1 == p2
 
+    def test_keyed_generator_values(self):
+        # Recorded values: replicate r permutes y with default_rng((seed, r)).
+        rng = np.random.default_rng(53)
+        x = rng.integers(0, 3, size=80)
+        y = rng.integers(0, 4, size=80)
+        dx = distance_matrix(one_hot(3))
+        dy = distance_matrix(ordinal_equal(4))
+        assert permutation_test(x, y, dx, dy, estimator="mle", reps=199, seed=1) == 0.845
+        assert permutation_test(x, y, dx, dy, estimator="unbiased", reps=199,
+                                seed=1) == 0.855
+
     def test_too_few_replicates(self):
         with pytest.raises(InsufficientReplicatesError):
             permutation_test([0, 1], [0, 1], DM2, DM2, reps=50, seed=0)
