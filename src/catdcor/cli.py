@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import Encoding, distance_matrix, load_metadata
+from .encodings import DistanceMatrix, Encoding, distance_matrix, load_metadata
 from .estimators import JointTable
 from .exceptions import (
     CatdcorError,
@@ -52,68 +54,122 @@ class Dataset:
     dropped_rows: int
 
 
+class _Vocabulary(dict):
+    """Cell string -> index, numbering each new string on first lookup."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = index = len(self)
+        return index
+
+
+def _checked_records(reader, width: int, csv_path: str):
+    """Yield the records after the header, failing on the first ragged one.
+
+    Line numbers count records (the header is line 1), so a quoted
+    newline inside a cell does not shift them.
+    """
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise ParseError(
+                f"{csv_path}: line {line_no} has {len(row)} fields, expected {width}"
+            )
+        yield row
+
+
 def ingest(csv_path: str, metadata_path: str,
            missing_tokens: tuple[str, ...] = ("",)
            ) -> tuple[Dataset, dict[str, Encoding]]:
     """Read a CSV with a header row against declared encoding metadata.
 
     Only columns present in the metadata are analyzed; each must exist in
-    the file.  Rows containing a missing-value token in any analyzed
-    column are dropped (the count is reported on the Dataset).  Any other
-    label outside a column's declared level set raises :class:`LabelError`
-    naming the column and row.
+    the file, and a header name that appears twice resolves to its first
+    occurrence.  Cells of other columns are never checked.  Rows
+    containing a missing-value token in any analyzed column are dropped
+    (the count is reported on the Dataset); a missing token wins over a
+    declared label with the same text.  Any other label outside a
+    column's declared level set raises :class:`LabelError` naming the
+    column and the line, where line N is the N-th record of the file
+    (the header is line 1).  A record of the wrong width raises
+    :class:`ParseError`, checked before the metadata columns and labels.
+
+    The file is streamed: each record's analyzed cells are numbered
+    through one vocabulary of distinct strings as the record is read,
+    so only one record's strings are alive at a time, and every column
+    is then decoded through a lookup table over its distinct numbers.
     """
     encodings = load_metadata(metadata_path)
+    names = tuple(encodings)
     try:
         with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{csv_path}: empty file, expected a header row")
+            records = _checked_records(reader, len(header), csv_path)
+            first_position: dict[str, int] = {}
+            for pos, name in enumerate(header):
+                first_position.setdefault(name, pos)
+            missing_cols = [name for name in names if name not in first_position]
+            if missing_cols or not names:
+                n_rows = sum(1 for _ in records)
+                if missing_cols:
+                    raise ConfigurationError(
+                        f"metadata variables absent from the CSV header: {missing_cols}"
+                    )
+                empty = np.zeros((n_rows, 0), dtype=np.int64)
+                return Dataset(names, empty, n_rows, 0), encodings
+            # One analyzed column makes the getter return a cell, not a tuple.
+            cells = map(operator.itemgetter(*(first_position[n] for n in names)),
+                        records)
+            if len(names) > 1:
+                cells = itertools.chain.from_iterable(cells)
+            vocab = _Vocabulary()
+            numbers = np.fromiter(map(vocab.__getitem__, cells), dtype=np.int64)
+            # Column-major, so that each column below is one contiguous run.
+            codes = np.asfortranarray(numbers.reshape(-1, len(names)))
+            del numbers
     except OSError as exc:
         raise ConfigurationError(f"cannot read {csv_path}: {exc}") from None
-    if not rows:
-        raise ParseError(f"{csv_path}: empty file, expected a header row")
-    header = rows[0]
-    width = len(header)
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ParseError(
-                f"{csv_path}: line {line_no} has {len(row)} fields, expected {width}"
-            )
-    missing_cols = [name for name in encodings if name not in header]
-    if missing_cols:
-        raise ConfigurationError(
-            f"metadata variables absent from the CSV header: {missing_cols}"
-        )
-    positions = {name: header.index(name) for name in encodings}
-    level_maps = {
-        name: {label: code for code, label in enumerate(enc.labels)}
-        for name, enc in encodings.items()
-    }
-    missing = set(missing_tokens)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{csv_path}: not valid UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{csv_path}: {exc}") from None
 
-    kept: list[list[int]] = []
-    dropped = 0
-    for line_no, row in enumerate(rows[1:], start=2):
-        cells = {name: row[positions[name]] for name in encodings}
-        if any(cell in missing for cell in cells.values()):
-            dropped += 1
-            continue
-        coded = []
-        for name in encodings:
-            cell = cells[name]
-            try:
-                coded.append(level_maps[name][cell])
-            except KeyError:
-                raise LabelError(
-                    f"{csv_path}: line {line_no}, column {name!r}: label {cell!r} "
-                    "is not in the declared level set"
-                ) from None
-        kept.append(coded)
-    codes = np.array(kept, dtype=np.int64).reshape(len(kept), len(encodings))
+    strings = list(vocab)
+    missing = set(missing_tokens)
+    # Decode in place, column by column.  Columns with the same level labels
+    # share one table from cell number to code, filled only for the numbers
+    # they hold: -1 marks a missing token, -2 - v the undeclared label v.
+    columns: dict[tuple[str, ...], list[int]] = {}
+    for j, enc in enumerate(encodings.values()):
+        columns.setdefault(enc.labels, []).append(j)
+    for labels, cols in columns.items():
+        level_of = {label: code for code, label in enumerate(labels)}
+        present = np.zeros(len(strings), dtype=bool)
+        for j in cols:
+            present[codes[:, j]] = True
+        table = np.empty(len(strings), dtype=np.int64)
+        for v in np.flatnonzero(present).tolist():
+            cell = strings[v]
+            table[v] = -1 if cell in missing else level_of.get(cell, -2 - v)
+        for j in cols:
+            codes[:, j] = table[codes[:, j]]
+    dropped = (codes == -1).any(axis=1)
+    if dropped.any():
+        codes = codes.T.compress(~dropped, axis=1).T
+    bad = codes < -1
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), len(names))
+        record = int(np.flatnonzero(~dropped)[row])
+        raise LabelError(
+            f"{csv_path}: line {record + 2}, column {names[col]!r}: "
+            f"label {strings[-2 - int(codes[row, col])]!r} is not in the declared level set"
+        )
     dataset = Dataset(
-        column_names=tuple(encodings),
+        column_names=names,
         codes=codes,
-        row_count=len(kept),
-        dropped_rows=dropped,
+        row_count=codes.shape[0],
+        dropped_rows=int(dropped.sum()),
     )
     return dataset, encodings
 
@@ -256,10 +312,21 @@ def cmd_screen(args: argparse.Namespace) -> None:
     dataset, encodings = ingest(args.input, args.metadata)
     _require_response(dataset, args.response)
     y = _column(dataset, args.response)
-    dy = distance_matrix(encodings[args.response])
-    feature_names = [n for n in dataset.column_names if n != args.response]
-    features = np.column_stack([_column(dataset, n) for n in feature_names])
-    dists = [distance_matrix(encodings[n]) for n in feature_names]
+    keep = [j for j, n in enumerate(dataset.column_names) if n != args.response]
+    feature_names = [dataset.column_names[j] for j in keep]
+    features = dataset.codes[:, keep]
+    # Many features share one encoding; build each distinct matrix once.
+    shared: dict[tuple, DistanceMatrix] = {}
+
+    def dist(name: str) -> DistanceMatrix:
+        points = encodings[name].points
+        key = (points.shape, points.tobytes())
+        if key not in shared:
+            shared[key] = distance_matrix(encodings[name])
+        return shared[key]
+
+    dy = dist(args.response)
+    dists = [dist(n) for n in feature_names]
     report = screen(features, y, dists, dy, estimator=args.estimator,
                     feature_ids=feature_names)
     try:

@@ -306,10 +306,18 @@ def parse_metadata(doc: object) -> dict[str, Encoding]:
 
 
 def load_metadata(path: str) -> dict[str, Encoding]:
-    """Read a JSON metadata file and build the declared encodings."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Read a JSON metadata file and build the declared encodings.
+
+    An unreadable file, text that is not UTF-8 and invalid JSON all raise
+    :class:`ConfigurationError` naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid JSON in {path}: {exc}") from None
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path} is not valid UTF-8: {exc.reason}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"invalid JSON in {path}: {exc}") from None
     return parse_metadata(doc)

@@ -270,8 +270,7 @@ def bias_limit(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> 
     - 6 pi_i. pi_.j pi_k. pi_.l) dX_ik dY_jl``.  Under independence this
     reduces to the product of the two mean within-margin distances.
     """
-    if dx.n_categories != p.shape[0] or dy.n_categories != p.shape[1]:
-        raise ShapeError("distance matrices must match the joint distribution shape")
+    _check_shapes(p, dx, dy)
     pi = p.pi
     row = p.row_marginal
     col = p.col_marginal

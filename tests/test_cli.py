@@ -8,6 +8,7 @@ direct library calls.
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from catdcor import (
     null_spectrum,
     permutation_test,
 )
+import catdcor.cli
 from catdcor.cli import Dataset, ingest, main
 from catdcor.exceptions import ConfigurationError, LabelError, ParseError
 
@@ -63,6 +65,21 @@ def write_inputs(tmp_path, n=240, seed=0, missing_rows=0):
         writer = csv.writer(fh)
         writer.writerow(["grade", "color", "size", "shape", "tone"])
         writer.writerows(rows)
+    return str(csv_path), str(meta_path)
+
+
+AB_META = [
+    {"name": "a", "type": "nominal", "encoding": "onehot", "levels": ["p", "q,r"]},
+    {"name": "b", "type": "nominal", "encoding": "onehot", "levels": ["x", "y"]},
+]
+
+
+def write_raw(tmp_path, text, meta=AB_META):
+    """Write ``text`` byte for byte as the CSV, plus the metadata JSON."""
+    csv_path = tmp_path / "raw.csv"
+    meta_path = tmp_path / "raw_meta.json"
+    csv_path.write_bytes(text.encode("utf-8"))
+    meta_path.write_text(json.dumps(meta))
     return str(csv_path), str(meta_path)
 
 
@@ -110,6 +127,237 @@ class TestIngest:
         open(meta_path, "w").write(json.dumps(doc))
         with pytest.raises(ConfigurationError):
             ingest(csv_path, meta_path)
+
+    def test_missing_cell_drops_row_with_bad_label(self, tmp_path):
+        csv_path, meta_path = write_raw(tmp_path, 'a,b\np,x\n,nope\n"q,r",y\n')
+        dataset, _ = ingest(csv_path, meta_path)
+        assert dataset.dropped_rows == 1
+        assert dataset.codes.tolist() == [[0, 0], [1, 1]]
+
+    def test_first_bad_label_by_record(self, tmp_path):
+        csv_path, meta_path = write_raw(tmp_path, "a,b\np,bad\nbad,x\n")
+        with pytest.raises(LabelError) as err:
+            ingest(csv_path, meta_path)
+        assert "line 2, column 'b'" in str(err.value)
+
+    def test_first_bad_label_in_record_by_metadata_order(self, tmp_path):
+        meta = [AB_META[1], AB_META[0]]
+        csv_path, meta_path = write_raw(tmp_path, "a,b\np,x\nbad_a,bad_b\n", meta)
+        with pytest.raises(LabelError) as err:
+            ingest(csv_path, meta_path)
+        assert "line 3, column 'b': label 'bad_b'" in str(err.value)
+
+    def test_lines_count_records_not_physical_lines(self, tmp_path):
+        text = 'a,b,note\n"q,r",x,"two\nlines"\np,"y\n",z\n'
+        csv_path, meta_path = write_raw(tmp_path, text)
+        with pytest.raises(LabelError) as err:
+            ingest(csv_path, meta_path)
+        assert f"{csv_path}: line 3, column 'b': label 'y\\n' is not in" in str(err.value)
+
+    def test_duplicate_header_name_uses_first_occurrence(self, tmp_path):
+        csv_path, meta_path = write_raw(tmp_path, "b,a,b\ny,p,zzz\nx,p,\n")
+        dataset, _ = ingest(csv_path, meta_path)
+        assert dataset.dropped_rows == 0
+        assert dataset.codes.tolist() == [[0, 1], [0, 0]]
+
+    def test_header_only(self, tmp_path):
+        csv_path, meta_path = write_raw(tmp_path, "a,b\n")
+        dataset, _ = ingest(csv_path, meta_path)
+        assert dataset.codes.shape == (0, 2)
+        assert dataset.codes.dtype == np.int64
+        assert (dataset.row_count, dataset.dropped_rows) == (0, 0)
+
+    def test_no_analyzed_columns(self, tmp_path):
+        csv_path, meta_path = write_raw(tmp_path, "a,b\np,x\n,\n", meta=[])
+        dataset, _ = ingest(csv_path, meta_path)
+        assert dataset.codes.shape == (2, 0)
+        assert (dataset.row_count, dataset.dropped_rows) == (2, 0)
+
+    @pytest.mark.parametrize("tail, expected", [
+        ("p\n", "line 3 has 1 fields, expected 2"),
+        ("\np,x\n", "line 3 has 0 fields, expected 2"),
+    ])
+    def test_ragged_record_after_bad_label(self, tmp_path, tail, expected):
+        csv_path, meta_path = write_raw(tmp_path, "a,b\nbad,x\n" + tail)
+        with pytest.raises(ParseError) as err:
+            ingest(csv_path, meta_path)
+        assert expected in str(err.value)
+
+    def test_ragged_record_precedes_absent_column(self, tmp_path):
+        meta = AB_META + [{"name": "ghost", "type": "nominal", "encoding": "onehot",
+                           "levels": ["u", "v"]}]
+        csv_path, meta_path = write_raw(tmp_path, "a,b\np,x\np\n", meta)
+        with pytest.raises(ParseError) as err:
+            ingest(csv_path, meta_path)
+        assert "line 3 has 1 fields" in str(err.value)
+
+    def test_single_analyzed_column(self, tmp_path):
+        meta = [{"name": "a", "type": "ordinal", "encoding": "ordinal",
+                 "levels": ["lo", "mid", "hi"]}]
+        csv_path, meta_path = write_raw(tmp_path, "b,a\nx,hi\ny,\nz,lo\nw,mid\n", meta)
+        dataset, _ = ingest(csv_path, meta_path)
+        assert dataset.codes.tolist() == [[2], [0], [1]]
+        assert dataset.dropped_rows == 1
+
+    def test_custom_missing_tokens(self, tmp_path):
+        csv_path, meta_path = write_raw(tmp_path, 'a,b\np,NA\nNA,y\n"q,r",x\n')
+        dataset, _ = ingest(csv_path, meta_path, missing_tokens=("NA",))
+        assert dataset.codes.tolist() == [[1, 0]]
+        assert dataset.dropped_rows == 2
+        with pytest.raises(LabelError) as err:
+            ingest(csv_path, meta_path, missing_tokens=("",))
+        assert "line 2, column 'b': label 'NA'" in str(err.value)
+
+    def test_missing_token_wins_over_declared_label(self, tmp_path):
+        csv_path, meta_path = write_raw(tmp_path, "a,b\np,x\np,y\n")
+        dataset, _ = ingest(csv_path, meta_path, missing_tokens=("", "y"))
+        assert dataset.codes.tolist() == [[0, 0]]
+        assert dataset.dropped_rows == 1
+
+    def test_non_analyzed_cells_never_checked(self, tmp_path):
+        text = 'note,a,b,extra\n"free, ""text""\nhere",p,x,\n,p,y,Ω\n'
+        csv_path, meta_path = write_raw(tmp_path, text)
+        dataset, _ = ingest(csv_path, meta_path)
+        assert dataset.codes.tolist() == [[0, 0], [0, 1]]
+        assert dataset.dropped_rows == 0
+
+
+# Cell texts for the reference comparison: separators, quotes, line breaks,
+# blanks and non-ASCII, so that the csv module's quoting is exercised.
+TRICKY = ["p", "q,r", 'say "hi"', "two\nlines", "é", "Ωmega", " pad ", "x\r\ny",
+          "NA", "日本", "a;b", "''"]
+
+
+def reference_ingest(csv_path, encodings, missing_tokens=("",)):
+    """The per-cell row loop ``ingest`` replaced, kept as its oracle.
+
+    Returns (codes, row_count, dropped_rows) or the LabelError message.
+    """
+    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0]
+    positions = {name: header.index(name) for name in encodings}
+    level_maps = {name: {label: code for code, label in enumerate(enc.labels)}
+                  for name, enc in encodings.items()}
+    missing = set(missing_tokens)
+    kept, dropped = [], 0
+    for line_no, row in enumerate(rows[1:], start=2):
+        cells = {name: row[positions[name]] for name in encodings}
+        if any(cell in missing for cell in cells.values()):
+            dropped += 1
+            continue
+        coded = []
+        for name in encodings:
+            cell = cells[name]
+            if cell not in level_maps[name]:
+                return (f"{csv_path}: line {line_no}, column {name!r}: label {cell!r} "
+                        "is not in the declared level set")
+            coded.append(level_maps[name][cell])
+        kept.append(coded)
+    codes = np.array(kept, dtype=np.int64).reshape(len(kept), len(encodings))
+    return codes, len(kept), dropped
+
+
+def write_random_table(tmp_path, seed, n=300, analyzed=12, extra=4, bad_cells=0):
+    """Seeded CSV written with csv.writer, with its metadata; returns paths."""
+    rng = np.random.default_rng(seed)
+    meta, columns = [], {}
+    for k in range(analyzed):
+        # Columns draw from one pool, in their own order, so that the same
+        # text has different codes in different columns.
+        levels = [TRICKY[i] for i in rng.choice(len(TRICKY), rng.integers(2, 6),
+                                                replace=False)]
+        name = f"v{k}"
+        meta.append({"name": name, "type": "nominal", "encoding": "onehot",
+                     "levels": levels})
+        cells = np.array(levels, dtype=object)[rng.integers(0, len(levels), n)]
+        cells[rng.random(n) < 0.05] = ""
+        columns[name] = cells
+    for k in range(extra):
+        columns[f"free{k}"] = np.array(TRICKY + [""], dtype=object)[
+            rng.integers(0, len(TRICKY) + 1, n)]
+    for _ in range(bad_cells):
+        name = f"v{rng.integers(analyzed)}"
+        columns[name][rng.integers(n)] = rng.choice(["undeclared", "q, r", ""]) + "?"
+    header = list(columns)
+    rng.shuffle(header)
+    rng.shuffle(meta)
+    csv_path = tmp_path / f"random_{seed}.csv"
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(columns[name] for name in header)))
+    meta_path = tmp_path / f"random_{seed}.json"
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    return str(csv_path), str(meta_path)
+
+
+class TestIngestMatchesRowLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_codes_and_counts(self, tmp_path, seed):
+        csv_path, meta_path = write_random_table(tmp_path, seed)
+        dataset, encodings = ingest(csv_path, meta_path)
+        codes, row_count, dropped = reference_ingest(csv_path, encodings)
+        assert dataset.column_names == tuple(encodings)
+        assert dataset.codes.dtype == np.int64
+        np.testing.assert_array_equal(dataset.codes, codes)
+        assert (dataset.row_count, dataset.dropped_rows) == (row_count, dropped)
+        assert 0 < dropped < 300
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_missing_tokens(self, tmp_path, seed):
+        csv_path, meta_path = write_random_table(tmp_path, seed)
+        tokens = ("", "NA", "é")
+        dataset, encodings = ingest(csv_path, meta_path, missing_tokens=tokens)
+        codes, row_count, dropped = reference_ingest(csv_path, encodings, tokens)
+        np.testing.assert_array_equal(dataset.codes, codes)
+        assert (dataset.row_count, dataset.dropped_rows) == (row_count, dropped)
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_first_bad_label(self, tmp_path, seed):
+        csv_path, meta_path = write_random_table(tmp_path, seed, bad_cells=6)
+        encodings = load_metadata(meta_path)
+        message = reference_ingest(csv_path, encodings)
+        assert isinstance(message, str)
+        with pytest.raises(LabelError) as err:
+            ingest(csv_path, meta_path)
+        assert str(err.value) == message
+
+
+class TestIngestMemory:
+    # Peak traced bytes per analyzed cell while ingesting.  Holding every
+    # record's strings at once, as a read-all-then-loop ingest does, costs
+    # about 76 bytes per cell (str objects and list slots, plus the codes);
+    # streaming the records into one int64 array and decoding it in place
+    # costs about 17.
+    BYTES_PER_CELL = 40
+
+    def test_peak_bytes_per_cell(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n, p = 400, 500
+        levels = rng.integers(2, 8, p)
+        codes = np.floor(rng.random((n, p)) * levels).astype(np.int64)
+        cells = np.array([f"L{k}" for k in range(8)] + [""])[codes]
+        cells[rng.random((n, p)) < 0.0005] = ""
+        names = [f"f{j}" for j in range(p)]
+        csv_path = tmp_path / "wide.csv"
+        csv_path.write_text(
+            "\n".join([",".join(names)] + [",".join(row) for row in cells.tolist()])
+            + "\n", encoding="utf-8")
+        meta_path = tmp_path / "wide.json"
+        meta_path.write_text(json.dumps([
+            {"name": name, "type": "ordinal", "encoding": "ordinal",
+             "levels": [f"L{k}" for k in range(lev)]}
+            for name, lev in zip(names, levels.tolist())
+        ]))
+        tracemalloc.start()
+        try:
+            dataset, _ = ingest(str(csv_path), str(meta_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < dataset.dropped_rows < n
+        assert peak / (n * p) < self.BYTES_PER_CELL
 
 
 class TestEncodeCommand:
@@ -276,6 +524,60 @@ class TestScreenCommand:
             main(["screen", "--input", csv_path, "--metadata", meta_path,
                   "--response", "grade", "--seed", "1"])
         assert exc.value.code == 2
+
+    def test_one_distance_matrix_per_distinct_encoding(self, tmp_path, monkeypatch):
+        csv_path, meta_path = write_inputs(tmp_path, n=120)
+        built = []
+
+        def counting(enc):
+            built.append(enc.kind)
+            return distance_matrix(enc)
+
+        monkeypatch.setattr(catdcor.cli, "distance_matrix", counting)
+        out_path = str(tmp_path / "screen.json")
+        assert main(["screen", "--input", csv_path, "--metadata", meta_path,
+                     "--response", "grade", "--out", out_path]) == 0
+        # grade and tone share the 3-level semicircle; color and shape are
+        # one-hot with 3 and 2 levels; size is ordinal.
+        assert sorted(built) == ["one-hot", "one-hot", "ordinal", "semicircle"]
+
+
+class TestUnreadableInput:
+    """Undecodable or oversized input ends in one structured error line."""
+
+    def run(self, capsys, command, csv_path, meta_path):
+        code = main([command, "--input", csv_path, "--metadata", meta_path,
+                     "--response", "a"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("command", ["screen", "test"])
+    def test_csv_not_utf8(self, tmp_path, capsys, command):
+        csv_path, meta_path = write_raw(tmp_path, "")
+        open(csv_path, "wb").write(b"a,b\np,x\n\xe9,x\n")
+        err = self.run(capsys, command, csv_path, meta_path)
+        assert err.startswith(f"error: ParseError: {csv_path}: not valid UTF-8")
+
+    @pytest.mark.parametrize("command", ["screen", "test"])
+    def test_csv_field_over_limit(self, tmp_path, capsys, command):
+        csv_path, meta_path = write_raw(tmp_path, "a,b\np," + "x" * 200_000 + "\n")
+        err = self.run(capsys, command, csv_path, meta_path)
+        assert err.startswith(f"error: ParseError: {csv_path}: field larger than")
+
+    @pytest.mark.parametrize("command", ["screen", "test"])
+    def test_metadata_not_utf8(self, tmp_path, capsys, command):
+        csv_path, meta_path = write_raw(tmp_path, "a,b\np,x\n")
+        open(meta_path, "wb").write(b'[{"name": "\xe9"}]')
+        err = self.run(capsys, command, csv_path, meta_path)
+        assert err.startswith(f"error: ConfigurationError: {meta_path} is not valid UTF-8")
+
+    def test_metadata_unreadable(self, tmp_path, capsys):
+        csv_path, _ = write_raw(tmp_path, "a,b\np,x\n")
+        missing_path = str(tmp_path / "absent.json")
+        err = self.run(capsys, "screen", csv_path, missing_path)
+        assert err.startswith(f"error: ConfigurationError: cannot read {missing_path}")
 
 
 class TestSimulateCommand:

@@ -15,6 +15,7 @@ from catdcor import (
     InsufficientSampleError,
     JointDistribution,
     JointTable,
+    ShapeError,
     bias_limit,
     custom,
     dcor2,
@@ -322,6 +323,15 @@ class TestBiasLimit:
                                        - 6.0 * row[i] * col[j] * row[k] * col[l])
                                       * dx.d[i, k] * dy.d[j, l])
             assert_allclose(bias_limit(p, dx, dy), total, atol=1e-12)
+
+    @pytest.mark.parametrize("dx, dy, message", [
+        (distance_matrix(one_hot(3)), DM2, "row distance matrix has 3 categories"),
+        (DM2, distance_matrix(one_hot(3)), "column distance matrix has 3 categories"),
+    ])
+    def test_shape_mismatch(self, dx, dy, message):
+        p = JointDistribution.independent([0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(ShapeError, match=message):
+            bias_limit(p, dx, dy)
 
 
 class TestJointTable:
