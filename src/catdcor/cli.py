@@ -272,7 +272,8 @@ def cmd_test(args: argparse.Namespace) -> None:
             _require_replicates(args.perms)
         dcor2[other] = _statistic(table, dx, dy, other)
         if method == "permutation":
-            p_values = _permutation_pvalues(x, y, dx, dy, dcor2, args.perms, args.seed)
+            p_values = _permutation_pvalues(table, x, y, dx, dy, dcor2, args.perms,
+                                            args.seed)
         else:
             tests = [_test_result(ns, n * dcor2[kind], kind, n) for kind in dcor2]
             p_values = {r.estimator: r.p_value for r in tests}

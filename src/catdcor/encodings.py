@@ -267,6 +267,9 @@ def parse_metadata(doc: object) -> dict[str, Encoding]:
         raise ConfigurationError("metadata must be a list of variable descriptors")
 
     encodings: dict[str, Encoding] = {}
+    # Encodings are frozen, so variables with the same named kind and labels
+    # share one object instead of rebuilding and re-checking its points.
+    shared: dict[tuple, Encoding] = {}
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigurationError(f"metadata entry {pos} is not an object")
@@ -297,7 +300,10 @@ def parse_metadata(doc: object) -> dict[str, Encoding]:
                 )
             encodings[name] = custom(labels, entry["points"])
         elif enc_kind in _KIND_BUILDERS:
-            encodings[name] = encoding_for_kind(enc_kind, len(labels), labels=labels)
+            key = (enc_kind, tuple(labels))
+            if key not in shared:
+                shared[key] = encoding_for_kind(enc_kind, len(labels), labels=labels)
+            encodings[name] = shared[key]
         else:
             raise ConfigurationError(
                 f"variable {name!r}: unknown encoding {enc_kind!r}"

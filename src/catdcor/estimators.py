@@ -100,6 +100,13 @@ class JointTable:
         flat = np.bincount(x * n_cols + y, minlength=n_rows * n_cols)
         return cls(flat.reshape(n_rows, n_cols).astype(float))
 
+    @classmethod
+    def _unchecked(cls, counts: np.ndarray) -> "JointTable":
+        """Wrap float counts known to form a valid table, skipping the checks."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "counts", counts)
+        return table
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.counts.shape
@@ -251,6 +258,78 @@ def dcor2_unbiased(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> flo
             "estimated distance variance is zero on at least one margin"
         )
     return float(dcov2_unbiased(t, dx, dy) / np.sqrt(var_x * var_y))
+
+
+def _tabulate_many(codes: np.ndarray, y: np.ndarray, n_rows: int,
+                   n_cols: int) -> np.ndarray:
+    """Cross-tabulate every column of ``codes`` (n, S) against ``y``.
+
+    Returns float counts of shape ``(S, n_rows, n_cols)`` from one
+    ``np.bincount``.  The codes are not checked: callers validate them
+    once, up front.
+    """
+    n_slices = codes.shape[1]
+    cells = n_rows * n_cols
+    index = np.multiply(codes, n_cols, dtype=np.intp)
+    index += y[:, None]
+    index += np.arange(0, n_slices * cells, cells)
+    flat = np.bincount(index.ravel(order="K"), minlength=n_slices * cells)
+    return flat.reshape(n_slices, n_rows, n_cols).astype(float)
+
+
+def _quad_many(m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``m[s] @ d @ m[s]`` for every row of ``m``."""
+    return (m[:, None, :] @ d @ m[:, :, None])[:, 0, 0]
+
+
+def _dvar_t_stats_many(margins: np.ndarray, d: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`dvar_t_stats` for every row of ``margins`` (S, K).
+
+    Stacked ``@`` runs the same BLAS call per slice as the scalar
+    function, and ``t3`` squares with Python's float power as it does
+    (numpy's square can differ from it in the last bit), so the sums are
+    the scalar ones.
+    """
+    t1 = _quad_many(margins, d * d)
+    a = d @ margins[:, :, None]
+    t2 = (margins[:, None, :] @ (a * a))[:, 0, 0]
+    ma = (margins[:, None, :] @ a)[:, 0, 0]
+    t3 = np.array([v**2 for v in ma.tolist()])
+    return t1, t2, t3
+
+
+def _score_many(counts: np.ndarray, n: float, dx: DistanceMatrix,
+                dy: DistanceMatrix, estimator: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`dcor2_mle` or :func:`dcor2_unbiased` of every table in a stack.
+
+    ``counts`` has shape ``(S, I, J)`` and every table the total ``n``.
+    Returns the estimates and a mask of the tables with a degenerate
+    margin, which are scored 0 instead of raising.  Each slice goes
+    through the scalar estimator's floating-point operations.  Neither
+    the codes nor ``n >= 4`` for the bias-corrected estimator is checked.
+    """
+    stat = _v_statistic if estimator == "mle" else _u_statistic
+    rows = counts.sum(axis=2)
+    cols = counts.sum(axis=1)
+    var_x = stat(*_dvar_t_stats_many(rows, dx.d), n)
+    var_y = stat(*_dvar_t_stats_many(cols, dy.d), n)
+    if estimator == "mle":
+        pi_hat = counts / n
+        delta = pi_hat - pi_hat.sum(axis=2)[:, :, None] * pi_hat.sum(axis=1)[:, None, :]
+        cov = np.maximum(np.sum(delta * (dx.d @ delta @ dy.d), axis=(1, 2)), 0.0)
+    else:
+        t1 = np.sum(counts * (dx.d @ counts @ dy.d), axis=(1, 2))
+        a = (dx.d @ rows[:, :, None])[:, :, 0]
+        b = dy.d @ cols[:, :, None]
+        t2 = (a[:, None, :] @ counts @ b)[:, 0, 0]
+        t3 = _quad_many(rows, dx.d) * _quad_many(cols, dy.d)
+        cov = _u_statistic(t1, t2, t3, n)
+    # A variance at or below the tolerance, negative included, is degenerate,
+    # so dvar2_mle's clamp at 0 would change no score.
+    degenerate = (var_x <= _DEGENERATE_TOL) | (var_y <= _DEGENERATE_TOL)
+    scale = np.sqrt(np.where(degenerate, 1.0, var_x * var_y))
+    return np.where(degenerate, 0.0, cov / scale), degenerate
 
 
 def dcov2_estimates(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> EstimatePair:

@@ -34,6 +34,10 @@ from .estimators import (
     JointTable,
     dcor2_mle,
     dcor2_unbiased,
+    dcov2_mle,
+    dcov2_unbiased,
+    dvar2_mle,
+    dvar2_unbiased,
 )
 from .exceptions import (
     DegenerateCategoryError,
@@ -478,6 +482,10 @@ class TestResult:
     n: float
 
 
+# Covariance and variance estimates behind each squared distance correlation.
+_ESTIMATES = {"mle": (dcov2_mle, dvar2_mle), "unbiased": (dcov2_unbiased, dvar2_unbiased)}
+
+
 def _statistic(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
                estimator: str) -> float:
     """The unscaled squared distance correlation estimate named by ``estimator``."""
@@ -539,24 +547,35 @@ def _require_replicates(reps: int) -> None:
         )
 
 
-def _permutation_pvalues(x: np.ndarray, y: np.ndarray, dx: DistanceMatrix,
-                         dy: DistanceMatrix, observed: dict[str, float],
-                         reps: int, seed: int) -> dict[str, float]:
+def _permutation_pvalues(table: JointTable, x: np.ndarray, y: np.ndarray,
+                         dx: DistanceMatrix, dy: DistanceMatrix,
+                         observed: dict[str, float], reps: int,
+                         seed: int) -> dict[str, float]:
     """Permutation p-values for every estimator in ``observed`` from one loop.
 
-    ``observed`` maps each estimator to its unscaled estimate on the
-    unpermuted sample.  Replicate ``rep`` draws one permutation of ``y``
-    from ``default_rng((seed, rep))``, tabulates it once, and scores that
-    table with every estimator.
+    ``table`` cross-tabulates the unpermuted codes ``x`` and ``y`` (its
+    construction checked them) and ``observed`` maps each estimator to its
+    unscaled estimate on it.  Replicate ``rep`` draws one permutation of
+    ``y`` from ``default_rng((seed, rep))`` and tabulates it with one
+    ``np.bincount``.  Permuting keeps both margins, so each estimator's
+    denominator ``sqrt(var_x * var_y)`` is computed once and a replicate
+    only evaluates the covariance estimate: the same floating-point
+    operations as ``dcor2_mle`` / ``dcor2_unbiased`` on the permuted table.
     """
-    n_rows = dx.n_categories
-    n_cols = dy.n_categories
+    n_rows, n_cols = table.shape
+    scaled = {}
+    for kind in observed:
+        dcov, dvar = _ESTIMATES[kind]
+        scaled[kind] = (dcov, np.sqrt(dvar(table, dx, axis=0) * dvar(table, dy, axis=1)))
+    cells = x * n_cols
     exceed = dict.fromkeys(observed, 0)
     for rep in range(reps):
         rng = np.random.default_rng((seed, rep))
-        table = JointTable.from_codes(x, rng.permutation(y), n_rows, n_cols)
+        flat = np.bincount(cells + rng.permutation(y), minlength=n_rows * n_cols)
+        permuted = JointTable._unchecked(flat.reshape(n_rows, n_cols).astype(float))
         for kind, value in observed.items():
-            if _statistic(table, dx, dy, kind) >= value:
+            dcov, scale = scaled[kind]
+            if dcov(permuted, dx, dy) / scale >= value:
                 exceed[kind] += 1
     return {kind: (1.0 + count) / (reps + 1.0) for kind, count in exceed.items()}
 
@@ -579,7 +598,7 @@ def permutation_test(x, y, dx: DistanceMatrix, dy: DistanceMatrix,
     y = np.asarray(y)
     table = JointTable.from_codes(x, y, dx.n_categories, dy.n_categories)
     observed = {estimator: _statistic(table, dx, dy, estimator)}
-    return _permutation_pvalues(x, y, dx, dy, observed, reps, seed)[estimator]
+    return _permutation_pvalues(table, x, y, dx, dy, observed, reps, seed)[estimator]
 
 
 # ---------------------------------------------------------------------------

@@ -542,6 +542,17 @@ class TestScreenCommand:
         assert sorted(built) == ["one-hot", "one-hot", "ordinal", "semicircle"]
 
 
+    @pytest.mark.parametrize("command", ["screen", "test"])
+    def test_every_row_dropped(self, tmp_path, capsys, command):
+        csv_path, meta_path = write_raw(tmp_path, "a,b\np,\n,y\n")
+        out_path = str(tmp_path / "out.json")
+        code = main([command, "--input", csv_path, "--metadata", meta_path,
+                     "--response", "a", "--out", out_path])
+        assert code == 1
+        assert capsys.readouterr().err == "error: DistributionError: empty sample\n"
+        assert not os.path.exists(out_path)
+
+
 class TestUnreadableInput:
     """Undecodable or oversized input ends in one structured error line."""
 

@@ -235,6 +235,19 @@ class TestMetadata:
             parse_metadata([{"name": "x", "type": "continuous",
                              "encoding": "onehot", "levels": ["a", "b"]}])
 
+    def test_named_encodings_shared_by_kind_and_labels(self):
+        entry = {"type": "nominal", "encoding": "onehot", "levels": ["a", "b", "c"]}
+        doc = [dict(entry, name="x"), dict(entry, name="y"),
+               dict(entry, name="z", levels=["a", "c", "b"]),
+               dict(entry, name="w", encoding="ordinal"),
+               dict(entry, name="v", encoding="custom", points=[[0.0], [1.0], [3.0]]),
+               dict(entry, name="u", encoding="custom", points=[[0.0], [1.0], [3.0]])]
+        enc = parse_metadata(doc)
+        assert enc["x"] is enc["y"]
+        assert enc["z"] is not enc["x"] and enc["z"].labels == ("a", "c", "b")
+        assert enc["w"] is not enc["x"] and enc["w"].kind == "ordinal"
+        assert enc["v"] is not enc["u"]
+
     def test_encoding_for_kind_unknown(self):
         with pytest.raises(ConfigurationError):
             encoding_for_kind("frequency", 3)

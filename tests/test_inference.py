@@ -28,6 +28,7 @@ from catdcor import (
     custom,
     dcor2,
     dcor2_mle,
+    dcor2_unbiased,
     distance_matrix,
     dvar2,
     independence_test,
@@ -440,6 +441,51 @@ class TestPermutation:
                                   reps=999, seed=k)
             diffs.append(abs(pa - pp))
         assert np.mean(diffs) < 0.03
+
+
+def old_permutation_pvalues(x, y, dx, dy, observed, reps, seed):
+    """The loop replaced by fixed-margin scoring: a JointTable and dcor2_* per replicate.
+
+    Also returns how many replicates tied the observed statistic exactly.
+    """
+    score = {"mle": dcor2_mle, "unbiased": dcor2_unbiased}
+    exceed = dict.fromkeys(observed, 0)
+    ties = 0
+    for rep in range(reps):
+        rng = np.random.default_rng((seed, rep))
+        table = JointTable.from_codes(x, rng.permutation(y), dx.n_categories,
+                                      dy.n_categories)
+        for kind, value in observed.items():
+            stat = score[kind](table, dx, dy)
+            exceed[kind] += stat >= value
+            ties += stat == value
+    return {kind: (1.0 + c) / (reps + 1.0) for kind, c in exceed.items()}, ties
+
+
+class TestFixedMarginPermutation:
+    """Replicates scored as dcov2_* over fixed variances keep every p-value."""
+
+    @pytest.mark.parametrize("kind", [one_hot, ordinal_equal, semicircle_equal])
+    def test_matches_old_loop_exactly(self, kind):
+        dx = distance_matrix(kind(4))
+        dy = distance_matrix(kind(3))
+        all_ties = 0
+        for seed in range(4):
+            rng = np.random.default_rng((540, seed))
+            n = 15
+            y = np.repeat(np.arange(3), n // 3)  # balanced 3-level response
+            x = np.where(rng.random(n) < 0.5, y, rng.integers(0, 4, size=n))
+            table = JointTable.from_codes(x, y, 4, 3)
+            observed = {"mle": dcor2_mle(table, dx, dy),
+                        "unbiased": dcor2_unbiased(table, dx, dy)}
+            expected, ties = old_permutation_pvalues(x, y, dx, dy, observed, 199, seed)
+            all_ties += ties
+            got = inference._permutation_pvalues(table, x, y, dx, dy, observed, 199, seed)
+            assert got == expected
+            for estimator in ("mle", "unbiased"):
+                assert permutation_test(x, y, dx, dy, estimator=estimator, reps=199,
+                                        seed=seed) == expected[estimator]
+        assert all_ties > 0
 
 
 class TestAltInference:

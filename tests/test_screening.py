@@ -1,5 +1,8 @@
 """Tests for feature screening, the slope-break threshold, and the error bound."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,20 +10,26 @@ from numpy.testing import assert_allclose
 from catdcor import (
     BoundParams,
     ConfigurationError,
+    DegenerateMarginError,
+    DistributionError,
     InsufficientFeaturesError,
+    InsufficientSampleError,
     InvalidThresholdError,
     JointTable,
     LabelError,
     apply_changepoint,
     changepoint_threshold,
     dcor2_mle,
+    dcor2_unbiased,
     distance_matrix,
     one_hot,
+    ordinal_equal,
     screen,
     screening_bound,
     select,
     semicircle_equal,
 )
+from catdcor.estimators import _score_many
 
 D3 = distance_matrix(one_hot(3))
 
@@ -115,6 +124,136 @@ class TestScreen:
         for s in range(x.shape[1]):
             t = JointTable.from_codes(x[:, s], y, 3, 3)
             assert_allclose(report.values[s], dcor2_mle(t, D3, D3), atol=1e-15)
+
+
+KINDS = (one_hot, ordinal_equal, semicircle_equal)
+SCALAR = {"mle": dcor2_mle, "unbiased": dcor2_unbiased}
+
+
+def scalar_scores(x, y, dists, dy, estimator):
+    """The per-feature loop screen replaced: one JointTable and dcor2_* each."""
+    values = []
+    for s, dist in enumerate(dists):
+        table = JointTable.from_codes(x[:, s], y, dist.n_categories, dy.n_categories)
+        try:
+            values.append(SCALAR[estimator](table, dist, dy))
+        except DegenerateMarginError:
+            values.append(0.0)
+    return np.array(values)
+
+
+class TestBatchedKernel:
+    """screen scores features in blocks per distance matrix object."""
+
+    @pytest.mark.parametrize("estimator", ["mle", "unbiased"])
+    @pytest.mark.parametrize("n_levels", range(2, 11))
+    def test_matches_scalar_estimators(self, estimator, n_levels):
+        # Mixed groups: every kind with I = 2..10, each (kind, I) as two
+        # distinct but equal DistanceMatrix objects.  The response's kind
+        # cycles with its level count.
+        choices = [distance_matrix(kind(i)) for kind in KINDS
+                   for i in range(2, 11) for _ in range(2)]
+        dy = distance_matrix(KINDS[n_levels % 3](n_levels))
+        for n_features in (0, 1, 127, 128, 129, 1001):
+            rng = np.random.default_rng((n_levels, n_features))
+            n = int(rng.integers(8, 120))
+            y = rng.integers(0, n_levels, size=n)
+            picks = rng.integers(0, len(choices), size=n_features)
+            dists = [choices[c] for c in picks]
+            levels = np.array([d.n_categories for d in dists], dtype=int)
+            x = (rng.random((n, n_features)) * levels).astype(np.int64)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                report = screen(x, y, dists, dy, estimator=estimator)
+            expected = scalar_scores(x, y, dists, dy, estimator)
+            assert report.values.shape == (n_features,)
+            assert_allclose(report.values, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("estimator", ["mle", "unbiased"])
+    def test_fractional_counts(self, estimator):
+        rng = np.random.default_rng(70)
+        dx = distance_matrix(semicircle_equal(4))
+        dy = distance_matrix(ordinal_equal(3))
+        counts = 50.0 * rng.dirichlet(np.ones(12), size=20).reshape(20, 4, 3)
+        counts *= 50.0 / counts.sum(axis=(1, 2))[:, None, None]
+        n = float(counts[0].sum())
+        values, degenerate = _score_many(counts, n, dx, dy, estimator)
+        expected = [SCALAR[estimator](JointTable(c), dx, dy) for c in counts]
+        assert not degenerate.any()
+        assert_allclose(values, expected, rtol=1e-12, atol=0.0)
+
+    def test_identical_columns_on_block_edges_tie_exactly(self):
+        rng = np.random.default_rng(71)
+        n, n_features = 90, 300
+        y = rng.integers(0, 3, size=n)
+        x = rng.integers(0, 3, size=(n, n_features))
+        edges = [0, 127, 128, n_features - 1]
+        x[:, edges] = np.where(rng.random(n) < 0.5, y, rng.integers(0, 3, size=n))[:, None]
+        report = screen(x, y, [D3] * n_features, D3)
+        assert len({report.values[s] for s in edges}) == 1
+        ranked = list(report.order)
+        positions = [ranked.index(s) for s in edges]
+        assert positions == list(range(positions[0], positions[0] + 4))
+
+    def test_degenerate_columns_on_block_edges(self):
+        rng = np.random.default_rng(72)
+        n, n_features = 60, 260
+        y = rng.integers(0, 3, size=n)
+        x = rng.integers(0, 3, size=(n, n_features))
+        edges = [0, 127, 128, n_features - 1]
+        x[:, edges] = 1
+        ids = [f"f{n_features - s:03d}" for s in range(n_features)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = screen(x, y, [D3] * n_features, D3, feature_ids=ids)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert report.degenerate == [ids[s] for s in edges]
+        assert np.all(report.values[edges] == 0.0)
+        assert np.all(np.delete(report.values, edges) > 0.0)
+
+    def test_bad_label_in_later_block_names_first_column(self):
+        rng = np.random.default_rng(73)
+        n, n_features = 40, 400
+        y = rng.integers(0, 3, size=n)
+        x = rng.integers(0, 3, size=(n, n_features))
+        d3_twin = distance_matrix(one_hot(3))
+        # Even columns share D3, odd ones an equal twin: the first bad
+        # column in column order (301) is not the first of its group's.
+        dists = [D3 if s % 2 == 0 else d3_twin for s in range(n_features)]
+        x[5, 330] = 3
+        x[7, 301] = -1
+        x[9, 360] = 7
+        ids = [f"col{s}" for s in range(n_features)]
+        with pytest.raises(LabelError, match="'col301'"):
+            screen(x, y, dists, D3, feature_ids=ids)
+
+    def test_unbiased_needs_four_rows(self):
+        x = np.array([[0], [1], [2]])
+        y = np.array([0, 1, 2])
+        with pytest.raises(InsufficientSampleError):
+            screen(x, y, [D3], D3, estimator="unbiased")
+
+    @pytest.mark.parametrize("n_features", [0, 3])
+    def test_empty_sample(self, n_features):
+        x = np.zeros((0, n_features), dtype=np.int64)
+        y = np.zeros(0, dtype=np.int64)
+        with pytest.raises(DistributionError, match="empty sample"):
+            screen(x, y, [D3] * n_features, D3)
+
+    def test_memory_bounded_by_blocks(self):
+        rng = np.random.default_rng(74)
+        n, n_features = 100, 5000
+        y = rng.integers(0, 3, size=n)
+        x = rng.integers(0, 3, size=(n, n_features))
+        dists = [D3] * n_features
+        tracemalloc.start()
+        try:
+            screen(x, y, dists, D3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The codes alone are 4 MB; one block's index array is 100 KB.
+        assert peak < 1_500_000
 
 
 class TestChangepoint:
