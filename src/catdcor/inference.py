@@ -9,12 +9,13 @@ whose weights come from the eigenvalues of two small margin-weighted,
 row-centered distance matrices (one per variable).  The plug-in
 estimator obeys the same law shifted by a constant ``B``, the product of
 the two mean within-margin distances.  Tail probabilities of the weighted
-sum are exact for one weight (a chi-squared tail), a finite polar-angle
-integral for two (the 2 x k tables of binary variables), and otherwise
-computed by numerical inversion of its characteristic function
-(Imhof-type oscillatory integration, truncated by a vectorized log-grid
-search), with a four-cumulant moment match as a flagged fallback and a
-permutation test as a distribution-free alternative.
+sum are exact for one weight (a chi-squared tail, ``erfc`` of the square
+root of half the quantile), a finite polar-angle integral for two (the
+2 x k tables of binary variables), and otherwise computed by numerical
+inversion of its characteristic function (Imhof-type oscillatory
+integration, truncated by a vectorized log-grid search), with a
+four-cumulant moment match as a flagged fallback and a permutation test
+as a distribution-free alternative.  Only that fallback loads scipy.
 
 Under a fixed alternative the estimators are asymptotically normal; the
 variance here is the full delta-method variance of the correlation ratio,
@@ -23,11 +24,12 @@ including the contribution of the variance estimates in the denominator.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import chi2, ncx2, norm
 
 from .encodings import DistanceMatrix
 from .estimators import (
@@ -380,8 +382,10 @@ def _moment_match_sf(weights: np.ndarray, x: float) -> float:
     Matches the first four cumulants of ``sum w_k (Z_k^2 - 1)`` to a
     location-scale noncentral chi-squared, mirroring the distribution when
     the skewness is negative.  Used only when the oscillatory integral is
-    unavailable.
+    unavailable, so its scipy import is local.
     """
+    from scipy.stats import chi2, ncx2, norm
+
     w = weights
     c2 = 2.0 * np.sum(w**2)
     c3 = 8.0 * np.sum(w**3)
@@ -432,8 +436,8 @@ def _weighted_chisq_sf_impl(weights, x: float) -> tuple[float, str]:
         scale = w[0]
         quantile = 1.0 + x / scale
         if scale > 0.0:
-            return (1.0 if quantile <= 0.0 else float(chi2.sf(quantile, 1))), "imhof"
-        return (0.0 if quantile <= 0.0 else float(chi2.cdf(quantile, 1))), "imhof"
+            return (1.0 if quantile <= 0.0 else math.erfc(math.sqrt(0.5 * quantile))), "imhof"
+        return (0.0 if quantile <= 0.0 else math.erf(math.sqrt(0.5 * quantile))), "imhof"
     quantile = x + float(np.sum(w))
     # Same-sign weights pin the support to a half line; outside it the
     # answer is exact and the oscillatory integral is unnecessary.
@@ -453,8 +457,9 @@ def weighted_chisq_sf(weights, x: float) -> float:
     """P(sum_k w_k (Z_k^2 - 1) > x) for independent standard normals.
 
     Weights may be signed; zero weights are dropped.  One weight gives the
-    exact chi-squared tail.  Two weights use a finite polar-angle integral
-    (tanh-sinh rule, stopped when successive estimates agree to 1e-12
+    exact chi-squared tail, ``erfc(sqrt(q / 2))`` at ``q = 1 + x / w``
+    (``erf`` for a negative weight).  Two weights use a finite polar-angle
+    integral (tanh-sinh rule, stopped when successive estimates agree to 1e-12
     relative, so the absolute error is below 1e-12 and far-tail values keep
     their relative accuracy).  Three or more use characteristic-function
     inversion with absolute accuracy about 1e-9, falling back to a
@@ -704,7 +709,7 @@ def confidence_interval(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
         raise ValueError("estimator must be 'mle' or 'unbiased'")
     point = _statistic(t, dx, dy, estimator)
     info = alt_inference(t.to_distribution(), dx, dy)
-    half = float(norm.ppf(0.5 * (1.0 + level))) * np.sqrt(info.asymp_var / t.n)
+    half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * np.sqrt(info.asymp_var / t.n)
     lo, hi = point - half, point + half
     if estimator == "mle":
         lo, hi = max(lo, 0.0), min(hi, 1.0)

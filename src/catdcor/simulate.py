@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.stats import rankdata
 
 from .encodings import DistanceMatrix, distance_matrix, encoding_for_kind
 from .exceptions import (
@@ -179,8 +177,11 @@ def _exact_pin_lp(product: np.ndarray, bump: np.ndarray,
     independence level; without it such cells may rise above that level,
     which is what makes tight scenarios representable at all.  Returns
     None when the program is infeasible (uncapped: the listed cells alone
-    exceed a marginal).
+    exceed a marginal).  scipy is imported here, on the first call, so
+    that only joint construction pays for loading it.
     """
+    from scipy.optimize import linprog
+
     n_rows, n_cols = product.shape
     n_cells = n_rows * n_cols
     listed = bump > 0.0
@@ -313,7 +314,11 @@ def sample_dataset(spec: SettingSpec, seed, allow_rank_one: bool = False
     conditionally independent given the response), and the remaining
     columns independently from the feature marginal.
     """
-    built = build_joint(spec, allow_rank_one=allow_rank_one)
+    return _draw_dataset(spec, build_joint(spec, allow_rank_one=allow_rank_one), seed)
+
+
+def _draw_dataset(spec: SettingSpec, built: ConstructedJoint, seed) -> SimulatedDataset:
+    """:func:`sample_dataset` from an already constructed joint for ``spec``."""
     pi = built.joint.pi
     col_marg = built.joint.col_marginal
     cond = pi / col_marg[None, :]
@@ -362,7 +367,15 @@ def roc_auc(scores, truth) -> float:
     n_neg = t.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedAUCError("AUC needs both relevant and irrelevant features")
-    ranks = rankdata(s)
+    if np.isnan(s).any():
+        return float("nan")  # a NaN score leaves the ranking undefined
+    # Average ranks (1-based) over runs of tied scores, as in a rank-sum test.
+    order = np.argsort(s, kind="stable")
+    sorted_s = s[order]
+    starts = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
+    ends = np.r_[starts[1:], s.size]
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
     return float((ranks[t].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -433,10 +446,9 @@ def run_benchmark(setting_id: int, n: int,
         for kind in encoding_kinds
     }
     replicate_seeds = tuple((seed, setting_id, r) for r in range(replicates))
-    method = ""
+    built = build_joint(spec, allow_rank_one=True)
     for rep_seed in replicate_seeds:
-        data = sample_dataset(spec, rep_seed, allow_rank_one=True)
-        method = data.method
+        data = _draw_dataset(spec, built, rep_seed)
         for kind in encoding_kinds:
             feat_dist, resp_dist = dist_by_kind[kind]
             report = screen(
@@ -470,7 +482,7 @@ def run_benchmark(setting_id: int, n: int,
             replicate_sensitivities=np.array(stats["sens"]),
             replicate_specificities=np.array(stats["spec"]),
             replicate_seeds=replicate_seeds,
-            construction=method,
+            construction=built.method,
             pooled_scores=pooled,
             pooled_truth=pooled_truth,
         ))

@@ -204,6 +204,22 @@ class TestWeightedChisqSf:
                                        - (samples > x).mean()))
         assert worst < 0.005  # MC standard error is about 1e-3
 
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 2.5, -0.3, -1.0, -2.5])
+    def test_single_weight_matches_chi2_reference(self, scale):
+        # q = 1 + x / scale from 1e-8 up to 1400, where P(chi2_1 > q) ~ 1e-300.
+        # Beyond q ~ 450 the bound grows as q * eps: the tail's relative
+        # condition number in q is about q / 2, and scipy's own chi2.sf is
+        # 1.06e-13 from a 40-digit value near q = 1400.
+        eps = np.finfo(float).eps
+        for target in np.concatenate([np.geomspace(1e-8, 1400.0, 300),
+                                      np.linspace(0.5, 1400.0, 300)]):
+            x = (target - 1.0) * scale
+            q = 1.0 + x / scale
+            p = weighted_chisq_sf([scale], x)
+            expected = chi2.sf(q, 1) if scale > 0.0 else chi2.cdf(q, 1)
+            assert expected > 0.0
+            assert abs(p - expected) <= max(1e-13, q * eps) * expected, (scale, q)
+
     def test_all_zero_weights_rejected(self):
         with pytest.raises(DegenerateDistributionError):
             weighted_chisq_sf([0.0, 0.0], 1.0)
@@ -307,6 +323,58 @@ class TestTailExactReferences:
         # a plain square
         assert inference._find_cutoff(np.array([1e-3, 2e-3]), -1000.0) == math.inf
         assert inference._find_cutoff(np.array([1.0, 0.5, 0.1]), 1.0) == 1.0
+
+
+def three_by_three_weights():
+    """Weights of a 3 x 3 product spectrum (all positive)."""
+    return np.outer([0.5, 0.3, 0.2], [0.6, 0.25, 0.15]).ravel()
+
+
+class TestMomentMatchFallback:
+    """The flagged fallback, reached by making the inversion integral give up.
+
+    Pinned values were computed by the four-cumulant formula with scipy's
+    ``chi2.sf`` and ``norm.sf`` imported at module level.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_inversion(self, monkeypatch):
+        monkeypatch.setattr(inference, "_imhof_sf", lambda *args, **kwargs: None)
+
+    @pytest.mark.parametrize("sign, x, expected", [
+        (1.0, -0.2, 0.4179841746901446),
+        (1.0, 0.0, 0.2417728378318548),
+        (1.0, 1.0, 0.05581907995851057),
+        (1.0, 2.5, 0.010902990677052101),
+        # Negative skew: the mirror branch.
+        (-1.0, -1.0, 0.9441809200414895),
+        (-1.0, 0.0, 0.7582271621681452),
+        (-1.0, 0.2, 0.5820158253098554),
+    ])
+    def test_pinned_values(self, sign, x, expected):
+        weights = sign * three_by_three_weights()
+        p, method = inference._weighted_chisq_sf_impl(weights, x)
+        assert method == "moment-match"
+        assert 0.0 <= weighted_chisq_sf(weights, x) <= 1.0
+        assert abs(p - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("x, expected", [
+        (-1.0, 0.6726395769907115), (0.0, 0.5), (0.7, 0.37712152119551867)])
+    def test_zero_skew_is_normal(self, x, expected):
+        # Third cumulant exactly zero: the normal approximation.
+        assert abs(weighted_chisq_sf([1.0, -1.0, 0.5, -0.5], x) - expected) <= 1e-15
+
+    @pytest.mark.parametrize("estimator, expected", [
+        ("mle", 8.441750588884767e-09), ("unbiased", 7.249322797208593e-09)])
+    def test_independence_test_flags_fallback(self, estimator, expected):
+        counts = np.array([[30, 10, 5, 5], [8, 25, 9, 6],
+                           [5, 9, 22, 10], [4, 6, 11, 35]], dtype=float)
+        result = independence_test(JointTable(counts), distance_matrix(ordinal_equal(4)),
+                                   distance_matrix(semicircle_equal(4)), estimator)
+        assert result.lambdas.size == result.mus.size == 3
+        assert result.method == "moment-match"
+        assert 0.0 <= result.p_value <= 1.0
+        assert abs(result.p_value - expected) <= 1e-9 * expected
 
 
 class TestAnalyticNull:
@@ -628,6 +696,22 @@ class TestConfidenceInterval:
         dx = dy = distance_matrix(one_hot(3))
         lo, hi = confidence_interval(t, dx, dy, level=0.95, estimator="unbiased")
         assert lo <= hi  # may extend below zero near independence
+
+    @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
+    def test_quantile_matches_normal_ppf(self, level, monkeypatch):
+        # Unit standard error and a zero estimate make the unclipped
+        # interval exactly (-z, z).
+        t = JointTable(400 * self.PI)
+        monkeypatch.setattr(inference, "_statistic", lambda *args: 0.0)
+        monkeypatch.setattr(inference, "alt_inference",
+                            lambda *args: inference.AltInference(None, None, t.n))
+        dx = dy = distance_matrix(one_hot(3))
+        lo, hi = confidence_interval(t, dx, dy, level=level, estimator="unbiased")
+        z = norm.ppf(0.5 * (1.0 + level))
+        assert lo == -hi
+        # statistics.NormalDist().inv_cdf is within 3 ulps of a 40-digit value
+        # here (3 at level 0.9, where scipy is exact).
+        assert abs(hi - z) <= 4 * math.ulp(z)
 
     def test_bad_level_rejected(self):
         t = JointTable(np.full((2, 2), 5.0))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import rankdata
 
+import catdcor.simulate
 from catdcor import (
     InfeasibleSettingError,
     SettingSpec,
@@ -16,6 +18,7 @@ from catdcor import (
     roc_points,
     run_benchmark,
     sample_dataset,
+    screen,
     setting_spec,
 )
 
@@ -212,6 +215,30 @@ class TestRocAuc:
             assert_allclose(roc_auc(scores, truth), brute_auc(scores, truth),
                             atol=1e-12)
 
+    @pytest.mark.parametrize("case", ["untied", "all-tied", "block-ties", "n=2"])
+    def test_equals_rankdata_reference(self, case):
+        rng = np.random.default_rng(83)
+        for _ in range(20):
+            n = 2 if case == "n=2" else int(rng.integers(3, 200))
+            if case == "untied":
+                scores = rng.random(n)
+            elif case == "all-tied":
+                scores = np.full(n, rng.random())
+            elif case == "block-ties":
+                scores = rng.integers(0, max(2, n // 5), size=n) * 0.1
+            else:
+                scores = rng.integers(0, 2, size=2).astype(float)
+            truth = np.arange(n) < rng.integers(1, n)
+            rng.shuffle(truth)
+            n_pos = int(truth.sum())
+            ranks = rankdata(scores)
+            expected = float((ranks[truth].sum() - n_pos * (n_pos + 1) / 2.0)
+                             / (n_pos * (n - n_pos)))
+            assert roc_auc(scores, truth) == expected
+
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(roc_auc([0.1, np.nan, 0.3], [True, False, False]))
+
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedAUCError):
             roc_auc([1.0, 2.0], [True, True])
@@ -248,6 +275,30 @@ class TestRunBenchmark:
             assert 0.0 <= r.specificity <= 1.0
             assert r.construction == "rank-one-clipped"
             assert r.replicate_aucs.shape == (2,)
+
+    def test_joint_built_once(self, monkeypatch):
+        calls = []
+
+        def counting_build_joint(*args, **kwargs):
+            calls.append(args)
+            return build_joint(*args, **kwargs)
+
+        monkeypatch.setattr(catdcor.simulate, "build_joint", counting_build_joint)
+        run_benchmark(3, n=50, n_features=40, relevant_count=4, replicates=3, seed=4)
+        assert len(calls) == 1
+
+    def test_replicates_match_sample_dataset(self):
+        spec = setting_spec(5, n=40, n_features=30, relevant_count=3)
+        results = run_benchmark(5, n=40, encoding_kinds=("ordinal",), n_features=30,
+                                relevant_count=3, replicates=2, seed=9)
+        for r, rep_seed in enumerate(results[0].replicate_seeds):
+            data = sample_dataset(spec, rep_seed, allow_rank_one=True)
+            report = screen(data.features, data.response,
+                            [distance_matrix(encoding_for_kind("ordinal", 8))] * 30,
+                            distance_matrix(encoding_for_kind("ordinal", 8)),
+                            estimator="mle")
+            assert np.array_equal(results[0].pooled_scores[30 * r:30 * (r + 1)],
+                                  report.values)
 
     def test_detects_strong_signal(self):
         results = run_benchmark(1, n=150, n_features=100, relevant_count=10,
