@@ -37,7 +37,7 @@ from .inference import (
     null_spectrum,
 )
 from .screening import apply_changepoint, screen
-from .simulate import build_joint, roc_points, run_benchmark, setting_spec
+from .simulate import roc_points, run_benchmark
 
 __all__ = ["Dataset", "ingest", "main"]
 
@@ -241,10 +241,11 @@ def cmd_test(args: argparse.Namespace) -> None:
     """Test every non-response variable for dependence on the response.
 
     Per variable: one null spectrum and each statistic computed once; both
-    analytic tails come from that spectrum, or both permutation p-values
-    from one loop over shared permutations.  A degenerate variable fails
-    in a fixed order: spectrum, zero total weight, the ``--estimator``
-    statistic, the replicate count (permutation only), the other statistic.
+    analytic tails come from that spectrum.  The permutation p-values of
+    all variables that need them come after the loop, from one set of
+    response permutations.  A degenerate variable fails in a fixed order:
+    spectrum, zero total weight, the ``--estimator`` statistic, the
+    replicate count (permutation only), the other statistic.
     """
     dataset, encodings = ingest(args.input, args.metadata)
     _require_response(dataset, args.response)
@@ -252,6 +253,7 @@ def cmd_test(args: argparse.Namespace) -> None:
     dy = distance_matrix(encodings[args.response])
     other = "unbiased" if args.estimator == "mle" else "mle"
     results = []
+    permuted: list[tuple[dict, tuple]] = []  # (p-values to fill, variable)
     for name in dataset.column_names:
         if name == args.response:
             continue
@@ -272,8 +274,8 @@ def cmd_test(args: argparse.Namespace) -> None:
             _require_replicates(args.perms)
         dcor2[other] = _statistic(table, dx, dy, other)
         if method == "permutation":
-            p_values = _permutation_pvalues(table, x, y, dx, dy, dcor2, args.perms,
-                                            args.seed)
+            p_values = {}
+            permuted.append((p_values, (x, dx, dcor2)))
         else:
             tests = [_test_result(ns, n * dcor2[kind], kind, n) for kind in dcor2]
             p_values = {r.estimator: r.p_value for r in tests}
@@ -285,7 +287,6 @@ def cmd_test(args: argparse.Namespace) -> None:
             "variable": name,
             "n": n,
             "statistic": {kind: n * value for kind, value in dcor2.items()},
-            "p_value": p_values[args.estimator],
             "p_values": p_values,
             "method": method,
             "lambdas": ns.lambdas,
@@ -298,6 +299,12 @@ def cmd_test(args: argparse.Namespace) -> None:
                 "hi": ci_hi,
             },
         })
+    if permuted:
+        found = _permutation_pvalues(y, dy, [v for _, v in permuted], args.perms, args.seed)
+        for (p_values, _), values in zip(permuted, found):
+            p_values.update(values)
+    for entry in results:
+        entry["p_value"] = entry["p_values"][args.estimator]
     _write_json({
         "response": args.response,
         "estimator": args.estimator,
@@ -387,12 +394,10 @@ def cmd_simulate(args: argparse.Namespace) -> None:
         ],
     }
     _write_json(payload, args.out)
-    spec = setting_spec(args.setting, n=args.n, n_features=args.features,
-                        relevant_count=args.relevant)
-    built = build_joint(spec, allow_rank_one=True)
-    delta_rows = [[float(v) for v in row] for row in built.joint.delta()]
-    _write_csv(delta_rows, _sibling_path(args.out, "_delta.csv"),
-               [f"col{j + 1}" for j in range(spec.n_cols)])
+    delta = results[0].joint.delta()
+    _write_csv([[float(v) for v in row] for row in delta],
+               _sibling_path(args.out, "_delta.csv"),
+               [f"col{j + 1}" for j in range(delta.shape[1])])
     for r in results:
         points = roc_points(r.pooled_scores, r.pooled_truth)
         _write_csv([[float(a), float(b)] for a, b in points],

@@ -37,7 +37,7 @@ from .exceptions import (
     InsufficientSampleError,
     ShapeError,
 )
-from .measures import JointDistribution, _check_shapes, _dcov2_raw
+from .measures import JointDistribution, _check_shapes
 
 __all__ = [
     "JointTable",
@@ -57,6 +57,10 @@ __all__ = [
 ]
 
 _DEGENERATE_TOL = 1e-14
+# Tables tabulated and scored per batch, features in screening or
+# replicates in a permutation test: an (n, 128) int index array, plus the
+# (128, n) permuted responses for replicates, about 1 MB each at n = 1000.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -100,13 +104,6 @@ class JointTable:
         flat = np.bincount(x * n_cols + y, minlength=n_rows * n_cols)
         return cls(flat.reshape(n_rows, n_cols).astype(float))
 
-    @classmethod
-    def _unchecked(cls, counts: np.ndarray) -> "JointTable":
-        """Wrap float counts known to form a valid table, skipping the checks."""
-        table = object.__new__(cls)
-        object.__setattr__(table, "counts", counts)
-        return table
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.counts.shape
@@ -137,6 +134,13 @@ class EstimatePair:
     n: float
 
 
+def _checked_margin(margin_counts, d: DistanceMatrix) -> np.ndarray:
+    m = np.asarray(margin_counts, dtype=float)
+    if m.ndim != 1 or m.shape[0] != d.n_categories:
+        raise ShapeError("margin length must match the distance matrix")
+    return m
+
+
 def t_stats(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> tuple[float, float, float]:
     """The three contingency sums (T1, T2, T3) behind both joint estimators.
 
@@ -144,34 +148,20 @@ def t_stats(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> tuple[floa
     contractions.  All three are linear in either distance matrix.
     """
     _check_shapes(t, dx, dy)
-    counts = t.counts
-    row = t.row_counts
-    col = t.col_counts
-    t1 = float(np.sum(counts * (dx.d @ counts @ dy.d)))
-    a = dx.d @ row
-    b = dy.d @ col
-    t2 = float(a @ counts @ b)
-    t3 = float((row @ dx.d @ row) * (col @ dy.d @ col))
-    return t1, t2, t3
+    return tuple(float(v[0]) for v in _t_stats_many(t.counts[None], dx.d, dy.d))
 
 
 def dvar_t_stats(margin_counts, d: DistanceMatrix) -> tuple[float, float, float]:
     """Single-margin analogues of :func:`t_stats` built from marginal counts."""
-    m = np.asarray(margin_counts, dtype=float)
-    if m.ndim != 1 or m.shape[0] != d.n_categories:
-        raise ShapeError("margin length must match the distance matrix")
-    t1 = float(m @ (d.d * d.d) @ m)
-    a = d.d @ m
-    t2 = float(m @ (a * a))
-    t3 = float(m @ a) ** 2
-    return t1, t2, t3
+    m = _checked_margin(margin_counts, d)
+    return tuple(float(v[0]) for v in _dvar_t_stats_many(m[None], d.d))
 
 
-def _v_statistic(t1: float, t2: float, t3: float, n: float) -> float:
+def _v_statistic(t1, t2, t3, n: float):
     return t1 / n**2 - 2.0 * t2 / n**3 + t3 / n**4
 
 
-def _u_statistic(t1: float, t2: float, t3: float, n: float) -> float:
+def _u_statistic(t1, t2, t3, n: float):
     return (
         t1 / (n * (n - 3.0))
         - 2.0 * t2 / (n * (n - 2.0) * (n - 3.0))
@@ -193,9 +183,7 @@ def dcov2_mle(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
     identically, the V-statistic combination of (T1, T2, T3).
     """
     _check_shapes(t, dx, dy)
-    pi_hat = t.counts / t.n
-    delta = pi_hat - np.outer(pi_hat.sum(axis=1), pi_hat.sum(axis=0))
-    return max(_dcov2_raw(delta, dx.d, dy.d), 0.0)
+    return float(_dcov2_many(t.counts[None], t.n, dx.d, dy.d, "mle")[0])
 
 
 def dcov2_unbiased(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
@@ -204,8 +192,13 @@ def dcov2_unbiased(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> flo
     Unbiased for the population value; may be negative.  Requires n >= 4.
     """
     _require_u_sample(t.n)
-    t1, t2, t3 = t_stats(t, dx, dy)
-    return _u_statistic(t1, t2, t3, t.n)
+    _check_shapes(t, dx, dy)
+    return float(_dcov2_many(t.counts[None], t.n, dx.d, dy.d, "unbiased")[0])
+
+
+def _dvar2(t: JointTable, d: DistanceMatrix, axis: int, estimator: str) -> float:
+    m = _checked_margin(t.row_counts if axis == 0 else t.col_counts, d)
+    return float(_dvar2_many(m[None], t.n, d.d, estimator)[0])
 
 
 def dvar2_mle(t: JointTable, d: DistanceMatrix, axis: int = 0) -> float:
@@ -213,17 +206,25 @@ def dvar2_mle(t: JointTable, d: DistanceMatrix, axis: int = 0) -> float:
 
     ``axis=0`` uses the row variable, ``axis=1`` the column variable.
     """
-    margin = t.row_counts if axis == 0 else t.col_counts
-    t1, t2, t3 = dvar_t_stats(margin, d)
-    return max(_v_statistic(t1, t2, t3, t.n), 0.0)
+    return _dvar2(t, d, axis, "mle")
 
 
 def dvar2_unbiased(t: JointTable, d: DistanceMatrix, axis: int = 0) -> float:
     """Bias-corrected estimate of squared distance variance for one margin."""
     _require_u_sample(t.n)
-    margin = t.row_counts if axis == 0 else t.col_counts
-    t1, t2, t3 = dvar_t_stats(margin, d)
-    return _u_statistic(t1, t2, t3, t.n)
+    return _dvar2(t, d, axis, "unbiased")
+
+
+def _dcor2(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix, estimator: str) -> float:
+    _check_shapes(t, dx, dy)
+    if estimator == "unbiased":
+        _require_u_sample(t.n)
+    values, degenerate = _score_many(t.counts[None], t.n, dx, dy, estimator)
+    if degenerate[0]:
+        raise DegenerateMarginError(
+            "estimated distance variance is zero on at least one margin"
+        )
+    return float(values[0])
 
 
 def dcor2_mle(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
@@ -232,14 +233,7 @@ def dcor2_mle(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
     Raises :class:`DegenerateMarginError` when either margin's estimated
     distance variance vanishes (for example a constant column).
     """
-    _check_shapes(t, dx, dy)
-    var_x = dvar2_mle(t, dx, axis=0)
-    var_y = dvar2_mle(t, dy, axis=1)
-    if var_x <= _DEGENERATE_TOL or var_y <= _DEGENERATE_TOL:
-        raise DegenerateMarginError(
-            "estimated distance variance is zero on at least one margin"
-        )
-    return float(dcov2_mle(t, dx, dy) / np.sqrt(var_x * var_y))
+    return _dcor2(t, dx, dy, "mle")
 
 
 def dcor2_unbiased(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
@@ -249,32 +243,27 @@ def dcor2_unbiased(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> flo
     U-statistic variances.  Deliberately not clamped: values slightly
     outside [0, 1] carry ranking information near independence.
     """
-    _check_shapes(t, dx, dy)
-    _require_u_sample(t.n)
-    var_x = dvar2_unbiased(t, dx, axis=0)
-    var_y = dvar2_unbiased(t, dy, axis=1)
-    if var_x <= _DEGENERATE_TOL or var_y <= _DEGENERATE_TOL:
-        raise DegenerateMarginError(
-            "estimated distance variance is zero on at least one margin"
-        )
-    return float(dcov2_unbiased(t, dx, dy) / np.sqrt(var_x * var_y))
+    return _dcor2(t, dx, dy, "unbiased")
 
 
-def _tabulate_many(codes: np.ndarray, y: np.ndarray, n_rows: int,
+def _tabulate_many(x: np.ndarray, y: np.ndarray, n_rows: int,
                    n_cols: int) -> np.ndarray:
-    """Cross-tabulate every column of ``codes`` (n, S) against ``y``.
+    """Cross-tabulate column ``s`` of ``x`` against column ``s`` of ``y``.
 
-    Returns float counts of shape ``(S, n_rows, n_cols)`` from one
-    ``np.bincount``.  The codes are not checked: callers validate them
-    once, up front.
+    ``x`` and ``y`` are 2-d and broadcast to one ``(n, S)`` shape, so one
+    side may be a single ``(n, 1)`` column shared by every slice: one
+    response against a block of features, or one feature against a block
+    of permuted responses.  Returns float counts of shape
+    ``(S, n_rows, n_cols)`` from one ``np.bincount``.  The codes are not
+    checked: callers validate them once, up front.
     """
-    n_slices = codes.shape[1]
+    shape = np.broadcast_shapes(x.shape, y.shape)
     cells = n_rows * n_cols
-    index = np.multiply(codes, n_cols, dtype=np.intp)
-    index += y[:, None]
-    index += np.arange(0, n_slices * cells, cells)
-    flat = np.bincount(index.ravel(order="K"), minlength=n_slices * cells)
-    return flat.reshape(n_slices, n_rows, n_cols).astype(float)
+    index = np.multiply(np.broadcast_to(x, shape), n_cols, dtype=np.intp)
+    index += y
+    index += np.arange(0, shape[1] * cells, cells)
+    flat = np.bincount(index.ravel(order="K"), minlength=shape[1] * cells)
+    return flat.reshape(shape[1], n_rows, n_cols).astype(float)
 
 
 def _quad_many(m: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -282,14 +271,25 @@ def _quad_many(m: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (m[:, None, :] @ d @ m[:, :, None])[:, 0, 0]
 
 
+def _t_stats_many(counts: np.ndarray, dx: np.ndarray, dy: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T1, T2, T3) of every table in a stack ``(S, I, J)``."""
+    rows = counts.sum(axis=2)
+    cols = counts.sum(axis=1)
+    t1 = np.sum(counts * (dx @ counts @ dy), axis=(1, 2))
+    a = (dx @ rows[:, :, None])[:, :, 0]
+    b = dy @ cols[:, :, None]
+    t2 = (a[:, None, :] @ counts @ b)[:, 0, 0]
+    t3 = _quad_many(rows, dx) * _quad_many(cols, dy)
+    return t1, t2, t3
+
+
 def _dvar_t_stats_many(margins: np.ndarray, d: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`dvar_t_stats` for every row of ``margins`` (S, K).
+    """The single-margin sums of every row of ``margins`` (S, K).
 
-    Stacked ``@`` runs the same BLAS call per slice as the scalar
-    function, and ``t3`` squares with Python's float power as it does
-    (numpy's square can differ from it in the last bit), so the sums are
-    the scalar ones.
+    ``t3`` squares with Python's float power (numpy's square can differ
+    from it in the last bit).
     """
     t1 = _quad_many(margins, d * d)
     a = d @ margins[:, :, None]
@@ -299,34 +299,47 @@ def _dvar_t_stats_many(margins: np.ndarray, d: np.ndarray
     return t1, t2, t3
 
 
-def _score_many(counts: np.ndarray, n: float, dx: DistanceMatrix,
-                dy: DistanceMatrix, estimator: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`dcor2_mle` or :func:`dcor2_unbiased` of every table in a stack.
+def _dvar2_many(margins: np.ndarray, n: float, d: np.ndarray,
+                estimator: str) -> np.ndarray:
+    """Squared distance variance estimates of every row of ``margins``.
 
-    ``counts`` has shape ``(S, I, J)`` and every table the total ``n``.
-    Returns the estimates and a mask of the tables with a degenerate
-    margin, which are scored 0 instead of raising.  Each slice goes
-    through the scalar estimator's floating-point operations.  Neither
-    the codes nor ``n >= 4`` for the bias-corrected estimator is checked.
+    The plug-in estimate is clamped at 0; the bias-corrected one is not.
     """
-    stat = _v_statistic if estimator == "mle" else _u_statistic
-    rows = counts.sum(axis=2)
-    cols = counts.sum(axis=1)
-    var_x = stat(*_dvar_t_stats_many(rows, dx.d), n)
-    var_y = stat(*_dvar_t_stats_many(cols, dy.d), n)
+    if estimator == "mle":
+        return np.maximum(_v_statistic(*_dvar_t_stats_many(margins, d), n), 0.0)
+    return _u_statistic(*_dvar_t_stats_many(margins, d), n)
+
+
+def _dcov2_many(counts: np.ndarray, n: float, dx: np.ndarray, dy: np.ndarray,
+                estimator: str) -> np.ndarray:
+    """Squared distance covariance estimates of every table in a stack.
+
+    The plug-in estimate is the population formula on the observed
+    proportions, clamped at 0; the bias-corrected one is the U-statistic
+    of (T1, T2, T3).
+    """
     if estimator == "mle":
         pi_hat = counts / n
         delta = pi_hat - pi_hat.sum(axis=2)[:, :, None] * pi_hat.sum(axis=1)[:, None, :]
-        cov = np.maximum(np.sum(delta * (dx.d @ delta @ dy.d), axis=(1, 2)), 0.0)
-    else:
-        t1 = np.sum(counts * (dx.d @ counts @ dy.d), axis=(1, 2))
-        a = (dx.d @ rows[:, :, None])[:, :, 0]
-        b = dy.d @ cols[:, :, None]
-        t2 = (a[:, None, :] @ counts @ b)[:, 0, 0]
-        t3 = _quad_many(rows, dx.d) * _quad_many(cols, dy.d)
-        cov = _u_statistic(t1, t2, t3, n)
-    # A variance at or below the tolerance, negative included, is degenerate,
-    # so dvar2_mle's clamp at 0 would change no score.
+        return np.maximum(np.sum(delta * (dx @ delta @ dy), axis=(1, 2)), 0.0)
+    return _u_statistic(*_t_stats_many(counts, dx, dy), n)
+
+
+def _score_many(counts: np.ndarray, n: float, dx: DistanceMatrix,
+                dy: DistanceMatrix, estimator: str) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distance correlation estimate of every table in a stack.
+
+    ``counts`` has shape ``(S, I, J)`` and every table the total ``n``.
+    Returns the estimates and a mask of the tables with a degenerate
+    margin, which are scored 0 instead of raising.  This is the one
+    implementation behind :func:`dcor2_mle` / :func:`dcor2_unbiased`
+    (a stack of one), ``screen`` and the permutation tests.  Neither the
+    codes nor ``n >= 4`` for the bias-corrected estimator is checked.
+    """
+    var_x = _dvar2_many(counts.sum(axis=2), n, dx.d, estimator)
+    var_y = _dvar2_many(counts.sum(axis=1), n, dy.d, estimator)
+    cov = _dcov2_many(counts, n, dx.d, dy.d, estimator)
+    # A variance at or below the tolerance, negative included, is degenerate.
     degenerate = (var_x <= _DEGENERATE_TOL) | (var_y <= _DEGENERATE_TOL)
     scale = np.sqrt(np.where(degenerate, 1.0, var_x * var_y))
     return np.where(degenerate, 0.0, cov / scale), degenerate

@@ -14,7 +14,7 @@ root of half the quantile), a finite polar-angle integral for two (the
 2 x k tables of binary variables), and otherwise computed by numerical
 inversion of its characteristic function (Imhof-type oscillatory
 integration, truncated by a vectorized log-grid search), with a
-four-cumulant moment match as a flagged fallback and a permutation test
+three-cumulant moment match as a flagged fallback and a permutation test
 as a distribution-free alternative.  Only that fallback loads scipy.
 
 Under a fixed alternative the estimators are asymptotically normal; the
@@ -33,13 +33,12 @@ import numpy as np
 
 from .encodings import DistanceMatrix
 from .estimators import (
+    _BLOCK,
     JointTable,
+    _score_many,
+    _tabulate_many,
     dcor2_mle,
     dcor2_unbiased,
-    dcov2_mle,
-    dcov2_unbiased,
-    dvar2_mle,
-    dvar2_unbiased,
 )
 from .exceptions import (
     DegenerateCategoryError,
@@ -377,44 +376,29 @@ def _two_weight_sf(w0: float, w1: float, quantile: float) -> float | None:
 
 
 def _moment_match_sf(weights: np.ndarray, x: float) -> float:
-    """Four-cumulant noncentral chi-squared approximation to the tail.
+    """Moment-matched chi-squared approximation to the tail.
 
-    Matches the first four cumulants of ``sum w_k (Z_k^2 - 1)`` to a
-    location-scale noncentral chi-squared, mirroring the distribution when
-    the skewness is negative.  Used only when the oscillatory integral is
+    Matches the mean, variance and skewness of ``sum w_k (Z_k^2 - 1)`` to
+    a location-scale chi-squared, mirroring the distribution when the
+    skewness is negative.  Used only when the oscillatory integral is
     unavailable, so its scipy import is local.
     """
-    from scipy.stats import chi2, ncx2, norm
+    from scipy.stats import chi2, norm
 
     w = weights
     c2 = 2.0 * np.sum(w**2)
     c3 = 8.0 * np.sum(w**3)
-    c4 = 48.0 * np.sum(w**4)
     sd = np.sqrt(c2)
     t = x / sd
     s1 = c3 / c2**1.5
-    s2 = c4 / c2**2
     if s1 < 0.0:
         # Mirror: the tail of the sum equals the lower tail of the flipped sum.
         return 1.0 - _moment_match_sf(-w, -x)
     if s1 < 1e-12:
         return float(norm.sf(t))
-    if s1**2 > s2:
-        a = 1.0 / (s1 - np.sqrt(s1**2 - s2))
-        delta = s1 * a**3 - a**2
-        df = a**2 - 2.0 * delta
-    else:
-        a = 1.0 / s1
-        delta = 0.0
-        df = a**2
-    df = max(df, 1e-8)
-    delta = max(delta, 0.0)
-    mu_chi = df + delta
-    sd_chi = np.sqrt(2.0 * (df + 2.0 * delta))
-    value = t * sd_chi + mu_chi
-    if delta > 0.0:
-        return float(ncx2.sf(value, df, delta))
-    return float(chi2.sf(value, df))
+    # No noncentral fit: Cauchy-Schwarz gives s1^2 <= (2/3) c4 / c2^2 for c4 = 48 sum w^4.
+    df = max((1.0 / s1)**2, 1e-8)
+    return float(chi2.sf(t * np.sqrt(2.0 * df) + df, df))
 
 
 def _weighted_chisq_sf_impl(weights, x: float) -> tuple[float, str]:
@@ -463,7 +447,7 @@ def weighted_chisq_sf(weights, x: float) -> float:
     relative, so the absolute error is below 1e-12 and far-tail values keep
     their relative accuracy).  Three or more use characteristic-function
     inversion with absolute accuracy about 1e-9, falling back to a
-    four-cumulant moment match (flagged via :func:`independence_test`) if
+    three-cumulant moment match (flagged via :func:`independence_test`) if
     the integral cannot be resolved.
     """
     return _weighted_chisq_sf_impl(weights, x)[0]
@@ -485,10 +469,6 @@ class TestResult:
     mus: np.ndarray
     bias_shift: float
     n: float
-
-
-# Covariance and variance estimates behind each squared distance correlation.
-_ESTIMATES = {"mle": (dcov2_mle, dvar2_mle), "unbiased": (dcov2_unbiased, dvar2_unbiased)}
 
 
 def _statistic(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
@@ -552,37 +532,31 @@ def _require_replicates(reps: int) -> None:
         )
 
 
-def _permutation_pvalues(table: JointTable, x: np.ndarray, y: np.ndarray,
-                         dx: DistanceMatrix, dy: DistanceMatrix,
-                         observed: dict[str, float], reps: int,
-                         seed: int) -> dict[str, float]:
-    """Permutation p-values for every estimator in ``observed`` from one loop.
+def _permutation_pvalues(y: np.ndarray, dy: DistanceMatrix, variables: list,
+                         reps: int, seed: int) -> list[dict[str, float]]:
+    """Permutation p-values of several variables against one response.
 
-    ``table`` cross-tabulates the unpermuted codes ``x`` and ``y`` (its
-    construction checked them) and ``observed`` maps each estimator to its
-    unscaled estimate on it.  Replicate ``rep`` draws one permutation of
-    ``y`` from ``default_rng((seed, rep))`` and tabulates it with one
-    ``np.bincount``.  Permuting keeps both margins, so each estimator's
-    denominator ``sqrt(var_x * var_y)`` is computed once and a replicate
-    only evaluates the covariance estimate: the same floating-point
-    operations as ``dcor2_mle`` / ``dcor2_unbiased`` on the permuted table.
+    ``variables`` holds one ``(x, dx, observed)`` per variable: its codes
+    (checked, like ``y``, by the caller's tabulation) and a map from each
+    estimator to its unscaled estimate on the unpermuted table.  Replicate
+    ``rep`` permutes ``y`` with ``default_rng((seed, rep))``.  The draws
+    of up to ``_BLOCK`` replicates are made once and shared by every
+    variable, which tabulates that block with one ``np.bincount`` and
+    scores it with ``_score_many``, the kernel that computed ``observed``.
+    Permuting keeps both margins, so no replicate table is degenerate.
     """
-    n_rows, n_cols = table.shape
-    scaled = {}
-    for kind in observed:
-        dcov, dvar = _ESTIMATES[kind]
-        scaled[kind] = (dcov, np.sqrt(dvar(table, dx, axis=0) * dvar(table, dy, axis=1)))
-    cells = x * n_cols
-    exceed = dict.fromkeys(observed, 0)
-    for rep in range(reps):
-        rng = np.random.default_rng((seed, rep))
-        flat = np.bincount(cells + rng.permutation(y), minlength=n_rows * n_cols)
-        permuted = JointTable._unchecked(flat.reshape(n_rows, n_cols).astype(float))
-        for kind, value in observed.items():
-            dcov, scale = scaled[kind]
-            if dcov(permuted, dx, dy) / scale >= value:
-                exceed[kind] += 1
-    return {kind: (1.0 + count) / (reps + 1.0) for kind, count in exceed.items()}
+    n = float(len(y))
+    exceed = [dict.fromkeys(observed, 0) for _, _, observed in variables]
+    for start in range(0, reps, _BLOCK):
+        drawn = np.stack([np.random.default_rng((seed, rep)).permutation(y)
+                          for rep in range(start, min(start + _BLOCK, reps))])
+        for (x, dx, observed), counts in zip(variables, exceed):
+            tables = _tabulate_many(x[:, None], drawn.T, dx.n_categories, dy.n_categories)
+            for kind, value in observed.items():
+                counts[kind] += int(np.count_nonzero(
+                    _score_many(tables, n, dx, dy, kind)[0] >= value))
+    return [{kind: (1.0 + c) / (reps + 1.0) for kind, c in counts.items()}
+            for counts in exceed]
 
 
 def permutation_test(x, y, dx: DistanceMatrix, dy: DistanceMatrix,
@@ -603,7 +577,7 @@ def permutation_test(x, y, dx: DistanceMatrix, dy: DistanceMatrix,
     y = np.asarray(y)
     table = JointTable.from_codes(x, y, dx.n_categories, dy.n_categories)
     observed = {estimator: _statistic(table, dx, dy, estimator)}
-    return _permutation_pvalues(table, x, y, dx, dy, observed, reps, seed)[estimator]
+    return _permutation_pvalues(y, dy, [(x, dx, observed)], reps, seed)[0][estimator]
 
 
 # ---------------------------------------------------------------------------

@@ -110,10 +110,6 @@ def _check_shapes(p, dx: DistanceMatrix, dy: DistanceMatrix) -> None:
         )
 
 
-def _dcov2_raw(delta: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> float:
-    return float(np.sum(delta * (dx @ delta @ dy)))
-
-
 def dcov2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
     """Squared distance covariance of a known joint distribution.
 
@@ -123,7 +119,8 @@ def dcov2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float
     negative raises :class:`InternalConsistencyError`.
     """
     _check_shapes(p, dx, dy)
-    value = _dcov2_raw(p.delta(), dx.d, dy.d)
+    delta = p.delta()
+    value = float(np.sum(delta * (dx.d @ delta @ dy.d)))
     if value < 0.0:
         if value < -_NEGATIVE_TOL:
             raise InternalConsistencyError(

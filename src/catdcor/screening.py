@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .encodings import DistanceMatrix
-from .estimators import _score_many, _tabulate_many
+from .estimators import _BLOCK, _score_many, _tabulate_many
 from .exceptions import (
     ConfigurationError,
     DistributionError,
@@ -40,10 +40,6 @@ __all__ = [
     "apply_changepoint",
     "screening_bound",
 ]
-
-# Features tabulated and scored per batch: an (n, 128) int index array,
-# about 1 MB at n = 1000.
-_BLOCK = 128
 
 
 @dataclass
@@ -106,9 +102,9 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
     All codes are checked before any scoring; the first column (in column
     order) with a code outside its level set raises :class:`LabelError`.
     Features sharing one ``DistanceMatrix`` object are tabulated and
-    scored together, in blocks of at most 128 features, with the same
-    floating-point operations as :func:`dcor2_mle` / :func:`dcor2_unbiased`
-    on each table.  An empty sample raises :class:`DistributionError`.
+    scored together, in blocks of at most 128 features, by the kernel that
+    also computes :func:`dcor2_mle` / :func:`dcor2_unbiased` for a single
+    table.  An empty sample raises :class:`DistributionError`.
 
     Features whose margin carries no distance variation (for example a
     constant column) receive the score 0 and are listed in
@@ -162,7 +158,8 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
         dist = feature_dists[columns[0]]
         for start in range(0, len(columns), _BLOCK):
             block = columns[start:start + _BLOCK]
-            counts = _tabulate_many(x[:, block], y, dist.n_categories, n_response_levels)
+            counts = _tabulate_many(x[:, block], y[:, None], dist.n_categories,
+                                    n_response_levels)
             values[block], is_degenerate[block] = _score_many(
                 counts, float(n), dist, response_dist, estimator)
     degenerate = [ids[s] for s in np.flatnonzero(is_degenerate)]

@@ -413,6 +413,7 @@ class BenchmarkResult:
     replicate_specificities: np.ndarray
     replicate_seeds: tuple
     construction: str
+    joint: JointDistribution
     pooled_scores: np.ndarray
     pooled_truth: np.ndarray
 
@@ -429,7 +430,8 @@ def run_benchmark(setting_id: int, n: int,
     alike, and records the AUC of the score ranking plus the sensitivity
     and specificity of the slope-break selection.  The approximate
     construction is enabled here because most scenarios require it; the
-    method actually used is reported on every result.
+    method actually used, and the joint every replicate was drawn from,
+    are reported on every result.
     """
     spec = setting_spec(setting_id, n=n, n_features=n_features,
                         relevant_count=relevant_count)
@@ -483,6 +485,7 @@ def run_benchmark(setting_id: int, n: int,
             replicate_specificities=np.array(stats["spec"]),
             replicate_seeds=replicate_seeds,
             construction=built.method,
+            joint=built.joint,
             pooled_scores=pooled,
             pooled_truth=pooled_truth,
         ))

@@ -17,17 +17,15 @@ from numpy.testing import assert_allclose
 from catdcor import (
     JointTable,
     confidence_interval,
-    dcor2_mle,
-    dcor2_unbiased,
     distance_matrix,
     independence_test,
     load_metadata,
     null_spectrum,
-    permutation_test,
 )
 import catdcor.cli
 from catdcor.cli import Dataset, ingest, main
 from catdcor.exceptions import ConfigurationError, LabelError, ParseError
+import scalar_reference as ref
 
 META = [
     {"name": "grade", "type": "ordinal", "encoding": "semicircle",
@@ -442,14 +440,18 @@ class TestTestCommand:
                 result = independence_test(t, dx, dy, estimator="unbiased")
                 assert entry["method"] == result.method
                 assert entry["p_value"] == result.p_value
-            for kind, score in (("mle", dcor2_mle), ("unbiased", dcor2_unbiased)):
+            observed = {kind: ref.dcor2(t.counts, dx, dy, kind)
+                        for kind in ("mle", "unbiased")}
+            if pvalue == "permutation":
+                expected, _ = ref.permutation_pvalues(x, y, dx, dy, observed, 99,
+                                                      report["seed"])
+            for kind, value in observed.items():
                 if pvalue == "analytic":
-                    expected = independence_test(t, dx, dy, estimator=kind).p_value
+                    assert entry["p_values"][kind] == independence_test(
+                        t, dx, dy, estimator=kind).p_value
                 else:
-                    expected = permutation_test(x, y, dx, dy, estimator=kind,
-                                                reps=99, seed=report["seed"])
-                assert entry["p_values"][kind] == expected
-                assert entry["statistic"][kind] == t.n * score(t, dx, dy)
+                    assert entry["p_values"][kind] == expected[kind]
+                assert entry["statistic"][kind] == t.n * value
             lo, hi = confidence_interval(t, dx, dy, level=0.95, estimator="unbiased")
             assert (entry["confidence_interval"]["lo"],
                     entry["confidence_interval"]["hi"]) == (lo, hi)
@@ -474,6 +476,43 @@ class TestTestCommand:
                      "--pvalue", pvalue, "--perms", "10"])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {error}:")
+
+    def test_permutation_variables_share_draws(self, tmp_path):
+        # "size" and "tone" each hold a category rarer than 5/n, so the
+        # analytic run falls back to permutation for them; the permutation
+        # run permutes all four variables.  Every permutation p-value must
+        # equal the replicate-by-replicate reference loop's.
+        csv_path, meta_path = write_inputs(tmp_path, n=120, seed=5)
+        rows = list(csv.reader(open(csv_path, newline="")))
+        for k, row in enumerate(rows[1:]):
+            row[2] = "l" if k < 2 else ("s", "m")[k % 2]
+            row[4] = "c" if k in (7, 50, 90) else row[4].replace("c", "a")
+        with open(csv_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        dataset, encodings = ingest(csv_path, meta_path)
+        names = list(dataset.column_names)
+        y = dataset.codes[:, names.index("grade")]
+        dy = distance_matrix(encodings["grade"])
+        for pvalue, permuted in (("analytic", {"size", "tone"}),
+                                 ("permutation", {"color", "size", "shape", "tone"})):
+            out_path = str(tmp_path / f"{pvalue}.json")
+            assert main(["test", "--input", csv_path, "--metadata", meta_path,
+                         "--response", "grade", "--pvalue", pvalue, "--perms", "150",
+                         "--seed", "11", "--out", out_path]) == 0
+            report = json.loads(open(out_path).read())
+            methods = {e["variable"]: e["method"] for e in report["results"]}
+            assert {v for v, m in methods.items() if m == "permutation"} == permuted
+            for entry in report["results"]:
+                if entry["variable"] not in permuted:
+                    continue
+                x = dataset.codes[:, names.index(entry["variable"])]
+                dx = distance_matrix(encodings[entry["variable"]])
+                t = JointTable.from_codes(x, y, dx.n_categories, dy.n_categories)
+                observed = {kind: ref.dcor2(t.counts, dx, dy, kind)
+                            for kind in ("mle", "unbiased")}
+                expected, _ = ref.permutation_pvalues(x, y, dx, dy, observed, 150, 11)
+                assert entry["p_values"] == expected
+                assert entry["p_value"] == expected["mle"]
 
     def test_invalid_response_errors(self, tmp_path, capsys):
         csv_path, meta_path = write_inputs(tmp_path, n=30)
@@ -504,7 +543,7 @@ class TestScreenCommand:
             x = dataset.codes[:, names.index(feature)]
             dx = distance_matrix(encodings[feature])
             t = JointTable.from_codes(x, y, dx.n_categories, dy.n_categories)
-            assert_allclose(value, dcor2_mle(t, dx, dy), atol=1e-12)
+            assert_allclose(value, ref.dcor2(t.counts, dx, dy, "mle"), atol=1e-12)
 
     def test_ranked_csv(self, tmp_path):
         csv_path, meta_path = write_inputs(tmp_path, n=200)

@@ -37,6 +37,7 @@ from catdcor import (
     semicircle_equal,
     t_stats,
 )
+import scalar_reference as ref
 
 
 def brute_t_stats(counts, dx, dy):
@@ -332,6 +333,68 @@ class TestBiasLimit:
         p = JointDistribution.independent([0.5, 0.5], [0.5, 0.5])
         with pytest.raises(ShapeError, match=message):
             bias_limit(p, dx, dy)
+
+
+class TestKernelMatchesScalarReference:
+    """The public scalars run the batched kernel on a stack of one table."""
+
+    def test_fractional_counts_and_boundary_errors(self):
+        # Same floating-point operations as the single-table references, so
+        # the values agree bit for bit here; the 1e-12 check is the contract.
+        rng = np.random.default_rng(30)
+        kinds = (one_hot, ordinal_equal, semicircle_equal)
+        for trial in range(300):
+            n_rows, n_cols = (int(v) for v in rng.integers(2, 9, size=2))
+            dx = (random_distance(rng, n_rows) if trial % 4 == 3
+                  else distance_matrix(kinds[trial % 3](n_rows)))
+            dy = distance_matrix(kinds[(trial // 3) % 3](n_cols))
+            total = float(rng.uniform(4.0, 500.0))
+            counts = total * rng.dirichlet(np.ones(n_rows * n_cols)).reshape(n_rows, n_cols)
+            if trial % 10 == 0:
+                counts[1:] = 0.0  # a constant row variable
+                counts[0, 0] += 4.0
+            t = JointTable(counts)
+            pairs = [
+                (t_stats(t, dx, dy), ref.t_stats(counts, dx, dy)),
+                (dvar_t_stats(t.row_counts, dx), ref.dvar_t_stats(t.row_counts, dx)),
+                (dvar_t_stats(t.col_counts, dy), ref.dvar_t_stats(t.col_counts, dy)),
+                (dcov2_mle(t, dx, dy), ref.dcov2_mle(counts, dx, dy)),
+                (dcov2_unbiased(t, dx, dy), ref.dcov2_unbiased(counts, dx, dy)),
+            ]
+            for axis, d in ((0, dx), (1, dy)):
+                pairs.append((dvar2_mle(t, d, axis=axis), ref.dvar2_mle(counts, d, axis)))
+                pairs.append((dvar2_unbiased(t, d, axis=axis),
+                              ref.dvar2_unbiased(counts, d, axis)))
+            for estimator, dcor in (("mle", dcor2_mle), ("unbiased", dcor2_unbiased)):
+                try:
+                    expected = ref.dcor2(counts, dx, dy, estimator)
+                except DegenerateMarginError:
+                    with pytest.raises(DegenerateMarginError):
+                        dcor(t, dx, dy)
+                else:
+                    pairs.append((dcor(t, dx, dy), expected))
+            for got, expected in pairs:
+                assert got == expected
+                assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+        small = JointTable(np.array([[1.5, 0.5], [1.0, 0.75]]))
+        for call in (lambda: dcov2_unbiased(small, DM2, DM2),
+                     lambda: dvar2_unbiased(small, DM2, axis=1),
+                     lambda: dcor2_unbiased(small, DM2, DM2)):
+            with pytest.raises(InsufficientSampleError):
+                call()
+        d3 = distance_matrix(one_hot(3))
+        table = JointTable(np.full((2, 2), 2.5))
+        for call in (lambda: t_stats(table, d3, DM2),
+                     lambda: dcov2_mle(table, DM2, d3),
+                     lambda: dcov2_unbiased(table, d3, DM2),
+                     lambda: dvar2_mle(table, d3, axis=0),
+                     lambda: dvar2_unbiased(table, d3, axis=1),
+                     lambda: dvar_t_stats([1.0, 2.0], d3),
+                     lambda: dcor2_mle(table, d3, DM2),
+                     lambda: dcor2_unbiased(table, DM2, d3)):
+            with pytest.raises(ShapeError):
+                call()
 
 
 class TestJointTable:

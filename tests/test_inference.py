@@ -44,6 +44,7 @@ from catdcor import (
     spectrum,
     weighted_chisq_sf,
 )
+import scalar_reference as ref
 
 DM2 = distance_matrix(one_hot(2))
 
@@ -511,27 +512,8 @@ class TestPermutation:
         assert np.mean(diffs) < 0.03
 
 
-def old_permutation_pvalues(x, y, dx, dy, observed, reps, seed):
-    """The loop replaced by fixed-margin scoring: a JointTable and dcor2_* per replicate.
-
-    Also returns how many replicates tied the observed statistic exactly.
-    """
-    score = {"mle": dcor2_mle, "unbiased": dcor2_unbiased}
-    exceed = dict.fromkeys(observed, 0)
-    ties = 0
-    for rep in range(reps):
-        rng = np.random.default_rng((seed, rep))
-        table = JointTable.from_codes(x, rng.permutation(y), dx.n_categories,
-                                      dy.n_categories)
-        for kind, value in observed.items():
-            stat = score[kind](table, dx, dy)
-            exceed[kind] += stat >= value
-            ties += stat == value
-    return {kind: (1.0 + c) / (reps + 1.0) for kind, c in exceed.items()}, ties
-
-
 class TestFixedMarginPermutation:
-    """Replicates scored as dcov2_* over fixed variances keep every p-value."""
+    """Replicates drawn in shared blocks and scored by the batched kernel keep every p-value."""
 
     @pytest.mark.parametrize("kind", [one_hot, ordinal_equal, semicircle_equal])
     def test_matches_old_loop_exactly(self, kind):
@@ -546,13 +528,40 @@ class TestFixedMarginPermutation:
             table = JointTable.from_codes(x, y, 4, 3)
             observed = {"mle": dcor2_mle(table, dx, dy),
                         "unbiased": dcor2_unbiased(table, dx, dy)}
-            expected, ties = old_permutation_pvalues(x, y, dx, dy, observed, 199, seed)
+            expected, ties = ref.permutation_pvalues(x, y, dx, dy, observed, 199, seed)
             all_ties += ties
-            got = inference._permutation_pvalues(table, x, y, dx, dy, observed, 199, seed)
-            assert got == expected
+            got = inference._permutation_pvalues(y, dy, [(x, dx, observed)], 199, seed)
+            assert got == [expected]
             for estimator in ("mle", "unbiased"):
                 assert permutation_test(x, y, dx, dy, estimator=estimator, reps=199,
                                         seed=seed) == expected[estimator]
+        assert all_ties > 0
+
+    @pytest.mark.parametrize("reps", [99, 128, 129, 257])
+    def test_shared_blocks_match_old_loop(self, reps):
+        # Replicate counts on either side of the 128-replicate block edge;
+        # three variables of different sizes and encodings share each block.
+        rng = np.random.default_rng((541, reps))
+        n = 24
+        y = np.repeat(np.arange(4), n // 4)
+        dy = distance_matrix(ordinal_equal(4))
+        variables = []
+        expected = []
+        all_ties = 0
+        for kind, levels in ((one_hot, 2), (semicircle_equal, 3), (ordinal_equal, 5)):
+            dx = distance_matrix(kind(levels))
+            x = np.where(rng.random(n) < 0.4, y % levels, rng.integers(0, levels, size=n))
+            table = JointTable.from_codes(x, y, levels, 4)
+            observed = {"mle": dcor2_mle(table, dx, dy),
+                        "unbiased": dcor2_unbiased(table, dx, dy)}
+            variables.append((x, dx, observed))
+            p_values, ties = ref.permutation_pvalues(x, y, dx, dy, observed, reps, 3)
+            expected.append(p_values)
+            all_ties += ties
+        assert inference._permutation_pvalues(y, dy, variables, reps, 3) == expected
+        for (x, dx, _), p_values in zip(variables, expected):
+            assert permutation_test(x, y, dx, dy, estimator="mle", reps=reps,
+                                    seed=3) == p_values["mle"]
         assert all_ties > 0
 
 

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from catdcor import (
     BoundParams,
     ConfigurationError,
-    DegenerateMarginError,
     DistributionError,
     InsufficientFeaturesError,
     InsufficientSampleError,
@@ -19,8 +18,6 @@ from catdcor import (
     LabelError,
     apply_changepoint,
     changepoint_threshold,
-    dcor2_mle,
-    dcor2_unbiased,
     distance_matrix,
     one_hot,
     ordinal_equal,
@@ -30,6 +27,7 @@ from catdcor import (
     semicircle_equal,
 )
 from catdcor.estimators import _score_many
+import scalar_reference as ref
 
 D3 = distance_matrix(one_hot(3))
 
@@ -123,23 +121,10 @@ class TestScreen:
         report = screen(x, y, [D3] * x.shape[1], D3)
         for s in range(x.shape[1]):
             t = JointTable.from_codes(x[:, s], y, 3, 3)
-            assert_allclose(report.values[s], dcor2_mle(t, D3, D3), atol=1e-15)
+            assert_allclose(report.values[s], ref.dcor2(t.counts, D3, D3, "mle"), atol=1e-15)
 
 
 KINDS = (one_hot, ordinal_equal, semicircle_equal)
-SCALAR = {"mle": dcor2_mle, "unbiased": dcor2_unbiased}
-
-
-def scalar_scores(x, y, dists, dy, estimator):
-    """The per-feature loop screen replaced: one JointTable and dcor2_* each."""
-    values = []
-    for s, dist in enumerate(dists):
-        table = JointTable.from_codes(x[:, s], y, dist.n_categories, dy.n_categories)
-        try:
-            values.append(SCALAR[estimator](table, dist, dy))
-        except DegenerateMarginError:
-            values.append(0.0)
-    return np.array(values)
 
 
 class TestBatchedKernel:
@@ -165,7 +150,7 @@ class TestBatchedKernel:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 report = screen(x, y, dists, dy, estimator=estimator)
-            expected = scalar_scores(x, y, dists, dy, estimator)
+            expected = ref.screen_scores(x, y, dists, dy, estimator)
             assert report.values.shape == (n_features,)
             assert_allclose(report.values, expected, rtol=1e-12, atol=0.0)
 
@@ -178,7 +163,7 @@ class TestBatchedKernel:
         counts *= 50.0 / counts.sum(axis=(1, 2))[:, None, None]
         n = float(counts[0].sum())
         values, degenerate = _score_many(counts, n, dx, dy, estimator)
-        expected = [SCALAR[estimator](JointTable(c), dx, dy) for c in counts]
+        expected = [ref.dcor2(c, dx, dy, estimator) for c in counts]
         assert not degenerate.any()
         assert_allclose(values, expected, rtol=1e-12, atol=0.0)
 
