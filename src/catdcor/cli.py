@@ -31,6 +31,7 @@ from .exceptions import (
 from .inference import (
     _permutation_pvalues,
     _require_replicates,
+    _require_seed,
     _statistic,
     _test_result,
     confidence_interval,
@@ -464,6 +465,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_workers()
+        if hasattr(args, "seed"):
+            _require_seed(args.seed)
         args.func(args)
     except CatdcorError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

@@ -10,12 +10,19 @@ row-centered distance matrices (one per variable).  The plug-in
 estimator obeys the same law shifted by a constant ``B``, the product of
 the two mean within-margin distances.  Tail probabilities of the weighted
 sum are exact for one weight (a chi-squared tail, ``erfc`` of the square
-root of half the quantile), a finite polar-angle integral for two (the
-2 x k tables of binary variables), and otherwise computed by numerical
-inversion of its characteristic function (Imhof-type oscillatory
-integration, truncated by a vectorized log-grid search), with a
-three-cumulant moment match as a flagged fallback and a permutation test
-as a distribution-free alternative.  Only that fallback loads scipy.
+root of half the quantile) and a finite polar-angle integral for two (the
+2 x k tables of binary variables).  Three or more positive weights, the
+case of every spectrum built here (the encodings' distances are
+conditionally negative definite, so every lambda and mu is <= 0), take a
+trapezoid rule along a contour through the saddle point: about 1e-12
+relative accuracy down to tails near 1e-300, and below the mean it
+computes 1 - p directly, so p keeps full accuracy next to 1.  Mixed
+signs, or a contour that does not converge, fall back to numerical
+inversion of the characteristic function (Imhof-type oscillatory
+integration, truncated by a vectorized log-grid search, about 1e-9
+absolute), then to a three-cumulant moment match flagged in the result;
+a permutation test is the distribution-free alternative.  Only the
+moment match loads scipy.
 
 Under a fixed alternative the estimators are asymptotically normal; the
 variance here is the full delta-method variance of the correlation ratio,
@@ -41,6 +48,7 @@ from .estimators import (
     dcor2_unbiased,
 )
 from .exceptions import (
+    ConfigurationError,
     DegenerateCategoryError,
     DegenerateDistributionError,
     DegenerateMarginError,
@@ -213,6 +221,8 @@ def null_spectrum(row_marginal, col_marginal,
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _MAX_PANELS = 2000000
+# Target absolute accuracy of the inversion integral.
+_IMHOF_EPS_ABS = 1e-9
 
 # Truncation search on the log-u scale: a coarse pass over the integer
 # grid 0..390, then one refinement of the bracketing cell in steps of
@@ -257,26 +267,26 @@ def _find_cutoff(weights: np.ndarray, target_log: float,
     return float(np.exp(fine[min(j, _CUTOFF_REFINE - 1)]))
 
 
-def _imhof_sf(weights: np.ndarray, quantile: float, eps_abs: float = 1e-9
-              ) -> float | None:
+def _imhof_sf(weights: np.ndarray, quantile: float) -> float | None:
     """P(sum w_k Z_k^2 > quantile) by characteristic-function inversion.
 
     Evaluates ``1/2 + (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du``
     with panel-wise Gauss-Legendre quadrature, panels a quarter of the
     fastest oscillation period, truncated where the envelope undercuts
-    both 1e-12 and the integration-by-parts tail bound for ``eps_abs``
-    (:func:`_find_cutoff`, one vectorized grid pass shared by both
-    targets).  Absolute accuracy is about ``eps_abs``.  Returns None when
-    the truncation point would require more panels than the cap
-    (extremely slow envelope decay), signalling the caller to use the
-    moment-matching fallback.
+    both 1e-12 and the integration-by-parts tail bound for
+    ``_IMHOF_EPS_ABS`` (:func:`_find_cutoff`, one vectorized grid pass
+    shared by both targets).  Absolute accuracy is about
+    ``_IMHOF_EPS_ABS``.  Returns None when the truncation point would
+    require more panels than the cap (extremely slow envelope decay),
+    signalling the caller to use the moment-matching fallback.
     """
     w = weights
     coarse = _envelope_log(_CUTOFF_GRID, w)
     cutoff = _find_cutoff(w, np.log(1e-12), coarse)
     if abs(quantile) > 1e-12:
         # Oscillation cancels the tail: |∫_U^inf| <= 4 envelope(U) / |q|.
-        cutoff = min(cutoff, _find_cutoff(w, np.log(eps_abs * abs(quantile) / 8.0), coarse))
+        target = np.log(_IMHOF_EPS_ABS * abs(quantile) / 8.0)
+        cutoff = min(cutoff, _find_cutoff(w, target, coarse))
     if not np.isfinite(cutoff):
         return None
 
@@ -375,6 +385,148 @@ def _two_weight_sf(w0: float, w1: float, quantile: float) -> float | None:
     return None
 
 
+# Positive-weight tail: trapezoid rule in v on [0, _SP_V] along a parabola
+# through the saddle point, step halved from _SP_H until two successive
+# estimates agree to _SP_RTOL relative.  Later passes stop one node past
+# the last first-pass node whose integrand exceeds _SP_TRIM times the sum.
+# The parabola's curvature is at least _SP_CURVE_MIN / sigma, and large
+# enough that exp(-quantile Re(s - c)) alone falls to exp(-_SP_DECAY) by
+# v = _SP_V.
+_SP_CURVE_MIN = 0.1
+_SP_DECAY = 60.0
+_SP_V = 20.0
+_SP_H = 0.4
+_SP_RTOL = 1e-12
+_SP_TRIM = 1e-17
+_SP_MAX_HALVINGS = 6
+# The contour integral is the same through any point of the interval, so
+# the saddle only has to be close: Newton stops after a step this small
+# relative to the point, which leaves an error of about its square.
+_SP_SADDLE_RTOL = 1e-5
+_SP_MAX_NEWTON = 50
+
+
+def _saddle(w: np.ndarray, quantile: float, upper: bool) -> float:
+    """Root of ``g(s) = sum_k w_k s / (1 - 2 w_k s) - quantile s - 1``, above or below 0.
+
+    ``g(s) = s (K'(s) - quantile) - 1`` vanishes where ``K(s) - s quantile
+    - log|s|`` is stationary; ``K`` is the cumulant generating function.
+    ``g`` is convex on ``s < 1 / (2 w_max)`` with ``g(0) = -1``, so it has
+    one root on each side of 0, and Newton's method started where
+    ``g >= 0`` moves monotonically onto the root without leaving the
+    interval.  The start is the root of a lower bound of ``g``.  Above 0
+    there are two, each zero at the positive root of ``a s^2 + b s - 1``:
+    the largest weight's term plus ``w s`` for every other weight, and
+    Jensen's inequality, ``sum w_k / (1 - 2 w_k s) >= sum w / (1 - 2 wbar
+    s)`` for the mean weight ``wbar = sum w^2 / sum w``; the smaller root
+    is the tighter start.  Below 0 every term is at least -1/2.  Each step
+    evaluates ``g`` and ``g'`` from one pass over the weights.
+    """
+    if upper:
+        total, top = float(w.sum()), float(w.max())
+        wbar = float(w @ w) / total
+        rest = quantile - total + top
+        s = math.inf
+        for a, b in ((2.0 * top * rest, 3.0 * top - rest),
+                     (2.0 * wbar * quantile, total + 2.0 * wbar - quantile)):
+            root = math.sqrt(b * b + 4.0 * a)
+            s = min(s, (root - b) / (2.0 * a) if b < 0.0 else 2.0 / (b + root))
+    else:
+        s = -(0.5 * w.size + 1.0) / quantile
+    w2 = w + w
+    for _ in range(_SP_MAX_NEWTON):
+        inv = 1.0 / (1.0 - w2 * s)
+        g = s * (float(w @ inv) - quantile) - 1.0
+        if g <= 0.0:  # on the root to rounding
+            break
+        step = g / (float((w * inv) @ inv) - quantile)
+        s -= step
+        if abs(step) <= _SP_SADDLE_RTOL * abs(s):
+            break
+    return s
+
+
+def _contour_sf(w: np.ndarray, quantile: float) -> float | None:
+    """P(sum w_k Z_k^2 > quantile) for positive weights, along a path through the saddle point.
+
+    With ``K(s) = -1/2 sum log(1 - 2 w_k s)``, the integral
+    ``(1/(2 pi i)) int exp(K(s) - s quantile) ds / s`` up the line
+    ``Re s = c`` is the tail for ``0 < c < 1/(2 w_max)`` and the tail minus
+    one for ``c < 0`` (Rice 1980).  ``c`` is the saddle point
+    (:func:`_saddle`) above 0 when ``quantile`` exceeds the mean
+    ``sum w`` and below 0 otherwise, so the lower tail comes out as the
+    complement without cancellation.  The line is bent into the parabola
+    ``s = c + alpha t^2 + i t``, ``t = sigma v``.  With ``phi(s) = K(s) -
+    s quantile - log|s|``, ``sigma = phi''(c)^(-1/2)`` is the saddle's
+    width and ``alpha`` the curvature ``phi'''(c) / (6 phi''(c))`` of the
+    steepest-descent path at ``c``, raised to the floors above.  By
+    conjugate symmetry the integral is ``(1/pi) int_0^inf Im[...] dt``.
+    ``exp(K(c) - c quantile)`` is factored out, so tails near 1e-300 keep
+    their relative accuracy.  Returns None when the saddle point leaves
+    the floating-point range, the integrand has not decayed by
+    ``v = _SP_V`` or the step halvings do not converge.
+    """
+    top = float(w.max())
+    w, quantile = w / top, quantile / top  # the tail is scale-free
+    upper = quantile > float(w.sum())
+    c = _saddle(w, quantile, upper)
+    d = 1.0 - 2.0 * w * c
+    if not (math.isfinite(c) and (c > 0.0) == upper and d.min() > 0.0):
+        return None
+    beta = 2.0 * w / d  # K^(n)(c) = (n - 1)! / 2 * sum beta^n
+    phi2 = 0.5 * float(beta @ beta) + 1.0 / (c * c)
+    phi3 = float(beta @ (beta * beta)) - 2.0 / (c * c * c)
+    if not (0.0 < phi2 < math.inf and math.isfinite(phi3)):
+        return None  # a quantile at the edge of the floating-point range
+    sigma = 1.0 / math.sqrt(phi2)
+    alpha = max(phi3 / (6.0 * phi2), _SP_CURVE_MIN / sigma,
+                _SP_DECAY / (quantile * (sigma * _SP_V) ** 2))
+    log_scale = -0.5 * float(np.log(d).sum()) - c * quantile
+
+    def integrand(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Im and modulus of ``exp(K(s) - K(c) - (s - c) quantile) s'(t) / s``, ``t = sigma v``.
+
+        In real arithmetic: each ``1 - beta_k (s - c)`` is ``re - i im``.
+        """
+        t = sigma * v
+        at = alpha * t
+        shift = at * t  # Re(s - c)
+        im = np.multiply.outer(t, beta)
+        re = 1.0 - at[:, None] * im
+        log_mod = np.log(re * re + im * im).sum(axis=1)
+        phase = 0.5 * np.arctan2(im, re).sum(axis=1) - quantile * t
+        # s'(t) / s = (2 alpha t + i) / (x + i t) = (num_re + i num_im) / |s|^2
+        x = c + shift
+        num_re = (2.0 * at) * x + t
+        num_im = x - 2.0 * shift
+        scale = np.exp(-0.25 * log_mod - quantile * shift) / (x * x + t * t)
+        return (scale * (num_re * np.sin(phase) + num_im * np.cos(phase)),
+                scale * np.hypot(num_re, num_im))
+
+    h = 0.5 * _SP_H
+    values, modulus = integrand(h * np.arange(1, int(_SP_V / h) + 1))
+    total = 0.5 / c + float(values.sum())
+    live = np.flatnonzero(modulus > _SP_TRIM * abs(total))
+    if live.size and live[-1] == values.size - 1:
+        return None
+    end = h * (live[-1] + 2 if live.size else 1)
+    # The first pass holds the rules with steps _SP_H and _SP_H / 2.
+    estimate = 2.0 * h * (0.5 / c + float(values[1::2].sum()))
+    for halving in range(_SP_MAX_HALVINGS):
+        if halving:
+            h *= 0.5
+            total += float(integrand(h * np.arange(1, int(end / h) + 1, 2))[0].sum())
+        previous, estimate = estimate, h * total
+        if abs(estimate - previous) <= _SP_RTOL * abs(estimate):
+            break
+    else:
+        return None
+    if not estimate * c > 0.0:  # the sign of the tail, or of the tail minus one
+        return None
+    tail = math.exp(log_scale + math.log(abs(estimate) * sigma / math.pi))
+    return min(tail, 1.0) if upper else max(1.0 - tail, 0.0)
+
+
 def _moment_match_sf(weights: np.ndarray, x: float) -> float:
     """Moment-matched chi-squared approximation to the tail.
 
@@ -405,15 +557,17 @@ def _weighted_chisq_sf_impl(weights, x: float) -> tuple[float, str]:
     """Tail probability plus the method tag ('imhof' or 'moment-match').
 
     The tag 'imhof' covers every exact route: the chi-squared tail for one
-    weight, :func:`_two_weight_sf` for two, the inversion integral for
-    more (and for two if the two-weight rule fails to converge).
+    weight, :func:`_two_weight_sf` for two, :func:`_contour_sf` for three
+    or more positive weights, and the inversion integral
+    (:func:`_imhof_sf`) for mixed signs or when the other rules do not
+    converge.  Only when that gives up too does the moment match run.
     """
     w = np.asarray(weights, dtype=float).ravel()
-    if w.size == 0 or np.all(w == 0.0):
+    w = w[w != 0.0]
+    if w.size == 0:
         raise DegenerateDistributionError(
             "the weighted chi-squared law needs at least one nonzero weight"
         )
-    w = w[w != 0.0]
     x = float(x)
     if w.size == 1:
         # Single component: exact chi-squared tail.
@@ -422,14 +576,18 @@ def _weighted_chisq_sf_impl(weights, x: float) -> tuple[float, str]:
         if scale > 0.0:
             return (1.0 if quantile <= 0.0 else math.erfc(math.sqrt(0.5 * quantile))), "imhof"
         return (0.0 if quantile <= 0.0 else math.erf(math.sqrt(0.5 * quantile))), "imhof"
-    quantile = x + float(np.sum(w))
+    quantile = x + float(w.sum())
+    positive = w.min() > 0.0
     # Same-sign weights pin the support to a half line; outside it the
-    # answer is exact and the oscillatory integral is unnecessary.
-    if np.all(w > 0.0) and quantile <= 0.0:
+    # answer is exact and no integral is needed.
+    if positive and quantile <= 0.0:
         return 1.0, "imhof"
-    if np.all(w < 0.0) and quantile >= 0.0:
+    if w.max() < 0.0 and quantile >= 0.0:
         return 0.0, "imhof"
-    p = _two_weight_sf(float(w[0]), float(w[1]), quantile) if w.size == 2 else None
+    if w.size == 2:
+        p = _two_weight_sf(float(w[0]), float(w[1]), quantile)
+    else:
+        p = _contour_sf(w, quantile) if positive else None
     if p is None:
         p = _imhof_sf(w, quantile)
     if p is not None:
@@ -445,10 +603,14 @@ def weighted_chisq_sf(weights, x: float) -> float:
     (``erf`` for a negative weight).  Two weights use a finite polar-angle
     integral (tanh-sinh rule, stopped when successive estimates agree to 1e-12
     relative, so the absolute error is below 1e-12 and far-tail values keep
-    their relative accuracy).  Three or more use characteristic-function
-    inversion with absolute accuracy about 1e-9, falling back to a
-    three-cumulant moment match (flagged via :func:`independence_test`) if
-    the integral cannot be resolved.
+    their relative accuracy).  Three or more positive weights use a
+    trapezoid rule on a contour through the saddle point, stopped the same
+    way: about 1e-12 relative accuracy down to tails near 1e-300, and
+    below the mean it computes 1 - p directly, so p keeps full accuracy
+    next to 1.  Mixed signs use characteristic-function inversion with
+    absolute accuracy about 1e-9, falling back to a three-cumulant moment
+    match (flagged via :func:`independence_test`) if the integral cannot
+    be resolved.
     """
     return _weighted_chisq_sf_impl(weights, x)[0]
 
@@ -532,6 +694,12 @@ def _require_replicates(reps: int) -> None:
         )
 
 
+def _require_seed(seed: int) -> None:
+    """Seeds key ``numpy.random.default_rng``, which takes only non-negative integers."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _permutation_pvalues(y: np.ndarray, dy: DistanceMatrix, variables: list,
                          reps: int, seed: int) -> list[dict[str, float]]:
     """Permutation p-values of several variables against one response.
@@ -567,10 +735,11 @@ def permutation_test(x, y, dx: DistanceMatrix, dy: DistanceMatrix,
     ``x`` and ``y`` are integer-coded samples.  Each replicate draws an
     independent uniform permutation from a generator keyed by
     ``(seed, replicate index)``, so results are reproducible and do not
-    depend on any execution ordering.  The p-value is
-    ``(1 + #{permuted statistic >= observed}) / (reps + 1)``.
+    depend on any execution ordering; ``seed`` must be non-negative.  The
+    p-value is ``(1 + #{permuted statistic >= observed}) / (reps + 1)``.
     """
     _require_replicates(reps)
+    _require_seed(seed)
     if estimator not in ("mle", "unbiased"):
         raise ValueError("estimator must be 'mle' or 'unbiased'")
     x = np.asarray(x)

@@ -31,6 +31,7 @@ from .exceptions import (
     ShapeError,
     UndefinedAUCError,
 )
+from .inference import _require_seed
 from .measures import JointDistribution
 from .screening import apply_changepoint, screen
 
@@ -431,8 +432,9 @@ def run_benchmark(setting_id: int, n: int,
     and specificity of the slope-break selection.  The approximate
     construction is enabled here because most scenarios require it; the
     method actually used, and the joint every replicate was drawn from,
-    are reported on every result.
+    are reported on every result.  ``seed`` must be non-negative.
     """
+    _require_seed(seed)
     spec = setting_spec(setting_id, n=n, n_features=n_features,
                         relevant_count=relevant_count)
     dist_by_kind: dict[str, tuple[DistanceMatrix, DistanceMatrix]] = {}

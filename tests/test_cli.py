@@ -521,6 +521,15 @@ class TestTestCommand:
         assert code == 1
         assert "ConfigurationError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys, pvalue):
+        csv_path, meta_path = write_inputs(tmp_path, n=30)
+        code = main(["test", "--input", csv_path, "--metadata", meta_path,
+                     "--response", "grade", "--pvalue", pvalue, "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ConfigurationError: seed must be a non-negative integer, got -1\n")
+
 
 class TestScreenCommand:
     def test_matches_direct_api(self, tmp_path):
@@ -673,6 +682,15 @@ class TestSimulateCommand:
             del os.environ["CATDCOR_WORKERS"]
         assert code == 1
         assert "ConfigurationError" in capsys.readouterr().err
+
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
+        code = main(["simulate", "--setting", "2", "--n", "60", "--features", "50",
+                     "--relevant", "5", "--replicates", "1", "--seed", "-1",
+                     "--out", str(tmp_path / "s.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ConfigurationError: seed must be a non-negative integer, got -1\n")
+        assert not (tmp_path / "s.json").exists()
 
 
 class TestByteIdenticalReruns:

@@ -16,6 +16,7 @@ from scipy import integrate
 from scipy.stats import chi2, norm
 
 from catdcor import (
+    ConfigurationError,
     DegenerateCategoryError,
     DegenerateDistributionError,
     DegenerateMarginError,
@@ -45,6 +46,7 @@ from catdcor import (
     weighted_chisq_sf,
 )
 import scalar_reference as ref
+import tail_reference as tails
 
 DM2 = distance_matrix(one_hot(2))
 
@@ -326,13 +328,87 @@ class TestTailExactReferences:
         assert inference._find_cutoff(np.array([1.0, 0.5, 0.1]), 1.0) == 1.0
 
 
+def contour_tail(weights, quantile):
+    """The public tail at ``quantile`` (not centered), checked to take an exact route."""
+    weights = np.asarray(weights, dtype=float)
+    p, method = inference._weighted_chisq_sf_impl(weights, quantile - weights.sum())
+    assert method == "imhof"
+    return p
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestContourExactReferences:
+    """Three or more positive weights: the saddle-point contour against exact tails.
+
+    Above the mean the contour computes p, below it 1 - p; either way p
+    must be within 1e-12 relative of the reference.
+    """
+
+    @pytest.mark.parametrize("k", [3, 4, 7, 16, 50])
+    def test_equal_weights_match_chi2(self, k):
+        w = 0.37
+        below = np.geomspace(1e-3 * k, k, 30, endpoint=False)
+        above = np.geomspace(k, chi2.isf(1e-200, k), 60)[1:]
+        for s in np.concatenate([below, above]):
+            expected = chi2.sf(s, k)
+            assert abs(contour_tail(np.full(k, w), w * s) - expected) <= 1e-12 * expected, s
+        assert chi2.sf(above[-1], k) < 1.01e-200
+
+    @pytest.mark.parametrize("a, m, b, n", [
+        (1.0, 1, 1e-6, 2), (1.0, 2, 0.5, 3), (0.3, 4, 1.0, 1), (1.0, 3, 0.01, 5)])
+    def test_two_groups_match_convolution(self, a, m, b, n):
+        weights = [a] * m + [b] * n
+        mean = a * m + b * n
+        for q in mean * np.array([0.05, 0.5, 0.9, 1.1, 2.0, 5.0, 20.0]):
+            if q > mean:
+                expected = tails.two_group_sf(a, m, b, n, q)
+            else:
+                expected = 1.0 - tails.two_group_sf(a, m, b, n, q, lower=True)
+            assert abs(contour_tail(weights, q) - expected) <= 1e-12 * expected, q
+
+    def test_product_spectra_of_two_by_four_tables(self):
+        # One lambda times three mus: three distinct weights, whose tail
+        # has a one-dimensional convolution reference.
+        rng = np.random.default_rng(62)
+        for _ in range(25):
+            ns = null_spectrum(random_marginal(rng, 2), random_marginal(rng, 4),
+                               DM2, random_distance(rng, 4))
+            weights = np.outer(ns.lambdas, ns.mus).ravel() / ns.normalizer()
+            a, b, c = np.sort(weights)[::-1]
+            mean = a + b + c
+            for q in (mean * rng.uniform(0.05, 1.0), mean * rng.uniform(1.0, 1.5),
+                      mean + rng.uniform(1.0, 60.0)):
+                if q > mean:
+                    expected = tails.three_weight_sf(a, b, c, q)
+                else:
+                    expected = 1.0 - tails.three_weight_sf(a, b, c, q, lower=True)
+                assert abs(contour_tail(weights, q) - expected) <= 1e-12 * expected, (weights, q)
+
+    def test_skewed_weights_keep_the_exact_route(self):
+        # The inversion integral gives up here; the moment match was 6.65e-5.
+        p = contour_tail([1.0, 1e-6, 1e-6], 30.0)
+        assert abs(p - 4.3204675140067725e-08) <= 1e-12 * p
+        assert abs(p - tails.two_group_sf(1.0, 1, 1e-6, 2, 30.0)) <= 1e-12 * p
+
+    def test_tiny_quantile_complement(self):
+        # The inversion integral's 1e-9 absolute accuracy failed here (3.7e-7 off).
+        expected = 1.0 - tails.three_weight_sf(1.0, 0.5, 1e-9, 1e-8, lower=True)
+        assert abs(contour_tail([1.0, 0.5, 1e-9], 1e-8) - expected) <= 1e-12 * expected
+
+    def test_far_tail_below_the_inversion_floor(self):
+        # The inversion integral returned 5.2e-11.
+        expected = tails.three_weight_sf(1.0, 0.5, 0.25, 1000.0)
+        assert 2.9e-219 < expected < 3.0e-219
+        assert abs(contour_tail([1.0, 0.5, 0.25], 1000.0) - expected) <= 1e-12 * expected
+
+
 def three_by_three_weights():
     """Weights of a 3 x 3 product spectrum (all positive)."""
     return np.outer([0.5, 0.3, 0.2], [0.6, 0.25, 0.15]).ravel()
 
 
 class TestMomentMatchFallback:
-    """The flagged fallback, reached by making the inversion integral give up.
+    """The flagged fallback, reached by making both exact integrals give up.
 
     Pinned values were computed by the four-cumulant formula with scipy's
     ``chi2.sf`` and ``norm.sf`` imported at module level.
@@ -340,6 +416,7 @@ class TestMomentMatchFallback:
 
     @pytest.fixture(autouse=True)
     def no_inversion(self, monkeypatch):
+        monkeypatch.setattr(inference, "_contour_sf", lambda *args, **kwargs: None)
         monkeypatch.setattr(inference, "_imhof_sf", lambda *args, **kwargs: None)
 
     @pytest.mark.parametrize("sign, x, expected", [
@@ -376,6 +453,15 @@ class TestMomentMatchFallback:
         assert result.method == "moment-match"
         assert 0.0 <= result.p_value <= 1.0
         assert abs(result.p_value - expected) <= 1e-9 * expected
+
+
+def test_mixed_signs_still_reach_moment_match():
+    # Unpatched: the contour takes only positive weights, and the inversion
+    # integral gives up on a skewed mixed-sign spectrum, so the flagged
+    # fallback is still reachable through the public entry point.
+    p, method = inference._weighted_chisq_sf_impl([1.0, -1e-6, 1e-6], 29.0)
+    assert method == "moment-match"
+    assert 0.0 <= p <= 1.0
 
 
 class TestAnalyticNull:
@@ -495,6 +581,10 @@ class TestPermutation:
     def test_too_few_replicates(self):
         with pytest.raises(InsufficientReplicatesError):
             permutation_test([0, 1], [0, 1], DM2, DM2, reps=50, seed=0)
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            permutation_test([0, 1, 0, 1], [0, 1, 1, 0], DM2, DM2, reps=99, seed=-1)
 
     def test_agrees_with_analytic_on_null(self):
         diffs = []

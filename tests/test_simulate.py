@@ -7,6 +7,7 @@ from scipy.stats import rankdata
 
 import catdcor.simulate
 from catdcor import (
+    ConfigurationError,
     InfeasibleSettingError,
     SettingSpec,
     UndefinedAUCError,
@@ -275,6 +276,10 @@ class TestRunBenchmark:
             assert 0.0 <= r.specificity <= 1.0
             assert r.construction == "rank-one-clipped"
             assert r.replicate_aucs.shape == (2,)
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            run_benchmark(2, n=60, n_features=60, relevant_count=6, replicates=1, seed=-1)
 
     def test_joint_built_once(self, monkeypatch):
         calls = []
