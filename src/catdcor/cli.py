@@ -16,6 +16,7 @@ import operator
 import os
 import sys
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -196,10 +197,10 @@ def _write_json(payload: dict, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _write_csv(rows: list[list], out_path: str | None, header: list[str]) -> None:
+def _write_csv(rows: Iterable[Sequence], out_path: str | None, header: list[str]) -> None:
+    """One line per row of Python ints and floats, each cell its ``repr``."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    lines.extend(",".join(map(repr, row)) for row in rows)
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -356,7 +357,7 @@ def cmd_screen(args: argparse.Namespace) -> None:
         "low_confidence": report.low_confidence,
         "selected": report.selected,
     }, args.out)
-    ranked = [[rank + 1, float(v)] for rank, v in enumerate(report.sorted_values())]
+    ranked = enumerate(report.sorted_values().tolist(), start=1)
     _write_csv(ranked, _sibling_path(args.out, "_ranked.csv"), ["rank", "value"])
 
 
@@ -396,12 +397,12 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     }
     _write_json(payload, args.out)
     delta = results[0].joint.delta()
-    _write_csv([[float(v) for v in row] for row in delta],
+    _write_csv(delta.tolist(),
                _sibling_path(args.out, "_delta.csv"),
                [f"col{j + 1}" for j in range(delta.shape[1])])
     for r in results:
         points = roc_points(r.pooled_scores, r.pooled_truth)
-        _write_csv([[float(a), float(b)] for a, b in points],
+        _write_csv(points.tolist(),
                    _sibling_path(args.out, f"_roc_{r.encoding}.csv"),
                    ["fpr", "tpr"])
 

@@ -32,6 +32,7 @@ including the contribution of the variance estimates in the denominator.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -694,10 +695,13 @@ def _require_replicates(reps: int) -> None:
         )
 
 
-def _require_seed(seed: int) -> None:
-    """Seeds key ``numpy.random.default_rng``, which takes only non-negative integers."""
-    if seed < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
+def _require_seed(seed) -> None:
+    """Seeds key ``numpy.random.default_rng``: a non-negative integer or a tuple of them."""
+    entries = seed if isinstance(seed, tuple) else (seed,)
+    if not entries or not all(isinstance(v, numbers.Integral) and v >= 0 for v in entries):
+        what = ("a tuple of non-negative integers" if isinstance(seed, tuple)
+                else "a non-negative integer")
+        raise ConfigurationError(f"seed must be {what}, got {seed!r}")
 
 
 def _permutation_pvalues(y: np.ndarray, dy: DistanceMatrix, variables: list,

@@ -111,8 +111,6 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
     ``report.degenerate`` (in column order) with one warning instead of
     aborting the run.
     """
-    if estimator not in ("mle", "unbiased"):
-        raise ConfigurationError("estimator must be 'mle' or 'unbiased'")
     x = np.asarray(features)
     y = np.asarray(response)
     if x.ndim != 2:
@@ -130,12 +128,7 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
         ids = list(feature_ids)
         if len(ids) != n_features:
             raise ConfigurationError("feature_ids length must match the feature count")
-    if estimator == "unbiased" and n < 4:
-        raise InsufficientSampleError(
-            "the bias-corrected estimator needs at least 4 observations"
-        )
-    if n == 0:
-        raise DistributionError("empty sample")
+    _require_scorable(n, estimator)
     n_response_levels = response_dist.n_categories
     if y.min() < 0 or y.max() >= n_response_levels:
         raise LabelError("response codes fall outside the declared level set")
@@ -162,14 +155,37 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
                                     n_response_levels)
             values[block], is_degenerate[block] = _score_many(
                 counts, float(n), dist, response_dist, estimator)
+    return _ranked_report(ids, values, is_degenerate, estimator)
+
+
+def _require_scorable(n: int, estimator: str) -> None:
+    """Check the estimator name and that ``n`` observations can be scored by it."""
+    if estimator not in ("mle", "unbiased"):
+        raise ConfigurationError("estimator must be 'mle' or 'unbiased'")
+    if estimator == "unbiased" and n < 4:
+        raise InsufficientSampleError(
+            "the bias-corrected estimator needs at least 4 observations"
+        )
+    if n == 0:
+        raise DistributionError("empty sample")
+
+
+def _ranked_report(ids: list, values: np.ndarray, is_degenerate: np.ndarray,
+                   estimator: str) -> ScreeningReport:
+    """Report of scored features, ranked in descending order.
+
+    Lists the degenerate features (in column order) with one warning,
+    attributed to the caller of :func:`screen` or of the simulation
+    harness, and breaks ties in the order by ascending feature id.
+    """
     degenerate = [ids[s] for s in np.flatnonzero(is_degenerate)]
     if degenerate:
         warnings.warn(
             f"{len(degenerate)} feature(s) with degenerate margins scored 0",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    order = np.lexsort((np.arange(n_features), -values))
+    order = np.lexsort((np.arange(values.size), -values))
     return ScreeningReport(
         feature_ids=ids,
         values=values,

@@ -14,9 +14,10 @@ rank-one compensation for scenarios whose listed cells exceed what the
 stated marginals can carry at all.  Every result
 carries a method tag naming the construction used.
 
-A harness samples datasets, screens them under one-hot, ordinal, and
-semicircle encodings, and reports AUC plus the sensitivity/specificity of
-the slope-break cutoff against the ground truth.
+A harness samples datasets, tabulates each once and scores the same
+tables under one-hot, ordinal, and semicircle encodings, and reports AUC
+plus the sensitivity/specificity of the slope-break cutoff against the
+ground truth.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import DistanceMatrix, distance_matrix, encoding_for_kind
+from .encodings import distance_matrix, encoding_for_kind
+from .estimators import _BLOCK, _score_many, _tabulate_many
 from .exceptions import (
     InfeasibleSettingError,
     ShapeError,
@@ -33,7 +35,7 @@ from .exceptions import (
 )
 from .inference import _require_seed
 from .measures import JointDistribution
-from .screening import apply_changepoint, screen
+from .screening import _ranked_report, _require_scorable, apply_changepoint
 
 __all__ = [
     "SettingSpec",
@@ -289,8 +291,9 @@ def build_joint(spec: SettingSpec, allow_rank_one: bool = False) -> ConstructedJ
 class SimulatedDataset:
     """One sampled screening dataset with its ground truth.
 
-    ``features`` is integer-coded with shape ``(n, n_features)``;
-    ``relevant_ids`` lists the columns actually dependent on the response.
+    ``features`` is integer-coded with shape ``(n, n_features)`` and
+    stored column-major, each feature's codes contiguous; ``relevant_ids``
+    lists the columns actually dependent on the response.
     """
 
     features: np.ndarray
@@ -313,13 +316,22 @@ def sample_dataset(spec: SettingSpec, seed, allow_rank_one: bool = False
     the first ``relevant_count`` feature columns are drawn from the
     conditional distribution given the response (so features are
     conditionally independent given the response), and the remaining
-    columns independently from the feature marginal.
+    columns independently from the feature marginal.  The uniforms are
+    one ``n``-vector for the response, then one per feature column in
+    column order, however many columns are drawn at once.  ``seed`` is a
+    non-negative integer or a tuple of them.
     """
+    _require_seed(seed)
     return _draw_dataset(spec, build_joint(spec, allow_rank_one=allow_rank_one), seed)
 
 
 def _draw_dataset(spec: SettingSpec, built: ConstructedJoint, seed) -> SimulatedDataset:
-    """:func:`sample_dataset` from an already constructed joint for ``spec``."""
+    """:func:`sample_dataset` from an already constructed joint for ``spec``.
+
+    Each block of ``_BLOCK`` feature columns is one ``(cols, n)`` draw,
+    which numpy's generators fill from the same stream as ``cols``
+    successive ``n``-vectors.
+    """
     pi = built.joint.pi
     col_marg = built.joint.col_marginal
     cond = pi / col_marg[None, :]
@@ -333,22 +345,21 @@ def _draw_dataset(spec: SettingSpec, built: ConstructedJoint, seed) -> Simulated
     rng = np.random.default_rng(seed)
     n = spec.n
     response = _inverse_cdf_sample(response_cdf, rng.random(n))
-    features = np.empty((n, spec.n_features), dtype=np.int64)
-    relevant = np.arange(spec.relevant_count)
+    columns = np.empty((spec.n_features, n), dtype=np.int64)
     per_response_cdf = cond_cdf[:, response]
-    for s in range(spec.n_features):
-        u = rng.random(n)
-        if s < spec.relevant_count:
-            features[:, s] = np.minimum(
-                (u[None, :] >= per_response_cdf).sum(axis=0),
-                spec.n_rows - 1,
-            )
-        else:
-            features[:, s] = _inverse_cdf_sample(marg_cdf, u)
+    for start in range(0, spec.n_features, _BLOCK):
+        u = rng.random((min(_BLOCK, spec.n_features - start), n))
+        block = columns[start:start + len(u)]
+        split = min(max(spec.relevant_count - start, 0), len(u))
+        block[:split] = np.minimum(
+            (u[:split, None, :] >= per_response_cdf).sum(axis=1),
+            spec.n_rows - 1,
+        )
+        block[split:] = _inverse_cdf_sample(marg_cdf, u[split:])
     return SimulatedDataset(
-        features=features,
+        features=columns.T,
         response=response,
-        relevant_ids=relevant,
+        relevant_ids=np.arange(spec.relevant_count),
         joint=built.joint,
         method=built.method,
     )
@@ -427,9 +438,10 @@ def run_benchmark(setting_id: int, n: int,
     """Run one scenario end to end and summarize per-encoding metrics.
 
     Each replicate samples one dataset (seeded by ``(seed, setting, r)``),
-    screens it once per encoding kind applied to features and response
-    alike, and records the AUC of the score ranking plus the sensitivity
-    and specificity of the slope-break selection.  The approximate
+    tabulates it once, scores the tables once per encoding kind applied
+    to features and response alike (the scores ``screen`` would give),
+    and records the AUC of the score ranking plus the sensitivity and
+    specificity of the slope-break selection.  The approximate
     construction is enabled here because most scenarios require it; the
     method actually used, and the joint every replicate was drawn from,
     are reported on every result.  ``seed`` must be non-negative.
@@ -437,11 +449,12 @@ def run_benchmark(setting_id: int, n: int,
     _require_seed(seed)
     spec = setting_spec(setting_id, n=n, n_features=n_features,
                         relevant_count=relevant_count)
-    dist_by_kind: dict[str, tuple[DistanceMatrix, DistanceMatrix]] = {}
-    for kind in encoding_kinds:
-        feat = distance_matrix(encoding_for_kind(kind, spec.n_rows))
-        resp = distance_matrix(encoding_for_kind(kind, spec.n_cols))
-        dist_by_kind[kind] = (feat, resp)
+    _require_scorable(n, estimator)
+    dists = [(distance_matrix(encoding_for_kind(kind, spec.n_rows)),
+              distance_matrix(encoding_for_kind(kind, spec.n_cols)))
+             for kind in encoding_kinds]
+    ids = list(range(n_features))
+    blocks = [slice(start, start + _BLOCK) for start in range(0, n_features, _BLOCK)]
 
     truth_mask = np.zeros(n_features, dtype=bool)
     truth_mask[:relevant_count] = True
@@ -453,13 +466,17 @@ def run_benchmark(setting_id: int, n: int,
     built = build_joint(spec, allow_rank_one=True)
     for rep_seed in replicate_seeds:
         data = _draw_dataset(spec, built, rep_seed)
-        for kind in encoding_kinds:
-            feat_dist, resp_dist = dist_by_kind[kind]
-            report = screen(
-                data.features, data.response,
-                [feat_dist] * n_features, resp_dist, estimator=estimator,
-            )
-            apply_changepoint(report)
+        values = np.empty((len(dists), n_features))
+        is_degenerate = np.empty((len(dists), n_features), dtype=bool)
+        for block in blocks:
+            counts = _tabulate_many(data.features[:, block], data.response[:, None],
+                                    spec.n_rows, spec.n_cols)
+            for k, (feat_dist, resp_dist) in enumerate(dists):
+                values[k, block], is_degenerate[k, block] = _score_many(
+                    counts, float(n), feat_dist, resp_dist, estimator)
+        for k, kind in enumerate(encoding_kinds):
+            report = apply_changepoint(
+                _ranked_report(ids, values[k], is_degenerate[k], estimator))
             selected = np.zeros(n_features, dtype=bool)
             selected[np.asarray(report.selected, dtype=int)] = True
             stats = per_kind[kind]
@@ -470,7 +487,7 @@ def run_benchmark(setting_id: int, n: int,
             stats["spec"].append(
                 float((~selected & ~truth_mask).sum() / (~truth_mask).sum())
             )
-            stats["scores"].append(report.values.copy())
+            stats["scores"].append(report.values)
 
     results = []
     for kind in encoding_kinds:

@@ -1,5 +1,8 @@
 """Tests for the benchmark scenarios: construction, sampling, and metrics."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,6 +25,9 @@ from catdcor import (
     screen,
     setting_spec,
 )
+from catdcor.simulate import _draw_dataset
+
+import draw_reference as ref
 
 
 def brute_auc(scores, truth):
@@ -188,6 +194,68 @@ class TestSampleDataset:
         assert np.array_equal(small.features[:, :40], large.features[:, :40])
         assert np.array_equal(small.response, large.response)
 
+    @pytest.mark.parametrize("seed", [-1, (1, -2), (), 1.5, "7"])
+    def test_invalid_seed(self, seed):
+        spec = setting_spec(2, n=20, n_features=10, relevant_count=2)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            sample_dataset(spec, seed, allow_rank_one=True)
+
+    @pytest.mark.parametrize("setting_id, n, n_features, relevant_count, seed, features_sha, "
+                             "response_sha", [
+        (2, 60, 300, 200, 7,
+         "c27ba24ebccbdf332a93fd41b5e530e47d01f417eddb82b75d5bab4790d8e210",
+         "854c519f5065cf1fae29bfd214e21ea6f2a9fa13126c917fdf92f3082c128bf2"),
+        (4, 100, 1000, 50, (51, 4, 0),
+         "0965bfbe2f5d8f457883dc20d943e9839a0856138612459fae1528e850fef52c",
+         "44509c3c42405a4190669e4a1508483722998964f7e300c50419ca5bc232e2ec"),
+    ])
+    def test_sampled_bytes_pinned(self, setting_id, n, n_features, relevant_count, seed,
+                                  features_sha, response_sha):
+        # Any change to the random stream or to its mapping onto codes
+        # changes these digests (int64 values in C order).
+        spec = setting_spec(setting_id, n=n, n_features=n_features,
+                            relevant_count=relevant_count)
+        data = sample_dataset(spec, seed, allow_rank_one=True)
+        features = np.ascontiguousarray(data.features, dtype=np.int64)
+        response = np.ascontiguousarray(data.response, dtype=np.int64)
+        assert hashlib.sha256(features.tobytes()).hexdigest() == features_sha
+        assert hashlib.sha256(response.tobytes()).hexdigest() == response_sha
+
+
+class TestDrawStream:
+    """The blocked draw against the column-by-column reference loop."""
+
+    @staticmethod
+    def assert_matches_reference(spec, seed):
+        built = build_joint(spec, allow_rank_one=True)
+        data = _draw_dataset(spec, built, seed)
+        features, response = ref.draw_dataset(spec, built.joint, seed)
+        assert data.features.shape == (spec.n, spec.n_features)
+        assert np.array_equal(data.features, features)
+        assert np.array_equal(data.response, response)
+        assert np.array_equal(data.relevant_ids, np.arange(spec.relevant_count))
+
+    @pytest.mark.parametrize("setting_id", range(1, 7))
+    def test_every_setting(self, setting_id):
+        spec = setting_spec(setting_id, n=70, n_features=300, relevant_count=50)
+        self.assert_matches_reference(spec, (3, setting_id, 1))
+
+    @pytest.mark.parametrize("n_features, relevant_count", [
+        (300, 0),      # irrelevant columns only
+        (300, 200),    # the relevant/irrelevant split falls inside a block
+        (257, 257),    # relevant columns only, last block of one column
+        (130, 128),    # split exactly at a block boundary
+        (5, 2),        # fewer columns than one block
+    ])
+    def test_block_boundaries(self, n_features, relevant_count):
+        spec = setting_spec(5, n=40, n_features=n_features, relevant_count=relevant_count)
+        self.assert_matches_reference(spec, 11)
+
+    def test_features_column_major(self):
+        spec = setting_spec(1, n=30, n_features=20, relevant_count=5)
+        data = sample_dataset(spec, 2)
+        assert data.features.flags.f_contiguous
+
 
 class TestRocAuc:
     def test_perfect_separation(self):
@@ -292,18 +360,55 @@ class TestRunBenchmark:
         run_benchmark(3, n=50, n_features=40, relevant_count=4, replicates=3, seed=4)
         assert len(calls) == 1
 
-    def test_replicates_match_sample_dataset(self):
-        spec = setting_spec(5, n=40, n_features=30, relevant_count=3)
-        results = run_benchmark(5, n=40, encoding_kinds=("ordinal",), n_features=30,
-                                relevant_count=3, replicates=2, seed=9)
+    @staticmethod
+    def replicate_warnings_and_scores(setting_id, n, n_features, estimator):
+        """Check run_benchmark against screen on every replicate and encoding.
+
+        One tabulation per replicate, scored under every encoding, must
+        give the scores screen gives on the same dataset, bit for bit, and
+        the same degenerate warnings.  Returns the harness's warnings.
+        """
+        kinds = ("onehot", "ordinal", "semicircle")
+        spec = setting_spec(setting_id, n=n, n_features=n_features, relevant_count=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = run_benchmark(setting_id, n=n, encoding_kinds=kinds,
+                                    n_features=n_features, relevant_count=3,
+                                    replicates=2, seed=2, estimator=estimator)
+        bench_warnings = [str(w.message) for w in caught]
+        screen_warnings = []
         for r, rep_seed in enumerate(results[0].replicate_seeds):
             data = sample_dataset(spec, rep_seed, allow_rank_one=True)
-            report = screen(data.features, data.response,
-                            [distance_matrix(encoding_for_kind("ordinal", 8))] * 30,
-                            distance_matrix(encoding_for_kind("ordinal", 8)),
-                            estimator="mle")
-            assert np.array_equal(results[0].pooled_scores[30 * r:30 * (r + 1)],
-                                  report.values)
+            for result in results:
+                dist = distance_matrix(encoding_for_kind(result.encoding, spec.n_rows))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    report = screen(data.features, data.response, [dist] * n_features,
+                                    dist, estimator=estimator)
+                screen_warnings += [str(w.message) for w in caught]
+                scores = result.pooled_scores[n_features * r:n_features * (r + 1)]
+                assert np.array_equal(scores, report.values)
+                assert np.all(scores[report.degenerate] == 0.0)
+        assert bench_warnings == screen_warnings
+        return bench_warnings
+
+    def test_replicates_match_sample_dataset(self):
+        assert self.replicate_warnings_and_scores(5, n=40, n_features=30,
+                                                  estimator="mle") == []
+
+    def test_replicates_match_screen_across_blocks(self):
+        self.replicate_warnings_and_scores(2, n=50, n_features=300, estimator="unbiased")
+
+    def test_degenerate_columns_scored_zero_with_one_warning(self):
+        # Four rows leave two constant feature columns in each replicate:
+        # one warning per replicate and encoding, and those scores are 0.
+        found = self.replicate_warnings_and_scores(4, n=4, n_features=30, estimator="mle")
+        assert found == ["2 feature(s) with degenerate margins scored 0"] * 6
+
+    def test_estimator_checked_before_sampling(self):
+        with pytest.raises(ConfigurationError, match="estimator"):
+            run_benchmark(2, n=60, n_features=60, relevant_count=6, replicates=1,
+                          estimator="median")
 
     def test_detects_strong_signal(self):
         results = run_benchmark(1, n=150, n_features=100, relevant_count=10,
