@@ -279,10 +279,9 @@ def cmd_test(args: argparse.Namespace) -> None:
             p_values = {}
             permuted.append((p_values, (x, dx, dcor2)))
         else:
-            tests = [_test_result(ns, n * dcor2[kind], kind, n) for kind in dcor2]
-            p_values = {r.estimator: r.p_value for r in tests}
-            imhof = all(r.method == "imhof" for r in tests)
-            method = "imhof" if imhof else "moment-match"
+            p_values = {kind: _test_result(ns, n * value, kind, n).p_value
+                        for kind, value in dcor2.items()}
+            method = "imhof"
         ci_lo, ci_hi = confidence_interval(table, dx, dy, level=0.95,
                                            estimator=args.estimator)
         results.append({

@@ -10,19 +10,15 @@ row-centered distance matrices (one per variable).  The plug-in
 estimator obeys the same law shifted by a constant ``B``, the product of
 the two mean within-margin distances.  Tail probabilities of the weighted
 sum are exact for one weight (a chi-squared tail, ``erfc`` of the square
-root of half the quantile) and a finite polar-angle integral for two (the
-2 x k tables of binary variables).  Three or more positive weights, the
-case of every spectrum built here (the encodings' distances are
-conditionally negative definite, so every lambda and mu is <= 0), take a
-trapezoid rule along a contour through the saddle point: about 1e-12
-relative accuracy down to tails near 1e-300, and below the mean it
-computes 1 - p directly, so p keeps full accuracy next to 1.  Mixed
-signs, or a contour that does not converge, fall back to numerical
-inversion of the characteristic function (Imhof-type oscillatory
-integration, truncated by a vectorized log-grid search, about 1e-9
-absolute), then to a three-cumulant moment match flagged in the result;
-a permutation test is the distribution-free alternative.  Only the
-moment match loads scipy.
+root of half the quantile).  Two or more weights, of any signs, take one
+trapezoid rule along a contour through the saddle point (Rice 1980):
+about 1e-12 relative accuracy down to tails near 1e-300, and on the side
+of the mean where p is near 1 it computes 1 - p directly, so p keeps full
+accuracy there.  Every spectrum built here has positive weights (the
+encodings' distances are conditionally negative definite, so every
+lambda and mu is <= 0); mixed signs reach the tail only through direct
+calls.  A permutation test is the distribution-free alternative.  No
+scipy is loaded.
 
 Under a fixed alternative the estimators are asymptotically normal; the
 variance here is the full delta-method variance of the correlation ratio,
@@ -53,6 +49,7 @@ from .exceptions import (
     DegenerateCategoryError,
     DegenerateDistributionError,
     DegenerateMarginError,
+    DistributionError,
     InsufficientReplicatesError,
     InternalConsistencyError,
     ShapeError,
@@ -220,256 +217,121 @@ def null_spectrum(row_marginal, col_marginal,
 # Weighted chi-squared tail probabilities
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-_MAX_PANELS = 2000000
-# Target absolute accuracy of the inversion integral.
-_IMHOF_EPS_ABS = 1e-9
-
-# Truncation search on the log-u scale: a coarse pass over the integer
-# grid 0..390, then one refinement of the bracketing cell in steps of
-# _CUTOFF_STEP, so a cutoff overshoots its crossing by at most ~3%.
-_CUTOFF_GRID = np.arange(391.0)
-_CUTOFF_REFINE = 32
-_CUTOFF_STEP = 1.0 / _CUTOFF_REFINE
-
-
-def _envelope_log(log_u, weights: np.ndarray) -> np.ndarray:
-    """Log of the Imhof integrand's envelope ``u^-1 prod_k (1 + w_k^2 u^2)^(-1/4)``.
-
-    Vectorized over ``log_u``.  Each ``log1p(w^2 u^2)`` is evaluated as
-    ``logaddexp(0, 2 log|w u|)``, which cannot overflow for any ``u``.
-    """
-    log_u = np.asarray(log_u, dtype=float)
-    log_wu = np.log(np.abs(weights)) + log_u[..., None]
-    return -(log_u + 0.25 * np.logaddexp(0.0, 2.0 * log_wu).sum(axis=-1))
-
-
-def _find_cutoff(weights: np.ndarray, target_log: float,
-                 coarse: np.ndarray | None = None) -> float:
-    """Smallest grid point ``u >= 1`` where the envelope is at or below ``exp(target_log)``.
-
-    The envelope decreases in ``u``, so the points above the target form a
-    prefix of each grid.  ``coarse`` may carry the envelope already
-    evaluated on ``_CUTOFF_GRID``.  The returned point is the upper end of
-    the refined bracket: never below the exact crossing, at most a factor
-    ``exp(_CUTOFF_STEP)`` above it.  Returns 1.0 when the envelope starts
-    at or below the target and inf when it has not reached it by
-    ``u = e^390``.
-    """
-    if coarse is None:
-        coarse = _envelope_log(_CUTOFF_GRID, weights)
-    above = int(np.count_nonzero(coarse > target_log))
-    if above == 0:
-        return 1.0
-    if above == coarse.size:
-        return float("inf")
-    fine = _CUTOFF_GRID[above - 1] + _CUTOFF_STEP * np.arange(1, _CUTOFF_REFINE + 1)
-    j = int(np.count_nonzero(_envelope_log(fine, weights) > target_log))
-    return float(np.exp(fine[min(j, _CUTOFF_REFINE - 1)]))
-
-
-def _imhof_sf(weights: np.ndarray, quantile: float) -> float | None:
-    """P(sum w_k Z_k^2 > quantile) by characteristic-function inversion.
-
-    Evaluates ``1/2 + (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du``
-    with panel-wise Gauss-Legendre quadrature, panels a quarter of the
-    fastest oscillation period, truncated where the envelope undercuts
-    both 1e-12 and the integration-by-parts tail bound for
-    ``_IMHOF_EPS_ABS`` (:func:`_find_cutoff`, one vectorized grid pass
-    shared by both targets).  Absolute accuracy is about
-    ``_IMHOF_EPS_ABS``.  Returns None when the truncation point would
-    require more panels than the cap (extremely slow envelope decay),
-    signalling the caller to use the moment-matching fallback.
-    """
-    w = weights
-    coarse = _envelope_log(_CUTOFF_GRID, w)
-    cutoff = _find_cutoff(w, np.log(1e-12), coarse)
-    if abs(quantile) > 1e-12:
-        # Oscillation cancels the tail: |∫_U^inf| <= 4 envelope(U) / |q|.
-        target = np.log(_IMHOF_EPS_ABS * abs(quantile) / 8.0)
-        cutoff = min(cutoff, _find_cutoff(w, target, coarse))
-    if not np.isfinite(cutoff):
-        return None
-
-    rate = 0.5 * float(np.sum(np.abs(w))) + 0.5 * abs(quantile)
-    width = 0.5 * np.pi / max(rate, 1e-12)
-    n_panels = int(np.ceil(cutoff / width))
-    n_panels = max(n_panels, 8)
-    if n_panels > _MAX_PANELS:
-        return None
-
-    edges = np.linspace(0.0, cutoff, n_panels + 1)
-    total = 0.0
-    block = 20000
-    for start in range(0, n_panels, block):
-        end = min(start + block, n_panels)
-        lo = edges[start:end]
-        hi = edges[start + 1:end + 1]
-        half = 0.5 * (hi - lo)
-        u = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES[None, :]
-        flat = u.ravel()
-        theta = 0.5 * np.arctan(flat[:, None] * w[None, :]).sum(axis=1) \
-            - 0.5 * quantile * flat
-        log_rho = 0.25 * np.log1p((flat[:, None] * w[None, :]) ** 2).sum(axis=1)
-        vals = (np.sin(theta) / (flat * np.exp(log_rho))).reshape(u.shape)
-        total += float(np.sum((vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half))
-    p = 0.5 + total / np.pi
-    return float(min(max(p, 0.0), 1.0))
-
-
-# Two-weight tail: trapezoid rule in the tanh-sinh variable t on
-# [-_K2_T, _K2_T], step halved from 1/2 until two successive estimates
-# agree to _K2_RTOL relative.  Node weights at |t| = _K2_T are below 1e-20.
-_K2_T = 3.5
-_K2_RTOL = 1e-12
-_K2_MAX_HALVINGS = 8
-
-
-def _two_weight_sf(w0: float, w1: float, quantile: float) -> float | None:
-    """P(w0 Z0^2 + w1 Z1^2 > quantile) without the oscillatory integral.
-
-    In polar coordinates the sum is ``R^2 g(theta)`` with ``g = w0 cos^2 +
-    w1 sin^2``, ``R^2 ~ Exp(mean 2)`` and ``theta`` uniform and independent,
-    so for ``quantile >= 0``
-
-        P = (2/pi) int_0^end exp(-quantile / (2 g(theta))) dtheta,
-
-    where ``end`` is pi/2 for two positive weights and the zero of ``g``
-    when the signs differ (larger weight first).  A negative quantile uses
-    ``P(S > q) = 1 - P(-S > -q)``.  The integrand is smooth and every
-    sharp feature (the extremes and the zero of ``g``) sits at an end of
-    the interval, where tanh-sinh nodes cluster; skewed weights such as
-    ``[1, 1e-6]`` therefore cost a few hundred evaluations.  Both ends are
-    evaluated from their distance ``d`` to the node, so ``g`` keeps full
-    relative precision near them.  The caller guarantees that the event
-    has positive probability on one side (a weight of the right sign).
-    Returns None when the halvings do not converge.
-    """
-    flip = quantile < 0.0
-    if flip:
-        w0, w1, quantile = -w0, -w1, -quantile
-    w0, w1 = max(w0, w1), min(w0, w1)
-    same_sign = w1 > 0.0
-    end = 0.5 * np.pi if same_sign else float(np.arctan(np.sqrt(w0 / -w1)))
-    if quantile == 0.0:  # P(g > 0); never flipped
-        return end / (0.5 * np.pi)
-    half = 0.5 * end
-
-    def mirrored_sum(t: np.ndarray) -> float:
-        """Integrand times Jacobian at the nodes -t (near 0) and +t (near end)."""
-        e = np.exp(-np.pi * np.sinh(t))
-        d = half * 2.0 * e / (1.0 + e)
-        jacobian = half * 2.0 * np.pi * np.cosh(t) * e / (1.0 + e) ** 2
-        cos2, sin2 = np.cos(d) ** 2, np.sin(d) ** 2
-        g_lo = w0 * cos2 + w1 * sin2
-        if same_sign:
-            g_hi = w0 * sin2 + w1 * cos2
-        else:
-            g_hi = (w0 - w1) * np.sin(2.0 * end - d) * np.sin(d)
-        # g underflows only at nodes whose integrand is exp(-inf) = 0.
-        with np.errstate(divide="ignore", over="ignore"):
-            f = np.exp(-quantile / (2.0 * g_lo)) + np.exp(-quantile / (2.0 * g_hi))
-        return float(jacobian @ f)
-
-    g_mid = w0 * np.cos(half) ** 2 + w1 * np.sin(half) ** 2
-    h = 0.5
-    total = 0.5 * np.pi * half * float(np.exp(-quantile / (2.0 * g_mid)))
-    total += mirrored_sum(h * np.arange(1, int(_K2_T / h) + 1))
-    estimate = h * total
-    for _ in range(_K2_MAX_HALVINGS):
-        h *= 0.5
-        total += mirrored_sum(h * np.arange(1, int(_K2_T / h) + 1, 2))
-        previous, estimate = estimate, h * total
-        if abs(estimate - previous) <= _K2_RTOL * estimate:
-            p = min(estimate / (0.5 * np.pi), 1.0)
-            return 1.0 - p if flip else p
-    return None
-
-
-# Positive-weight tail: trapezoid rule in v on [0, _SP_V] along a parabola
-# through the saddle point, step halved from _SP_H until two successive
-# estimates agree to _SP_RTOL relative.  Later passes stop one node past
-# the last first-pass node whose integrand exceeds _SP_TRIM times the sum.
-# The parabola's curvature is at least _SP_CURVE_MIN / sigma, and large
-# enough that exp(-quantile Re(s - c)) alone falls to exp(-_SP_DECAY) by
-# v = _SP_V.
+# Tail for two or more weights: trapezoid rule in v along a path through
+# the saddle point, t = sigma _SP_SINH sinh(v / _SP_SINH), step halved from
+# _SP_H until two successive estimates agree to _SP_RTOL relative.  The
+# first pass runs over [0, _SP_V], doubled up to _SP_V_MAX while its last
+# node exceeds _SP_TRIM times the sum; later passes stop one node past the
+# last first-pass node above that.  The path starts as a parabola of
+# curvature at least _SP_CURVE_MIN / sigma and bends toward the rays
+# Re(s - c) = _SP_SLOPE |Im s|.
 _SP_CURVE_MIN = 0.1
-_SP_DECAY = 60.0
-_SP_V = 20.0
-_SP_H = 0.4
+_SP_SLOPE = 8.0
+_SP_SINH = 4.0
+_SP_V = 10.0
+_SP_V_MAX = 320.0
+_SP_H = 0.3
 _SP_RTOL = 1e-12
 _SP_TRIM = 1e-17
 _SP_MAX_HALVINGS = 6
 # The contour integral is the same through any point of the interval, so
-# the saddle only has to be close: Newton stops after a step this small
-# relative to the point, which leaves an error of about its square.
-_SP_SADDLE_RTOL = 1e-5
+# the saddle only has to be close: Newton stops within this many saddle
+# widths sigma of the root, where exp(phi) is still within 0.5% of its
+# value at the saddle.
+_SP_SADDLE_TOL = 0.1
 _SP_MAX_NEWTON = 50
+# Below exp(_LOG_UNDERFLOW), half the smallest subnormal, a tail rounds to 0.
+_LOG_UNDERFLOW = -746.0
 
 
 def _saddle(w: np.ndarray, quantile: float, upper: bool) -> float:
     """Root of ``g(s) = sum_k w_k s / (1 - 2 w_k s) - quantile s - 1``, above or below 0.
 
     ``g(s) = s (K'(s) - quantile) - 1`` vanishes where ``K(s) - s quantile
-    - log|s|`` is stationary; ``K`` is the cumulant generating function.
-    ``g`` is convex on ``s < 1 / (2 w_max)`` with ``g(0) = -1``, so it has
-    one root on each side of 0, and Newton's method started where
-    ``g >= 0`` moves monotonically onto the root without leaving the
-    interval.  The start is the root of a lower bound of ``g``.  Above 0
-    there are two, each zero at the positive root of ``a s^2 + b s - 1``:
-    the largest weight's term plus ``w s`` for every other weight, and
-    Jensen's inequality, ``sum w_k / (1 - 2 w_k s) >= sum w / (1 - 2 wbar
-    s)`` for the mean weight ``wbar = sum w^2 / sum w``; the smaller root
-    is the tighter start.  Below 0 every term is at least -1/2.  Each step
+    - log|s|`` is stationary; ``K`` is the cumulant generating function,
+    finite between the poles ``1 / (2 w_min)`` (for a negative weight) and
+    ``1 / (2 w_max)``.  There ``g`` is convex, ``g'' = sum 4 w_k^2 / (1 -
+    2 w_k s)^3``, with ``g(0) = -1``, so it has at most one root on each
+    side of 0 (the caller asks for a side that has one), and Newton's
+    method started where ``g >= 0`` moves monotonically onto the root
+    without leaving the interval.  The chord from ``(s, g(s))`` to ``(0,
+    -1)`` lies above ``g``, so the root is within ``|s| g / (1 + g)`` of
+    ``s``; Newton stops when that is at most ``_SP_SADDLE_TOL`` times the
+    width ``phi''^(-1/2)``, with ``phi'' = g' / s`` as at the root.
+
+    Above 0 the start is the smaller positive root of ``a s^2 + b s - 1``
+    for two lower bounds of ``g``: the largest weight's term plus ``w s``
+    for every other weight, and, when every weight is positive, Jensen's
+    inequality ``sum w_k / (1 - 2 w_k s) >= sum w / (1 - 2 wbar s)`` for
+    the mean weight ``wbar = sum w^2 / sum w``.  Below 0 every term is at
+    least -1/2, so ``g >= 0`` at ``-(K/2 + 1) / quantile``; when that
+    point lies past the negative pole, or the quantile is 0, the start
+    moves from halfway to the pole toward it until ``g >= 0``.  Each step
     evaluates ``g`` and ``g'`` from one pass over the weights.
     """
+    w2 = w + w
+
+    def g_and_slope(s: float) -> tuple[float, float]:
+        inv = 1.0 / (1.0 - w2 * s)
+        return s * (float(w @ inv) - quantile) - 1.0, float((w * inv) @ inv) - quantile
+
     if upper:
         total, top = float(w.sum()), float(w.max())
-        wbar = float(w @ w) / total
         rest = quantile - total + top
+        bounds = [(2.0 * top * rest, 3.0 * top - rest)]
+        if w.min() > 0.0:
+            wbar = float(w @ w) / total
+            bounds.append((2.0 * wbar * quantile, total + 2.0 * wbar - quantile))
         s = math.inf
-        for a, b in ((2.0 * top * rest, 3.0 * top - rest),
-                     (2.0 * wbar * quantile, total + 2.0 * wbar - quantile)):
-            root = math.sqrt(b * b + 4.0 * a)
+        for a, b in bounds:
+            root = math.hypot(b, 2.0 * math.sqrt(a))
             s = min(s, (root - b) / (2.0 * a) if b < 0.0 else 2.0 / (b + root))
     else:
-        s = -(0.5 * w.size + 1.0) / quantile
-    w2 = w + w
+        pole = 0.5 / float(w.min()) if w.min() < 0.0 else -math.inf
+        s = -(0.5 * w.size + 1.0) / quantile if quantile > 0.0 else -math.inf
+        if s <= pole:
+            s = 0.5 * pole
+            while g_and_slope(s)[0] < 0.0:
+                s = 0.5 * (s + pole)
     for _ in range(_SP_MAX_NEWTON):
-        inv = 1.0 / (1.0 - w2 * s)
-        g = s * (float(w @ inv) - quantile) - 1.0
-        if g <= 0.0:  # on the root to rounding
+        g, slope = g_and_slope(s)
+        if g * g * s * slope <= _SP_SADDLE_TOL * _SP_SADDLE_TOL:
             break
-        step = g / (float((w * inv) @ inv) - quantile)
-        s -= step
-        if abs(step) <= _SP_SADDLE_RTOL * abs(s):
-            break
+        s -= g / slope
     return s
 
 
 def _contour_sf(w: np.ndarray, quantile: float) -> float | None:
-    """P(sum w_k Z_k^2 > quantile) for positive weights, along a path through the saddle point.
+    """P(sum w_k Z_k^2 > quantile) for ``max|w| = 1``, ``quantile >= 0``, through the saddle point.
 
     With ``K(s) = -1/2 sum log(1 - 2 w_k s)``, the integral
     ``(1/(2 pi i)) int exp(K(s) - s quantile) ds / s`` up the line
     ``Re s = c`` is the tail for ``0 < c < 1/(2 w_max)`` and the tail minus
-    one for ``c < 0`` (Rice 1980).  ``c`` is the saddle point
-    (:func:`_saddle`) above 0 when ``quantile`` exceeds the mean
-    ``sum w`` and below 0 otherwise, so the lower tail comes out as the
-    complement without cancellation.  The line is bent into the parabola
-    ``s = c + alpha t^2 + i t``, ``t = sigma v``.  With ``phi(s) = K(s) -
-    s quantile - log|s|``, ``sigma = phi''(c)^(-1/2)`` is the saddle's
+    one for ``1/(2 w_min) < c < 0``, whatever the signs of the weights
+    (Rice 1980).  ``c`` is the saddle point (:func:`_saddle`) above 0 when
+    ``quantile`` exceeds the mean ``sum w`` and below 0 otherwise, so the
+    lower tail comes out as the complement without cancellation.  The line
+    is bent into ``s = c + alpha t^2 / sqrt(1 + (alpha t / m)^2) + i t``,
+    ``m = _SP_SLOPE``: a parabola near ``c`` and rays far out.  It meets
+    the real axis, where the singularities lie, only at ``c``, and the
+    rays keep it at a fixed angle from the branch points of small weights
+    far to the right, which a parabola approaches.  With ``phi(s) = K(s)
+    - s quantile - log|s|``, ``sigma = phi''(c)^(-1/2)`` is the saddle's
     width and ``alpha`` the curvature ``phi'''(c) / (6 phi''(c))`` of the
-    steepest-descent path at ``c``, raised to the floors above.  By
-    conjugate symmetry the integral is ``(1/pi) int_0^inf Im[...] dt``.
+    steepest-descent path at ``c``, raised to the floor above.  The map
+    ``t = sigma a sinh(v / a)`` is linear near the saddle and exponential
+    far out, where the integrand of a quantile near 0 decays only like a
+    power of ``t`` (Takahasi & Mori 1974).  By conjugate symmetry the
+    integral is ``(1/pi) int_0^inf Im[...] dt``.
     ``exp(K(c) - c quantile)`` is factored out, so tails near 1e-300 keep
-    their relative accuracy.  Returns None when the saddle point leaves
-    the floating-point range, the integrand has not decayed by
-    ``v = _SP_V`` or the step halvings do not converge.
+    their relative accuracy; a tail whose Chernoff bound at ``s = 1/4``
+    underflows is 0.  Returns None when the saddle point leaves the
+    floating-point range, the integrand has not decayed by ``v =
+    _SP_V_MAX`` or the step halvings do not converge.
     """
-    top = float(w.max())
-    w, quantile = w / top, quantile / top  # the tail is scale-free
     upper = quantile > float(w.sum())
+    if upper and 0.25 * quantile > w.size - _LOG_UNDERFLOW:
+        return 0.0  # Chernoff: the tail is below exp(K(1/4) - quantile / 4), K(1/4) < w.size
     c = _saddle(w, quantile, upper)
     d = 1.0 - 2.0 * w * c
     if not (math.isfinite(c) and (c > 0.0) == upper and d.min() > 0.0):
@@ -480,35 +342,48 @@ def _contour_sf(w: np.ndarray, quantile: float) -> float | None:
     if not (0.0 < phi2 < math.inf and math.isfinite(phi3)):
         return None  # a quantile at the edge of the floating-point range
     sigma = 1.0 / math.sqrt(phi2)
-    alpha = max(phi3 / (6.0 * phi2), _SP_CURVE_MIN / sigma,
-                _SP_DECAY / (quantile * (sigma * _SP_V) ** 2))
+    alpha = max(phi3 / (6.0 * phi2), _SP_CURVE_MIN / sigma)
     log_scale = -0.5 * float(np.log(d).sum()) - c * quantile
 
     def integrand(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Im and modulus of ``exp(K(s) - K(c) - (s - c) quantile) s'(t) / s``, ``t = sigma v``.
+        """Im and modulus of ``exp(K(s) - K(c) - (s - c) quantile) s'(t) / s``.
 
-        In real arithmetic: each ``1 - beta_k (s - c)`` is ``re - i im``.
+        Times the Jacobian ``dt / (sigma dv)``, in real arithmetic: each
+        ``1 - beta_k (s - c)`` is ``re - i im``.
         """
-        t = sigma * v
+        grow = np.exp(v / _SP_SINH)
+        shrink = 1.0 / grow
+        t = (0.5 * sigma * _SP_SINH) * (grow - shrink)
         at = alpha * t
-        shift = at * t  # Re(s - c)
+        unbend = _SP_SLOPE / np.hypot(_SP_SLOPE, at)
+        lean = at * unbend
+        shift = lean * t  # Re(s - c)
+        slope = lean * (1.0 + unbend * unbend)  # d Re(s) / dt
         im = np.multiply.outer(t, beta)
-        re = 1.0 - at[:, None] * im
+        re = 1.0 - lean[:, None] * im
         log_mod = np.log(re * re + im * im).sum(axis=1)
         phase = 0.5 * np.arctan2(im, re).sum(axis=1) - quantile * t
-        # s'(t) / s = (2 alpha t + i) / (x + i t) = (num_re + i num_im) / |s|^2
+        # s'(t) / s = (slope + i) / (x + i t) = (num_re + i num_im) / |s|^2
         x = c + shift
-        num_re = (2.0 * at) * x + t
-        num_im = x - 2.0 * shift
-        scale = np.exp(-0.25 * log_mod - quantile * shift) / (x * x + t * t)
+        num_re = slope * x + t
+        num_im = x - slope * t
+        scale = (0.5 * (grow + shrink) * np.exp(-0.25 * log_mod - quantile * shift)
+                 / (x * x + t * t))
         return (scale * (num_re * np.sin(phase) + num_im * np.cos(phase)),
                 scale * np.hypot(num_re, num_im))
 
     h = 0.5 * _SP_H
-    values, modulus = integrand(h * np.arange(1, int(_SP_V / h) + 1))
+    n = round(_SP_V / h)
+    values, modulus = integrand(h * np.arange(1, n + 1))
     total = 0.5 / c + float(values.sum())
+    while modulus[-1] > _SP_TRIM * abs(total) and n * h < _SP_V_MAX:
+        more, more_modulus = integrand(h * np.arange(n + 1, 2 * n + 1))
+        values = np.concatenate([values, more])
+        modulus = np.concatenate([modulus, more_modulus])
+        total += float(more.sum())
+        n *= 2
     live = np.flatnonzero(modulus > _SP_TRIM * abs(total))
-    if live.size and live[-1] == values.size - 1:
+    if live.size and live[-1] == n - 1:
         return None
     end = h * (live[-1] + 2 if live.size else 1)
     # The first pass holds the rules with steps _SP_H and _SP_H / 2.
@@ -528,92 +403,59 @@ def _contour_sf(w: np.ndarray, quantile: float) -> float | None:
     return min(tail, 1.0) if upper else max(1.0 - tail, 0.0)
 
 
-def _moment_match_sf(weights: np.ndarray, x: float) -> float:
-    """Moment-matched chi-squared approximation to the tail.
+def weighted_chisq_sf(weights, x: float) -> float:
+    """P(sum_k w_k (Z_k^2 - 1) > x) for independent standard normals.
 
-    Matches the mean, variance and skewness of ``sum w_k (Z_k^2 - 1)`` to
-    a location-scale chi-squared, mirroring the distribution when the
-    skewness is negative.  Used only when the oscillatory integral is
-    unavailable, so its scipy import is local.
-    """
-    from scipy.stats import chi2, norm
-
-    w = weights
-    c2 = 2.0 * np.sum(w**2)
-    c3 = 8.0 * np.sum(w**3)
-    sd = np.sqrt(c2)
-    t = x / sd
-    s1 = c3 / c2**1.5
-    if s1 < 0.0:
-        # Mirror: the tail of the sum equals the lower tail of the flipped sum.
-        return 1.0 - _moment_match_sf(-w, -x)
-    if s1 < 1e-12:
-        return float(norm.sf(t))
-    # No noncentral fit: Cauchy-Schwarz gives s1^2 <= (2/3) c4 / c2^2 for c4 = 48 sum w^4.
-    df = max((1.0 / s1)**2, 1e-8)
-    return float(chi2.sf(t * np.sqrt(2.0 * df) + df, df))
-
-
-def _weighted_chisq_sf_impl(weights, x: float) -> tuple[float, str]:
-    """Tail probability plus the method tag ('imhof' or 'moment-match').
-
-    The tag 'imhof' covers every exact route: the chi-squared tail for one
-    weight, :func:`_two_weight_sf` for two, :func:`_contour_sf` for three
-    or more positive weights, and the inversion integral
-    (:func:`_imhof_sf`) for mixed signs or when the other rules do not
-    converge.  Only when that gives up too does the moment match run.
+    Weights may be signed; zero weights are dropped, and a weight, their
+    sum or ``x`` that is not finite raises :class:`DistributionError`.
+    One weight gives the exact chi-squared tail, ``erfc(sqrt(q / 2))`` at
+    ``q = 1 + x / w`` (``erf`` for a negative weight).  Two or more
+    weights, of any signs, take a trapezoid rule on a contour through the
+    saddle point (:func:`_contour_sf`), stopped when successive estimates
+    agree to 1e-12 relative: about 1e-12 relative accuracy down to tails
+    near 1e-300, and on the side of the mean where p is near 1 it
+    computes 1 - p directly, so p keeps full accuracy there.  A negative
+    uncentered quantile ``q = x + sum w`` is mirrored, ``P(S > q) = 1 -
+    P(-S > -q)``; a tail below the floating-point range is 0.  An input
+    the rule cannot resolve raises :class:`InternalConsistencyError`.
     """
     w = np.asarray(weights, dtype=float).ravel()
     w = w[w != 0.0]
+    x = float(x)
+    quantile = x + float(w.sum())
+    if not math.isfinite(quantile):
+        raise DistributionError(
+            f"weights, their sum and x must be finite, got {w.tolist()!r} and {x!r}"
+        )
     if w.size == 0:
         raise DegenerateDistributionError(
             "the weighted chi-squared law needs at least one nonzero weight"
         )
-    x = float(x)
     if w.size == 1:
         # Single component: exact chi-squared tail.
         scale = w[0]
         quantile = 1.0 + x / scale
         if scale > 0.0:
-            return (1.0 if quantile <= 0.0 else math.erfc(math.sqrt(0.5 * quantile))), "imhof"
-        return (0.0 if quantile <= 0.0 else math.erf(math.sqrt(0.5 * quantile))), "imhof"
-    quantile = x + float(w.sum())
-    positive = w.min() > 0.0
+            return 1.0 if quantile <= 0.0 else math.erfc(math.sqrt(0.5 * quantile))
+        return 0.0 if quantile <= 0.0 else math.erf(math.sqrt(0.5 * quantile))
     # Same-sign weights pin the support to a half line; outside it the
     # answer is exact and no integral is needed.
-    if positive and quantile <= 0.0:
-        return 1.0, "imhof"
-    if w.max() < 0.0 and quantile >= 0.0:
-        return 0.0, "imhof"
-    if w.size == 2:
-        p = _two_weight_sf(float(w[0]), float(w[1]), quantile)
-    else:
-        p = _contour_sf(w, quantile) if positive else None
+    low, high = float(w.min()), float(w.max())
+    if low > 0.0 and quantile <= 0.0:
+        return 1.0
+    if high < 0.0 and quantile >= 0.0:
+        return 0.0
+    mirror = quantile < 0.0
+    scale = max(high, -low)  # the tail is scale-free
+    if mirror:
+        scale = -scale
+    p = _contour_sf(w / scale, quantile / scale)
     if p is None:
-        p = _imhof_sf(w, quantile)
-    if p is not None:
-        return p, "imhof"
-    return float(min(max(_moment_match_sf(w, x), 0.0), 1.0)), "moment-match"
-
-
-def weighted_chisq_sf(weights, x: float) -> float:
-    """P(sum_k w_k (Z_k^2 - 1) > x) for independent standard normals.
-
-    Weights may be signed; zero weights are dropped.  One weight gives the
-    exact chi-squared tail, ``erfc(sqrt(q / 2))`` at ``q = 1 + x / w``
-    (``erf`` for a negative weight).  Two weights use a finite polar-angle
-    integral (tanh-sinh rule, stopped when successive estimates agree to 1e-12
-    relative, so the absolute error is below 1e-12 and far-tail values keep
-    their relative accuracy).  Three or more positive weights use a
-    trapezoid rule on a contour through the saddle point, stopped the same
-    way: about 1e-12 relative accuracy down to tails near 1e-300, and
-    below the mean it computes 1 - p directly, so p keeps full accuracy
-    next to 1.  Mixed signs use characteristic-function inversion with
-    absolute accuracy about 1e-9, falling back to a three-cumulant moment
-    match (flagged via :func:`independence_test`) if the integral cannot
-    be resolved.
-    """
-    return _weighted_chisq_sf_impl(weights, x)[0]
+        raise InternalConsistencyError(
+            f"the saddle-point contour did not converge for weights {w.tolist()!r} "
+            f"at quantile {quantile!r}"
+        )
+    return 1.0 - p if mirror else p
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +464,10 @@ def weighted_chisq_sf(weights, x: float) -> float:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of an independence test on one contingency table."""
+    """Outcome of an independence test on one contingency table.
+
+    ``method`` is ``"imhof"``, the tag of the exact analytic tail.
+    """
 
     statistic: float
     estimator: str
@@ -649,12 +494,11 @@ def _test_result(ns: NullSpectrum, statistic: float, estimator: str,
         threshold = statistic
     else:
         threshold = statistic - ns.bias_shift / norm_const
-    p, method = _weighted_chisq_sf_impl(weights, threshold)
     return TestResult(
         statistic=float(statistic),
         estimator=estimator,
-        p_value=p,
-        method=method,
+        p_value=weighted_chisq_sf(weights, threshold),
+        method="imhof",
         lambdas=ns.lambdas,
         mus=ns.mus,
         bias_shift=ns.bias_shift,

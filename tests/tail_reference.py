@@ -1,15 +1,15 @@
-"""Exact references for tails of positive weighted sums of chi-squares.
+"""Exact references for tails of weighted sums of chi-squares.
 
-The package computes the tail of ``sum_k w_k Z_k^2`` for three or more
-positive weights with a contour integral through the saddle point
+The package computes the tail of ``sum_k w_k Z_k^2`` for two or more
+weights of any signs with a contour integral through the saddle point
 (``catdcor.inference._contour_sf``).  These references reach the same
 probabilities another way, by one-dimensional convolution with
 ``scipy.integrate.quad`` and the chi-squared functions of
 ``scipy.special``, so tests compare the contour with a separate
-implementation.  Each returns the
-upper tail, or with ``lower=True`` the lower tail ``P(sum <= q)``, which
-keeps its relative accuracy where the upper tail rounds to 1.  Both are
-accurate to about 1e-13 relative, far into the tail.
+implementation.  The positive-weight ones return the upper tail, or with
+``lower=True`` the lower tail ``P(sum <= q)``, which keeps its relative
+accuracy where the upper tail rounds to 1.  All are accurate to about
+1e-13 relative, far into the tail.
 """
 
 import math
@@ -71,3 +71,19 @@ def three_weight_sf(a, b, c, q, lower=False):
     body = _quad(lambda r: density(r) * special.chdtrc(1, (q - r) / a), q)
     beyond = integrate.quad(density, q, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)[0]
     return body + beyond
+
+
+def mixed_sf(a, b, c, q):
+    """P(a X + b Y - c Z > q) for independent chi2_1 ``X``, ``Y``, ``Z``.
+
+    Needs ``a >= b > 0`` and ``c > 0``.  Integrates the closed-form
+    density of ``a X + b Y`` at ``r`` against the chi2_1 distribution
+    function of ``Z`` at ``(r - q) / c``, over ``r >= max(q, 0)``; the
+    integrand has a square-root edge at ``r = q``, the lower end, and past
+    ``r - max(q, 0) = 2000 a`` it is below 1e-400.
+    """
+    density = _pair_density(a, b)
+    start = max(q, 0.0)
+    offset = start - q  # exact, so small r - q keep their relative precision
+    return _quad(lambda u: density(start + u) * special.chdtr(1, (u + offset) / c),
+                 2000.0 * a)

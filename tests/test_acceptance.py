@@ -179,7 +179,7 @@ def test_criterion_04_spectrum_identities():
 
 
 def test_criterion_05_weighted_chisq_tail():
-    """Characteristic-function inversion vs 1e6-draw Monte Carlo within 0.003."""
+    """Saddle-point contour tail of signed weights vs 1e6-draw Monte Carlo within 0.003."""
     rng = np.random.default_rng(105)
     worst = 0.0
     for _ in range(20):

@@ -399,7 +399,7 @@ class TestTestCommand:
             assert {"mle", "unbiased"} <= set(entry["statistic"])
             assert {"mle", "unbiased"} == set(entry["p_values"])
             assert entry["p_value"] == entry["p_values"]["mle"]  # default kind
-            assert entry["method"] in ("imhof", "moment-match", "permutation")
+            assert entry["method"] in ("imhof", "permutation")
             assert len(entry["lambdas"]) == levels[name] - 1  # feature margin
             assert len(entry["mus"]) == 2  # grade response, 3 levels
             ci = entry["confidence_interval"]

@@ -2,10 +2,10 @@
 
 Loading ``scipy.stats`` and ``scipy.optimize`` costs about a second per
 process, more than a whole ``catdcor test`` or ``catdcor screen`` run.
-Only joint construction (``build_joint``, ``catdcor simulate``) and the
-flagged moment-match fallback need scipy, and they import it on first
-use.  Each check runs in a fresh interpreter with ``PYTHONPATH=src`` and
-lists the scipy modules loaded when it finishes.
+Only joint construction (``build_joint``, ``catdcor simulate``) needs
+scipy, and it imports it on first use.  Each check runs in a fresh
+interpreter with ``PYTHONPATH=src`` and lists the scipy modules loaded
+when it finishes.
 """
 
 import csv
@@ -73,6 +73,12 @@ def inputs(tmp_path):
 
 @pytest.mark.parametrize("code", ["import catdcor", "import catdcor.cli"])
 def test_import_loads_no_scipy(code, tmp_path):
+    assert scipy_modules_after(code, tmp_path) == []
+
+
+def test_mixed_sign_tail_loads_no_scipy(tmp_path):
+    code = ("from catdcor import weighted_chisq_sf\n"
+            "assert 0.0 < weighted_chisq_sf([1.0, -0.5, 0.25, -1e-6], 0.3) < 1.0\n")
     assert scipy_modules_after(code, tmp_path) == []
 
 

@@ -20,6 +20,7 @@ from catdcor import (
     DegenerateCategoryError,
     DegenerateDistributionError,
     DegenerateMarginError,
+    DistributionError,
     InsufficientReplicatesError,
     JointDistribution,
     JointTable,
@@ -46,6 +47,7 @@ from catdcor import (
     weighted_chisq_sf,
 )
 import scalar_reference as ref
+import tail_fuzz
 import tail_reference as tails
 
 DM2 = distance_matrix(one_hot(2))
@@ -227,6 +229,16 @@ class TestWeightedChisqSf:
         with pytest.raises(DegenerateDistributionError):
             weighted_chisq_sf([0.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("weights, x", [
+        ([1.0, math.nan], 0.0), ([1.0, 0.5], math.nan), ([1.0, math.inf], 0.0),
+        ([1.0, 0.5], math.inf), ([math.nan], 0.0), ([1.0], math.nan),
+        ([-math.inf], 0.0), ([1.0, -0.5], -math.inf),
+    ], ids=["nan-weight", "nan-x", "inf-weight", "inf-x", "single-nan-weight",
+            "single-weight-nan-x", "single-inf-weight", "minus-inf-x"])
+    def test_non_finite_input_rejected(self, weights, x):
+        with pytest.raises(DistributionError, match="must be finite"):
+            weighted_chisq_sf(weights, x)
+
     def test_bounds(self):
         rng = np.random.default_rng(47)
         w = rng.uniform(-1.0, 1.0, size=5)
@@ -254,14 +266,6 @@ def two_weight_reference(w0, w1, q):
     return sum(integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-13,
                               limit=500)[0]
                for a, b in zip(edges[:-1], edges[1:]))
-
-
-def five_by_five_weights():
-    rng = np.random.default_rng(51)
-    ns = null_spectrum(random_marginal(rng, 5), random_marginal(rng, 5),
-                       random_distance(rng, 5), random_distance(rng, 5))
-    weights = np.outer(ns.lambdas, ns.mus).ravel()
-    return weights / np.sqrt(np.sum(weights**2))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -294,51 +298,23 @@ class TestTailExactReferences:
         # P(0.75 Z0^2 - 0.25 Z1^2 > 0) = (2/pi) atan(sqrt(3)) = 2/3
         assert abs(weighted_chisq_sf([0.75, -0.25], -0.5) - 2.0 / 3.0) <= 1e-15
 
-    def test_skewed_pair_needs_no_inversion(self, monkeypatch):
-        def inversion_called(*args, **kwargs):
-            raise AssertionError("the two-weight path fell back to inversion")
-
-        monkeypatch.setattr(inference, "_imhof_sf", inversion_called)
+    def test_skewed_pair_needs_no_inversion(self):
         for x in (-0.9, -0.5, 0.0, 1.0, 5.0, 30.0):
             q = x + 1.0 + 1e-6
             expected = two_weight_reference(1e-6, 1.0, q)
             assert abs(weighted_chisq_sf([1.0, 1e-6], x) - expected) <= 1e-12
             assert abs(weighted_chisq_sf([-1e-6, -1.0], -x) - (1.0 - expected)) <= 1e-12
 
-    @pytest.mark.parametrize("name", ["5x5", "2x3", "skewed"])
-    def test_cutoff_brackets_the_envelope_crossing(self, name):
-        weights = {
-            "5x5": five_by_five_weights(),
-            "2x3": np.array([0.70746042, 0.70675296]),
-            "skewed": np.array([1.0, 1e-6]),
-        }[name]
-        for target in (1e-12, 1e-9 * 0.5 / 8.0, 1e-9 * 20.0 / 8.0):
-            log_target = math.log(target)
-            cutoff = inference._find_cutoff(weights, log_target)
-            assert 1.0 < cutoff < math.inf
-            log_cut = math.log(cutoff)
-            assert inference._envelope_log(log_cut, weights) <= log_target
-            step_below = log_cut - inference._CUTOFF_STEP
-            assert inference._envelope_log(step_below, weights) > log_target
-
-    def test_cutoff_search_is_overflow_free(self):
-        # not reached by the end of the grid, u = e^390, where w u overflows
-        # a plain square
-        assert inference._find_cutoff(np.array([1e-3, 2e-3]), -1000.0) == math.inf
-        assert inference._find_cutoff(np.array([1.0, 0.5, 0.1]), 1.0) == 1.0
-
 
 def contour_tail(weights, quantile):
-    """The public tail at ``quantile`` (not centered), checked to take an exact route."""
+    """The public tail at ``quantile`` (not centered)."""
     weights = np.asarray(weights, dtype=float)
-    p, method = inference._weighted_chisq_sf_impl(weights, quantile - weights.sum())
-    assert method == "imhof"
-    return p
+    return weighted_chisq_sf(weights, quantile - weights.sum())
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestContourExactReferences:
-    """Three or more positive weights: the saddle-point contour against exact tails.
+    """Positive weights: the saddle-point contour against exact tails.
 
     Above the mean the contour computes p, below it 1 - p; either way p
     must be within 1e-12 relative of the reference.
@@ -385,83 +361,74 @@ class TestContourExactReferences:
                 assert abs(contour_tail(weights, q) - expected) <= 1e-12 * expected, (weights, q)
 
     def test_skewed_weights_keep_the_exact_route(self):
-        # The inversion integral gives up here; the moment match was 6.65e-5.
+        # The removed inversion integral gave up here; the moment match gave 6.65e-5.
         p = contour_tail([1.0, 1e-6, 1e-6], 30.0)
         assert abs(p - 4.3204675140067725e-08) <= 1e-12 * p
         assert abs(p - tails.two_group_sf(1.0, 1, 1e-6, 2, 30.0)) <= 1e-12 * p
 
     def test_tiny_quantile_complement(self):
-        # The inversion integral's 1e-9 absolute accuracy failed here (3.7e-7 off).
+        # The removed inversion integral was 3.7e-7 off here.
         expected = 1.0 - tails.three_weight_sf(1.0, 0.5, 1e-9, 1e-8, lower=True)
         assert abs(contour_tail([1.0, 0.5, 1e-9], 1e-8) - expected) <= 1e-12 * expected
 
     def test_far_tail_below_the_inversion_floor(self):
-        # The inversion integral returned 5.2e-11.
+        # The removed inversion integral returned 5.2e-11.
         expected = tails.three_weight_sf(1.0, 0.5, 0.25, 1000.0)
         assert 2.9e-219 < expected < 3.0e-219
         assert abs(contour_tail([1.0, 0.5, 0.25], 1000.0) - expected) <= 1e-12 * expected
 
 
-def three_by_three_weights():
-    """Weights of a 3 x 3 product spectrum (all positive)."""
-    return np.outer([0.5, 0.3, 0.2], [0.6, 0.25, 0.15]).ravel()
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestMixedSignExactReferences:
+    """Mixed signs: the contour against the convolution ``tails.mixed_sf``, at 1e-12 absolute."""
+
+    @pytest.mark.parametrize("a, b, c", [
+        (1.0, 0.5, 0.3), (1.0, 1e-3, 0.7), (0.4, 0.3, 1.0), (1.0, 0.2, 1e-6),
+        (0.6, 0.6, 0.6), (1.0, 1e-6, 1.0)])
+    def test_three_weights_match_convolution(self, a, b, c):
+        mean = a + b - c
+        sd = math.sqrt(2.0 * (a * a + b * b + c * c))
+        far = mean + 30.0 * sd
+        for q in (0.0, 1e-12, -1e-12, mean - 2.0 * sd, mean, mean + sd, far, -30.0 * c):
+            expected = tails.mixed_sf(a, b, c, q)
+            assert abs(contour_tail([a, b, -c], q) - expected) <= 1e-12, q
+            # Two negative weights: P(c Z - a X - b Y > -q) = 1 - P(a X + b Y - c Z > q).
+            assert abs(contour_tail([c, -a, -b], -q) - (1.0 - expected)) <= 1e-12, q
+        expected = tails.mixed_sf(a, b, c, far)
+        assert abs(contour_tail([a, b, -c], far) - expected) <= 1e-12 * expected
 
 
-class TestMomentMatchFallback:
-    """The flagged fallback, reached by making both exact integrals give up.
+def test_skewed_mixed_signs_are_exact():
+    # The removed inversion integral gave up here, and the moment match gave 6.65e-5.
+    p = weighted_chisq_sf([1.0, -1e-6, 1e-6], 29.0)
+    assert abs(p - 4.320463057829787e-08) <= 1e-12 * p
+    assert abs(p - tails.mixed_sf(1.0, 1e-6, 1e-6, 30.0)) <= 1e-12 * p
 
-    Pinned values were computed by the four-cumulant formula with scipy's
-    ``chi2.sf`` and ``norm.sf`` imported at module level.
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_adversarial_spectra():
+    """Every sign pattern near the quantile 0, and beyond the floating-point range.
+
+    ``tail_fuzz`` draws the spectra and holds each case's value from before
+    the contour took every spectrum.  The tail must be within 1e-9 of it
+    where it was tagged ``imhof``.  Where it was more than 1e-9 off a
+    30-digit value pinned beside it, or came from the moment match, the
+    tail must be within 1e-12 of that value instead.
     """
-
-    @pytest.fixture(autouse=True)
-    def no_inversion(self, monkeypatch):
-        monkeypatch.setattr(inference, "_contour_sf", lambda *args, **kwargs: None)
-        monkeypatch.setattr(inference, "_imhof_sf", lambda *args, **kwargs: None)
-
-    @pytest.mark.parametrize("sign, x, expected", [
-        (1.0, -0.2, 0.4179841746901446),
-        (1.0, 0.0, 0.2417728378318548),
-        (1.0, 1.0, 0.05581907995851057),
-        (1.0, 2.5, 0.010902990677052101),
-        # Negative skew: the mirror branch.
-        (-1.0, -1.0, 0.9441809200414895),
-        (-1.0, 0.0, 0.7582271621681452),
-        (-1.0, 0.2, 0.5820158253098554),
-    ])
-    def test_pinned_values(self, sign, x, expected):
-        weights = sign * three_by_three_weights()
-        p, method = inference._weighted_chisq_sf_impl(weights, x)
-        assert method == "moment-match"
-        assert 0.0 <= weighted_chisq_sf(weights, x) <= 1.0
-        assert abs(p - expected) <= 1e-12 * expected
-
-    @pytest.mark.parametrize("x, expected", [
-        (-1.0, 0.6726395769907115), (0.0, 0.5), (0.7, 0.37712152119551867)])
-    def test_zero_skew_is_normal(self, x, expected):
-        # Third cumulant exactly zero: the normal approximation.
-        assert abs(weighted_chisq_sf([1.0, -1.0, 0.5, -0.5], x) - expected) <= 1e-15
-
-    @pytest.mark.parametrize("estimator, expected", [
-        ("mle", 8.441750588884767e-09), ("unbiased", 7.249322797208593e-09)])
-    def test_independence_test_flags_fallback(self, estimator, expected):
-        counts = np.array([[30, 10, 5, 5], [8, 25, 9, 6],
-                           [5, 9, 22, 10], [4, 6, 11, 35]], dtype=float)
-        result = independence_test(JointTable(counts), distance_matrix(ordinal_equal(4)),
-                                   distance_matrix(semicircle_equal(4)), estimator)
-        assert result.lambdas.size == result.mus.size == 3
-        assert result.method == "moment-match"
-        assert 0.0 <= result.p_value <= 1.0
-        assert abs(result.p_value - expected) <= 1e-9 * expected
-
-
-def test_mixed_signs_still_reach_moment_match():
-    # Unpatched: the contour takes only positive weights, and the inversion
-    # integral gives up on a skewed mixed-sign spectrum, so the flagged
-    # fallback is still reachable through the public entry point.
-    p, method = inference._weighted_chisq_sf_impl([1.0, -1e-6, 1e-6], 29.0)
-    assert method == "moment-match"
-    assert 0.0 <= p <= 1.0
+    pins = tail_fuzz.load_pins()
+    cases = list(tail_fuzz.cases())
+    assert len(pins) == len(cases)
+    for (pattern, weights, quantile), pin in zip(cases, pins):
+        p = weighted_chisq_sf(weights, quantile - weights.sum())
+        assert 0.0 <= p <= 1.0
+        if pin["exact"] is not None:
+            assert abs(p - pin["exact"]) <= 1e-12, (pattern, weights, quantile)
+        else:
+            assert pin["parent_method"] == "imhof"
+            assert abs(p - pin["parent"]) <= 1e-9, (pattern, weights, quantile)
+    for _, weights, _ in cases[::3]:
+        assert weighted_chisq_sf(weights, 1e300) == 0.0
+        assert weighted_chisq_sf(-weights, -1e300) == 1.0
 
 
 class TestAnalyticNull:
@@ -531,7 +498,7 @@ class TestAnalyticNull:
         result = independence_test(t, dx, dy, estimator="unbiased")
         assert result.lambdas.shape == (1,)
         assert result.mus.shape == (2,)
-        assert result.method in ("imhof", "moment-match")
+        assert result.method == "imhof"
         assert result.estimator == "unbiased"
         assert 0.0 <= result.p_value <= 1.0
         assert_allclose(result.statistic, t.n * result.statistic / t.n)
