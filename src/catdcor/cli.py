@@ -16,7 +16,7 @@ import operator
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,12 +56,56 @@ class Dataset:
     dropped_rows: int
 
 
-class _Vocabulary(dict):
-    """Cell string -> index, numbering each new string on first lookup."""
+# Records are decoded by bytes in chunks of about this many bytes.
+_CHUNK = 1 << 16
+# _MASKS[k] keeps the low k bytes of a little-endian word.
+_MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
+# Multiplier that folds a text's later words into its slot key.
+_FOLD = np.uint64(0x9E3779B97F4A7C15)
+# Work cap, in remainders, of the search for a collision-free slot table.
+_SLOT_SEARCH = 1 << 22
 
-    def __missing__(self, key: str) -> int:
-        self[key] = index = len(self)
-        return index
+
+@dataclass(frozen=True)
+class _Labels:
+    """The declared cell texts, numbered, and each analyzed column's codes.
+
+    ``ids`` numbers the missing tokens, then every other declared label; a
+    cell's text id is its number there, or ``len(ids)`` for any other
+    text.  ``table[group[j], t]`` is analyzed column j's code for text id
+    t: its level, -1 for a missing token (which wins over a label with the
+    same text) and -2 for a text the column does not declare.
+    """
+
+    names: tuple[str, ...]
+    ids: dict[str, int]
+    table: np.ndarray
+    group: np.ndarray
+
+    @classmethod
+    def of(cls, encodings: dict[str, Encoding], missing_tokens: Sequence[str]) -> "_Labels":
+        rows: dict[tuple[str, ...], int] = {}
+        group = np.array([rows.setdefault(enc.labels, len(rows))
+                          for enc in encodings.values()], dtype=np.intp)
+        texts = dict.fromkeys(itertools.chain(missing_tokens, *rows))
+        ids = {text: t for t, text in enumerate(texts)}
+        table = np.full((len(rows), len(ids) + 1), -2, dtype=np.int64)
+        for row, labels in zip(table, rows):
+            row[[ids[label] for label in labels]] = np.arange(len(labels))
+        table[:, [ids[token] for token in missing_tokens]] = -1
+        return cls(tuple(encodings), ids, table, group)
+
+    def codes(self, text_ids: np.ndarray) -> np.ndarray:
+        """Codes of the text ids of the analyzed cells, shape (records, columns)."""
+        return self.table.ravel()[text_ids + self.group * self.table.shape[1]]
+
+
+def _positions(header: list[str], names: tuple[str, ...]) -> list[int | None]:
+    """Each name's first position in the header, None where it is absent."""
+    first: dict[str, int] = {}
+    for pos, name in enumerate(header):
+        first.setdefault(name, pos)
+    return [first.get(name) for name in names]
 
 
 def _checked_records(reader, width: int, csv_path: str):
@@ -76,6 +120,207 @@ def _checked_records(reader, width: int, csv_path: str):
                 f"{csv_path}: line {line_no} has {len(row)} fields, expected {width}"
             )
         yield row
+
+
+def _ingest_stream(csv_path: str, labels: _Labels) -> Dataset:
+    """The streaming route of :func:`ingest`, through ``csv.reader``."""
+    names = labels.names
+    try:
+        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{csv_path}: empty file, expected a header row")
+            records = _checked_records(reader, len(header), csv_path)
+            positions = _positions(header, names)
+            if None in positions or not names:
+                codes = np.zeros((sum(1 for _ in records), 0), dtype=np.int64)
+            else:
+                # One analyzed column makes the getter return a cell, not a tuple.
+                cells = map(operator.itemgetter(*positions), records)
+                if len(names) > 1:
+                    cells = itertools.chain.from_iterable(cells)
+                undeclared = itertools.repeat(len(labels.ids))
+                text_ids = np.fromiter(map(labels.ids.get, cells, undeclared),
+                                       dtype=np.int64)
+                codes = labels.codes(text_ids.reshape(-1, len(names)))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {csv_path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{csv_path}: not valid UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{csv_path}: {exc}") from None
+    return _dataset(csv_path, labels, positions, np.asfortranarray(codes))
+
+
+class _Slots(NamedTuple):
+    """A collision-free ``key % m`` table of the declared texts' packed words."""
+
+    m: np.uint64
+    ids: np.ndarray    # text id per slot, the undeclared id where empty
+    words: np.ndarray  # (words per text, m): the bytes, then the length
+    undeclared: int    # the text id of any other text
+
+
+def _slot_keys(words) -> np.ndarray:
+    """One key per text from its packed words (a sequence of arrays)."""
+    keys = words[0]
+    for word in words[1:]:
+        keys = keys * _FOLD + word
+    return keys
+
+
+def _slots(texts: list[bytes]) -> _Slots | None:
+    """The table with the smallest ``m``, or None if none lies within the cap.
+
+    A text packs into little-endian words of 8 bytes, zero past its end,
+    followed by its length.  The search tries ``m`` upward from the number
+    of texts, a batch of 256 at a time, for at most ``_SLOT_SEARCH``
+    remainders: a few hundred labels need ``m`` of a few thousand, while
+    thousands of labels can exhaust the cap.
+    """
+    n_words = max(1, -(-max(map(len, texts)) // 8))
+    words = np.array([[int.from_bytes(text[8 * k:8 * k + 8], "little") for text in texts]
+                      for k in range(n_words)] + [list(map(len, texts))], dtype=np.uint64)
+    keys = _slot_keys(words)
+    for low in range(len(texts), len(texts) + _SLOT_SEARCH // len(texts), 256):
+        moduli = np.arange(low, low + 256, dtype=np.uint64)
+        rem = np.sort(keys[:, None] % moduli, axis=0)
+        distinct = (rem[1:] != rem[:-1]).all(axis=0)
+        if distinct.any():
+            m = moduli[np.argmax(distinct)]
+            slot = (keys % m).view(np.int64)
+            ids = np.full(int(m), len(texts), dtype=np.int64)
+            ids[slot] = np.arange(len(texts))
+            slot_words = np.zeros((len(words), int(m)), dtype=np.uint64)
+            slot_words[:, slot] = words
+            return _Slots(m, ids, slot_words, len(texts))
+    return None
+
+
+def _text_ids(word_at: np.ndarray, start: np.ndarray, length: np.ndarray,
+              slots: _Slots) -> np.ndarray:
+    """Text ids of the cells at byte offsets ``start``, ``length`` bytes long.
+
+    ``word_at[i]`` is the little-endian word of the 8 bytes from offset i.
+    """
+    words = []
+    for k in range(len(slots.words) - 1):
+        word = word_at[start + 8 * k]
+        word &= _MASKS[np.clip(length - 8 * k, 0, 8)]
+        words.append(word)
+    words.append(length.astype(np.uint64))
+    slot = (_slot_keys(words) % slots.m).view(np.int64)
+    found = slots.words[0][slot] == words[0]
+    for word, slot_word in zip(words[1:], slots.words[1:]):
+        found &= slot_word[slot] == word
+    return np.where(found, slots.ids[slot], slots.undeclared)
+
+
+def _ingest_bytes(csv_path: str, labels: _Labels) -> Dataset | None:
+    """The byte route of :func:`ingest`; None for a file it leaves to streaming.
+
+    It takes every file with no ``"`` byte, no ``\\r`` outside a CRLF line
+    end and no cell over ``csv.field_size_limit()`` bytes, and splits it
+    as ``csv.reader`` would: a blank line is a record of 0 fields.  Each
+    chunk of records is split at its ``,`` and ``\\n`` bytes, and each
+    analyzed cell is looked up by its packed bytes in a :class:`_Slots`
+    table; a label set that :func:`_slots` finds no table for streams too.
+    """
+    try:
+        with open(csv_path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {csv_path}: {exc}") from None
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+    if b'"' in raw or b"\r" in raw:
+        return None
+    if not raw:
+        raise ParseError(f"{csv_path}: empty file, expected a header row")
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{csv_path}: not valid UTF-8: {exc.reason}") from None
+    limit = csv.field_size_limit()
+    head = raw[:raw.find(b"\n")] if b"\n" in raw else raw
+    header = head.split(b",") if head else []
+    if any(len(cell) > limit for cell in header):
+        return None
+    width = len(header)
+    positions = _positions([cell.decode("utf-8") for cell in header], labels.names)
+    cols = np.array([] if None in positions else positions, dtype=np.int64)
+    slots = _slots([text.encode("utf-8") for text in labels.ids]) if cols.size else None
+    if cols.size and slots is None:
+        return None
+    # A newline to end the last record, and zero bytes so that every word
+    # read from a cell start stays inside the buffer.
+    pad = 8 * (len(slots.words) - 1 if slots else 1)
+    data = b"".join((raw, b"" if raw.endswith(b"\n") else b"\n", bytes(pad)))
+    del raw
+    buf = np.frombuffer(data, dtype=np.uint8)
+    word_at = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    pos, end = len(head) + 1, len(data) - pad
+    codes = np.empty((data.count(b"\n", pos, end), cols.size), dtype=np.int64, order="F")
+    record = 0
+    while pos < end:
+        chunk_end = data.find(b"\n", min(pos + _CHUNK, end) - 1) + 1
+        # The chunk's bytes, from the newline that ends the line before it.
+        chunk = buf[pos - 1:chunk_end]
+        delims = np.flatnonzero((chunk == ord(",")) | (chunk == ord("\n")))
+        line_ends = np.flatnonzero(chunk[delims] == ord("\n"))
+        line_len = np.diff(delims[line_ends]) - 1
+        if line_len.max() > limit and (np.diff(delims) - 1).max() > limit:
+            return None
+        fields = np.diff(line_ends)
+        fields[line_len == 0] = 0
+        ragged = np.flatnonzero(fields != width)
+        if ragged.size:
+            line = int(ragged[0])
+            raise ParseError(f"{csv_path}: line {record + line + 2} has "
+                             f"{fields[line]} fields, expected {width}")
+        lines = line_ends.size - 1
+        if cols.size:
+            # Every line has ``width`` cells, so cell (r, j) lies between
+            # delimiters r * width + j and r * width + j + 1.
+            before = delims[:-1].reshape(lines, width)[:, cols]
+            length = delims[1:].reshape(lines, width)[:, cols] - before - 1
+            codes[record:record + lines] = labels.codes(
+                _text_ids(word_at, before + pos, length, slots))
+        record += lines
+        pos = chunk_end
+    return _dataset(csv_path, labels, positions, codes)
+
+
+def _dataset(csv_path: str, labels: _Labels, positions: list[int | None],
+             codes: np.ndarray) -> Dataset:
+    """Drop the rows with a missing token and check the labels of the rest."""
+    names = labels.names
+    missing_cols = [name for name, pos in zip(names, positions) if pos is None]
+    if missing_cols:
+        raise ConfigurationError(
+            f"metadata variables absent from the CSV header: {missing_cols}"
+        )
+    dropped = (codes == -1).any(axis=1)
+    if dropped.any():
+        codes = codes.T.compress(~dropped, axis=1).T
+    bad = codes < -1
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), len(names))
+        record = int(np.flatnonzero(~dropped)[row])
+        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+            cells = next(itertools.islice(csv.reader(fh), record + 1, None))
+        raise LabelError(
+            f"{csv_path}: line {record + 2}, column {names[col]!r}: "
+            f"label {cells[positions[col]]!r} is not in the declared level set"
+        )
+    return Dataset(
+        column_names=names,
+        codes=codes,
+        row_count=codes.shape[0],
+        dropped_rows=int(dropped.sum()),
+    )
 
 
 def ingest(csv_path: str, metadata_path: str,
@@ -94,85 +339,20 @@ def ingest(csv_path: str, metadata_path: str,
     (the header is line 1).  A record of the wrong width raises
     :class:`ParseError`, checked before the metadata columns and labels.
 
-    The file is streamed: each record's analyzed cells are numbered
-    through one vocabulary of distinct strings as the record is read,
-    so only one record's strings are alive at a time, and every column
-    is then decoded through a lookup table over its distinct numbers.
+    A file with no ``"`` byte is decoded by bytes, CRLF line ends
+    included.  Only a file with quotes, with a lone ``\\r``, or with a
+    cell over ``csv.field_size_limit()`` is streamed through
+    ``csv.reader`` (so is any file when the metadata declares thousands
+    of distinct labels; see :func:`_slots`).  Both routes number each
+    cell by its declared text and decode every column through one table,
+    so peak memory grows with the number of analyzed cells: about 19
+    bytes each on a wide file of two-byte labels.
     """
     encodings = load_metadata(metadata_path)
-    names = tuple(encodings)
-    try:
-        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{csv_path}: empty file, expected a header row")
-            records = _checked_records(reader, len(header), csv_path)
-            first_position: dict[str, int] = {}
-            for pos, name in enumerate(header):
-                first_position.setdefault(name, pos)
-            missing_cols = [name for name in names if name not in first_position]
-            if missing_cols or not names:
-                n_rows = sum(1 for _ in records)
-                if missing_cols:
-                    raise ConfigurationError(
-                        f"metadata variables absent from the CSV header: {missing_cols}"
-                    )
-                empty = np.zeros((n_rows, 0), dtype=np.int64)
-                return Dataset(names, empty, n_rows, 0), encodings
-            # One analyzed column makes the getter return a cell, not a tuple.
-            cells = map(operator.itemgetter(*(first_position[n] for n in names)),
-                        records)
-            if len(names) > 1:
-                cells = itertools.chain.from_iterable(cells)
-            vocab = _Vocabulary()
-            numbers = np.fromiter(map(vocab.__getitem__, cells), dtype=np.int64)
-            # Column-major, so that each column below is one contiguous run.
-            codes = np.asfortranarray(numbers.reshape(-1, len(names)))
-            del numbers
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {csv_path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{csv_path}: not valid UTF-8: {exc.reason}") from None
-    except csv.Error as exc:
-        raise ParseError(f"{csv_path}: {exc}") from None
-
-    strings = list(vocab)
-    missing = set(missing_tokens)
-    # Decode in place, column by column.  Columns with the same level labels
-    # share one table from cell number to code, filled only for the numbers
-    # they hold: -1 marks a missing token, -2 - v the undeclared label v.
-    columns: dict[tuple[str, ...], list[int]] = {}
-    for j, enc in enumerate(encodings.values()):
-        columns.setdefault(enc.labels, []).append(j)
-    for labels, cols in columns.items():
-        level_of = {label: code for code, label in enumerate(labels)}
-        present = np.zeros(len(strings), dtype=bool)
-        for j in cols:
-            present[codes[:, j]] = True
-        table = np.empty(len(strings), dtype=np.int64)
-        for v in np.flatnonzero(present).tolist():
-            cell = strings[v]
-            table[v] = -1 if cell in missing else level_of.get(cell, -2 - v)
-        for j in cols:
-            codes[:, j] = table[codes[:, j]]
-    dropped = (codes == -1).any(axis=1)
-    if dropped.any():
-        codes = codes.T.compress(~dropped, axis=1).T
-    bad = codes < -1
-    if bad.any():
-        row, col = divmod(int(np.argmax(bad)), len(names))
-        record = int(np.flatnonzero(~dropped)[row])
-        raise LabelError(
-            f"{csv_path}: line {record + 2}, column {names[col]!r}: "
-            f"label {strings[-2 - int(codes[row, col])]!r} is not in the declared level set"
-        )
-    dataset = Dataset(
-        column_names=names,
-        codes=codes,
-        row_count=codes.shape[0],
-        dropped_rows=int(dropped.sum()),
-    )
+    labels = _Labels.of(encodings, missing_tokens)
+    dataset = _ingest_bytes(csv_path, labels)
+    if dataset is None:
+        dataset = _ingest_stream(csv_path, labels)
     return dataset, encodings
 
 

@@ -183,7 +183,7 @@ def dcov2_mle(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
     identically, the V-statistic combination of (T1, T2, T3).
     """
     _check_shapes(t, dx, dy)
-    return float(_dcov2_many(t.counts[None], t.n, dx.d, dy.d, "mle")[0])
+    return float(np.maximum(_dcov2_many(t.counts[None], t.n, dx.d, dy.d, "mle"), 0.0)[0])
 
 
 def dcov2_unbiased(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
@@ -315,14 +315,23 @@ def _dcov2_many(counts: np.ndarray, n: float, dx: np.ndarray, dy: np.ndarray,
     """Squared distance covariance estimates of every table in a stack.
 
     The plug-in estimate is the population formula on the observed
-    proportions, clamped at 0; the bias-corrected one is the U-statistic
-    of (T1, T2, T3).
+    proportions, not clamped: its callers clamp it at 0, and
+    ``measures.dcov2`` checks it first.  The bias-corrected one is the
+    U-statistic of (T1, T2, T3).
     """
     if estimator == "mle":
         pi_hat = counts / n
         delta = pi_hat - pi_hat.sum(axis=2)[:, :, None] * pi_hat.sum(axis=1)[:, None, :]
-        return np.maximum(np.sum(delta * (dx @ delta @ dy), axis=(1, 2)), 0.0)
+        return np.sum(delta * (dx @ delta @ dy), axis=(1, 2))
     return _u_statistic(*_t_stats_many(counts, dx, dy), n)
+
+
+def _margin_dvar2(margins: np.ndarray, n: float, d: np.ndarray,
+                  estimator: str) -> np.ndarray:
+    """``_dvar2_many``, computed once when every row of ``margins`` is the same."""
+    if len(margins) > 1 and (margins == margins[0]).all():
+        return np.broadcast_to(_dvar2_many(margins[:1], n, d, estimator), len(margins))
+    return _dvar2_many(margins, n, d, estimator)
 
 
 def _score_many(counts: np.ndarray, n: float, dx: DistanceMatrix,
@@ -336,9 +345,11 @@ def _score_many(counts: np.ndarray, n: float, dx: DistanceMatrix,
     (a stack of one), ``screen`` and the permutation tests.  Neither the
     codes nor ``n >= 4`` for the bias-corrected estimator is checked.
     """
-    var_x = _dvar2_many(counts.sum(axis=2), n, dx.d, estimator)
-    var_y = _dvar2_many(counts.sum(axis=1), n, dy.d, estimator)
+    var_x = _margin_dvar2(counts.sum(axis=2), n, dx.d, estimator)
+    var_y = _margin_dvar2(counts.sum(axis=1), n, dy.d, estimator)
     cov = _dcov2_many(counts, n, dx.d, dy.d, estimator)
+    if estimator == "mle":
+        cov = np.maximum(cov, 0.0)
     # A variance at or below the tolerance, negative included, is degenerate.
     degenerate = (var_x <= _DEGENERATE_TOL) | (var_y <= _DEGENERATE_TOL)
     scale = np.sqrt(np.where(degenerate, 1.0, var_x * var_y))

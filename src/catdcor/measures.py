@@ -118,9 +118,10 @@ def dcov2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float
     noise in ``(-1e-9, 0)`` is clamped to zero, while anything more
     negative raises :class:`InternalConsistencyError`.
     """
+    from .estimators import _dcov2_many  # estimators imports this module
+
     _check_shapes(p, dx, dy)
-    delta = p.delta()
-    value = float(np.sum(delta * (dx.d @ delta @ dy.d)))
+    value = float(_dcov2_many(p.pi[None], 1.0, dx.d, dy.d, "mle")[0])
     if value < 0.0:
         if value < -_NEGATIVE_TOL:
             raise InternalConsistencyError(

@@ -261,12 +261,17 @@ def build_joint(spec: SettingSpec, allow_rank_one: bool = False) -> ConstructedJ
     if not spec.cells:
         return ConstructedJoint(joint=JointDistribution(product), method="ipf")
 
-    for capped, method in ((True, "ipf"), (False, "exact")):
-        pi = _exact_pin_lp(product, bump, capped=capped)
-        if pi is not None and pi.min() >= -1e-9:
-            pi = np.clip(pi, 0.0, None)
-            pi /= pi.sum()
-            return ConstructedJoint(joint=JointDistribution(pi), method=method)
+    # Non-listed cells are nonnegative, so a row or column whose listed
+    # cells alone exceed its marginal makes both programs infeasible.
+    pinned = np.where(bump > 0.0, product + bump, 0.0)
+    slack = np.concatenate([row - pinned.sum(axis=1), col - pinned.sum(axis=0)])
+    if slack.min() >= -1e-9:
+        for capped, method in ((True, "ipf"), (False, "exact")):
+            pi = _exact_pin_lp(product, bump, capped=capped)
+            if pi is not None and pi.min() >= -1e-9:
+                pi = np.clip(pi, 0.0, None)
+                pi /= pi.sum()
+                return ConstructedJoint(joint=JointDistribution(pi), method=method)
 
     if not allow_rank_one:
         raise InfeasibleSettingError(

@@ -24,7 +24,7 @@ from catdcor import (
 )
 import catdcor.cli
 from catdcor.cli import Dataset, ingest, main
-from catdcor.exceptions import ConfigurationError, LabelError, ParseError
+from catdcor.exceptions import CatdcorError, ConfigurationError, LabelError, ParseError
 import scalar_reference as ref
 
 META = [
@@ -356,6 +356,216 @@ class TestIngestMemory:
             tracemalloc.stop()
         assert 0 < dataset.dropped_rows < n
         assert peak / (n * p) < self.BYTES_PER_CELL
+
+
+def write_wide(tmp_path, eol):
+    """The wide table of ``TestIngestMemory`` with ``eol`` line ends; returns paths."""
+    rng = np.random.default_rng(11)
+    n, p = 400, 500
+    levels = rng.integers(2, 8, p)
+    codes = np.floor(rng.random((n, p)) * levels).astype(np.int64)
+    cells = np.array([f"L{k}" for k in range(8)] + [""])[codes]
+    cells[rng.random((n, p)) < 0.0005] = ""
+    names = [f"f{j}" for j in range(p)]
+    csv_path = tmp_path / "wide.csv"
+    csv_path.write_bytes(
+        (eol.join([",".join(names)] + [",".join(row) for row in cells.tolist()]) + eol)
+        .encode("utf-8"))
+    meta_path = tmp_path / "wide.json"
+    meta_path.write_text(json.dumps([
+        {"name": name, "type": "ordinal", "encoding": "ordinal",
+         "levels": [f"L{k}" for k in range(lev)]}
+        for name, lev in zip(names, levels.tolist())
+    ]))
+    return str(csv_path), str(meta_path), n * p
+
+
+class TestIngestMemoryCRLF:
+    """The same bound when the line ends are CRLF, which the byte route
+    removes with one more copy of the file."""
+
+    BYTES_PER_CELL = TestIngestMemory.BYTES_PER_CELL
+
+    def test_peak_bytes_per_cell(self, tmp_path):
+        csv_path, meta_path, cells = write_wide(tmp_path, "\r\n")
+        tracemalloc.start()
+        try:
+            dataset, _ = ingest(csv_path, meta_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < dataset.dropped_rows < 400
+        assert peak / cells < self.BYTES_PER_CELL
+
+
+# Unquotable cell texts for the byte route: non-ASCII, over 8 bytes (one
+# exactly 8, one 9), blanks, a NUL byte, and a prefix of another label.
+PLAIN = ["p", "q", "NA", "é", "Ωmega", "日本語テキスト", "category_alpha",
+         "category_beta", "exactly8", "exactly8+", " pad ", "a;b", "nul\x00", "L",
+         "L1", "''", "x\ty"]
+
+
+def route_outcomes(csv_path, meta_path, missing_tokens=("",)):
+    """Run both ingest routes; each gives a Dataset or the error it raised."""
+    labels = catdcor.cli._Labels.of(load_metadata(meta_path), missing_tokens)
+    outcomes = []
+    for route in (catdcor.cli._ingest_bytes, catdcor.cli._ingest_stream):
+        try:
+            outcomes.append(route(csv_path, labels))
+        except CatdcorError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def assert_routes_agree(csv_path, meta_path, missing_tokens=("",)):
+    by_bytes, streamed = route_outcomes(csv_path, meta_path, missing_tokens)
+    assert by_bytes is not None, "the byte route declined an unquoted file"
+    assert type(by_bytes) is type(streamed)
+    if isinstance(streamed, CatdcorError):
+        assert str(by_bytes) == str(streamed)
+    else:
+        assert by_bytes.column_names == streamed.column_names
+        assert by_bytes.codes.dtype == streamed.codes.dtype == np.int64
+        np.testing.assert_array_equal(by_bytes.codes, streamed.codes)
+        assert (by_bytes.row_count, by_bytes.dropped_rows) == (
+            streamed.row_count, streamed.dropped_rows)
+    return streamed
+
+
+def write_plain_table(tmp_path, seed, eol="\n", n=200, analyzed=10, extra=3,
+                      final_eol=True):
+    """A seeded unquoted table with duplicate header names; returns the
+    header, the rows (lists of cells), the metadata and a writer."""
+    rng = np.random.default_rng(seed)
+    meta, columns = [], {}
+    for k in range(analyzed):
+        levels = [PLAIN[i] for i in rng.choice(len(PLAIN), rng.integers(2, 6),
+                                               replace=False)]
+        meta.append({"name": f"v{k}", "type": "nominal", "encoding": "onehot",
+                     "levels": levels})
+        cells = np.array(levels, dtype=object)[rng.integers(0, len(levels), n)]
+        cells[rng.random(n) < 0.03] = ""
+        columns[f"v{k}"] = cells
+    for k in range(extra):
+        columns[f"free{k}"] = np.array(PLAIN + [""], dtype=object)[
+            rng.integers(0, len(PLAIN) + 1, n)]
+    header = list(columns)
+    rng.shuffle(header)
+    rng.shuffle(meta)
+    # A repeated analyzed name: its second column holds an undeclared text.
+    header.append(meta[0]["name"])
+    rows = [list(row) + ["dup"] for row in zip(*(columns[name] for name in header[:-1]))]
+
+    def write(rows=rows, header=header, meta=meta, eol=eol, final_eol=final_eol):
+        lines = [",".join(header)] + [",".join(row) for row in rows]
+        text = eol.join(lines) + (eol if final_eol else "")
+        csv_path = tmp_path / f"plain_{seed}.csv"
+        csv_path.write_bytes(text.encode("utf-8"))
+        meta_path = tmp_path / f"plain_{seed}.json"
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        return str(csv_path), str(meta_path)
+
+    return header, rows, meta, write
+
+
+class TestIngestRoutesAgree:
+    """The byte route and the streaming route on the same unquoted files."""
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_codes_and_counts(self, tmp_path, seed, eol):
+        _, _, _, write = write_plain_table(tmp_path, seed, eol)
+        dataset = assert_routes_agree(*write())
+        assert 0 < dataset.dropped_rows < dataset.row_count
+        assert_routes_agree(*write(final_eol=False))
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_missing_token_matching_a_label(self, tmp_path, eol):
+        _, _, meta, write = write_plain_table(tmp_path, 3, eol)
+        paths = write()
+        for tokens in (("", meta[0]["levels"][0]), ("NA", "é", "category_beta"), ()):
+            outcome = assert_routes_agree(*paths, missing_tokens=tokens)
+            assert isinstance(outcome, (Dataset, LabelError))
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_first_bad_label(self, tmp_path, seed, eol):
+        header, rows, meta, write = write_plain_table(tmp_path, seed, eol)
+        rng = np.random.default_rng(seed)
+        analyzed = [header.index(entry["name"]) for entry in meta]
+        # Two bad cells in one record, then more in later records.
+        first = int(rng.integers(len(rows) // 2))
+        for r in [first, first] + rng.integers(first, len(rows), 4).tolist():
+            rows[r][analyzed[rng.integers(len(analyzed))]] = rng.choice(
+                ["undeclared", "category_gamma", "Ωmeg", "nul", "exactly8++", "p "])
+        outcome = assert_routes_agree(*write())
+        assert isinstance(outcome, LabelError)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("tail", [[], ["x"], ["x", "y", "z"]])
+    def test_ragged_record(self, tmp_path, eol, tail):
+        header, rows, meta, write = write_plain_table(tmp_path, 7, eol)
+        rows[150] = rows[150][:-2] + tail
+        outcome = assert_routes_agree(*write())
+        assert isinstance(outcome, ParseError)
+        assert f"line 152 has {len(header) - 2 + len(tail)} fields" in str(outcome)
+        # A ragged record is reported before an absent metadata column.
+        absent = {"name": "ghost", "type": "nominal", "encoding": "onehot",
+                  "levels": ["u", "v"]}
+        assert isinstance(assert_routes_agree(*write(meta=meta + [absent])), ParseError)
+        rows[150] = rows[151]
+        outcome = assert_routes_agree(*write(meta=meta + [absent]))
+        assert isinstance(outcome, ConfigurationError)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_blank_lines(self, tmp_path, eol):
+        header, rows, meta, write = write_plain_table(tmp_path, 8, eol)
+        rows.insert(40, [])
+        outcome = assert_routes_agree(*write())
+        assert "line 42 has 0 fields" in str(outcome)
+        one = [{"name": "a", "type": "nominal", "encoding": "onehot", "levels": ["p", "q"]}]
+        csv_path, meta_path = write_raw(tmp_path, eol.join(["a", "p", "q", "", "p"]) + eol, one)
+        outcome = assert_routes_agree(csv_path, meta_path)
+        assert "line 4 has 0 fields, expected 1" in str(outcome)
+        # A blank header line is a header of no fields.
+        csv_path, meta_path = write_raw(tmp_path, eol + eol, [])
+        assert assert_routes_agree(csv_path, meta_path).codes.shape == (1, 0)
+        csv_path, meta_path = write_raw(tmp_path, eol + "p" + eol, [])
+        assert "line 2 has 1 fields, expected 0" in str(assert_routes_agree(csv_path, meta_path))
+
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b", "a,b\r\n", "", "a,b\np,x",
+                                      "a,b\r\np,x", "b,a,b\r\ny,p,zzz\r\n"])
+    def test_short_files(self, tmp_path, text):
+        assert_routes_agree(*write_raw(tmp_path, text))
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe9,", b"\xf0\x9f\x98", b"\xc3"])
+    def test_invalid_utf8(self, tmp_path, bad):
+        _, _, _, write = write_plain_table(tmp_path, 9)
+        csv_path, meta_path = write()
+        data = open(csv_path, "rb").read()
+        cut = data.index(b"\n", len(data) // 2) + 1
+        for corrupt in (data[:cut] + bad + data[cut:], data + bad):
+            open(csv_path, "wb").write(corrupt)
+            outcome = assert_routes_agree(csv_path, meta_path)
+            assert isinstance(outcome, ParseError)
+            assert "not valid UTF-8" in str(outcome)
+
+    def test_files_left_to_streaming(self, tmp_path):
+        labels = catdcor.cli._Labels.of(load_metadata(write_raw(tmp_path, "")[1]), ("",))
+        for text in ['a,b\n"p",x\n', "a,b\rp,x\r", "a,b\np,x\r\nq\r,y\n",
+                     "a,b\np," + "x" * 200_000 + "\n"]:
+            csv_path, _ = write_raw(tmp_path, text)
+            assert catdcor.cli._ingest_bytes(csv_path, labels) is None
+
+    def test_labels_alike_but_for_trailing_nul_bytes(self, tmp_path):
+        # Their packed bytes are equal; their lengths tell them apart.
+        meta = [{"name": "a", "type": "nominal", "encoding": "onehot",
+                 "levels": ["nul", "nul\x00"]}]
+        csv_path, meta_path = write_raw(tmp_path, "a\nnul\x00\nnul\nnul\x00\x00\n", meta)
+        outcome = assert_routes_agree(csv_path, meta_path)
+        assert "line 4, column 'a': label 'nul\\x00\\x00'" in str(outcome)
+        csv_path, meta_path = write_raw(tmp_path, "a\nnul\x00\nnul\n", meta)
+        assert assert_routes_agree(csv_path, meta_path).codes.tolist() == [[1], [0]]
 
 
 class TestEncodeCommand:

@@ -37,6 +37,7 @@ from catdcor import (
     semicircle_equal,
     t_stats,
 )
+from catdcor.estimators import _score_many, _tabulate_many
 import scalar_reference as ref
 
 
@@ -395,6 +396,37 @@ class TestKernelMatchesScalarReference:
                      lambda: dcor2_unbiased(table, DM2, d3)):
             with pytest.raises(ShapeError):
                 call()
+
+
+class TestSharedMargins:
+    """A margin shared by a whole stack is scored once, with the same bits."""
+
+    def test_stack_matches_tables_one_at_a_time(self):
+        rng = np.random.default_rng(41)
+        kinds = (one_hot, ordinal_equal, semicircle_equal)
+        for trial in range(60):
+            n = int(rng.integers(8, 60))
+            n_x, n_y = (int(v) for v in rng.integers(2, 7, size=2))
+            dx = distance_matrix(kinds[trial % 3](n_x))
+            dy = random_distance(rng, n_y) if trial % 4 == 3 else distance_matrix(
+                kinds[(trial // 3) % 3](n_y))
+            y = rng.integers(0, n_y, (n, 1))
+            x = rng.integers(0, n_x, (n, 1))
+            stacks = [
+                # one response against a block of features: rows shared
+                _tabulate_many(rng.integers(0, n_x, (n, 9)), y, n_x, n_y),
+                # one feature against permuted responses: both margins shared
+                _tabulate_many(x, rng.permuted(np.repeat(y, 9, axis=1), axis=0), n_x, n_y),
+                # nothing shared
+                _tabulate_many(rng.integers(0, n_x, (n, 9)), rng.integers(0, n_y, (n, 9)),
+                               n_x, n_y),
+            ]
+            for counts in stacks:
+                for estimator in ("mle", "unbiased"):
+                    values, degenerate = _score_many(counts, n, dx, dy, estimator)
+                    singles = [_score_many(c[None], n, dx, dy, estimator) for c in counts]
+                    assert values.tolist() == [v[0] for v, _ in singles]
+                    assert degenerate.tolist() == [d[0] for _, d in singles]
 
 
 class TestJointTable:

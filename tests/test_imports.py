@@ -3,7 +3,8 @@
 Loading ``scipy.stats`` and ``scipy.optimize`` costs about a second per
 process, more than a whole ``catdcor test`` or ``catdcor screen`` run.
 Only joint construction (``build_joint``, ``catdcor simulate``) needs
-scipy, and it imports it on first use.  Each check runs in a fresh
+scipy, and it imports it on first use, only for a setting whose margins
+leave room for its linear programs (setting 1 of the six).  Each check runs in a fresh
 interpreter with ``PYTHONPATH=src`` and lists the scipy modules loaded
 when it finishes.
 """
@@ -104,3 +105,13 @@ def test_simulate_loads_optimize_but_not_stats(tmp_path):
     loaded = scipy_modules_after(cli_code(argv), tmp_path)
     assert "scipy.optimize" in loaded
     assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]
+
+
+def test_simulate_with_infeasible_margins_loads_no_scipy(tmp_path):
+    # Setting 4's listed cells exceed their marginals, so build_joint
+    # solves no linear program.
+    argv = ["simulate", "--setting", "4", "--n", "60", "--features", "20",
+            "--relevant", "5", "--replicates", "1", "--encodings", "onehot",
+            "--out", str(tmp_path / "sim.json")]
+    assert scipy_modules_after(cli_code(argv), tmp_path) == []
+    assert json.loads((tmp_path / "sim.json").read_text())["construction"] == "rank-one-clipped"

@@ -12,6 +12,8 @@ from numpy.testing import assert_allclose
 
 from catdcor import (
     DegenerateMarginError,
+    DistanceMatrix,
+    InternalConsistencyError,
     JointDistribution,
     ShapeError,
     custom,
@@ -134,6 +136,33 @@ class TestDcov2:
             dx = random_distance(rng, 3)
             dy = random_distance(rng, 3)
             assert dcov2(p, dx, dy) > 0.0
+
+
+class TestDcov2Kernel:
+    """``dcov2`` is the estimators' plug-in kernel on a stack of one table."""
+
+    def test_matches_bilinear_form_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        kinds = (one_hot, ordinal_equal, semicircle_equal)
+        for trial in range(300):
+            n_rows, n_cols = (int(v) for v in rng.integers(2, 10, size=2))
+            p = random_distribution(rng, n_rows, n_cols)
+            dx = distance_matrix(kinds[trial % 3](n_rows))
+            dy = (random_distance(rng, n_cols) if trial % 4 == 3
+                  else distance_matrix(kinds[(trial // 3) % 3](n_cols)))
+            delta = p.delta()
+            expected = float(np.sum(delta * (dx.d @ delta @ dy.d)))
+            assert dcov2(p, dx, dy) == (0.0 if -1e-9 <= expected < 0.0 else expected)
+
+    def test_negative_value_still_raises(self):
+        # Distances that are not conditionally negative definite can make
+        # the bilinear form negative: delta = eps * outer(c, e) gives
+        # eps^2 (c'DXc)(e'DYe) = eps^2 * 12 * (-2).
+        dx = DistanceMatrix(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 10.0], [1.0, 10.0, 0.0]]))
+        dy = distance_matrix(one_hot(3))
+        pi = np.full((3, 3), 1.0 / 9.0) + 0.02 * np.outer([2, -1, -1], [1, -1, 0])
+        with pytest.raises(InternalConsistencyError):
+            dcov2(JointDistribution(pi), dx, dy)
 
 
 class TestKronecker:

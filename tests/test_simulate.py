@@ -97,6 +97,24 @@ class TestBuildJoint:
             assert pi.min() >= 0.0
             assert_allclose(pi.sum(), 1.0, atol=1e-12)
 
+    def test_infeasible_margins_solve_no_program(self, monkeypatch):
+        # A row or column whose listed cells alone exceed its marginal is
+        # caught before either linear program; setting 1 still solves them.
+        calls = []
+
+        def counting_lp(*args, **kwargs):
+            calls.append(kwargs.get("capped"))
+            return exact_pin_lp(*args, **kwargs)
+
+        exact_pin_lp = catdcor.simulate._exact_pin_lp
+        monkeypatch.setattr(catdcor.simulate, "_exact_pin_lp", counting_lp)
+        for setting_id in (2, 3, 4, 5, 6):
+            built = build_joint(setting_spec(setting_id, n=100), allow_rank_one=True)
+            assert built.method == "rank-one-clipped"
+        assert calls == []
+        assert build_joint(setting_spec(1, n=100)).method == "exact"
+        assert calls == [True, False]
+
     def test_empty_cells_gives_product(self):
         spec = SettingSpec(
             setting_id=1, n_rows=3, n_cols=3,
