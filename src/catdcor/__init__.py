@@ -77,7 +77,6 @@ from .measures import (
     JointDistribution,
     dcor2,
     dcov2,
-    dcov2_kronecker,
     dvar2,
 )
 from .screening import (

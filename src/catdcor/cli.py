@@ -21,22 +21,24 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .encodings import DistanceMatrix, Encoding, distance_matrix, load_metadata
-from .estimators import JointTable
+from .estimators import _require_nondegenerate, _require_u_sample, _score_many, _tabulated
 from .exceptions import (
     CatdcorError,
     ConfigurationError,
+    DistributionError,
     InsufficientFeaturesError,
     LabelError,
     ParseError,
 )
 from .inference import (
+    _interval,
+    _margin_law,
+    _null_law,
     _permutation_pvalues,
+    _positive_part,
     _require_replicates,
     _require_seed,
-    _statistic,
     _test_result,
-    confidence_interval,
-    null_spectrum,
 )
 from .screening import apply_changepoint, screen
 from .simulate import roc_points, run_benchmark
@@ -356,49 +358,60 @@ def ingest(csv_path: str, metadata_path: str,
     return dataset, encodings
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _numpy_json(value):
+    """A numpy array or scalar as Python data (``np.float64``, a float, never gets here)."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _write_json(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+def _write(text: str, out_path: str | None) -> None:
+    """Write ``text`` to ``out_path``, or to stdout when it is None."""
     if out_path is None:
         sys.stdout.write(text)
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def _write_json(payload: dict, out_path: str | None) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True, default=_numpy_json) + "\n", out_path)
 
 
 def _write_csv(rows: Iterable[Sequence], out_path: str | None, header: list[str]) -> None:
     """One line per row of Python ints and floats, each cell its ``repr``."""
     lines = [",".join(header)]
     lines.extend(",".join(map(repr, row)) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", out_path)
 
 
-def _column(dataset: Dataset, name: str) -> np.ndarray:
-    return dataset.codes[:, dataset.column_names.index(name)]
+def _variables(args: argparse.Namespace) -> tuple:
+    """Ingest ``args.input`` and split off the ``args.response`` column.
 
-
-def _require_response(dataset: Dataset, response: str) -> None:
-    if response not in dataset.column_names:
+    Returns the dataset, the response's codes and distance matrix, and the
+    other variables' names (in column order), codes ``(rows, names)`` and
+    distance matrices.  Many variables share one encoding: each distinct
+    matrix is built once, and the kernels score its variables together.
+    """
+    dataset, encodings = ingest(args.input, args.metadata)
+    names = dataset.column_names
+    if args.response not in names:
         raise ConfigurationError(
-            f"response column {response!r} is not among the analyzed variables "
-            f"{list(dataset.column_names)}"
+            f"response column {args.response!r} is not among the analyzed variables "
+            f"{list(names)}"
         )
+    shared: dict[tuple, DistanceMatrix] = {}
+
+    def dist(name: str) -> DistanceMatrix:
+        points = encodings[name].points
+        key = (points.shape, points.tobytes())
+        if key not in shared:
+            shared[key] = distance_matrix(encodings[name])
+        return shared[key]
+
+    keep = [j for j, name in enumerate(names) if name != args.response]
+    return (dataset, dataset.codes[:, names.index(args.response)], dist(args.response),
+            [names[j] for j in keep], dataset.codes[:, keep], [dist(names[j]) for j in keep])
 
 
 def cmd_encode(args: argparse.Namespace) -> None:
@@ -411,59 +424,76 @@ def cmd_encode(args: argparse.Namespace) -> None:
         lines.append("," + ",".join(enc.labels))
         for label, row in zip(enc.labels, dm.d):
             lines.append(label + "," + ",".join(repr(float(v)) for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", args.out)
 
 
 def cmd_test(args: argparse.Namespace) -> None:
     """Test every non-response variable for dependence on the response.
 
-    Per variable: one null spectrum and each statistic computed once; both
-    analytic tails come from that spectrum.  The permutation p-values of
-    all variables that need them come after the loop, from one set of
-    response permutations.  A degenerate variable fails in a fixed order:
-    spectrum, zero total weight, the ``--estimator`` statistic, the
-    replicate count (permutation only), the other statistic.
+    Variables are tabulated and scored per encoding group, as in
+    ``screen``: one tabulation per block of at most 128 variables that
+    share a distance matrix, scored once per estimator.  The response's
+    side of the null spectrum is built once, at the first variable; each
+    variable adds its own side, and both analytic tails come from that
+    spectrum.  The interval is centered at the estimate already scored.
+    The permutation p-values of all variables that need them come after
+    the loop, from one set of response permutations.  A degenerate
+    variable fails in a fixed order: spectrum, zero total weight, the
+    ``--estimator`` statistic, the replicate count (permutation only), the
+    other statistic.
     """
-    dataset, encodings = ingest(args.input, args.metadata)
-    _require_response(dataset, args.response)
-    y = _column(dataset, args.response)
-    dy = distance_matrix(encodings[args.response])
+    dataset, y, dy, names, x, dists = _variables(args)
+    n = float(dataset.row_count)
+    if names and not n:
+        raise DistributionError("empty sample")
     other = "unbiased" if args.estimator == "mle" else "mle"
+    # The stacks are scored without raising; each variable raises from
+    # them in its turn.  The bias-corrected stack divides by n - 3, so
+    # below n = 4 it is not scored.
+    kinds = [kind for kind in (args.estimator, other) if kind == "mle" or n >= 4]
+    tables: dict[int, np.ndarray] = {}
+    scored = {kind: (np.zeros(len(names)), np.zeros(len(names), dtype=bool)) for kind in kinds}
+    for dx, block, counts in _tabulated(x, y, dists, dy.n_categories):
+        tables.update(zip(block, counts))
+        for kind, (values, degenerate) in scored.items():
+            values[block], degenerate[block] = _score_many(counts, n, dx, dy, kind)
+
+    def statistic(s: int, kind: str) -> float:
+        if kind == "unbiased":
+            _require_u_sample(n)
+        values, degenerate = scored[kind]
+        _require_nondegenerate(degenerate[s])
+        return float(values[s])
+
     results = []
     permuted: list[tuple[dict, tuple]] = []  # (p-values to fill, variable)
-    for name in dataset.column_names:
-        if name == args.response:
-            continue
-        x = _column(dataset, name)
-        dx = distance_matrix(encodings[name])
-        table = JointTable.from_codes(x, y, dx.n_categories, dy.n_categories)
-        n = table.n
-        row, col = table.row_counts / n, table.col_counts / n
+    response_law = None  # the response's side, built at the first variable
+    for s, (name, dx) in enumerate(zip(names, dists)):
+        counts = tables[s]
+        row, col = counts.sum(axis=1) / n, counts.sum(axis=0) / n
         method = args.pvalue
         # Small-sample guard: the asymptotic law is unreliable when any
         # observed category is rarer than 5/n.
         if method == "analytic" and np.any(np.concatenate([row, col]) < 5.0 / n):
             method = "permutation"
-        ns = null_spectrum(row, col, dx, dy)
+        # In null_spectrum's order: both margins' zero-count categories are
+        # dropped before either spectrum is computed.
+        row_part = _positive_part(row, dx)
+        response_law = response_law or _margin_law(*_positive_part(col, dy))
+        ns = _null_law(row_part, response_law)
         ns.normalizer()
-        dcor2 = {args.estimator: _statistic(table, dx, dy, args.estimator)}
+        dcor2 = {args.estimator: statistic(s, args.estimator)}
         if method == "permutation":
             _require_replicates(args.perms)
-        dcor2[other] = _statistic(table, dx, dy, other)
+        dcor2[other] = statistic(s, other)
         if method == "permutation":
             p_values = {}
-            permuted.append((p_values, (x, dx, dcor2)))
+            permuted.append((p_values, (x[:, s], dx, dcor2)))
         else:
             p_values = {kind: _test_result(ns, n * value, kind, n).p_value
                         for kind, value in dcor2.items()}
             method = "imhof"
-        ci_lo, ci_hi = confidence_interval(table, dx, dy, level=0.95,
-                                           estimator=args.estimator)
+        ci_lo, ci_hi = _interval(dcor2[args.estimator], counts, n, dx, dy, 0.95, args.estimator)
         results.append({
             "variable": name,
             "n": n,
@@ -498,26 +528,8 @@ def cmd_test(args: argparse.Namespace) -> None:
 
 def cmd_screen(args: argparse.Namespace) -> None:
     """Rank all features by dependence on the response; emit report and CSV."""
-    dataset, encodings = ingest(args.input, args.metadata)
-    _require_response(dataset, args.response)
-    y = _column(dataset, args.response)
-    keep = [j for j, n in enumerate(dataset.column_names) if n != args.response]
-    feature_names = [dataset.column_names[j] for j in keep]
-    features = dataset.codes[:, keep]
-    # Many features share one encoding; build each distinct matrix once.
-    shared: dict[tuple, DistanceMatrix] = {}
-
-    def dist(name: str) -> DistanceMatrix:
-        points = encodings[name].points
-        key = (points.shape, points.tobytes())
-        if key not in shared:
-            shared[key] = distance_matrix(encodings[name])
-        return shared[key]
-
-    dy = dist(args.response)
-    dists = [dist(n) for n in feature_names]
-    report = screen(features, y, dists, dy, estimator=args.estimator,
-                    feature_ids=feature_names)
+    dataset, y, dy, names, x, dists = _variables(args)
+    report = screen(x, y, dists, dy, estimator=args.estimator, feature_ids=names)
     try:
         apply_changepoint(report)
     except InsufficientFeaturesError:

@@ -27,6 +27,7 @@ the tests exploit for deterministic verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .exceptions import (
     InsufficientSampleError,
     ShapeError,
 )
-from .measures import JointDistribution, _check_shapes
+from .measures import JointDistribution, _check_shapes, _checked_marginal
 
 __all__ = [
     "JointTable",
@@ -101,8 +102,7 @@ class JointTable:
             raise DistributionError("empty sample")
         if x.min() < 0 or x.max() >= n_rows or y.min() < 0 or y.max() >= n_cols:
             raise ShapeError("codes fall outside the declared level ranges")
-        flat = np.bincount(x * n_cols + y, minlength=n_rows * n_cols)
-        return cls(flat.reshape(n_rows, n_cols).astype(float))
+        return cls(_tabulate_many(x[:, None], y[:, None], n_rows, n_cols)[0])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -134,13 +134,6 @@ class EstimatePair:
     n: float
 
 
-def _checked_margin(margin_counts, d: DistanceMatrix) -> np.ndarray:
-    m = np.asarray(margin_counts, dtype=float)
-    if m.ndim != 1 or m.shape[0] != d.n_categories:
-        raise ShapeError("margin length must match the distance matrix")
-    return m
-
-
 def t_stats(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> tuple[float, float, float]:
     """The three contingency sums (T1, T2, T3) behind both joint estimators.
 
@@ -153,7 +146,7 @@ def t_stats(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> tuple[floa
 
 def dvar_t_stats(margin_counts, d: DistanceMatrix) -> tuple[float, float, float]:
     """Single-margin analogues of :func:`t_stats` built from marginal counts."""
-    m = _checked_margin(margin_counts, d)
+    m = _checked_marginal(margin_counts, d)
     return tuple(float(v[0]) for v in _dvar_t_stats_many(m[None], d.d))
 
 
@@ -197,7 +190,7 @@ def dcov2_unbiased(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> flo
 
 
 def _dvar2(t: JointTable, d: DistanceMatrix, axis: int, estimator: str) -> float:
-    m = _checked_margin(t.row_counts if axis == 0 else t.col_counts, d)
+    m = _checked_marginal(t.row_counts if axis == 0 else t.col_counts, d)
     return float(_dvar2_many(m[None], t.n, d.d, estimator)[0])
 
 
@@ -220,11 +213,16 @@ def _dcor2(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix, estimator: str
     if estimator == "unbiased":
         _require_u_sample(t.n)
     values, degenerate = _score_many(t.counts[None], t.n, dx, dy, estimator)
-    if degenerate[0]:
+    _require_nondegenerate(degenerate[0])
+    return float(values[0])
+
+
+def _require_nondegenerate(degenerate: bool) -> None:
+    """Raise for a table that :func:`_score_many` flagged as degenerate."""
+    if degenerate:
         raise DegenerateMarginError(
             "estimated distance variance is zero on at least one margin"
         )
-    return float(values[0])
 
 
 def dcor2_mle(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
@@ -264,6 +262,25 @@ def _tabulate_many(x: np.ndarray, y: np.ndarray, n_rows: int,
     index += np.arange(0, shape[1] * cells, cells)
     flat = np.bincount(index.ravel(order="K"), minlength=shape[1] * cells)
     return flat.reshape(shape[1], n_rows, n_cols).astype(float)
+
+
+def _tabulated(x: np.ndarray, y: np.ndarray, dists: Sequence[DistanceMatrix],
+               n_cols: int) -> Iterator[tuple[DistanceMatrix, list[int], np.ndarray]]:
+    """Cross-tabulate every column of ``x`` against ``y``, a block at a time.
+
+    Columns sharing one ``DistanceMatrix`` object in ``dists`` are cut into
+    blocks of at most ``_BLOCK``; yields each block's matrix, its column
+    indices and its counts ``(len(block), I, n_cols)``.
+    """
+    groups: dict[int, list[int]] = {}
+    for s, dist in enumerate(dists):
+        groups.setdefault(id(dist), []).append(s)
+    for columns in groups.values():
+        dist = dists[columns[0]]
+        for start in range(0, len(columns), _BLOCK):
+            block = columns[start:start + _BLOCK]
+            yield dist, block, _tabulate_many(x[:, block], y[:, None],
+                                              dist.n_categories, n_cols)
 
 
 def _quad_many(m: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -390,9 +407,7 @@ def dvar2_bias_limit(marginal, d: DistanceMatrix) -> float:
 
     Evaluates ``sum pi_i pi_k (10 d_ik dbar_i - 3 d_ik^2 - 6 dbar_i dbar_k)``.
     """
-    m = np.asarray(marginal, dtype=float)
-    if m.ndim != 1 or m.shape[0] != d.n_categories:
-        raise ShapeError("marginal length must match the distance matrix")
+    m = _checked_marginal(marginal, d)
     dbar = d.d @ m
     mean_dist = float(m @ dbar)
     term1 = 10.0 * float(m @ (dbar * dbar))

@@ -39,10 +39,9 @@ from .encodings import DistanceMatrix
 from .estimators import (
     _BLOCK,
     JointTable,
+    _dcor2 as _statistic,  # the unscaled estimate named by ``estimator``
     _score_many,
     _tabulate_many,
-    dcor2_mle,
-    dcor2_unbiased,
 )
 from .exceptions import (
     ConfigurationError,
@@ -52,9 +51,8 @@ from .exceptions import (
     DistributionError,
     InsufficientReplicatesError,
     InternalConsistencyError,
-    ShapeError,
 )
-from .measures import JointDistribution, dcov2, dvar2
+from .measures import JointDistribution, _checked_marginal, dcov2, dvar2
 
 __all__ = [
     "NullSpectrum",
@@ -110,9 +108,7 @@ class NullSpectrum:
 
 def _positive_marginal(marginal, d: DistanceMatrix) -> np.ndarray:
     """The marginal as a float vector, checked to match ``d`` and be strictly positive."""
-    m = np.asarray(marginal, dtype=float)
-    if m.ndim != 1 or m.shape[0] != d.n_categories:
-        raise ShapeError("marginal length must match the distance matrix")
+    m = _checked_marginal(marginal, d)
     if m.min() <= 0.0:
         raise DegenerateCategoryError(
             "null spectrum requires strictly positive category probabilities; "
@@ -190,6 +186,17 @@ def _positive_part(marginal: np.ndarray, d: DistanceMatrix) -> tuple[np.ndarray,
     return marginal[keep], DistanceMatrix(d=sub, scale=d.scale)
 
 
+def _margin_law(marginal: np.ndarray, d: DistanceMatrix) -> tuple[np.ndarray, float, float]:
+    """Spectrum, mean distance and distance variance of a :func:`_positive_part`."""
+    return spectrum(marginal, d), float(marginal @ d.d @ marginal), dvar2(marginal, d)
+
+
+def _null_law(row_part: tuple, col_law: tuple) -> NullSpectrum:
+    """The null spectrum of a row :func:`_positive_part` and a column :func:`_margin_law`."""
+    (lambdas, mean_x, dvar_x), (mus, mean_y, dvar_y) = _margin_law(*row_part), col_law
+    return NullSpectrum(lambdas, mus, mean_x * mean_y, dvar_x, dvar_y)
+
+
 def null_spectrum(row_marginal, col_marginal,
                   dx: DistanceMatrix, dy: DistanceMatrix) -> NullSpectrum:
     """Null-law ingredients for given marginals and distance matrices.
@@ -197,20 +204,9 @@ def null_spectrum(row_marginal, col_marginal,
     Zero-probability categories are dropped (with a warning) before the
     eigenvalue computation, which requires strictly positive mass.
     """
-    row = np.asarray(row_marginal, dtype=float)
-    col = np.asarray(col_marginal, dtype=float)
-    row, dx_pos = _positive_part(row, dx)
-    col, dy_pos = _positive_part(col, dy)
-    lambdas = spectrum(row, dx_pos)
-    mus = spectrum(col, dy_pos)
-    bias_shift = float((row @ dx_pos.d @ row) * (col @ dy_pos.d @ col))
-    return NullSpectrum(
-        lambdas=lambdas,
-        mus=mus,
-        bias_shift=bias_shift,
-        dvar_x=dvar2(row, dx_pos),
-        dvar_y=dvar2(col, dy_pos),
-    )
+    row = _positive_part(np.asarray(row_marginal, dtype=float), dx)
+    col = _positive_part(np.asarray(col_marginal, dtype=float), dy)
+    return _null_law(row, _margin_law(*col))
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +475,6 @@ class TestResult:
     n: float
 
 
-def _statistic(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
-               estimator: str) -> float:
-    """The unscaled squared distance correlation estimate named by ``estimator``."""
-    return (dcor2_mle if estimator == "mle" else dcor2_unbiased)(t, dx, dy)
-
-
 def _test_result(ns: NullSpectrum, statistic: float, estimator: str,
                  n: float) -> TestResult:
     """Analytic p-value of ``statistic`` (``n`` times the estimate) under ``ns``."""
@@ -553,8 +543,9 @@ def _permutation_pvalues(y: np.ndarray, dy: DistanceMatrix, variables: list,
     """Permutation p-values of several variables against one response.
 
     ``variables`` holds one ``(x, dx, observed)`` per variable: its codes
-    (checked, like ``y``, by the caller's tabulation) and a map from each
-    estimator to its unscaled estimate on the unpermuted table.  Replicate
+    (checked, like ``y``, by the caller, at ingest or by its tabulation)
+    and a map from each estimator to its unscaled estimate on the
+    unpermuted table.  Replicate
     ``rep`` permutes ``y`` with ``default_rng((seed, rep))``.  The draws
     of up to ``_BLOCK`` replicates are made once and shared by every
     variable, which tabulates that block with one ``np.bincount`` and
@@ -698,9 +689,14 @@ def confidence_interval(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
         raise ValueError("confidence level must lie strictly between 0 and 1")
     if estimator not in ("mle", "unbiased"):
         raise ValueError("estimator must be 'mle' or 'unbiased'")
-    point = _statistic(t, dx, dy, estimator)
-    info = alt_inference(t.to_distribution(), dx, dy)
-    half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * np.sqrt(info.asymp_var / t.n)
+    return _interval(_statistic(t, dx, dy, estimator), t.counts, t.n, dx, dy, level, estimator)
+
+
+def _interval(point: float, counts: np.ndarray, n: float, dx: DistanceMatrix,
+              dy: DistanceMatrix, level: float, estimator: str) -> tuple[float, float]:
+    """:func:`confidence_interval` around ``point``, the estimate on ``counts`` (total ``n``)."""
+    info = alt_inference(JointDistribution(counts / n), dx, dy)
+    half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * np.sqrt(info.asymp_var / n)
     lo, hi = point - half, point + half
     if estimator == "mle":
         lo, hi = max(lo, 0.0), min(hi, 1.0)

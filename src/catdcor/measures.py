@@ -9,8 +9,8 @@ squared distance covariance is the double sum
 which is zero exactly when the joint factorizes into its marginals, for
 any embedding with pairwise distinct points.  Both four-index sums here
 are evaluated as two nested bilinear contractions, costing
-``O(I^2 J + I J^2)`` instead of the naive ``O(I^2 J^2)``; the Kronecker
-quadratic form is kept only as a cross-check (`dcov2_kronecker`).
+``O(I^2 J + I J^2)`` instead of the naive ``O(I^2 J^2)`` of the
+Kronecker quadratic form.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .exceptions import (
 __all__ = [
     "JointDistribution",
     "dcov2",
-    "dcov2_kronecker",
     "dvar2",
     "dcor2",
 ]
@@ -110,6 +109,14 @@ def _check_shapes(p, dx: DistanceMatrix, dy: DistanceMatrix) -> None:
         )
 
 
+def _checked_marginal(marginal, d: DistanceMatrix) -> np.ndarray:
+    """The marginal as a float vector, checked to have one entry per category of ``d``."""
+    m = np.asarray(marginal, dtype=float)
+    if m.ndim != 1 or m.shape[0] != d.n_categories:
+        raise ShapeError("marginal length must match the distance matrix")
+    return m
+
+
 def dcov2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
     """Squared distance covariance of a known joint distribution.
 
@@ -131,20 +138,6 @@ def dcov2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float
     return value
 
 
-def dcov2_kronecker(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
-    """Squared distance covariance via the Kronecker quadratic form.
-
-    Evaluates ``delta^T (DX kron DY) delta`` with ``delta`` the row-wise
-    vectorization of the centered table.  Mathematically identical to
-    :func:`dcov2`; kept as an independent evaluation route for testing,
-    not as the fast path.
-    """
-    _check_shapes(p, dx, dy)
-    vec = p.delta().ravel(order="C")
-    big = np.kron(dx.d, dy.d)
-    return float(vec @ big @ vec)
-
-
 def dvar2(marginal, d: DistanceMatrix) -> float:
     """Squared distance variance of one margin.
 
@@ -154,9 +147,7 @@ def dvar2(marginal, d: DistanceMatrix) -> float:
     Zero exactly when the marginal is degenerate (all mass on one
     category).
     """
-    m = np.asarray(marginal, dtype=float)
-    if m.ndim != 1 or m.shape[0] != d.n_categories:
-        raise ShapeError("marginal length must match the distance matrix")
+    m = _checked_marginal(marginal, d)
     if m.min() < -1e-12:
         raise DistributionError("marginal probabilities must be nonnegative")
     if abs(m.sum() - 1.0) > 1e-9:

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .encodings import DistanceMatrix
-from .estimators import _BLOCK, _score_many, _tabulate_many
+from .estimators import _score_many, _tabulated
 from .exceptions import (
     ConfigurationError,
     DistributionError,
@@ -132,14 +132,7 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
     n_response_levels = response_dist.n_categories
     if y.min() < 0 or y.max() >= n_response_levels:
         raise LabelError("response codes fall outside the declared level set")
-    # Features sharing one distance matrix object are scored together, in
-    # blocks that keep the (n, block) index array small.
-    groups: dict[int, list[int]] = {}
-    for s, dist in enumerate(feature_dists):
-        groups.setdefault(id(dist), []).append(s)
-    levels = np.empty(n_features, dtype=np.intp)
-    for columns in groups.values():
-        levels[columns] = feature_dists[columns[0]].n_categories
+    levels = np.array([dist.n_categories for dist in feature_dists], dtype=np.intp)
     bad = (x.min(axis=0) < 0) | (x.max(axis=0) >= levels)
     if bad.any():
         first = ids[int(np.argmax(bad))]
@@ -147,14 +140,9 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
 
     values = np.zeros(n_features)
     is_degenerate = np.zeros(n_features, dtype=bool)
-    for columns in groups.values():
-        dist = feature_dists[columns[0]]
-        for start in range(0, len(columns), _BLOCK):
-            block = columns[start:start + _BLOCK]
-            counts = _tabulate_many(x[:, block], y[:, None], dist.n_categories,
-                                    n_response_levels)
-            values[block], is_degenerate[block] = _score_many(
-                counts, float(n), dist, response_dist, estimator)
+    for dist, block, counts in _tabulated(x, y, feature_dists, n_response_levels):
+        values[block], is_degenerate[block] = _score_many(
+            counts, float(n), dist, response_dist, estimator)
     return _ranked_report(ids, values, is_degenerate, estimator)
 
 
@@ -272,14 +260,10 @@ def apply_changepoint(report: ScreeningReport) -> ScreeningReport:
     report.threshold = result.threshold
     report.changepoint_index = result.index
     report.low_confidence = result.low_confidence
-    if result.threshold > 0.0:
-        report.selected = select(report, result.threshold)
-    else:
-        # All-noise panels can push the midpoint to zero or below; the
-        # strict rule then selects every positive score.
-        report.selected = [fid for fid, value in
-                           zip(report.feature_ids, report.values)
-                           if value > result.threshold]
+    # The strict rule of :func:`select`, also when an all-noise panel
+    # pushes the midpoint to zero or below.
+    report.selected = [fid for fid, value in zip(report.feature_ids, report.values)
+                       if value > result.threshold]
     return report
 
 

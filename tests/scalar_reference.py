@@ -6,7 +6,9 @@ scalar formulas it used before, one table at a time, and the
 per-replicate permutation loop, kept here so that tests compare the
 kernel with a separate implementation rather than with itself.  The
 floating-point operations are the old ones, so on the tested platform
-the kernel matches them bit for bit; tests hold it to 1e-12.
+the kernel matches them bit for bit; tests hold it to 1e-12.  The
+Kronecker quadratic form is a second route to the population squared
+distance covariance.
 """
 
 import numpy as np
@@ -55,6 +57,15 @@ def dcov2_mle(counts, dx, dy):
     pi_hat = counts / float(counts.sum())
     delta = pi_hat - np.outer(pi_hat.sum(axis=1), pi_hat.sum(axis=0))
     return max(float(np.sum(delta * (dx.d @ delta @ dy.d))), 0.0)
+
+
+def dcov2_kronecker(p, dx, dy):
+    """Population dcov2 of a JointDistribution as ``delta^T (DX kron DY) delta``.
+
+    ``delta`` is the row-wise vectorization of the centered table.
+    """
+    vec = p.delta().ravel(order="C")
+    return float(vec @ np.kron(dx.d, dy.d) @ vec)
 
 
 def dcov2_unbiased(counts, dx, dy):

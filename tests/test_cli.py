@@ -21,9 +21,11 @@ from catdcor import (
     independence_test,
     load_metadata,
     null_spectrum,
+    permutation_test,
 )
 import catdcor.cli
 from catdcor.cli import Dataset, ingest, main
+from catdcor.estimators import _BLOCK
 from catdcor.exceptions import CatdcorError, ConfigurationError, LabelError, ParseError
 import scalar_reference as ref
 
@@ -63,6 +65,44 @@ def write_inputs(tmp_path, n=240, seed=0, missing_rows=0):
         writer = csv.writer(fh)
         writer.writerow(["grade", "color", "size", "shape", "tone"])
         writer.writerows(rows)
+    return str(csv_path), str(meta_path)
+
+
+def write_grouped_inputs(tmp_path, n=200, shared=140, seed=2):
+    """A response "y", ``shared`` one-hot variables of 3 levels and four
+    variables with encodings of their own, one of them ("zero") with a
+    declared level that never occurs; so does "b130"."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 3, n)
+    columns = {"y": y}
+    for j in range(shared):
+        x = rng.integers(0, 3, n)
+        columns[f"b{j:03d}"] = np.where(rng.random(n) < 0.03 * (j % 5), y, x)
+    columns["b130"] = np.where(columns["b130"] == 2, 0, columns["b130"])
+    columns["ord"] = np.where(rng.random(n) < 0.3, y, rng.integers(0, 4, n))
+    columns["semi"] = rng.integers(0, 5, n)
+    columns["cust"] = np.where(rng.random(n) < 0.5, 2 - y, rng.integers(0, 3, n))
+    columns["zero"] = rng.integers(0, 3, n)
+    meta = [{"name": "y", "type": "ordinal", "encoding": "semicircle",
+             "levels": ["y0", "y1", "y2"]}]
+    meta += [{"name": name, "type": "nominal", "encoding": "onehot",
+              "levels": ["p", "q", "r"]} for name in list(columns)[1:shared + 1]]
+    meta += [
+        {"name": "ord", "type": "ordinal", "encoding": "ordinal",
+         "levels": ["p", "q", "r", "s"]},
+        {"name": "semi", "type": "ordinal", "encoding": "semicircle",
+         "levels": ["p", "q", "r", "s", "t"]},
+        {"name": "cust", "type": "ordinal", "encoding": "custom",
+         "levels": ["p", "q", "r"], "points": [[0.0], [1.0], [3.5]]},
+        {"name": "zero", "type": "nominal", "encoding": "onehot",
+         "levels": ["p", "q", "r", "s"]},
+    ]
+    labels = {m["name"]: np.array(m["levels"]) for m in meta}
+    meta_path = tmp_path / "grouped_meta.json"
+    meta_path.write_text(json.dumps(meta))
+    csv_path = tmp_path / "grouped.csv"
+    cells = np.column_stack([labels[name][codes] for name, codes in columns.items()])
+    csv_path.write_text("\n".join([",".join(columns)] + [",".join(r) for r in cells]) + "\n")
     return str(csv_path), str(meta_path)
 
 
@@ -723,6 +763,100 @@ class TestTestCommand:
                 expected, _ = ref.permutation_pvalues(x, y, dx, dy, observed, 150, 11)
                 assert entry["p_values"] == expected
                 assert entry["p_value"] == expected["mle"]
+
+    @pytest.mark.filterwarnings("ignore:dropping .* zero-count")
+    @pytest.mark.parametrize("estimator", ["mle", "unbiased"])
+    def test_grouped_variables_match_library(self, tmp_path, estimator):
+        # More than _BLOCK variables share one encoding, so one group is
+        # tabulated in two blocks; four more have encodings of their own.
+        # "b130" (second block) and "zero" each declare a level that never
+        # occurs, so the analytic run falls back to permutation for them
+        # and their spectra drop that category.
+        csv_path, meta_path = write_grouped_inputs(tmp_path)
+        dataset, encodings = ingest(csv_path, meta_path)
+        names = list(dataset.column_names)
+        assert sum(encodings[v].kind == "one-hot" and encodings[v].n_categories == 3
+                   for v in names) > _BLOCK
+        y = dataset.codes[:, names.index("y")]
+        dy = distance_matrix(encodings["y"])
+        out_path = str(tmp_path / "report.json")
+        assert main(["test", "--input", csv_path, "--metadata", meta_path,
+                     "--response", "y", "--estimator", estimator, "--perms", "99",
+                     "--seed", "4", "--out", out_path]) == 0
+        report = json.loads(open(out_path).read())
+        assert [e["variable"] for e in report["results"]] == names[1:]
+        permuted = {e["variable"] for e in report["results"] if e["method"] == "permutation"}
+        assert permuted == {"b130", "zero"}
+        for entry in report["results"]:
+            x = dataset.codes[:, names.index(entry["variable"])]
+            dx = distance_matrix(encodings[entry["variable"]])
+            t = JointTable.from_codes(x, y, dx.n_categories, dy.n_categories)
+            ns = null_spectrum(t.row_counts / t.n, t.col_counts / t.n, dx, dy)
+            assert entry["n"] == t.n
+            assert entry["lambdas"] == ns.lambdas.tolist()
+            assert entry["mus"] == ns.mus.tolist()
+            assert entry["bias_shift"] == ns.bias_shift
+            for kind in ("mle", "unbiased"):
+                result = independence_test(t, dx, dy, estimator=kind)
+                assert entry["statistic"][kind] == result.statistic
+                if entry["variable"] in permuted:
+                    expected = permutation_test(x, y, dx, dy, estimator=kind, reps=99, seed=4)
+                else:
+                    expected = result.p_value
+                assert entry["p_values"][kind] == expected
+            lo, hi = confidence_interval(t, dx, dy, level=0.95, estimator=estimator)
+            assert (entry["confidence_interval"]["lo"],
+                    entry["confidence_interval"]["hi"]) == (lo, hi)
+
+    @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
+    def test_degenerate_first_variable_precedes_degenerate_response(self, tmp_path,
+                                                                    capsys, pvalue):
+        # Both "b" and the response "a" hold one observed category: the
+        # variable's side warns and fails first; the response's side, which
+        # would drop two categories, is never built.
+        meta = [{"name": "a", "type": "nominal", "encoding": "onehot",
+                 "levels": ["p", "q", "s"]},
+                AB_META[1],
+                {"name": "c", "type": "nominal", "encoding": "onehot", "levels": ["u", "v"]}]
+        csv_path, meta_path = write_raw(tmp_path, "a,b,c\n" + "p,x,u\np,x,v\n" * 4, meta)
+        with pytest.warns(RuntimeWarning) as record:
+            code = main(["test", "--input", csv_path, "--metadata", meta_path,
+                         "--response", "a", "--pvalue", pvalue])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: DegenerateMarginError: fewer than two observed categories on a margin\n")
+        assert [str(w.message) for w in record] == [
+            "dropping 1 zero-count category before building the null spectrum"]
+
+    @pytest.mark.parametrize("estimator", ["mle", "unbiased"])
+    @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
+    def test_every_row_dropped_fails_before_scoring(self, tmp_path, capsys, estimator,
+                                                    pvalue):
+        csv_path, meta_path = write_raw(tmp_path, "a,b\np,\n,y\n")
+        code = main(["test", "--input", csv_path, "--metadata", meta_path,
+                     "--response", "a", "--estimator", estimator, "--pvalue", pvalue,
+                     "--perms", "10"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: DistributionError: empty sample\n"
+
+    def test_every_row_dropped_without_variables(self, tmp_path):
+        csv_path, meta_path = write_raw(tmp_path, "a,b\n,x\n,y\n", AB_META[:1])
+        out_path = str(tmp_path / "out.json")
+        assert main(["test", "--input", csv_path, "--metadata", meta_path,
+                     "--response", "a", "--out", out_path]) == 0
+        report = json.loads(open(out_path).read())
+        assert (report["rows_used"], report["results"]) == (0, [])
+
+    @pytest.mark.filterwarnings("ignore:dropping .* zero-count")
+    @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
+    def test_three_rows_unbiased_is_one_error_line(self, tmp_path, capsys, pvalue):
+        csv_path, meta_path = write_inputs(tmp_path, n=3)
+        code = main(["test", "--input", csv_path, "--metadata", meta_path,
+                     "--response", "grade", "--estimator", "unbiased", "--pvalue", pvalue])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: InsufficientSampleError: the bias-corrected estimator needs "
+            "n >= 4 observations, got n = 3.0\n")
 
     def test_invalid_response_errors(self, tmp_path, capsys):
         csv_path, meta_path = write_inputs(tmp_path, n=30)
