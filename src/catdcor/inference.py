@@ -186,15 +186,16 @@ def _positive_part(marginal: np.ndarray, d: DistanceMatrix) -> tuple[np.ndarray,
     return marginal[keep], DistanceMatrix(d=sub, scale=d.scale)
 
 
-def _margin_law(marginal: np.ndarray, d: DistanceMatrix) -> tuple[np.ndarray, float, float]:
-    """Spectrum, mean distance and distance variance of a :func:`_positive_part`."""
-    return spectrum(marginal, d), float(marginal @ d.d @ marginal), dvar2(marginal, d)
+def _margin_law(marginal: np.ndarray, d: DistanceMatrix) -> tuple[np.ndarray, float]:
+    """Spectrum and mean distance of a :func:`_positive_part`."""
+    return spectrum(marginal, d), float(marginal @ d.d @ marginal)
 
 
 def _null_law(row_part: tuple, col_law: tuple) -> NullSpectrum:
     """The null spectrum of a row :func:`_positive_part` and a column :func:`_margin_law`."""
-    (lambdas, mean_x, dvar_x), (mus, mean_y, dvar_y) = _margin_law(*row_part), col_law
-    return NullSpectrum(lambdas, mus, mean_x * mean_y, dvar_x, dvar_y)
+    (lambdas, mean_x), (mus, mean_y) = _margin_law(*row_part), col_law
+    return NullSpectrum(lambdas, mus, mean_x * mean_y,
+                        float(np.sum(lambdas**2)), float(np.sum(mus**2)))
 
 
 def null_spectrum(row_marginal, col_marginal,

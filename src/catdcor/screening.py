@@ -154,7 +154,7 @@ def _require_scorable(n: int, estimator: str) -> None:
         raise InsufficientSampleError(
             "the bias-corrected estimator needs at least 4 observations"
         )
-    if n == 0:
+    if n <= 0:
         raise DistributionError("empty sample")
 
 

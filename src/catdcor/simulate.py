@@ -11,13 +11,14 @@ a capped linear program that keeps every non-listed cell at or below
 independence when one exists, the uncapped exact-departure linear
 program otherwise, and, only when explicitly enabled, a clipped
 rank-one compensation for scenarios whose listed cells exceed what the
-stated marginals can carry at all.  Every result
-carries a method tag naming the construction used.
+stated marginals can carry at all.  A margin precheck finds those before
+either program is solved, so scipy is loaded only for the programs.
+Every result carries a method tag naming the construction used.
 
 A harness samples datasets, tabulates each once and scores the same
-tables under one-hot, ordinal, and semicircle encodings, and reports AUC
-plus the sensitivity/specificity of the slope-break cutoff against the
-ground truth.
+tables under each encoding kind, and reports the AUC plus the
+sensitivity/specificity of the slope-break cutoff against the ground
+truth, per replicate and on average.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ import numpy as np
 from .encodings import distance_matrix, encoding_for_kind
 from .estimators import _BLOCK, _score_many, _tabulate_many
 from .exceptions import (
+    ConfigurationError,
     InfeasibleSettingError,
     ShapeError,
     UndefinedAUCError,
 )
 from .inference import _require_seed
 from .measures import JointDistribution
-from .screening import _ranked_report, _require_scorable, apply_changepoint
+from .screening import _ranked_report, _require_scorable, changepoint_threshold
 
 __all__ = [
     "SettingSpec",
@@ -187,42 +189,23 @@ def _exact_pin_lp(product: np.ndarray, bump: np.ndarray,
 
     n_rows, n_cols = product.shape
     n_cells = n_rows * n_cols
-    listed = bump > 0.0
-    nvar = n_cells + 1  # pi cells plus the worst-case departure bound
-    a_eq = np.zeros((n_rows + n_cols + int(listed.sum()), nvar))
-    b_eq = np.zeros(a_eq.shape[0])
-    for i in range(n_rows):
-        a_eq[i, i * n_cols:(i + 1) * n_cols] = 1.0
-        b_eq[i] = product[i].sum()
-    for j in range(n_cols):
-        a_eq[n_rows + j, j:n_cells:n_cols] = 1.0
-        b_eq[n_rows + j] = product[:, j].sum()
-    pin_row = n_rows + n_cols
-    for (i, j) in np.argwhere(listed):
-        a_eq[pin_row, i * n_cols + j] = 1.0
-        b_eq[pin_row] = product[i, j] + bump[i, j]
-        pin_row += 1
-    rows_ub = []
-    rhs_ub = []
-    for k in range(n_cells):
-        i, j = divmod(k, n_cols)
-        if listed[i, j]:
-            continue
-        upper = np.zeros(nvar)
-        upper[k] = 1.0
-        upper[n_cells] = -1.0
-        rows_ub.append(upper)
-        rhs_ub.append(product[i, j])
-        lower = np.zeros(nvar)
-        lower[k] = -1.0
-        lower[n_cells] = -1.0
-        rows_ub.append(lower)
-        rhs_ub.append(-product[i, j])
-    objective = np.zeros(nvar)
-    objective[n_cells] = 1.0
-    caps = np.where(capped & ~listed, product, None).ravel()
-    result = linprog(objective, A_eq=a_eq, b_eq=b_eq,
-                     A_ub=np.array(rows_ub), b_ub=np.array(rhs_ub),
+    eye = np.eye(n_cells + 1)  # one row per cell, then the departure bound
+    cells = np.arange(n_cells).reshape(n_rows, n_cols)
+    listed = bump.ravel() > 0.0
+    pinned = np.flatnonzero(listed)
+    a_eq = np.vstack([eye[cells].sum(axis=1), eye[cells.T].sum(axis=1), eye[pinned]])
+    # Column by column, as one contiguous row each: summing over axis 0
+    # adds the rows in another order, which differs in the last bit.
+    b_eq = np.concatenate([product.sum(axis=1), np.ascontiguousarray(product.T).sum(axis=1),
+                           (product + bump).ravel()[pinned]])
+    # Per free cell, pi - bound <= product and -pi - bound <= -product.
+    free = np.repeat(np.flatnonzero(~listed), 2)
+    signs = np.tile([1.0, -1.0], free.size // 2)
+    a_ub = eye[free] * signs[:, None]
+    a_ub[:, n_cells] = -1.0
+    caps = np.where(capped & ~listed, product.ravel(), None)
+    result = linprog(eye[n_cells], A_eq=a_eq, b_eq=b_eq,
+                     A_ub=a_ub, b_ub=product.ravel()[free] * signs,
                      bounds=[(0.0, cap) for cap in caps] + [(0.0, None)],
                      method="highs")
     if result.status != 0:
@@ -269,9 +252,7 @@ def build_joint(spec: SettingSpec, allow_rank_one: bool = False) -> ConstructedJ
         for capped, method in ((True, "ipf"), (False, "exact")):
             pi = _exact_pin_lp(product, bump, capped=capped)
             if pi is not None and pi.min() >= -1e-9:
-                pi = np.clip(pi, 0.0, None)
-                pi /= pi.sum()
-                return ConstructedJoint(joint=JointDistribution(pi), method=method)
+                return _constructed(pi, method)
 
     if not allow_rank_one:
         raise InfeasibleSettingError(
@@ -280,16 +261,14 @@ def build_joint(spec: SettingSpec, allow_rank_one: bool = False) -> ConstructedJ
             "the flagged approximate construction"
         )
 
-    row_excess = bump.sum(axis=1)
-    col_excess = bump.sum(axis=0)
-    pi = product + bump - np.outer(row_excess, col_excess) / bump.sum()
-    if pi.min() >= -1e-12:
-        pi = np.clip(pi, 0.0, None)
-        pi /= pi.sum()
-        return ConstructedJoint(joint=JointDistribution(pi), method="rank-one")
+    pi = product + bump - np.outer(bump.sum(axis=1), bump.sum(axis=0)) / bump.sum()
+    return _constructed(pi, "rank-one" if pi.min() >= -1e-12 else "rank-one-clipped")
+
+
+def _constructed(pi: np.ndarray, method: str) -> ConstructedJoint:
+    """``pi`` clipped at zero and renormalized, tagged with ``method``."""
     pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    return ConstructedJoint(joint=JointDistribution(pi), method="rank-one-clipped")
+    return ConstructedJoint(joint=JointDistribution(pi / pi.sum()), method=method)
 
 
 @dataclass(frozen=True)
@@ -306,6 +285,13 @@ class SimulatedDataset:
     relevant_ids: np.ndarray
     joint: JointDistribution
     method: str
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the first axis, the last one pinned to exactly 1."""
+    cdf = np.cumsum(p, axis=0)
+    cdf[-1] = 1.0
+    return cdf
 
 
 def _inverse_cdf_sample(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -337,15 +323,10 @@ def _draw_dataset(spec: SettingSpec, built: ConstructedJoint, seed) -> Simulated
     which numpy's generators fill from the same stream as ``cols``
     successive ``n``-vectors.
     """
-    pi = built.joint.pi
     col_marg = built.joint.col_marginal
-    cond = pi / col_marg[None, :]
-    cond_cdf = np.cumsum(cond, axis=0)
-    cond_cdf[-1, :] = 1.0
-    marg_cdf = np.cumsum(spec.row_marginal)
-    marg_cdf[-1] = 1.0
-    response_cdf = np.cumsum(col_marg)
-    response_cdf[-1] = 1.0
+    cond_cdf = _cdf(built.joint.pi / col_marg[None, :])
+    marg_cdf = _cdf(spec.row_marginal)
+    response_cdf = _cdf(col_marg)
 
     rng = np.random.default_rng(seed)
     n = spec.n
@@ -370,12 +351,8 @@ def _draw_dataset(spec: SettingSpec, built: ConstructedJoint, seed) -> Simulated
     )
 
 
-def roc_auc(scores, truth) -> float:
-    """Area under the ROC curve by the rank statistic, ties averaged.
-
-    Equals the probability a relevant feature outscores an irrelevant one
-    (ties counted half).  Requires both classes present.
-    """
+def _scored_classes(scores, truth, what: str) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Scores and truth as 1-d arrays of equal length, plus the two class sizes."""
     s = np.asarray(scores, dtype=float)
     t = np.asarray(truth, dtype=bool)
     if s.shape != t.shape or s.ndim != 1:
@@ -383,7 +360,17 @@ def roc_auc(scores, truth) -> float:
     n_pos = int(t.sum())
     n_neg = t.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise UndefinedAUCError("AUC needs both relevant and irrelevant features")
+        raise UndefinedAUCError(f"{what} needs both relevant and irrelevant features")
+    return s, t, n_pos, n_neg
+
+
+def roc_auc(scores, truth) -> float:
+    """Area under the ROC curve by the rank statistic, ties averaged.
+
+    Equals the probability a relevant feature outscores an irrelevant one
+    (ties counted half).  Requires both classes present.
+    """
+    s, t, n_pos, n_neg = _scored_classes(scores, truth, "AUC")
     if np.isnan(s).any():
         return float("nan")  # a NaN score leaves the ranking undefined
     # Average ranks (1-based) over runs of tied scores, as in a rank-sum test.
@@ -401,13 +388,9 @@ def roc_points(scores, truth) -> np.ndarray:
 
     One point per distinct score threshold, from (0, 0) to (1, 1),
     suitable for plotting the screening operating characteristic.
+    Checks its arguments as :func:`roc_auc` does.
     """
-    s = np.asarray(scores, dtype=float)
-    t = np.asarray(truth, dtype=bool)
-    n_pos = int(t.sum())
-    n_neg = t.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedAUCError("ROC needs both relevant and irrelevant features")
+    s, t, n_pos, n_neg = _scored_classes(scores, truth, "ROC")
     order = np.argsort(-s, kind="stable")
     sorted_truth = t[order]
     tp = np.cumsum(sorted_truth)
@@ -452,6 +435,11 @@ def run_benchmark(setting_id: int, n: int,
     are reported on every result.  ``seed`` must be non-negative.
     """
     _require_seed(seed)
+    if replicates < 1:
+        raise ConfigurationError(f"replicates must be at least 1, got {replicates}")
+    if len(set(encoding_kinds)) < len(encoding_kinds):
+        raise ConfigurationError(
+            f"encoding kinds must be distinct, got {','.join(encoding_kinds)}")
     spec = setting_spec(setting_id, n=n, n_features=n_features,
                         relevant_count=relevant_count)
     _require_scorable(n, estimator)
@@ -460,57 +448,34 @@ def run_benchmark(setting_id: int, n: int,
              for kind in encoding_kinds]
     ids = list(range(n_features))
     blocks = [slice(start, start + _BLOCK) for start in range(0, n_features, _BLOCK)]
-
-    truth_mask = np.zeros(n_features, dtype=bool)
-    truth_mask[:relevant_count] = True
-    per_kind: dict[str, dict[str, list]] = {
-        kind: {"auc": [], "sens": [], "spec": [], "scores": []}
-        for kind in encoding_kinds
-    }
+    truth = np.arange(n_features) < relevant_count
     replicate_seeds = tuple((seed, setting_id, r) for r in range(replicates))
     built = build_joint(spec, allow_rank_one=True)
-    for rep_seed in replicate_seeds:
+    # Per kind and replicate: the AUC, sensitivity and specificity, and the scores.
+    metrics = np.empty((len(dists), replicates, 3))
+    scores = np.empty((len(dists), replicates, n_features))
+    is_degenerate = np.empty((len(dists), n_features), dtype=bool)
+    for r, rep_seed in enumerate(replicate_seeds):
         data = _draw_dataset(spec, built, rep_seed)
-        values = np.empty((len(dists), n_features))
-        is_degenerate = np.empty((len(dists), n_features), dtype=bool)
+        values = scores[:, r]
         for block in blocks:
             counts = _tabulate_many(data.features[:, block], data.response[:, None],
                                     spec.n_rows, spec.n_cols)
             for k, (feat_dist, resp_dist) in enumerate(dists):
                 values[k, block], is_degenerate[k, block] = _score_many(
                     counts, float(n), feat_dist, resp_dist, estimator)
-        for k, kind in enumerate(encoding_kinds):
-            report = apply_changepoint(
-                _ranked_report(ids, values[k], is_degenerate[k], estimator))
-            selected = np.zeros(n_features, dtype=bool)
-            selected[np.asarray(report.selected, dtype=int)] = True
-            stats = per_kind[kind]
-            stats["auc"].append(roc_auc(report.values, truth_mask))
-            stats["sens"].append(
-                float((selected & truth_mask).sum() / truth_mask.sum())
-            )
-            stats["spec"].append(
-                float((~selected & ~truth_mask).sum() / (~truth_mask).sum())
-            )
-            stats["scores"].append(report.values)
+        for k in range(len(dists)):
+            report = _ranked_report(ids, values[k], is_degenerate[k], estimator)
+            # The strict rule of apply_changepoint.
+            selected = values[k] > changepoint_threshold(report.sorted_values()).threshold
+            metrics[k, r] = (roc_auc(values[k], truth),
+                             (selected & truth).sum() / truth.sum(),
+                             (~selected & ~truth).sum() / (~truth).sum())
 
-    results = []
-    for kind in encoding_kinds:
-        stats = per_kind[kind]
-        pooled = np.concatenate(stats["scores"])
-        pooled_truth = np.tile(truth_mask, replicates)
-        results.append(BenchmarkResult(
-            encoding=kind,
-            auc=float(np.mean(stats["auc"])),
-            sensitivity=float(np.mean(stats["sens"])),
-            specificity=float(np.mean(stats["spec"])),
-            replicate_aucs=np.array(stats["auc"]),
-            replicate_sensitivities=np.array(stats["sens"]),
-            replicate_specificities=np.array(stats["spec"]),
-            replicate_seeds=replicate_seeds,
-            construction=built.method,
-            joint=built.joint,
-            pooled_scores=pooled,
-            pooled_truth=pooled_truth,
-        ))
-    return results
+    return [BenchmarkResult(
+        encoding=kind, auc=float(aucs.mean()), sensitivity=float(sens.mean()),
+        specificity=float(specs.mean()), replicate_aucs=aucs,
+        replicate_sensitivities=sens, replicate_specificities=specs,
+        replicate_seeds=replicate_seeds, construction=built.method, joint=built.joint,
+        pooled_scores=scores[k].ravel(), pooled_truth=np.tile(truth, replicates),
+    ) for k, kind in enumerate(encoding_kinds) for aucs, sens, specs in [metrics[k].T]]

@@ -8,7 +8,9 @@ kernel with a separate implementation rather than with itself.  The
 floating-point operations are the old ones, so on the tested platform
 the kernel matches them bit for bit; tests hold it to 1e-12.  The
 Kronecker quadratic form is a second route to the population squared
-distance covariance.
+distance covariance.  The linear program behind
+``catdcor.simulate._exact_pin_lp`` is kept as it was first built, one
+constraint row at a time.
 """
 
 import numpy as np
@@ -128,3 +130,53 @@ def permutation_pvalues(x, y, dx, dy, observed, reps, seed):
             exceed[kind] += stat >= value
             ties += stat == value
     return {kind: (1.0 + c) / (reps + 1.0) for kind, c in exceed.items()}, ties
+
+
+def exact_pin_lp_args(product, bump, capped):
+    """The ``linprog`` arguments of ``_exact_pin_lp``, built cell by cell.
+
+    Variables are the cells in row-major order, then the bound on the
+    largest non-listed departure.  Equalities: row sums, column sums,
+    then each listed cell pinned at ``product + bump``.  Inequalities: a
+    ``pi - bound <= product``, ``-pi - bound <= -product`` pair per
+    non-listed cell.
+    """
+    n_rows, n_cols = product.shape
+    n_cells = n_rows * n_cols
+    listed = bump > 0.0
+    nvar = n_cells + 1
+    a_eq = np.zeros((n_rows + n_cols + int(listed.sum()), nvar))
+    b_eq = np.zeros(a_eq.shape[0])
+    for i in range(n_rows):
+        a_eq[i, i * n_cols:(i + 1) * n_cols] = 1.0
+        b_eq[i] = product[i].sum()
+    for j in range(n_cols):
+        a_eq[n_rows + j, j:n_cells:n_cols] = 1.0
+        b_eq[n_rows + j] = product[:, j].sum()
+    pin_row = n_rows + n_cols
+    for (i, j) in np.argwhere(listed):
+        a_eq[pin_row, i * n_cols + j] = 1.0
+        b_eq[pin_row] = product[i, j] + bump[i, j]
+        pin_row += 1
+    rows_ub = []
+    rhs_ub = []
+    for k in range(n_cells):
+        i, j = divmod(k, n_cols)
+        if listed[i, j]:
+            continue
+        upper = np.zeros(nvar)
+        upper[k] = 1.0
+        upper[n_cells] = -1.0
+        rows_ub.append(upper)
+        rhs_ub.append(product[i, j])
+        lower = np.zeros(nvar)
+        lower[k] = -1.0
+        lower[n_cells] = -1.0
+        rows_ub.append(lower)
+        rhs_ub.append(-product[i, j])
+    objective = np.zeros(nvar)
+    objective[n_cells] = 1.0
+    bounds = [(0.0, product[i, j] if capped and not listed[i, j] else None)
+              for i in range(n_rows) for j in range(n_cols)]
+    return dict(c=objective, A_eq=a_eq, b_eq=b_eq, A_ub=np.array(rows_ub),
+                b_ub=np.array(rhs_ub), bounds=bounds + [(0.0, None)], method="highs")

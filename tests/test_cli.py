@@ -1036,6 +1036,20 @@ class TestSimulateCommand:
             "error: ConfigurationError: seed must be a non-negative integer, got -1\n")
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize("flags, line", [
+        (["--replicates", "0"], "ConfigurationError: replicates must be at least 1, got 0"),
+        (["--n", "-5"], "DistributionError: empty sample"),
+        (["--encodings", "onehot,onehot"],
+         "ConfigurationError: encoding kinds must be distinct, got onehot,onehot"),
+    ], ids=["no-replicates", "negative-n", "repeated-kind"])
+    def test_bad_arguments_are_one_line_errors(self, tmp_path, capsys, flags, line):
+        code = main(["simulate", "--setting", "1", "--n", "60", "--features", "40",
+                     "--relevant", "4", "--replicates", "1", *flags,
+                     "--out", str(tmp_path / "s.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestByteIdenticalReruns:
     def test_test_command(self, tmp_path):

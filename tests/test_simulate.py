@@ -2,17 +2,21 @@
 
 import hashlib
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
 from scipy.stats import rankdata
 
 import catdcor.simulate
 from catdcor import (
     ConfigurationError,
+    DistributionError,
     InfeasibleSettingError,
     SettingSpec,
+    ShapeError,
     UndefinedAUCError,
     build_joint,
     dcov2,
@@ -28,6 +32,20 @@ from catdcor import (
 from catdcor.simulate import _draw_dataset
 
 import draw_reference as ref
+import scalar_reference
+
+
+def small_spec(row, col, cells, relevant_count):
+    """A 3x3 scenario with the given marginals and listed cells, delta 0.01."""
+    return SettingSpec(
+        setting_id=1, n_rows=3, n_cols=3, row_marginal=np.array(row),
+        col_marginal=np.array(col), delta=0.01, cells=cells,
+        n_features=10, relevant_count=relevant_count, n=50,
+    )
+
+
+EMPTY_SPEC = small_spec([0.5, 0.3, 0.2], [0.4, 0.4, 0.2], (), 0)
+MILD_SPEC = small_spec([0.4, 0.35, 0.25], [0.4, 0.35, 0.25], ((0, 0), (1, 1), (2, 2)), 2)
 
 
 def brute_auc(scores, truth):
@@ -116,13 +134,7 @@ class TestBuildJoint:
         assert calls == [True, False]
 
     def test_empty_cells_gives_product(self):
-        spec = SettingSpec(
-            setting_id=1, n_rows=3, n_cols=3,
-            row_marginal=np.array([0.5, 0.3, 0.2]),
-            col_marginal=np.array([0.4, 0.4, 0.2]),
-            delta=0.01, cells=(), n_features=10, relevant_count=0, n=50,
-        )
-        built = build_joint(spec)
+        built = build_joint(EMPTY_SPEC)
         assert built.method == "ipf"
         assert_allclose(built.joint.pi,
                         np.outer([0.5, 0.3, 0.2], [0.4, 0.4, 0.2]))
@@ -130,13 +142,7 @@ class TestBuildJoint:
     def test_mild_perturbation_uses_capped_ipf(self):
         # a small enough bump is absorbed on the complement without any
         # cell rising above its independence level
-        spec = SettingSpec(
-            setting_id=1, n_rows=3, n_cols=3,
-            row_marginal=np.array([0.4, 0.35, 0.25]),
-            col_marginal=np.array([0.4, 0.35, 0.25]),
-            delta=0.01, cells=((0, 0), (1, 1), (2, 2)),
-            n_features=10, relevant_count=2, n=50,
-        )
+        spec = MILD_SPEC
         built = build_joint(spec)
         assert built.method == "ipf"
         pi = built.joint.pi
@@ -157,6 +163,58 @@ class TestBuildJoint:
                 dx = distance_matrix(encoding_for_kind(kind, spec.n_rows))
                 dy = distance_matrix(encoding_for_kind(kind, spec.n_cols))
                 assert dcov2(built.joint, dx, dy) > 0.0
+
+
+def pin_lp_cases():
+    """(product, bump) pairs formed as build_joint forms them: every canned
+    setting, the two small specs above, and 240 seeded random specs with
+    2-9 rows and columns and one delta, whose listed cells are drawn with
+    replacement (a repeated cell carries twice the delta)."""
+    specs = [setting_spec(s, n=100) for s in range(1, 7)] + [EMPTY_SPEC, MILD_SPEC]
+    rng = np.random.default_rng(1313)
+    for _ in range(240):
+        n_rows, n_cols = (int(k) for k in rng.integers(2, 10, size=2))
+        # Fewer draws than cells, so at least one cell stays free.
+        drawn = rng.integers(0, n_rows * n_cols, size=rng.integers(1, n_rows * n_cols))
+        specs.append(SimpleNamespace(
+            n_rows=n_rows, n_cols=n_cols, delta=rng.uniform(0.001, 0.05),
+            row_marginal=rng.dirichlet(np.ones(n_rows)),
+            col_marginal=rng.dirichlet(np.ones(n_cols)),
+            cells=[divmod(int(cell), n_cols) for cell in drawn]))
+    cases = []
+    for spec in specs:
+        bump = np.zeros((spec.n_rows, spec.n_cols))
+        for i, j in spec.cells:
+            bump[i, j] += spec.delta
+        cases.append((np.outer(spec.row_marginal, spec.col_marginal), bump))
+    return cases
+
+
+class TestExactPinLp:
+    def test_cases_cover_tall_tables_and_repeated_cells(self):
+        cases = pin_lp_cases()
+        assert sum(product.shape[0] >= 8 for product, _ in cases) >= 20
+        assert sum(bump.max() > bump[bump > 0.0].min()
+                   for _, bump in cases if bump.any()) >= 20
+
+    @pytest.mark.parametrize("capped", [True, False])
+    def test_arguments_match_loop_reference(self, monkeypatch, capped):
+        captured = []
+
+        def fake_linprog(c, **kwargs):
+            captured.append(dict(kwargs, c=c))
+            return SimpleNamespace(status=2)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", fake_linprog)
+        for product, bump in pin_lp_cases():
+            assert catdcor.simulate._exact_pin_lp(product, bump, capped=capped) is None
+            args = captured.pop()
+            want = scalar_reference.exact_pin_lp_args(product, bump, capped)
+            assert args.keys() == want.keys()
+            for key in ("c", "A_eq", "b_eq", "A_ub", "b_ub"):
+                assert np.array_equal(args[key], want[key]), key
+            assert args["bounds"] == want["bounds"]
+            assert args["method"] == want["method"]
 
 
 class TestSampleDataset:
@@ -330,6 +388,12 @@ class TestRocAuc:
         with pytest.raises(UndefinedAUCError):
             roc_auc([1.0, 2.0], [True, True])
 
+    @pytest.mark.parametrize("curve", [roc_auc, roc_points])
+    @pytest.mark.parametrize("n_scores", [2, 5])
+    def test_scores_and_truth_of_unequal_length(self, curve, n_scores):
+        with pytest.raises(ShapeError, match="equal length"):
+            curve(np.arange(n_scores, dtype=float), [True, False, True])
+
     def test_roc_points_shape_and_ends(self):
         rng = np.random.default_rng(82)
         scores = rng.random(50)
@@ -422,6 +486,19 @@ class TestRunBenchmark:
         # one warning per replicate and encoding, and those scores are 0.
         found = self.replicate_warnings_and_scores(4, n=4, n_features=30, estimator="mle")
         assert found == ["2 feature(s) with degenerate margins scored 0"] * 6
+
+    @pytest.mark.parametrize("kwargs, error, match", [
+        (dict(replicates=0), ConfigurationError, "replicates must be at least 1, got 0"),
+        (dict(encoding_kinds=("onehot", "ordinal", "onehot")), ConfigurationError,
+         "encoding kinds must be distinct"),
+        (dict(n=0), DistributionError, "empty sample"),
+        (dict(n=-5), DistributionError, "empty sample"),
+    ], ids=["no-replicates", "repeated-kind", "n-zero", "n-negative"])
+    def test_rejected_before_sampling(self, monkeypatch, kwargs, error, match):
+        monkeypatch.setattr(catdcor.simulate, "_draw_dataset", None)
+        args = dict(n=60, n_features=60, relevant_count=6, replicates=1)
+        with pytest.raises(error, match=match):
+            run_benchmark(2, **{**args, **kwargs})
 
     def test_estimator_checked_before_sampling(self):
         with pytest.raises(ConfigurationError, match="estimator"):
