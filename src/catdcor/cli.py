@@ -222,9 +222,11 @@ def _text_ids(word_at: np.ndarray, start: np.ndarray, length: np.ndarray,
 def _ingest_bytes(csv_path: str, labels: _Labels) -> Dataset | None:
     """The byte route of :func:`ingest`; None for a file it leaves to streaming.
 
-    It takes every file with no ``"`` byte, no ``\\r`` outside a CRLF line
-    end and no cell over ``csv.field_size_limit()`` bytes, and splits it
-    as ``csv.reader`` would: a blank line is a record of 0 fields.  Each
+    It decodes a file whole or declines it, and raises only the shared
+    :func:`_dataset` tail's :class:`LabelError`.  It declines an unreadable
+    file, a ``"`` byte, a ``\\r`` outside a CRLF line end, invalid UTF-8, a
+    cell over ``csv.field_size_limit()`` bytes, a ragged or blank record,
+    and an analyzed column absent from the header (or none at all).  Each
     chunk of records is split at its ``,`` and ``\\n`` bytes, and each
     analyzed cell is looked up by its packed bytes in a :class:`_Slots`
     table; a label set that :func:`_slots` finds no table for streams too.
@@ -232,33 +234,31 @@ def _ingest_bytes(csv_path: str, labels: _Labels) -> Dataset | None:
     try:
         with open(csv_path, "rb") as fh:
             raw = fh.read()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {csv_path}: {exc}") from None
+    except OSError:
+        return None
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n")
     if b'"' in raw or b"\r" in raw:
         return None
-    if not raw:
-        raise ParseError(f"{csv_path}: empty file, expected a header row")
     if not raw.isascii():
         try:
             raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{csv_path}: not valid UTF-8: {exc.reason}") from None
+        except UnicodeDecodeError:
+            return None
     limit = csv.field_size_limit()
     head = raw[:raw.find(b"\n")] if b"\n" in raw else raw
     header = head.split(b",") if head else []
-    if any(len(cell) > limit for cell in header):
-        return None
     width = len(header)
     positions = _positions([cell.decode("utf-8") for cell in header], labels.names)
-    cols = np.array([] if None in positions else positions, dtype=np.int64)
-    slots = _slots([text.encode("utf-8") for text in labels.ids]) if cols.size else None
-    if cols.size and slots is None:
+    if not positions or None in positions or any(len(cell) > limit for cell in header):
         return None
+    slots = _slots([text.encode("utf-8") for text in labels.ids])
+    if slots is None:
+        return None
+    cols = np.array(positions, dtype=np.int64)
     # A newline to end the last record, and zero bytes so that every word
     # read from a cell start stays inside the buffer.
-    pad = 8 * (len(slots.words) - 1 if slots else 1)
+    pad = 8 * (len(slots.words) - 1)
     data = b"".join((raw, b"" if raw.endswith(b"\n") else b"\n", bytes(pad)))
     del raw
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -275,21 +275,16 @@ def _ingest_bytes(csv_path: str, labels: _Labels) -> Dataset | None:
         line_len = np.diff(delims[line_ends]) - 1
         if line_len.max() > limit and (np.diff(delims) - 1).max() > limit:
             return None
-        fields = np.diff(line_ends)
-        fields[line_len == 0] = 0
-        ragged = np.flatnonzero(fields != width)
-        if ragged.size:
-            line = int(ragged[0])
-            raise ParseError(f"{csv_path}: line {record + line + 2} has "
-                             f"{fields[line]} fields, expected {width}")
+        # csv.reader reads a blank line as a record of no fields.
+        if (np.diff(line_ends) != width).any() or not line_len.all():
+            return None
         lines = line_ends.size - 1
-        if cols.size:
-            # Every line has ``width`` cells, so cell (r, j) lies between
-            # delimiters r * width + j and r * width + j + 1.
-            before = delims[:-1].reshape(lines, width)[:, cols]
-            length = delims[1:].reshape(lines, width)[:, cols] - before - 1
-            codes[record:record + lines] = labels.codes(
-                _text_ids(word_at, before + pos, length, slots))
+        # Every line has ``width`` cells, so cell (r, j) lies between
+        # delimiters r * width + j and r * width + j + 1.
+        before = delims[:-1].reshape(lines, width)[:, cols]
+        length = delims[1:].reshape(lines, width)[:, cols] - before - 1
+        codes[record:record + lines] = labels.codes(
+            _text_ids(word_at, before + pos, length, slots))
         record += lines
         pos = chunk_end
     return _dataset(csv_path, labels, positions, codes)
@@ -341,14 +336,13 @@ def ingest(csv_path: str, metadata_path: str,
     (the header is line 1).  A record of the wrong width raises
     :class:`ParseError`, checked before the metadata columns and labels.
 
-    A file with no ``"`` byte is decoded by bytes, CRLF line ends
-    included.  Only a file with quotes, with a lone ``\\r``, or with a
-    cell over ``csv.field_size_limit()`` is streamed through
-    ``csv.reader`` (so is any file when the metadata declares thousands
-    of distinct labels; see :func:`_slots`).  Both routes number each
-    cell by its declared text and decode every column through one table,
-    so peak memory grows with the number of analyzed cells: about 19
-    bytes each on a wide file of two-byte labels.
+    A file with no ``"`` byte and no fault but a bad label is decoded by
+    bytes, CRLF line ends included (see :func:`_ingest_bytes`).  Any other
+    file is streamed through ``csv.reader``, which reports every fault in
+    the order it reaches them; a bad label gets the same error either way.
+    Both routes number each cell by its declared text and decode every
+    column through one table, so peak memory grows with the number of
+    analyzed cells: about 19 bytes each on a wide file of two-byte labels.
     """
     encodings = load_metadata(metadata_path)
     labels = _Labels.of(encodings, missing_tokens)
@@ -369,9 +363,12 @@ def _write(text: str, out_path: str | None) -> None:
     """Write ``text`` to ``out_path``, or to stdout when it is None."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {out_path}: {exc}") from None
 
 
 def _write_json(payload: dict, out_path: str | None) -> None:

@@ -38,7 +38,7 @@ from .exceptions import (
     InsufficientSampleError,
     ShapeError,
 )
-from .measures import JointDistribution, _check_shapes, _checked_marginal
+from .measures import _DEGENERATE_TOL, JointDistribution, _check_shapes, _checked_marginal
 
 __all__ = [
     "JointTable",
@@ -57,7 +57,6 @@ __all__ = [
     "dvar2_bias_limit",
 ]
 
-_DEGENERATE_TOL = 1e-14
 # Tables tabulated and scored per batch, features in screening or
 # replicates in a permutation test: an (n, 128) int index array, plus the
 # (128, n) permuted responses for replicates, about 1 MB each at n = 1000.

@@ -52,7 +52,7 @@ from .exceptions import (
     InsufficientReplicatesError,
     InternalConsistencyError,
 )
-from .measures import JointDistribution, _checked_marginal, dcov2, dvar2
+from .measures import _DEGENERATE_TOL, JointDistribution, _checked_marginal, dcov2, dvar2
 
 __all__ = [
     "NullSpectrum",
@@ -653,7 +653,7 @@ def alt_inference(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) 
     """
     var_x = dvar2(p.row_marginal, dx)
     var_y = dvar2(p.col_marginal, dy)
-    if var_x <= 1e-14 or var_y <= 1e-14:
+    if var_x <= _DEGENERATE_TOL or var_y <= _DEGENERATE_TOL:
         raise DegenerateMarginError(
             "distance variance is zero on at least one margin"
         )

@@ -40,6 +40,8 @@ logger = logging.getLogger(__name__)
 # Population dcov2 is nonnegative; anything below this is treated as a bug
 # rather than rounding noise.
 _NEGATIVE_TOL = 1e-9
+# A margin whose distance variance is at most this is degenerate.
+_DEGENERATE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ def dcor2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float
     _check_shapes(p, dx, dy)
     var_x = dvar2(p.row_marginal, dx)
     var_y = dvar2(p.col_marginal, dy)
-    if var_x <= 1e-14 or var_y <= 1e-14:
+    if var_x <= _DEGENERATE_TOL or var_y <= _DEGENERATE_TOL:
         raise DegenerateMarginError(
             "distance variance is zero on at least one margin; "
             "distance correlation is undefined"

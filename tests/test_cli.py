@@ -458,18 +458,33 @@ def route_outcomes(csv_path, meta_path, missing_tokens=("",)):
 
 
 def assert_routes_agree(csv_path, meta_path, missing_tokens=("",)):
+    """Hold the byte route to the streaming route on one unquoted file.
+
+    A clean file, or one with a bad label, gives the same Dataset or the
+    same LabelError by both routes.  The byte route declines a file with
+    any other fault, and ``ingest`` raises the streaming route's error.
+    """
     by_bytes, streamed = route_outcomes(csv_path, meta_path, missing_tokens)
+    if isinstance(streamed, CatdcorError) and not isinstance(streamed, LabelError):
+        assert by_bytes is None, "the byte route decoded a faulty file"
+        with pytest.raises(type(streamed)) as err:
+            ingest(csv_path, meta_path, missing_tokens)
+        assert str(err.value) == str(streamed)
+        return streamed
     assert by_bytes is not None, "the byte route declined an unquoted file"
     assert type(by_bytes) is type(streamed)
     if isinstance(streamed, CatdcorError):
         assert str(by_bytes) == str(streamed)
     else:
-        assert by_bytes.column_names == streamed.column_names
-        assert by_bytes.codes.dtype == streamed.codes.dtype == np.int64
-        np.testing.assert_array_equal(by_bytes.codes, streamed.codes)
-        assert (by_bytes.row_count, by_bytes.dropped_rows) == (
-            streamed.row_count, streamed.dropped_rows)
+        assert_same_dataset(by_bytes, streamed)
     return streamed
+
+
+def assert_same_dataset(got, expected):
+    assert got.column_names == expected.column_names
+    assert got.codes.dtype == expected.codes.dtype == np.int64
+    np.testing.assert_array_equal(got.codes, expected.codes)
+    assert (got.row_count, got.dropped_rows) == (expected.row_count, expected.dropped_rows)
 
 
 def write_plain_table(tmp_path, seed, eol="\n", n=200, analyzed=10, extra=3,
@@ -567,9 +582,11 @@ class TestIngestRoutesAgree:
         csv_path, meta_path = write_raw(tmp_path, eol.join(["a", "p", "q", "", "p"]) + eol, one)
         outcome = assert_routes_agree(csv_path, meta_path)
         assert "line 4 has 0 fields, expected 1" in str(outcome)
-        # A blank header line is a header of no fields.
+        # A blank header line is a header of no fields.  Metadata that
+        # analyzes no column is left to streaming.
         csv_path, meta_path = write_raw(tmp_path, eol + eol, [])
-        assert assert_routes_agree(csv_path, meta_path).codes.shape == (1, 0)
+        assert route_outcomes(csv_path, meta_path)[0] is None
+        assert ingest(csv_path, meta_path)[0].codes.shape == (1, 0)
         csv_path, meta_path = write_raw(tmp_path, eol + "p" + eol, [])
         assert "line 2 has 1 fields, expected 0" in str(assert_routes_agree(csv_path, meta_path))
 
@@ -589,6 +606,37 @@ class TestIngestRoutesAgree:
             outcome = assert_routes_agree(csv_path, meta_path)
             assert isinstance(outcome, ParseError)
             assert "not valid UTF-8" in str(outcome)
+
+    @pytest.mark.parametrize("note", [b"n", b'"n"'], ids=["unquoted", "quoted"])
+    def test_ragged_record_before_invalid_utf8(self, tmp_path, note):
+        # csv.reader reaches the ragged line 3 long before the invalid byte
+        # 120 KB on; a quote in a free cell must not change the report.
+        csv_path, meta_path = write_raw(tmp_path, "")
+        open(csv_path, "wb").write(b"a,b,note\np,x," + note + b"\np\n"
+                                   + b"p,y,n\n" * 20_000 + b"p,x,\xff\n")
+        outcome = assert_routes_agree(csv_path, meta_path)
+        assert str(outcome) == f"{csv_path}: line 3 has 1 fields, expected 3"
+
+    def test_no_slot_table_within_the_search_cap(self, tmp_path, monkeypatch):
+        _, _, _, write = write_plain_table(tmp_path, 10)
+        csv_path, meta_path = write()
+        labels = catdcor.cli._Labels.of(load_metadata(meta_path), ("",))
+        # A cap below one batch of moduli: no table is searched for.
+        monkeypatch.setattr(catdcor.cli, "_SLOT_SEARCH", 1)
+        assert catdcor.cli._ingest_bytes(csv_path, labels) is None
+        dataset, _ = ingest(csv_path, meta_path)
+        assert_same_dataset(dataset, catdcor.cli._ingest_stream(csv_path, labels))
+        assert 0 < dataset.dropped_rows < dataset.row_count
+
+    def test_header_cell_over_field_limit(self, tmp_path):
+        csv_path, meta_path = write_raw(tmp_path, "a,b,long_note\np,x,n\n")
+        limit = csv.field_size_limit()
+        try:
+            csv.field_size_limit(8)
+            outcome = assert_routes_agree(csv_path, meta_path)
+        finally:
+            csv.field_size_limit(limit)
+        assert str(outcome) == f"{csv_path}: field larger than field limit (8)"
 
     def test_files_left_to_streaming(self, tmp_path):
         labels = catdcor.cli._Labels.of(load_metadata(write_raw(tmp_path, "")[1]), ("",))
@@ -957,6 +1005,13 @@ class TestUnreadableInput:
         return err
 
     @pytest.mark.parametrize("command", ["screen", "test"])
+    def test_csv_unreadable(self, tmp_path, capsys, command):
+        _, meta_path = write_raw(tmp_path, "")
+        missing_path = str(tmp_path / "absent.csv")
+        err = self.run(capsys, command, missing_path, meta_path)
+        assert err.startswith(f"error: ConfigurationError: cannot read {missing_path}: ")
+
+    @pytest.mark.parametrize("command", ["screen", "test"])
     def test_csv_not_utf8(self, tmp_path, capsys, command):
         csv_path, meta_path = write_raw(tmp_path, "")
         open(csv_path, "wb").write(b"a,b\np,x\n\xe9,x\n")
@@ -981,6 +1036,26 @@ class TestUnreadableInput:
         missing_path = str(tmp_path / "absent.json")
         err = self.run(capsys, "screen", csv_path, missing_path)
         assert err.startswith(f"error: ConfigurationError: cannot read {missing_path}")
+
+
+class TestUnwritableOutput:
+    """An ``--out`` path that cannot be opened ends in one structured error line."""
+
+    @pytest.mark.parametrize("command", ["encode", "test", "screen", "simulate"])
+    def test_missing_directory(self, tmp_path, capsys, command):
+        csv_path, meta_path = write_inputs(tmp_path, n=60)
+        flags = {
+            "encode": ["--metadata", meta_path],
+            "simulate": ["--setting", "4", "--n", "60", "--features", "40",
+                         "--relevant", "4", "--replicates", "1"],
+        }.get(command, ["--input", csv_path, "--metadata", meta_path, "--response", "grade"])
+        out_path = str(tmp_path / "missing" / "out.json")
+        assert main([command, *flags, "--out", out_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: ConfigurationError: cannot write {out_path}: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
 
 class TestSimulateCommand:
