@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import operator
@@ -53,18 +54,21 @@ class Dataset:
     """Label-coded columns of a rectangular categorical data file."""
 
     column_names: tuple[str, ...]
-    codes: np.ndarray  # (n_rows, n_columns) integer codes
+    codes: np.ndarray  # (n_rows, n_columns) integer codes, each column contiguous
     row_count: int
     dropped_rows: int
 
 
 # Records are decoded by bytes in chunks of about this many bytes.
 _CHUNK = 1 << 16
-# _MASKS[k] keeps the low k bytes of a little-endian word.
-_MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
-# Multiplier that folds a text's later words into its slot key.
+# A cell packs into words of 7 bytes each, tagged with its length (see
+# _slots); _MASKS[t] keeps the min(t, 7) bytes above a word's tag byte.
+_MASKS = np.array([((1 << (8 * min(t, 7))) - 1) << 8 for t in range(9)], dtype=np.uint64)
+# Multiplier that folds a text's words into one key.
 _FOLD = np.uint64(0x9E3779B97F4A7C15)
-# Work cap, in remainders, of the search for a collision-free slot table.
+# The odd multipliers the slot search tries for each table size: powers of _FOLD.
+_MULTIPLIERS = np.cumprod(np.full(64, _FOLD))
+# Cap of the slot search, in hashed keys, and of the slot tables, in entries.
 _SLOT_SEARCH = 1 << 22
 
 
@@ -96,10 +100,6 @@ class _Labels:
             row[[ids[label] for label in labels]] = np.arange(len(labels))
         table[:, [ids[token] for token in missing_tokens]] = -1
         return cls(tuple(encodings), ids, table, group)
-
-    def codes(self, text_ids: np.ndarray) -> np.ndarray:
-        """Codes of the text ids of the analyzed cells, shape (records, columns)."""
-        return self.table.ravel()[text_ids + self.group * self.table.shape[1]]
 
 
 def _positions(header: list[str], names: tuple[str, ...]) -> list[int | None]:
@@ -145,91 +145,127 @@ def _ingest_stream(csv_path: str, labels: _Labels) -> Dataset:
                 undeclared = itertools.repeat(len(labels.ids))
                 text_ids = np.fromiter(map(labels.ids.get, cells, undeclared),
                                        dtype=np.int64)
-                codes = labels.codes(text_ids.reshape(-1, len(names)))
+                codes = labels.table[labels.group, text_ids.reshape(-1, len(names))]
     except OSError as exc:
         raise ConfigurationError(f"cannot read {csv_path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{csv_path}: not valid UTF-8: {exc.reason}") from None
     except csv.Error as exc:
         raise ParseError(f"{csv_path}: {exc}") from None
-    return _dataset(csv_path, labels, positions, np.asfortranarray(codes))
+    missing_cols = [name for name, pos in zip(names, positions) if pos is None]
+    if missing_cols:
+        raise ConfigurationError(
+            f"metadata variables absent from the CSV header: {missing_cols}"
+        )
+    kept, bad = _drop_missing(codes, 0)
+    if bad:
+        raise _label_error(csv_path, labels, positions, *bad)
+    return Dataset(names, np.asfortranarray(kept), len(kept), len(codes) - len(kept))
+
+
+def _drop_missing(codes: np.ndarray, record: int) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The rows of ``codes`` (records from ``record`` on) without a missing
+    token, and the record and column of the first undeclared text left."""
+    if codes.min(initial=0) < 0:
+        keep = np.flatnonzero((codes != -1).all(axis=1))
+        codes = codes[keep]
+        bad = np.flatnonzero(codes == -2)
+        if bad.size:
+            row, col = divmod(int(bad[0]), codes.shape[1])
+            return codes, (record + int(keep[row]), col)
+    return codes, None
+
+
+def _label_error(csv_path: str, labels: _Labels, positions: list[int | None],
+                 record: int, col: int) -> LabelError:
+    """The error for the undeclared text of analyzed column ``col`` in ``record``."""
+    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+        cell = next(itertools.islice(csv.reader(fh), record + 1, None))[positions[col]]
+    return LabelError(f"{csv_path}: line {record + 2}, column {labels.names[col]!r}: "
+                      f"label {cell!r} is not in the declared level set")
 
 
 class _Slots(NamedTuple):
-    """A collision-free ``key % m`` table of the declared texts' packed words."""
+    """A collision-free multiply-shift table of the declared texts' packed words."""
 
-    m: np.uint64
-    ids: np.ndarray    # text id per slot, the undeclared id where empty
-    words: np.ndarray  # (words per text, m): the bytes, then the length
-    undeclared: int    # the text id of any other text
-
-
-def _slot_keys(words) -> np.ndarray:
-    """One key per text from its packed words (a sequence of arrays)."""
-    keys = words[0]
-    for word in words[1:]:
-        keys = keys * _FOLD + word
-    return keys
+    a: np.uint64       # odd multiplier: a key's slot is (key * a) >> shift
+    shift: np.uint64   # 64 - b for a table of 2**b slots
+    ids: np.ndarray    # text id per slot, then the undeclared id for "not found"
+    words: np.ndarray  # (words per text, 2**b)
 
 
-def _slots(texts: list[bytes]) -> _Slots | None:
-    """The table with the smallest ``m``, or None if none lies within the cap.
+def _slots(texts: list[bytes], rows: int) -> _Slots | None:
+    """The table with the fewest slots found, or None within the cap.
 
-    A text packs into little-endian words of 8 bytes, zero past its end,
-    followed by its length.  The search tries ``m`` upward from the number
-    of texts, a batch of 256 at a time, for at most ``_SLOT_SEARCH``
-    remainders: a few hundred labels need ``m`` of a few thousand, while
-    thousands of labels can exhaust the cap.
+    A text packs into little-endian words: word k holds bytes 7k to 7k + 6,
+    zero past the end, above a tag byte min(max(length - 7k, 0), 8), so
+    equal words mean equal texts, and a cell too long for the words gets a
+    last tag of 8, which no declared text has.  n keys fall into 2**b slots
+    without a collision with odds of about exp(-n**2 / 2**(b + 1)), so b
+    starts near 2 log2(n) - 5 and grows until one of ``_MULTIPLIERS``
+    works, while at most ``_SLOT_SEARCH`` keys are hashed and the tables,
+    ``rows`` code rows and the words by 2**b slots, stay within that many
+    entries: thousands of labels exhaust it.
     """
-    n_words = max(1, -(-max(map(len, texts)) // 8))
-    words = np.array([[int.from_bytes(text[8 * k:8 * k + 8], "little") for text in texts]
-                      for k in range(n_words)] + [list(map(len, texts))], dtype=np.uint64)
-    keys = _slot_keys(words)
-    for low in range(len(texts), len(texts) + _SLOT_SEARCH // len(texts), 256):
-        moduli = np.arange(low, low + 256, dtype=np.uint64)
-        rem = np.sort(keys[:, None] % moduli, axis=0)
-        distinct = (rem[1:] != rem[:-1]).all(axis=0)
+    n = len(texts)
+    words = np.array([[int.from_bytes(text[7 * k:7 * k + 7], "little") << 8
+                       | min(max(len(text) - 7 * k, 0), 8) for text in texts]
+                      for k in range(max(1, -(-max(map(len, texts)) // 7)))], dtype=np.uint64)
+    keys = functools.reduce(lambda keys, word: keys * _FOLD + word, words)
+    bits, hashed = max(1, (n - 1).bit_length(), (n * n).bit_length() - 5), n * _MULTIPLIERS.size
+    while hashed <= _SLOT_SEARCH and (rows + len(words)) << bits <= _SLOT_SEARCH:
+        shift = np.uint64(64 - bits)
+        slot = np.sort((_MULTIPLIERS[:, None] * keys) >> shift, axis=1)
+        distinct = (slot[:, 1:] != slot[:, :-1]).all(axis=1)
         if distinct.any():
-            m = moduli[np.argmax(distinct)]
-            slot = (keys % m).view(np.int64)
-            ids = np.full(int(m), len(texts), dtype=np.int64)
-            ids[slot] = np.arange(len(texts))
-            slot_words = np.zeros((len(words), int(m)), dtype=np.uint64)
+            a = _MULTIPLIERS[np.argmax(distinct)]
+            slot = ((keys * a) >> shift).view(np.int64)
+            ids = np.full((1 << bits) + 1, n, dtype=np.int64)
+            ids[slot] = np.arange(n)
+            slot_words = np.zeros((len(words), 1 << bits), dtype=np.uint64)
             slot_words[:, slot] = words
-            return _Slots(m, ids, slot_words, len(texts))
+            return _Slots(a, shift, ids, slot_words)
+        bits, hashed = bits + 1, hashed + n * _MULTIPLIERS.size
     return None
 
 
-def _text_ids(word_at: np.ndarray, start: np.ndarray, length: np.ndarray,
-              slots: _Slots) -> np.ndarray:
-    """Text ids of the cells at byte offsets ``start``, ``length`` bytes long.
+def _slot_index(word_at: np.ndarray, before: np.ndarray, length: np.ndarray,
+                slots: _Slots) -> np.ndarray:
+    """Slots of the cells after byte offsets ``before``, ``length`` bytes long.
 
-    ``word_at[i]`` is the little-endian word of the 8 bytes from offset i.
+    ``word_at[i]`` holds the 8 bytes from offset i, so a cell's word k is
+    read from 7k bytes past the byte before it, whose place the tag takes.
+    A cell whose packed words differ from its slot's gets the "not found"
+    slot after the table.
     """
     words = []
-    for k in range(len(slots.words) - 1):
-        word = word_at[start + 8 * k]
-        word &= _MASKS[np.clip(length - 8 * k, 0, 8)]
+    for k in range(len(slots.words)):
+        word = word_at[before + 7 * k].view("<u8")
+        tag = np.clip(length - 7 * k, 0, 8)
+        word &= _MASKS[tag]
+        word |= tag.view(np.uint64)
         words.append(word)
-    words.append(length.astype(np.uint64))
-    slot = (_slot_keys(words) % slots.m).view(np.int64)
-    found = slots.words[0][slot] == words[0]
-    for word, slot_word in zip(words[1:], slots.words[1:]):
-        found &= slot_word[slot] == word
-    return np.where(found, slots.ids[slot], slots.undeclared)
+    keys = functools.reduce(lambda keys, word: keys * _FOLD + word, words)
+    slot = ((keys * slots.a) >> slots.shift).view(np.int64)
+    found = functools.reduce(operator.and_, [row[slot] == word
+                                             for row, word in zip(slots.words, words)])
+    return np.where(found, slot, len(slots.ids) - 1)
 
 
 def _ingest_bytes(csv_path: str, labels: _Labels) -> Dataset | None:
     """The byte route of :func:`ingest`; None for a file it leaves to streaming.
 
-    It decodes a file whole or declines it, and raises only the shared
-    :func:`_dataset` tail's :class:`LabelError`.  It declines an unreadable
+    It decodes a file whole or declines it, and raises only the
+    :class:`LabelError` of :func:`_label_error`.  It declines an unreadable
     file, a ``"`` byte, a ``\\r`` outside a CRLF line end, invalid UTF-8, a
     cell over ``csv.field_size_limit()`` bytes, a ragged or blank record,
     and an analyzed column absent from the header (or none at all).  Each
-    chunk of records is split at its ``,`` and ``\\n`` bytes, and each
-    analyzed cell is looked up by its packed bytes in a :class:`_Slots`
-    table; a label set that :func:`_slots` finds no table for streams too.
+    chunk of records is split at its ``,`` and ``\\n`` bytes; each
+    analyzed cell's packed bytes hash to a slot of a :class:`_Slots` table,
+    and one table of slots by column group gives its code.  Rows with a
+    missing token are dropped in the chunk, before the rest land in the
+    column-major code array.  A label set that :func:`_slots` finds no
+    table for streams too.
     """
     try:
         with open(csv_path, "rb") as fh:
@@ -252,20 +288,24 @@ def _ingest_bytes(csv_path: str, labels: _Labels) -> Dataset | None:
     positions = _positions([cell.decode("utf-8") for cell in header], labels.names)
     if not positions or None in positions or any(len(cell) > limit for cell in header):
         return None
-    slots = _slots([text.encode("utf-8") for text in labels.ids])
+    slots = _slots([text.encode("utf-8") for text in labels.ids], len(labels.table))
     if slots is None:
         return None
-    cols = np.array(positions, dtype=np.int64)
+    # Analyzed column j's code for the text in slot s is table[group[j], s].
+    table = labels.table[:, slots.ids]
+    offset = labels.group * table.shape[1]
+    gather = positions != list(range(width))
     # A newline to end the last record, and zero bytes so that every word
-    # read from a cell start stays inside the buffer.
-    pad = 8 * (len(slots.words) - 1)
+    # read for a cell stays inside the buffer.
+    pad = 7 * len(slots.words)
     data = b"".join((raw, b"" if raw.endswith(b"\n") else b"\n", bytes(pad)))
     del raw
     buf = np.frombuffer(data, dtype=np.uint8)
-    word_at = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    # The 8 bytes from each offset; numpy gathers S8 faster than unaligned '<u8'.
+    word_at = np.ndarray((len(data) - 7,), dtype="S8", buffer=data, strides=(1,))
     pos, end = len(head) + 1, len(data) - pad
-    codes = np.empty((data.count(b"\n", pos, end), cols.size), dtype=np.int64, order="F")
-    record = 0
+    codes = np.empty((data.count(b"\n", pos, end), len(positions)), dtype=np.int64, order="F")
+    record, kept, bad = 0, 0, None
     while pos < end:
         chunk_end = data.find(b"\n", min(pos + _CHUNK, end) - 1) + 1
         # The chunk's bytes, from the newline that ends the line before it.
@@ -273,51 +313,31 @@ def _ingest_bytes(csv_path: str, labels: _Labels) -> Dataset | None:
         delims = np.flatnonzero((chunk == ord(",")) | (chunk == ord("\n")))
         line_ends = np.flatnonzero(chunk[delims] == ord("\n"))
         line_len = np.diff(delims[line_ends]) - 1
-        if line_len.max() > limit and (np.diff(delims) - 1).max() > limit:
+        length = np.diff(delims) - 1
+        if line_len.max() > limit and length.max() > limit:
             return None
         # csv.reader reads a blank line as a record of no fields.
         if (np.diff(line_ends) != width).any() or not line_len.all():
             return None
         lines = line_ends.size - 1
-        # Every line has ``width`` cells, so cell (r, j) lies between
-        # delimiters r * width + j and r * width + j + 1.
-        before = delims[:-1].reshape(lines, width)[:, cols]
-        length = delims[1:].reshape(lines, width)[:, cols] - before - 1
-        codes[record:record + lines] = labels.codes(
-            _text_ids(word_at, before + pos, length, slots))
+        # Every line has ``width`` cells, so cell (r, j) follows delimiter
+        # r * width + j and has length[r * width + j] bytes.
+        before = delims[:-1]
+        if gather:
+            before = before.reshape(lines, width)[:, positions]
+            length = length.reshape(lines, width)[:, positions]
+        slot = _slot_index(word_at[pos - 1:], before, length, slots).reshape(lines, -1)
+        slot += offset
+        rows, first_bad = _drop_missing(table.ravel()[slot], record)
+        bad = bad or first_bad
+        codes[kept:kept + len(rows)] = rows
+        kept += len(rows)
         record += lines
         pos = chunk_end
-    return _dataset(csv_path, labels, positions, codes)
-
-
-def _dataset(csv_path: str, labels: _Labels, positions: list[int | None],
-             codes: np.ndarray) -> Dataset:
-    """Drop the rows with a missing token and check the labels of the rest."""
-    names = labels.names
-    missing_cols = [name for name, pos in zip(names, positions) if pos is None]
-    if missing_cols:
-        raise ConfigurationError(
-            f"metadata variables absent from the CSV header: {missing_cols}"
-        )
-    dropped = (codes == -1).any(axis=1)
-    if dropped.any():
-        codes = codes.T.compress(~dropped, axis=1).T
-    bad = codes < -1
-    if bad.any():
-        row, col = divmod(int(np.argmax(bad)), len(names))
-        record = int(np.flatnonzero(~dropped)[row])
-        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-            cells = next(itertools.islice(csv.reader(fh), record + 1, None))
-        raise LabelError(
-            f"{csv_path}: line {record + 2}, column {names[col]!r}: "
-            f"label {cells[positions[col]]!r} is not in the declared level set"
-        )
-    return Dataset(
-        column_names=names,
-        codes=codes,
-        row_count=codes.shape[0],
-        dropped_rows=int(dropped.sum()),
-    )
+    if bad:
+        raise _label_error(csv_path, labels, positions, *bad)
+    # Rows past ``kept`` were never written; the row slice keeps each column contiguous.
+    return Dataset(labels.names, codes[:kept], kept, record - kept)
 
 
 def ingest(csv_path: str, metadata_path: str,
@@ -340,9 +360,9 @@ def ingest(csv_path: str, metadata_path: str,
     bytes, CRLF line ends included (see :func:`_ingest_bytes`).  Any other
     file is streamed through ``csv.reader``, which reports every fault in
     the order it reaches them; a bad label gets the same error either way.
-    Both routes number each cell by its declared text and decode every
-    column through one table, so peak memory grows with the number of
-    analyzed cells: about 19 bytes each on a wide file of two-byte labels.
+    Peak memory grows with the number of analyzed cells: by bytes, about
+    12 bytes each (the int64 codes and the file) on 1000 records of 2000
+    two-byte labels, since rows are dropped before the codes are stored.
     """
     encodings = load_metadata(metadata_path)
     labels = _Labels.of(encodings, missing_tokens)

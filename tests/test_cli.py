@@ -656,6 +656,102 @@ class TestIngestRoutesAgree:
         assert assert_routes_agree(csv_path, meta_path).codes.tolist() == [[1], [0]]
 
 
+class TestIngestByteRouteChunks:
+    """The byte route against the streaming route where records are split
+    into chunks of one line or a few, so that dropped rows and bad labels
+    fall on both sides of chunk boundaries."""
+
+    @pytest.mark.parametrize("chunk", [1, 40, 97])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_routes_agree_across_chunk_boundaries(self, tmp_path, monkeypatch, seed, eol,
+                                                  chunk):
+        monkeypatch.setattr(catdcor.cli, "_CHUNK", chunk)
+        header, rows, meta, write = write_plain_table(tmp_path, seed, eol, n=60)
+        names = [entry["name"] for entry in meta]
+        analyzed = [header.index(name) for name in names]
+        # The header as written has other columns, the analyzed ones in
+        # another order, and one analyzed name twice; the whole-header
+        # variant is the analyzed columns alone, in metadata order.
+        whole = [[row[j] for j in analyzed] for row in rows]
+        for variant in ({}, {"header": names, "rows": whole}):
+            dataset = assert_routes_agree(*write(**variant))
+            assert 0 < dataset.dropped_rows < dataset.row_count
+        rng = np.random.default_rng(seed)
+        first = int(rng.integers(5, 40))
+        # A bad label in a row that has a missing token too is dropped.
+        rows[first][analyzed[0]] = whole[first][0] = "undeclared"
+        rows[first][analyzed[-1]] = whole[first][-1] = ""
+        for variant in ({}, {"header": names, "rows": whole}):
+            assert isinstance(assert_routes_agree(*write(**variant)), Dataset)
+        # Bad labels on consecutive records, so on both sides of a boundary.
+        for r in range(first + 1, first + 4):
+            k = int(rng.integers(len(names)))
+            rows[r][analyzed[k]] = whole[r][k] = rng.choice(["Ωmeg", "nul", "p ", "LL"])
+        for variant in ({}, {"header": names, "rows": whole}):
+            outcome = assert_routes_agree(*write(**variant))
+            assert isinstance(outcome, LabelError)
+            assert f"line {first + 2}," not in str(outcome)
+
+    def test_codes_columns_contiguous(self, tmp_path):
+        # Scoring reads the codes a column at a time; C-order codes made
+        # catdcor screen on a wide file more than twice as slow.
+        _, _, _, write = write_plain_table(tmp_path, 23, n=300)
+        csv_path, meta_path = write()
+        by_bytes, streamed = route_outcomes(csv_path, meta_path)
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text(open(csv_path, encoding="utf-8").read().replace("dup", '"dup"'),
+                          encoding="utf-8")
+        for dataset in (by_bytes, streamed, ingest(csv_path, meta_path)[0],
+                        ingest(str(quoted), meta_path)[0]):
+            assert 0 < dataset.dropped_rows
+            assert dataset.codes.strides[0] == dataset.codes.itemsize
+
+    def test_wide_file_of_short_labels_by_bytes(self, tmp_path, monkeypatch):
+        # The shape of the screening benchmark's input: unquoted, two-byte
+        # labels, hundreds of columns, and about 1% of the records with a
+        # missing cell.
+        rng = np.random.default_rng(24)
+        n, p = 400, 300
+        levels = rng.integers(2, 9, p)
+        cells = np.array([f"L{k}" for k in range(8)])[
+            np.floor(rng.random((n, p)) * levels).astype(np.int64)]
+        cells[rng.choice(n, n // 100, replace=False), rng.integers(0, p, n // 100)] = ""
+        names = [f"x{j:04d}" for j in range(p)]
+        meta = [{"name": name, "type": "nominal", "encoding": "onehot",
+                 "levels": [f"L{k}" for k in range(lev)]}
+                for name, lev in zip(names, levels.tolist())]
+        text = "\n".join([",".join(names)] + [",".join(row) for row in cells.tolist()]) + "\n"
+        csv_path, meta_path = write_raw(tmp_path, text, meta)
+        labels = catdcor.cli._Labels.of(load_metadata(meta_path), ("",))
+        streamed = catdcor.cli._ingest_stream(csv_path, labels)
+        # Only the byte route can ingest now.
+        monkeypatch.setattr(catdcor.cli, "_ingest_stream", None)
+        dataset, _ = ingest(csv_path, meta_path)
+        assert_same_dataset(dataset, streamed)
+        assert 0 < dataset.dropped_rows < n
+
+    def test_thousands_of_numeric_labels_by_bytes(self, tmp_path, monkeypatch):
+        # 3000 declared labels, 0 to 2999, a thousand per column (ordinal, so
+        # that loading the metadata stays cheap).
+        rng = np.random.default_rng(25)
+        n, names = 500, ["a", "b", "c"]
+        meta = [{"name": name, "type": "ordinal", "encoding": "ordinal",
+                 "levels": [str(k) for k in range(1000 * j, 1000 * j + 1000)]}
+                for j, name in enumerate(names)]
+        cells = (rng.integers(0, 1000, (n, 3)) + [0, 1000, 2000]).astype(str).astype(object)
+        cells[rng.random((n, 3)) < 0.01] = ""
+        text = "".join(",".join(row) + "\n" for row in cells.tolist())
+        csv_path, meta_path = write_raw(tmp_path, ",".join(names) + "\n" + text, meta)
+        labels = catdcor.cli._Labels.of(load_metadata(meta_path), ("",))
+        streamed = catdcor.cli._ingest_stream(csv_path, labels)
+        # Only the byte route can ingest now.
+        monkeypatch.setattr(catdcor.cli, "_ingest_stream", None)
+        dataset, _ = ingest(csv_path, meta_path)
+        assert_same_dataset(dataset, streamed)
+        assert 0 < dataset.dropped_rows < n
+
+
 class TestEncodeCommand:
     def test_matrix_values(self, tmp_path, capsys):
         _, meta_path = write_inputs(tmp_path, n=5)
