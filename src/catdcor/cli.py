@@ -36,7 +36,6 @@ from .inference import (
     _margin_law,
     _null_law,
     _permutation_pvalues,
-    _positive_part,
     _require_replicates,
     _require_seed,
     _test_result,
@@ -45,9 +44,6 @@ from .screening import apply_changepoint, screen
 from .simulate import roc_points, run_benchmark
 
 __all__ = ["Dataset", "ingest", "main"]
-
-_WORKERS_ENV = "CATDCOR_WORKERS"
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -426,9 +422,12 @@ def _variables(args: argparse.Namespace) -> tuple:
             shared[key] = distance_matrix(encodings[name])
         return shared[key]
 
-    keep = [j for j, name in enumerate(names) if name != args.response]
-    return (dataset, dataset.codes[:, names.index(args.response)], dist(args.response),
-            [names[j] for j in keep], dataset.codes[:, keep], [dist(names[j]) for j in keep])
+    r = names.index(args.response)
+    keep = [j for j in range(len(names)) if j != r]
+    # A view, not a copy, when the response is the first or the last column.
+    columns = slice(1, None) if r == 0 else slice(None, r) if r == len(keep) else keep
+    return (dataset, dataset.codes[:, r], dist(args.response),
+            [names[j] for j in keep], dataset.codes[:, columns], [dist(names[j]) for j in keep])
 
 
 def cmd_encode(args: argparse.Namespace) -> None:
@@ -493,11 +492,10 @@ def cmd_test(args: argparse.Namespace) -> None:
         # observed category is rarer than 5/n.
         if method == "analytic" and np.any(np.concatenate([row, col]) < 5.0 / n):
             method = "permutation"
-        # In null_spectrum's order: both margins' zero-count categories are
-        # dropped before either spectrum is computed.
-        row_part = _positive_part(row, dx)
-        response_law = response_law or _margin_law(*_positive_part(col, dy))
-        ns = _null_law(row_part, response_law)
+        # In null_spectrum's order: the variable's side, then the response's.
+        row_law = _margin_law(row, dx)
+        response_law = response_law or _margin_law(col, dy)
+        ns = _null_law(row_law, response_law)
         ns.normalizer()
         dcor2 = {args.estimator: statistic(s, args.estimator)}
         if method == "permutation":
@@ -655,25 +653,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_workers() -> None:
-    value = os.environ.get(_WORKERS_ENV)
-    if value is None:
-        return
-    try:
-        workers = int(value)
-    except ValueError:
-        raise ConfigurationError(f"{_WORKERS_ENV} must be an integer, got {value!r}")
-    if workers < 1:
-        raise ConfigurationError(f"{_WORKERS_ENV} must be >= 1, got {workers}")
-    # Computation is vectorized in-process; results are identical for any
-    # worker count, which the determinism contract requires.
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_workers()
         if hasattr(args, "seed"):
             _require_seed(args.seed)
         args.func(args)

@@ -15,13 +15,15 @@ The bias-corrected estimator ("unbiased") is the fourth-order U-statistic
 
 which has expectation exactly equal to the population value and may be
 negative.  Both are strongly consistent under rescaled distances.  The
-``n``-scaled gap between the two estimators converges to a computable
-limit, exposed here as :func:`bias_limit` (joint) and
-:func:`dvar2_bias_limit` (single margin).
+``n``-scaled gap between the two estimators converges to
+``10 T2 - 3 T1 - 6 T3`` taken at total 1, exposed here as
+:func:`bias_limit` (joint) and :func:`dvar2_bias_limit` (single margin).
 
 Tables may hold fractional counts: plugging ``n_ij = n * pi_ij`` turns
 the almost-sure limit statements into exact finite-``n`` algebra, which
-the tests exploit for deterministic verification.
+the tests exploit for deterministic verification.  At total 1 the sums
+give the population values: :mod:`catdcor.measures` and both bias limits
+take them on the joint probabilities.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 
 from .encodings import DistanceMatrix
 from .exceptions import (
+    ConfigurationError,
     DegenerateMarginError,
     DistributionError,
     InsufficientSampleError,
@@ -159,6 +162,11 @@ def _u_statistic(t1, t2, t3, n: float):
         - 2.0 * t2 / (n * (n - 2.0) * (n - 3.0))
         + t3 / (n * (n - 1.0) * (n - 2.0) * (n - 3.0))
     )
+
+
+def _require_estimator(estimator: str) -> None:
+    if estimator not in ("mle", "unbiased"):
+        raise ConfigurationError("estimator must be 'mle' or 'unbiased'")
 
 
 def _require_u_sample(n: float) -> None:
@@ -385,31 +393,20 @@ def dcor2_estimates(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> Es
 def bias_limit(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
     """Limit of ``n * (plug-in - bias-corrected)`` for squared distance covariance.
 
-    Evaluates ``sum (10 pi_ij pi_k. pi_.l - 3 pi_ij pi_kl
-    - 6 pi_i. pi_.j pi_k. pi_.l) dX_ik dY_jl``.  Under independence this
-    reduces to the product of the two mean within-margin distances.
+    ``10 T2 - 3 T1 - 6 T3`` at total 1, that is ``sum (10 pi_ij pi_k. pi_.l
+    - 3 pi_ij pi_kl - 6 pi_i. pi_.j pi_k. pi_.l) dX_ik dY_jl``.  Under
+    independence this is the product of the two mean within-margin distances.
     """
     _check_shapes(p, dx, dy)
-    pi = p.pi
-    row = p.row_marginal
-    col = p.col_marginal
-    dbar_x = dx.d @ row
-    dbar_y = dy.d @ col
-    term_cross = 10.0 * float(dbar_x @ pi @ dbar_y)
-    term_joint = -3.0 * float(np.sum(pi * (dx.d @ pi @ dy.d)))
-    term_indep = -6.0 * float((row @ dx.d @ row) * (col @ dy.d @ col))
-    return term_cross + term_joint + term_indep
+    t1, t2, t3 = (float(v[0]) for v in _t_stats_many(p.pi[None], dx.d, dy.d))
+    return 10.0 * t2 - 3.0 * t1 - 6.0 * t3
 
 
 def dvar2_bias_limit(marginal, d: DistanceMatrix) -> float:
     """Limit of ``n * (plug-in - bias-corrected)`` for squared distance variance.
 
-    Evaluates ``sum pi_i pi_k (10 d_ik dbar_i - 3 d_ik^2 - 6 dbar_i dbar_k)``.
+    ``10 T2 - 3 T1 - 6 T3`` for the single-margin sums at total 1:
+    ``sum pi_i pi_k (10 d_ik dbar_i - 3 d_ik^2 - 6 dbar_i dbar_k)``.
     """
-    m = _checked_marginal(marginal, d)
-    dbar = d.d @ m
-    mean_dist = float(m @ dbar)
-    term1 = 10.0 * float(m @ (dbar * dbar))
-    term2 = -3.0 * float(m @ (d.d * d.d) @ m)
-    term3 = -6.0 * mean_dist**2
-    return term1 + term2 + term3
+    t1, t2, t3 = dvar_t_stats(marginal, d)
+    return 10.0 * t2 - 3.0 * t1 - 6.0 * t3

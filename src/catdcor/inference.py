@@ -40,6 +40,7 @@ from .estimators import (
     _BLOCK,
     JointTable,
     _dcor2 as _statistic,  # the unscaled estimate named by ``estimator``
+    _require_estimator,
     _score_many,
     _tabulate_many,
 )
@@ -168,32 +169,27 @@ def spectrum(marginal, d: DistanceMatrix) -> np.ndarray:
     return kept[np.argsort(-np.abs(kept), kind="stable")]
 
 
-def _positive_part(marginal: np.ndarray, d: DistanceMatrix) -> tuple[np.ndarray, DistanceMatrix]:
-    """Drop zero-probability categories, warning when any are removed."""
-    keep = marginal > 0.0
-    if np.all(keep):
-        return marginal, d
-    n_dropped = int((~keep).sum())
-    warnings.warn(
-        f"dropping {n_dropped} zero-count categor{'y' if n_dropped == 1 else 'ies'} "
-        "before building the null spectrum",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    if keep.sum() < 2:
-        raise DegenerateMarginError("fewer than two observed categories on a margin")
-    sub = d.d[np.ix_(keep, keep)]
-    return marginal[keep], DistanceMatrix(d=sub, scale=d.scale)
+def _margin_law(marginal, d: DistanceMatrix) -> tuple[np.ndarray, float]:
+    """Spectrum and mean distance of a checked margin, its zero categories dropped (warns)."""
+    m = _checked_marginal(marginal, d)
+    keep = m > 0.0
+    if not np.all(keep):
+        n_dropped = int((~keep).sum())
+        warnings.warn(
+            f"dropping {n_dropped} zero-count categor{'y' if n_dropped == 1 else 'ies'} "
+            "before building the null spectrum",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        if keep.sum() < 2:
+            raise DegenerateMarginError("fewer than two observed categories on a margin")
+        m, d = m[keep], DistanceMatrix(d=d.d[np.ix_(keep, keep)], scale=d.scale)
+    return spectrum(m, d), float(m @ d.d @ m)
 
 
-def _margin_law(marginal: np.ndarray, d: DistanceMatrix) -> tuple[np.ndarray, float]:
-    """Spectrum and mean distance of a :func:`_positive_part`."""
-    return spectrum(marginal, d), float(marginal @ d.d @ marginal)
-
-
-def _null_law(row_part: tuple, col_law: tuple) -> NullSpectrum:
-    """The null spectrum of a row :func:`_positive_part` and a column :func:`_margin_law`."""
-    (lambdas, mean_x), (mus, mean_y) = _margin_law(*row_part), col_law
+def _null_law(row_law: tuple, col_law: tuple) -> NullSpectrum:
+    """The null spectrum of a row and a column :func:`_margin_law`."""
+    (lambdas, mean_x), (mus, mean_y) = row_law, col_law
     return NullSpectrum(lambdas, mus, mean_x * mean_y,
                         float(np.sum(lambdas**2)), float(np.sum(mus**2)))
 
@@ -205,9 +201,7 @@ def null_spectrum(row_marginal, col_marginal,
     Zero-probability categories are dropped (with a warning) before the
     eigenvalue computation, which requires strictly positive mass.
     """
-    row = _positive_part(np.asarray(row_marginal, dtype=float), dx)
-    col = _positive_part(np.asarray(col_marginal, dtype=float), dy)
-    return _null_law(row, _margin_law(*col))
+    return _null_law(_margin_law(row_marginal, dx), _margin_law(col_marginal, dy))
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +500,7 @@ def independence_test(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
     centered chi-squares with weights ``lambda_i mu_j`` estimated from the
     sample marginals; the plug-in variant adds the shift ``B``.
     """
-    if estimator not in ("mle", "unbiased"):
-        raise ValueError("estimator must be 'mle' or 'unbiased'")
+    _require_estimator(estimator)
     ns = null_spectrum(t.row_counts / t.n, t.col_counts / t.n, dx, dy)
     ns.normalizer()  # zero total weight fails before the statistic
     return _test_result(ns, t.n * _statistic(t, dx, dy, estimator), estimator, t.n)
@@ -580,8 +573,7 @@ def permutation_test(x, y, dx: DistanceMatrix, dy: DistanceMatrix,
     """
     _require_replicates(reps)
     _require_seed(seed)
-    if estimator not in ("mle", "unbiased"):
-        raise ValueError("estimator must be 'mle' or 'unbiased'")
+    _require_estimator(estimator)
     x = np.asarray(x)
     y = np.asarray(y)
     table = JointTable.from_codes(x, y, dx.n_categories, dy.n_categories)
@@ -688,8 +680,7 @@ def confidence_interval(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie strictly between 0 and 1")
-    if estimator not in ("mle", "unbiased"):
-        raise ValueError("estimator must be 'mle' or 'unbiased'")
+    _require_estimator(estimator)
     return _interval(_statistic(t, dx, dy, estimator), t.counts, t.n, dx, dy, level, estimator)
 
 

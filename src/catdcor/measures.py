@@ -7,8 +7,9 @@ squared distance covariance is the double sum
     sum_{i,j,k,l} (pi_ij - pi_i. pi_.j)(pi_kl - pi_k. pi_.l) dX_ik dY_jl
 
 which is zero exactly when the joint factorizes into its marginals, for
-any embedding with pairwise distinct points.  Both four-index sums here
-are evaluated as two nested bilinear contractions, costing
+any embedding with pairwise distinct points.  Each quantity here is the
+plug-in estimate of :mod:`catdcor.estimators` on the table ``pi`` of
+total 1, whose four-index sums are nested bilinear contractions costing
 ``O(I^2 J + I J^2)`` instead of the naive ``O(I^2 J^2)`` of the
 Kronecker quadratic form.
 """
@@ -145,20 +146,18 @@ def dvar2(marginal, d: DistanceMatrix) -> float:
 
     With ``dbar_i`` the probability-weighted average distance from
     category ``i``, this is
-    ``sum_{i,k} pi_i pi_k (d_ik - dbar_i)(d_ik - dbar_k)``.
-    Zero exactly when the marginal is degenerate (all mass on one
-    category).
+    ``sum_{i,k} pi_i pi_k (d_ik - dbar_i)(d_ik - dbar_k)``, evaluated as
+    the plug-in estimate at total 1 and clamped at 0.  Zero exactly when
+    the marginal is degenerate (all mass on one category).
     """
+    from .estimators import _dvar2_many  # estimators imports this module
+
     m = _checked_marginal(marginal, d)
     if m.min() < -1e-12:
         raise DistributionError("marginal probabilities must be nonnegative")
     if abs(m.sum() - 1.0) > 1e-9:
         raise DistributionError("marginal must sum to 1")
-    dbar = d.d @ m
-    centered_rows = d.d - dbar[:, None]
-    centered_cols = d.d - dbar[None, :]
-    value = float(m @ (centered_rows * centered_cols) @ m)
-    return max(value, 0.0)
+    return float(_dvar2_many(m[None], 1.0, d.d, "mle")[0])
 
 
 def dcor2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float:

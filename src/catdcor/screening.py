@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .encodings import DistanceMatrix
-from .estimators import _score_many, _tabulated
+from .estimators import _require_estimator, _score_many, _tabulated
 from .exceptions import (
     ConfigurationError,
     DistributionError,
@@ -148,8 +148,7 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
 
 def _require_scorable(n: int, estimator: str) -> None:
     """Check the estimator name and that ``n`` observations can be scored by it."""
-    if estimator not in ("mle", "unbiased"):
-        raise ConfigurationError("estimator must be 'mle' or 'unbiased'")
+    _require_estimator(estimator)
     if estimator == "unbiased" and n < 4:
         raise InsufficientSampleError(
             "the bias-corrected estimator needs at least 4 observations"

@@ -8,7 +8,10 @@ kernel with a separate implementation rather than with itself.  The
 floating-point operations are the old ones, so on the tested platform
 the kernel matches them bit for bit; tests hold it to 1e-12.  The
 Kronecker quadratic form is a second route to the population squared
-distance covariance.  The linear program behind
+distance covariance.  The centered form of the population squared
+distance variance and the term-by-term bias limits are the formulas the
+population side used before it took the kernel's sums at total 1.  The
+linear program behind
 ``catdcor.simulate._exact_pin_lp`` is kept as it was first built, one
 constraint row at a time.
 """
@@ -95,6 +98,35 @@ def dcor2(counts, dx, dy, estimator):
     if var_x <= DEGENERATE_TOL or var_y <= DEGENERATE_TOL:
         raise DegenerateMarginError("estimated distance variance is zero on a margin")
     return float(dcov(counts, dx, dy) / np.sqrt(var_x * var_y))
+
+
+def dvar2_centered(marginal, d):
+    """``sum pi_i pi_k (d_ik - dbar_i)(d_ik - dbar_k)``, clamped at 0."""
+    m = np.asarray(marginal, dtype=float)
+    dbar = d.d @ m
+    value = float(m @ ((d.d - dbar[:, None]) * (d.d - dbar[None, :])) @ m)
+    return max(value, 0.0)
+
+
+def bias_limit(pi, dx, dy):
+    """Limit of n (plug-in - bias-corrected) dcov2, expanded term by term."""
+    row = pi.sum(axis=1)
+    col = pi.sum(axis=0)
+    term_cross = 10.0 * float((dx.d @ row) @ pi @ (dy.d @ col))
+    term_joint = -3.0 * float(np.sum(pi * (dx.d @ pi @ dy.d)))
+    term_indep = -6.0 * float((row @ dx.d @ row) * (col @ dy.d @ col))
+    return term_cross + term_joint + term_indep
+
+
+def dvar2_bias_limit(marginal, d):
+    """Limit of n (plug-in - bias-corrected) dvar2, expanded term by term."""
+    m = np.asarray(marginal, dtype=float)
+    dbar = d.d @ m
+    mean_dist = float(m @ dbar)
+    term1 = 10.0 * float(m @ (dbar * dbar))
+    term2 = -3.0 * float(m @ (d.d * d.d) @ m)
+    term3 = -6.0 * mean_dist**2
+    return term1 + term2 + term3
 
 
 def crosstab(x, y, n_rows, n_cols):

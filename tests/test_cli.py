@@ -1078,6 +1078,34 @@ class TestScreenCommand:
         assert sorted(built) == ["one-hot", "one-hot", "ordinal", "semicircle"]
 
 
+    @pytest.mark.parametrize("response, view", [
+        ("grade", True), ("size", False), ("tone", True)])
+    def test_features_are_a_view_when_response_is_at_an_end(self, tmp_path, monkeypatch,
+                                                               response, view):
+        csv_path, meta_path = write_inputs(tmp_path, n=60)
+        seen = {}
+
+        class Captured(Exception):
+            pass
+
+        def ingesting(*args):
+            seen["dataset"], encodings = ingest(*args)
+            return seen["dataset"], encodings
+
+        def screening(x, *args, **kwargs):
+            seen["x"] = x
+            raise Captured
+
+        monkeypatch.setattr(catdcor.cli, "ingest", ingesting)
+        monkeypatch.setattr(catdcor.cli, "screen", screening)
+        with pytest.raises(Captured):
+            main(["screen", "--input", csv_path, "--metadata", meta_path,
+                  "--response", response])
+        codes = seen["dataset"].codes
+        others = [j for j, name in enumerate(seen["dataset"].column_names) if name != response]
+        np.testing.assert_array_equal(seen["x"], codes[:, others])
+        assert np.shares_memory(seen["x"], codes) == view
+
     @pytest.mark.parametrize("command", ["screen", "test"])
     def test_every_row_dropped(self, tmp_path, capsys, command):
         csv_path, meta_path = write_raw(tmp_path, "a,b\np,\n,y\n")
@@ -1187,16 +1215,6 @@ class TestSimulateCommand:
         finally:
             del os.environ["CATDCOR_WORKERS"]
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
-
-    def test_bad_worker_env(self, tmp_path, capsys):
-        os.environ["CATDCOR_WORKERS"] = "zero"
-        try:
-            code = main(["encode", "--metadata",
-                         write_inputs(tmp_path, n=5)[1]])
-        finally:
-            del os.environ["CATDCOR_WORKERS"]
-        assert code == 1
-        assert "ConfigurationError" in capsys.readouterr().err
 
     def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
         code = main(["simulate", "--setting", "2", "--n", "60", "--features", "50",

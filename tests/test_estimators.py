@@ -326,6 +326,18 @@ class TestBiasLimit:
                                       * dx.d[i, k] * dy.d[j, l])
             assert_allclose(bias_limit(p, dx, dy), total, atol=1e-12)
 
+    def test_matches_term_by_term_expansions(self):
+        rng = np.random.default_rng(33)
+        encodings = [one_hot, ordinal_equal, semicircle_equal]
+        for case in range(300):
+            n_rows, n_cols = (int(v) for v in rng.integers(2, 12, size=2))
+            make = encodings[case % 3]
+            dx, dy = distance_matrix(make(n_rows)), distance_matrix(make(n_cols))
+            p = JointDistribution(rng.dirichlet(np.ones(n_rows * n_cols)).reshape(n_rows, n_cols))
+            assert bias_limit(p, dx, dy) == ref.bias_limit(p.pi, dx, dy)
+            assert dvar2_bias_limit(p.row_marginal, dx) == ref.dvar2_bias_limit(p.row_marginal, dx)
+            assert dvar2_bias_limit(p.col_marginal, dy) == ref.dvar2_bias_limit(p.col_marginal, dy)
+
     @pytest.mark.parametrize("dx, dy, message", [
         (distance_matrix(one_hot(3)), DM2, "row distance matrix has 3 categories"),
         (DM2, distance_matrix(one_hot(3)), "column distance matrix has 3 categories"),

@@ -8,6 +8,7 @@ every analytic gradient.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from catdcor import (
     null_pvalue_mle,
     null_pvalue_unbiased,
     null_spectrum,
+    ShapeError,
     one_hot,
     ordinal_equal,
     permutation_test,
@@ -162,6 +164,15 @@ class TestNullSpectrum:
         with pytest.warns(RuntimeWarning):
             ns = null_spectrum([0.5, 0.5, 0.0], [0.4, 0.6], dm3, DM2)
         assert ns.lambdas.shape == (1,)
+
+    @pytest.mark.parametrize("marginal", [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_marginal_length_checked_before_dropping(self, marginal, side):
+        margins = (marginal, [0.5, 0.5]) if side == "row" else ([0.5, 0.5], marginal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="marginal length must match"):
+                null_spectrum(*margins, DM2, DM2)
 
     def test_normalizer(self):
         ns = null_spectrum([0.5, 0.5], [0.5, 0.5], DM2, DM2)
@@ -783,3 +794,17 @@ class TestConfidenceInterval:
         t = JointTable(np.full((2, 2), 5.0))
         with pytest.raises(ValueError):
             confidence_interval(t, DM2, DM2, level=1.5)
+
+
+class TestEstimatorName:
+    TABLE = JointTable(np.array([[6.0, 2.0], [3.0, 7.0]]))
+    CODES = np.array([0, 0, 1, 1, 0, 1, 0, 1])
+
+    @pytest.mark.parametrize("call", [
+        lambda t, x: independence_test(t, DM2, DM2, estimator="plug-in"),
+        lambda t, x: permutation_test(x, x[::-1], DM2, DM2, estimator="plug-in"),
+        lambda t, x: confidence_interval(t, DM2, DM2, estimator="plug-in"),
+    ], ids=["independence_test", "permutation_test", "confidence_interval"])
+    def test_unknown_estimator_is_configuration_error(self, call):
+        with pytest.raises(ConfigurationError, match="estimator must be 'mle' or 'unbiased'"):
+            call(self.TABLE, self.CODES)

@@ -6,6 +6,8 @@ or the three-expectations decomposition of the squared distance
 covariance.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -25,6 +27,8 @@ from catdcor import (
     ordinal_equal,
     semicircle_equal,
 )
+from catdcor.estimators import _score_many
+from catdcor.measures import _DEGENERATE_TOL
 import scalar_reference as ref
 
 
@@ -219,7 +223,56 @@ class TestDvar2:
             assert_allclose(dvar2(m, d), brute_dvar2(m, d.d), atol=1e-14)
 
 
+def exact_dvar2(marginal, d):
+    """The centered form in exact rational arithmetic on the float inputs."""
+    m = [Fraction(float(v)) for v in marginal]
+    dd = [[Fraction(float(v)) for v in row] for row in d.d]
+    size = len(m)
+    dbar = [sum(dd[i][k] * m[k] for k in range(size)) for i in range(size)]
+    return sum(m[i] * m[k] * (dd[i][k] - dbar[i]) * (dd[i][k] - dbar[k])
+               for i in range(size) for k in range(size))
+
+
+ENCODINGS = [one_hot, ordinal_equal, semicircle_equal]
+
+
+class TestDvar2Kernel:
+    """dvar2 is the plug-in kernel at total 1, not the centered form."""
+
+    def test_within_1e14_of_centered_form(self):
+        rng = np.random.default_rng(16)
+        for case in range(300):
+            size = int(rng.integers(2, 12))
+            d = distance_matrix(ENCODINGS[case % 3](size))
+            m = rng.dirichlet(np.ones(size))
+            assert_allclose(dvar2(m, d), ref.dvar2_centered(m, d), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("make", ENCODINGS)
+    def test_near_degenerate_matches_exact_reference(self, make):
+        for size in (2, 3, 5, 8):
+            d = distance_matrix(make(size))
+            for eps in np.logspace(-16, -4, 25):
+                for heavy in (0, size - 1):
+                    m = np.full(size, eps / (size - 1))
+                    m[heavy] = 1.0 - eps
+                    exact = exact_dvar2(m, d)
+                    value = dvar2(m, d)
+                    assert abs(Fraction(value) - exact) <= 1e-18
+                    assert (value <= _DEGENERATE_TOL) == (exact <= _DEGENERATE_TOL)
+
+
 class TestDcor2:
+    def test_equals_kernel_at_total_one(self):
+        rng = np.random.default_rng(17)
+        for case in range(300):
+            n_rows, n_cols = (int(v) for v in rng.integers(2, 12, size=2))
+            make = ENCODINGS[case % 3]
+            dx, dy = distance_matrix(make(n_rows)), distance_matrix(make(n_cols))
+            p = random_distribution(rng, n_rows, n_cols)
+            values, degenerate = _score_many(p.pi[None], 1.0, dx, dy, "mle")
+            assert not degenerate[0]
+            assert dcor2(p, dx, dy) == values[0]
+
     def test_independence_zero(self):
         p = JointDistribution.independent([0.4, 0.6], [0.3, 0.7])
         assert dcor2(p, DM2, DM2) == 0.0
