@@ -32,13 +32,16 @@ from .exceptions import (
     ParseError,
 )
 from .inference import (
+    _alt_many,
     _interval,
-    _margin_law,
+    _margin_laws,
     _null_law,
     _permutation_pvalues,
+    _raised,
     _require_replicates,
     _require_seed,
-    _test_result,
+    _tail_cases,
+    _tails,
 )
 from .screening import apply_changepoint, screen
 from .simulate import roc_points, run_benchmark
@@ -448,31 +451,36 @@ def cmd_test(args: argparse.Namespace) -> None:
 
     Variables are tabulated and scored per encoding group, as in
     ``screen``: one tabulation per block of at most 128 variables that
-    share a distance matrix, scored once per estimator.  The response's
-    side of the null spectrum is built once, at the first variable; each
-    variable adds its own side, and both analytic tails come from that
-    spectrum.  The interval is centered at the estimate already scored.
-    The permutation p-values of all variables that need them come after
-    the loop, from one set of response permutations.  A degenerate
-    variable fails in a fixed order: spectrum, zero total weight, the
-    ``--estimator`` statistic, the replicate count (permutation only), the
-    other statistic.
+    share a distance matrix, scored once per estimator, with the
+    delta-method variances of the intervals scored per block too.  The
+    variables' sides of the null spectrum come from one ``eigvalsh`` call
+    per matrix size and the response's side is built once; the analytic
+    tails of all variables run in one stack per weight count.  The
+    permutation p-values of all variables that need them come after the
+    loop, from one set of response permutations.  All of this is computed
+    without raising; each variable then warns and fails in its turn, in a
+    fixed order: spectrum (with its zero-category warning), zero total
+    weight, the ``--estimator`` statistic, the replicate count
+    (permutation only), the other statistic, the tail (analytic only),
+    the interval.
     """
     dataset, y, dy, names, x, dists = _variables(args)
     n = float(dataset.row_count)
     if names and not n:
         raise DistributionError("empty sample")
     other = "unbiased" if args.estimator == "mle" else "mle"
-    # The stacks are scored without raising; each variable raises from
-    # them in its turn.  The bias-corrected stack divides by n - 3, so
-    # below n = 4 it is not scored.
+    # The bias-corrected stack divides by n - 3, so below n = 4 it is not
+    # scored.
     kinds = [kind for kind in (args.estimator, other) if kind == "mle" or n >= 4]
-    tables: dict[int, np.ndarray] = {}
     scored = {kind: (np.zeros(len(names)), np.zeros(len(names), dtype=bool)) for kind in kinds}
+    rows: list = [None] * len(names)
+    asymp_var = np.zeros(len(names))
     for dx, block, counts in _tabulated(x, y, dists, dy.n_categories):
-        tables.update(zip(block, counts))
         for kind, (values, degenerate) in scored.items():
             values[block], degenerate[block] = _score_many(counts, n, dx, dy, kind)
+        for s, row in zip(block, counts.sum(axis=2) / n):
+            rows[s] = row
+        asymp_var[block] = _alt_many(counts / n, dx, dy)[1]
 
     def statistic(s: int, kind: str) -> float:
         if kind == "unbiased":
@@ -481,40 +489,54 @@ def cmd_test(args: argparse.Namespace) -> None:
         _require_nondegenerate(degenerate[s])
         return float(values[s])
 
+    laws = _margin_laws(rows, [dx.d for dx in dists])
+    if names:
+        col = np.bincount(y, minlength=dy.n_categories) / n
+        response_law = _margin_laws([col], [dy.d])[0]
+    # Small-sample guard: the asymptotic law is unreliable when any
+    # observed category is rarer than 5/n.
+    methods = [args.pvalue if args.pvalue == "permutation" or min(row.min(), col.min()) >= 5.0 / n
+               else "permutation" for row in rows]
+    # The analytic tails of every variable whose earlier steps pass, stacked.
+    nulls, cases = [], {}
+    for s, (_, law) in enumerate(laws):
+        sides = (law, response_law[1])
+        nulls.append(None if any(isinstance(v, Exception) for v in sides) else _null_law(*sides))
+        if (methods[s] == "analytic" and nulls[s] and nulls[s].dvar_x * nulls[s].dvar_y > 0.0
+                and all(kind in scored and not scored[kind][1][s] for kind in (args.estimator, other))):
+            cases[s] = _tail_cases(nulls[s], {kind: n * scored[kind][0][s]
+                                              for kind in (args.estimator, other)})
+    found = iter(_tails([case for per in cases.values() for case in per.values()]))
+    tails = {s: {kind: next(found) for kind in per} for s, per in cases.items()}
+
     results = []
     permuted: list[tuple[dict, tuple]] = []  # (p-values to fill, variable)
-    response_law = None  # the response's side, built at the first variable
     for s, (name, dx) in enumerate(zip(names, dists)):
-        counts = tables[s]
-        row, col = counts.sum(axis=1) / n, counts.sum(axis=0) / n
-        method = args.pvalue
-        # Small-sample guard: the asymptotic law is unreliable when any
-        # observed category is rarer than 5/n.
-        if method == "analytic" and np.any(np.concatenate([row, col]) < 5.0 / n):
-            method = "permutation"
         # In null_spectrum's order: the variable's side, then the response's.
-        row_law = _margin_law(row, dx)
-        response_law = response_law or _margin_law(col, dy)
-        ns = _null_law(row_law, response_law)
+        _raised(laws[s], stacklevel=2)
+        if s == 0:
+            _raised(response_law, stacklevel=2)
+        ns = nulls[s]
         ns.normalizer()
         dcor2 = {args.estimator: statistic(s, args.estimator)}
-        if method == "permutation":
+        if methods[s] == "permutation":
             _require_replicates(args.perms)
         dcor2[other] = statistic(s, other)
-        if method == "permutation":
+        if methods[s] == "permutation":
             p_values = {}
             permuted.append((p_values, (x[:, s], dx, dcor2)))
         else:
-            p_values = {kind: _test_result(ns, n * value, kind, n).p_value
-                        for kind, value in dcor2.items()}
-            method = "imhof"
-        ci_lo, ci_hi = _interval(dcor2[args.estimator], counts, n, dx, dy, 0.95, args.estimator)
+            p_values = tails[s]
+            for p in p_values.values():
+                if isinstance(p, Exception):
+                    raise p
+        ci_lo, ci_hi = _interval(dcor2[args.estimator], asymp_var[s], n, 0.95, args.estimator)
         results.append({
             "variable": name,
             "n": n,
             "statistic": {kind: n * value for kind, value in dcor2.items()},
             "p_values": p_values,
-            "method": method,
+            "method": "imhof" if methods[s] == "analytic" else "permutation",
             "lambdas": ns.lambdas,
             "mus": ns.mus,
             "bias_shift": ns.bias_shift,

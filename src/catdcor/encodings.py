@@ -19,6 +19,7 @@ encodings.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,11 +87,16 @@ class Encoding:
             raise ConfigurationError("category labels must be unique")
         if not np.all(np.isfinite(pts)):
             raise ShapeError("embedding points must be finite")
-        diff = pts[:, None, :] - pts[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        off = sq[~np.eye(len(labels), dtype=bool)]
-        if off.min() <= 0.0:
-            raise DegenerateEncodingError("embedding points must be pairwise distinct")
+        # Equal points are neighbours in lexicographic order, and so are
+        # points on a line whose squared distance underflows (a pair that is
+        # not, in more dimensions, fails in DistanceMatrix instead); the
+        # gaps are taken 64 rows at a time.
+        ranked = np.lexsort(pts.T)
+        for start in range(0, len(ranked) - 1, 64):
+            block = pts[ranked[start:start + 65]]
+            gaps = block[1:] - block[:-1]
+            if np.einsum("ij,ij->i", gaps, gaps).min() <= 0.0:
+                raise DegenerateEncodingError("embedding points must be pairwise distinct")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -125,10 +131,12 @@ class DistanceMatrix:
             raise ShapeError("distances must be finite")
         if np.any(np.diag(d) != 0.0):
             raise ShapeError("distance matrix must have a zero diagonal")
-        if np.any(d != d.T):
+        # Compared in tiles, so that the transposed reads stay in cache.
+        if any(np.any(d[i:i + 128, j:j + 128] != d[j:j + 128, i:i + 128].T)
+               for i in range(0, len(d), 128) for j in range(i, len(d), 128)):
             raise ShapeError("distance matrix must be symmetric")
-        off = d[~np.eye(d.shape[0], dtype=bool)]
-        if off.min() <= 0.0:
+        # The diagonal is zero, so every other entry must be positive.
+        if np.count_nonzero(d > 0.0) < d.size - len(d):
             raise DegenerateEncodingError("off-diagonal distances must be positive")
         if not self.scale > 0.0:
             raise ShapeError("scale must be positive")
@@ -215,8 +223,13 @@ def distance_matrix(encoding: Encoding) -> DistanceMatrix:
     Computes all Euclidean distances between embedding points and divides
     by the largest one, so the maximum entry is exactly 1 and the result
     is invariant under any positive uniform rescaling of the points.
+    The standard basis (one-hot) takes its closed form ``1 - eye(I)``.
     """
     pts = encoding.points
+    n = len(pts)
+    if pts.shape == (n, n) and np.count_nonzero(pts) == n and np.all(pts.diagonal() == 1.0):
+        d = np.eye(n)
+        return DistanceMatrix(d=np.subtract(1.0, d, out=d), scale=math.sqrt(2.0))
     diff = pts[:, None, :] - pts[None, :, :]
     d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     d = 0.5 * (d + d.T)

@@ -23,6 +23,14 @@ scipy is loaded.
 Under a fixed alternative the estimators are asymptotically normal; the
 variance here is the full delta-method variance of the correlation ratio,
 including the contribution of the variance estimates in the denominator.
+
+The spectra, tails and variances are computed on stacks, as the
+estimators are: margins with equal numbers of categories share one
+``eigvalsh`` call (:func:`_margin_laws`), tails with equal numbers of
+weights share each pass of the contour (:func:`_tails`), and the
+variances of a stack of tables come from one pass (:func:`_alt_many`).
+The stacks do not raise; each entry carries its value or its error, and
+the public functions are stacks of one that raise it.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .estimators import (
     _BLOCK,
     JointTable,
     _dcor2 as _statistic,  # the unscaled estimate named by ``estimator``
+    _dvar2_many,
     _require_estimator,
     _score_many,
     _tabulate_many,
@@ -52,8 +61,9 @@ from .exceptions import (
     DistributionError,
     InsufficientReplicatesError,
     InternalConsistencyError,
+    ShapeError,
 )
-from .measures import _DEGENERATE_TOL, JointDistribution, _checked_marginal, dcov2, dvar2
+from .measures import _DEGENERATE_TOL, JointDistribution, _checked_marginal, dcov2
 
 __all__ = [
     "NullSpectrum",
@@ -131,19 +141,21 @@ def q_matrix(marginal, d: DistanceMatrix) -> np.ndarray:
     return (d.d - dbar[:, None]) * np.outer(sqrt_m, sqrt_m)
 
 
-def _surrogate(marginal: np.ndarray, d: DistanceMatrix) -> np.ndarray:
-    """Symmetric matrix sharing the nonzero eigenvalues of the Q matrix.
+def _surrogate(marginal: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Symmetric matrices sharing the nonzero eigenvalues of the Q matrices.
 
-    Double-centers the distances under the marginal weights and symmetrizes
-    with sqrt-probability scaling; the rank-one difference from Q lies in
-    Q's kernel, so the nonzero spectra coincide while this form is
-    guaranteed real-diagonalizable.
+    One for each row of ``marginal`` (S, M), against one distance matrix
+    ``d`` (M, M) or a stack of them (S, M, M).  Double-centers the
+    distances under the marginal weights and symmetrizes with
+    sqrt-probability scaling; the rank-one difference from Q lies in Q's
+    kernel, so the nonzero spectra coincide while this form is guaranteed
+    real-diagonalizable.
     """
-    dbar = d.d @ marginal
-    grand = float(marginal @ dbar)
-    centered = d.d - dbar[:, None] - dbar[None, :] + grand
+    dbar = (d @ marginal[..., None])[..., 0]
+    grand = np.vecdot(marginal, dbar)
+    centered = d - dbar[..., :, None] - dbar[..., None, :] + grand[..., None, None]
     sqrt_m = np.sqrt(marginal)
-    return centered * np.outer(sqrt_m, sqrt_m)
+    return centered * (sqrt_m[..., :, None] * sqrt_m[..., None, :])
 
 
 def spectrum(marginal, d: DistanceMatrix) -> np.ndarray:
@@ -155,36 +167,65 @@ def spectrum(marginal, d: DistanceMatrix) -> np.ndarray:
     radius, and dropped.  Returned sorted by decreasing magnitude, signs
     preserved.
     """
-    m = _positive_marginal(marginal, d)
-    eigvals = np.linalg.eigvalsh(_surrogate(m, d))
-    order = np.argsort(np.abs(eigvals))
-    radius = float(np.abs(eigvals).max())
-    zero_candidate = eigvals[order[0]]
-    if abs(zero_candidate) > _EIG_ZERO_REL * radius:
-        raise InternalConsistencyError(
-            f"expected one structural zero eigenvalue, smallest magnitude is "
-            f"{zero_candidate!r} against spectral radius {radius!r}"
+    return _raised(_margin_laws([_positive_marginal(marginal, d)], [d.d])[0], 2)[0]
+
+
+def _margin_laws(marginals: list, dists: list) -> list:
+    """:func:`_margin_law` of each marginal against its distance matrix, without warning or raising.
+
+    ``marginals`` hold checked vectors and ``dists`` the arrays of their
+    distance matrices.  Each entry is ``(dropped, law)``: the number of
+    zero categories dropped, and the spectrum and mean distance or the
+    error :func:`_margin_law` raises after its warning.  Margins with
+    equal numbers of kept categories share one ``eigvalsh`` call.
+    """
+    kept, sizes = [], {}
+    for s, (m, d) in enumerate(zip(marginals, dists)):
+        dropped = 0
+        if not m.min() > 0.0:
+            keep = m > 0.0
+            m, d, dropped = m[keep], d[np.ix_(keep, keep)], len(m) - int(keep.sum())
+        kept.append((dropped, m, d))
+        sizes.setdefault(len(m), []).append(s)
+    laws = [(dropped, DegenerateMarginError("fewer than two observed categories on a margin"))
+            for dropped, _, _ in kept]
+    for members in (members for size, members in sizes.items() if size >= 2):
+        m = np.array([kept[s][1] for s in members])
+        d = np.array([kept[s][2] for s in members])
+        eigvals = np.linalg.eigvalsh(_surrogate(m, d))
+        magnitude = np.abs(eigvals)
+        stack = np.arange(len(members))[:, None]
+        ranked = eigvals[stack, np.argsort(magnitude, axis=1)]
+        spectra = ranked[:, 1:]
+        spectra = spectra[stack, np.argsort(-np.abs(spectra), axis=1, kind="stable")]
+        means = np.vecdot(m, (m[:, None, :] @ d)[:, 0, :]).tolist()
+        for s, values, zero, radius, mean in zip(members, spectra, ranked[:, 0],
+                                                 magnitude.max(axis=1).tolist(), means):
+            laws[s] = (kept[s][0], (values, mean) if abs(zero) <= _EIG_ZERO_REL * radius else
+                       InternalConsistencyError(
+                           f"expected one structural zero eigenvalue, smallest magnitude is "
+                           f"{zero!r} against spectral radius {radius!r}"))
+    return laws
+
+
+def _raised(entry: tuple, stacklevel: int):
+    """The law of a :func:`_margin_laws` entry, after its warning, or its error raised."""
+    dropped, law = entry
+    if dropped:
+        warnings.warn(
+            f"dropping {dropped} zero-count categor{'y' if dropped == 1 else 'ies'} "
+            "before building the null spectrum",
+            RuntimeWarning,
+            stacklevel=stacklevel + 1,
         )
-    kept = eigvals[order[1:]]
-    return kept[np.argsort(-np.abs(kept), kind="stable")]
+    if isinstance(law, Exception):
+        raise law
+    return law
 
 
 def _margin_law(marginal, d: DistanceMatrix) -> tuple[np.ndarray, float]:
     """Spectrum and mean distance of a checked margin, its zero categories dropped (warns)."""
-    m = _checked_marginal(marginal, d)
-    keep = m > 0.0
-    if not np.all(keep):
-        n_dropped = int((~keep).sum())
-        warnings.warn(
-            f"dropping {n_dropped} zero-count categor{'y' if n_dropped == 1 else 'ies'} "
-            "before building the null spectrum",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        if keep.sum() < 2:
-            raise DegenerateMarginError("fewer than two observed categories on a margin")
-        m, d = m[keep], DistanceMatrix(d=d.d[np.ix_(keep, keep)], scale=d.scale)
-    return spectrum(m, d), float(m @ d.d @ m)
+    return _raised(_margin_laws([_checked_marginal(marginal, d)], [d.d])[0], stacklevel=3)
 
 
 def _null_law(row_law: tuple, col_law: tuple) -> NullSpectrum:
@@ -199,9 +240,18 @@ def null_spectrum(row_marginal, col_marginal,
     """Null-law ingredients for given marginals and distance matrices.
 
     Zero-probability categories are dropped (with a warning) before the
-    eigenvalue computation, which requires strictly positive mass.
+    eigenvalue computation, which requires strictly positive mass.  Both
+    sides are one :func:`_margin_laws` call; the row side warns and fails
+    first.
     """
-    return _null_law(_margin_law(row_marginal, dx), _margin_law(col_marginal, dy))
+    row = _checked_marginal(row_marginal, dx)
+    try:
+        col = _checked_marginal(col_marginal, dy)
+    except ShapeError:
+        _margin_law(row, dx)
+        raise
+    row_law, col_law = _margin_laws([row, col], [dx.d, dy.d])
+    return _null_law(_raised(row_law, 2), _raised(col_law, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +285,36 @@ _SP_MAX_NEWTON = 50
 _LOG_UNDERFLOW = -746.0
 
 
-def _saddle(w: np.ndarray, quantile: float, upper: bool) -> float:
-    """Root of ``g(s) = sum_k w_k s / (1 - 2 w_k s) - quantile s - 1``, above or below 0.
+def _sinh_nodes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``2 sinh(v / _SP_SINH)`` and ``cosh(v / _SP_SINH)``, the map's Jacobian, at the points ``v``."""
+    grow = np.exp(v / _SP_SINH)
+    shrink = 1.0 / grow
+    return grow - shrink, 0.5 * (grow + shrink)
 
-    ``g(s) = s (K'(s) - quantile) - 1`` vanishes where ``K(s) - s quantile
-    - log|s|`` is stationary; ``K`` is the cumulant generating function,
-    finite between the poles ``1 / (2 w_min)`` (for a negative weight) and
-    ``1 / (2 w_max)``.  There ``g`` is convex, ``g'' = sum 4 w_k^2 / (1 -
-    2 w_k s)^3``, with ``g(0) = -1``, so it has at most one root on each
-    side of 0 (the caller asks for a side that has one), and Newton's
-    method started where ``g >= 0`` moves monotonically onto the root
-    without leaving the interval.  The chord from ``(s, g(s))`` to ``(0,
-    -1)`` lies above ``g``, so the root is within ``|s| g / (1 + g)`` of
-    ``s``; Newton stops when that is at most ``_SP_SADDLE_TOL`` times the
-    width ``phi''^(-1/2)``, with ``phi'' = g' / s`` as at the root.
+
+# The first pass's nodes: (0, _SP_V] at step _SP_H / 2.
+_FIRST_PASS = _sinh_nodes(0.5 * _SP_H * np.arange(1, round(_SP_V / (0.5 * _SP_H)) + 1))
+
+
+def _saddle(w: np.ndarray, quantile: list, upper: list) -> list:
+    """Root of ``g(s) = sum_k w_k s / (1 - 2 w_k s) - quantile s - 1`` for each row of ``w``.
+
+    ``w`` is a stack (T, K) with a quantile each; the root is above 0 where
+    ``upper`` holds and below 0 elsewhere.  ``g(s) = s (K'(s) - quantile)
+    - 1`` vanishes where ``K(s) - s quantile - log|s|`` is stationary;
+    ``K`` is the cumulant generating function, finite between the poles
+    ``1 / (2 w_min)`` (for a negative weight) and ``1 / (2 w_max)``.
+    There ``g`` is convex, ``g'' = sum 4 w_k^2 / (1 - 2 w_k s)^3``, with
+    ``g(0) = -1``, so it has at most one root on each side of 0 (the
+    caller asks for a side that has one), and Newton's method started
+    where ``g >= 0`` moves monotonically onto the root without leaving the
+    interval.  The chord from ``(s, g(s))`` to ``(0, -1)`` lies above
+    ``g``, so the root is within ``|s| g / (1 + g)`` of ``s``; a row stops
+    when that is at most ``_SP_SADDLE_TOL`` times the width
+    ``phi''^(-1/2)``, with ``phi'' = g' / s`` as at the root.  Each Newton
+    step evaluates ``g`` and ``g'`` of every row in one pass over the
+    stack; a row that has stopped is frozen, so it takes the steps it
+    would take alone.
 
     Above 0 the start is the smaller positive root of ``a s^2 + b s - 1``
     for two lower bounds of ``g``: the largest weight's term plus ``w s``
@@ -257,141 +323,233 @@ def _saddle(w: np.ndarray, quantile: float, upper: bool) -> float:
     the mean weight ``wbar = sum w^2 / sum w``.  Below 0 every term is at
     least -1/2, so ``g >= 0`` at ``-(K/2 + 1) / quantile``; when that
     point lies past the negative pole, or the quantile is 0, the start
-    moves from halfway to the pole toward it until ``g >= 0``.  Each step
-    evaluates ``g`` and ``g'`` from one pass over the weights.
+    moves from halfway to the pole toward it until ``g >= 0``.
     """
     w2 = w + w
-
-    def g_and_slope(s: float) -> tuple[float, float]:
-        inv = 1.0 / (1.0 - w2 * s)
-        return s * (float(w @ inv) - quantile) - 1.0, float((w * inv) @ inv) - quantile
-
-    if upper:
-        total, top = float(w.sum()), float(w.max())
-        rest = quantile - total + top
-        bounds = [(2.0 * top * rest, 3.0 * top - rest)]
-        if w.min() > 0.0:
-            wbar = float(w @ w) / total
-            bounds.append((2.0 * wbar * quantile, total + 2.0 * wbar - quantile))
-        s = math.inf
-        for a, b in bounds:
-            root = math.hypot(b, 2.0 * math.sqrt(a))
-            s = min(s, (root - b) / (2.0 * a) if b < 0.0 else 2.0 / (b + root))
-    else:
-        pole = 0.5 / float(w.min()) if w.min() < 0.0 else -math.inf
-        s = -(0.5 * w.size + 1.0) / quantile if quantile > 0.0 else -math.inf
-        if s <= pole:
-            s = 0.5 * pole
-            while g_and_slope(s)[0] < 0.0:
-                s = 0.5 * (s + pole)
+    s = []
+    for i, (q, up, total, top, low, sq) in enumerate(zip(quantile, upper, *(
+            v.tolist() for v in (np.add.reduce(w, 1), np.maximum.reduce(w, 1),
+                                 np.minimum.reduce(w, 1), np.vecdot(w, w))))):
+        if up:
+            rest = q - total + top
+            bounds = [(2.0 * top * rest, 3.0 * top - rest)]
+            if low > 0.0:
+                wbar = sq / total
+                bounds.append((2.0 * wbar * q, total + 2.0 * wbar - q))
+            start = math.inf
+            for a, b in bounds:
+                root = math.hypot(b, 2.0 * math.sqrt(a))
+                start = min(start, (root - b) / (2.0 * a) if b < 0.0 else 2.0 / (b + root))
+        else:
+            pole = 0.5 / low if low < 0.0 else -math.inf
+            start = -(0.5 * w.shape[1] + 1.0) / q if q > 0.0 else -math.inf
+            if start <= pole:
+                start = 0.5 * pole
+                while start * (float(w[i] @ (1.0 / (1.0 - w2[i] * start))) - q) < 1.0:
+                    start = 0.5 * (start + pole)
+        s.append(start)
+    live = range(len(s))
     for _ in range(_SP_MAX_NEWTON):
-        g, slope = g_and_slope(s)
-        if g * g * s * slope <= _SP_SADDLE_TOL * _SP_SADDLE_TOL:
+        if not live:
             break
-        s -= g / slope
+        inv = 1.0 / (1.0 - w2 * np.array([s]).T)
+        sums, slopes = np.vecdot(w, inv).tolist(), np.vecdot(w * inv, inv).tolist()
+        stepped = []
+        for i in live:
+            g, slope = s[i] * (sums[i] - quantile[i]) - 1.0, slopes[i] - quantile[i]
+            if not g * g * s[i] * slope <= _SP_SADDLE_TOL * _SP_SADDLE_TOL:
+                s[i] -= g / slope
+                stepped.append(i)
+        live = stepped
     return s
 
 
-def _contour_sf(w: np.ndarray, quantile: float) -> float | None:
-    """P(sum w_k Z_k^2 > quantile) for ``max|w| = 1``, ``quantile >= 0``, through the saddle point.
+def _contour_sf(w: np.ndarray, quantile: list, upper: list) -> list:
+    """P(sum w_k Z_k^2 > quantile) for each row of ``w`` (max|w| = 1, quantile >= 0), through the saddle point.
 
-    With ``K(s) = -1/2 sum log(1 - 2 w_k s)``, the integral
-    ``(1/(2 pi i)) int exp(K(s) - s quantile) ds / s`` up the line
-    ``Re s = c`` is the tail for ``0 < c < 1/(2 w_max)`` and the tail minus
-    one for ``1/(2 w_min) < c < 0``, whatever the signs of the weights
-    (Rice 1980).  ``c`` is the saddle point (:func:`_saddle`) above 0 when
-    ``quantile`` exceeds the mean ``sum w`` and below 0 otherwise, so the
-    lower tail comes out as the complement without cancellation.  The line
-    is bent into ``s = c + alpha t^2 / sqrt(1 + (alpha t / m)^2) + i t``,
-    ``m = _SP_SLOPE``: a parabola near ``c`` and rays far out.  It meets
-    the real axis, where the singularities lie, only at ``c``, and the
-    rays keep it at a fixed angle from the branch points of small weights
-    far to the right, which a parabola approaches.  With ``phi(s) = K(s)
-    - s quantile - log|s|``, ``sigma = phi''(c)^(-1/2)`` is the saddle's
-    width and ``alpha`` the curvature ``phi'''(c) / (6 phi''(c))`` of the
+    ``w`` is a stack (T, K) of tails with K weights each, and ``upper``
+    says whether a row's quantile exceeds its mean ``sum w``.  With
+    ``K(s) = -1/2 sum log(1 - 2 w_k s)``, the integral ``(1/(2 pi i)) int
+    exp(K(s) - s quantile) ds / s`` up the line ``Re s = c`` is the tail
+    for ``0 < c < 1/(2 w_max)`` and the tail minus one for ``1/(2 w_min) <
+    c < 0``, whatever the signs of the weights (Rice 1980).  ``c`` is the
+    saddle point (:func:`_saddle`), above 0 for an upper tail, so the lower
+    tail comes out as the complement without cancellation.  The line is
+    bent into ``s = c + alpha t^2 / sqrt(1 + (alpha t / m)^2) + i t``, ``m
+    = _SP_SLOPE``: a parabola near ``c`` and rays far out.  It meets the
+    real axis, where the singularities lie, only at ``c``, and the rays
+    keep it at a fixed angle from the branch points of small weights far
+    to the right, which a parabola approaches.  With ``phi(s) = K(s) - s
+    quantile - log|s|``, ``sigma = phi''(c)^(-1/2)`` is the saddle's width
+    and ``alpha`` the curvature ``phi'''(c) / (6 phi''(c))`` of the
     steepest-descent path at ``c``, raised to the floor above.  The map
     ``t = sigma a sinh(v / a)`` is linear near the saddle and exponential
     far out, where the integrand of a quantile near 0 decays only like a
     power of ``t`` (Takahasi & Mori 1974).  By conjugate symmetry the
-    integral is ``(1/pi) int_0^inf Im[...] dt``.
-    ``exp(K(c) - c quantile)`` is factored out, so tails near 1e-300 keep
-    their relative accuracy; a tail whose Chernoff bound at ``s = 1/4``
-    underflows is 0.  Returns None when the saddle point leaves the
-    floating-point range, the integrand has not decayed by ``v =
-    _SP_V_MAX`` or the step halvings do not converge.
+    integral is ``(1/pi) int_0^inf Im[...] dt``.  ``exp(K(c) - c
+    quantile)`` is factored out, so tails near 1e-300 keep their relative
+    accuracy.  Each pass evaluates the rows that need it as one (rows,
+    nodes, K) array, a halving one per node count, and each row keeps its
+    own stop rule, so no row depends on the others.  A row is NaN where
+    the saddle point leaves the floating-point range, the integrand has
+    not decayed by ``v = _SP_V_MAX`` or the step halvings do not converge.
     """
-    upper = quantile > float(w.sum())
-    if upper and 0.25 * quantile > w.size - _LOG_UNDERFLOW:
-        return 0.0  # Chernoff: the tail is below exp(K(1/4) - quantile / 4), K(1/4) < w.size
+    p = [math.nan] * len(w)
     c = _saddle(w, quantile, upper)
-    d = 1.0 - 2.0 * w * c
-    if not (math.isfinite(c) and (c > 0.0) == upper and d.min() > 0.0):
-        return None
+    d = 1.0 - 2.0 * w * np.array([c]).T
+    # Off the floating-point range the saddle has the wrong sign or passes a pole.
+    rows = [i for i, (ci, d_min) in enumerate(zip(c, np.minimum.reduce(d, 1).tolist()))
+            if math.isfinite(ci) and (ci > 0.0) == upper[i] and d_min > 0.0]
+    if len(rows) < len(w):
+        w, d = w[rows], d[rows]
     beta = 2.0 * w / d  # K^(n)(c) = (n - 1)! / 2 * sum beta^n
-    phi2 = 0.5 * float(beta @ beta) + 1.0 / (c * c)
-    phi3 = float(beta @ (beta * beta)) - 2.0 / (c * c * c)
-    if not (0.0 < phi2 < math.inf and math.isfinite(phi3)):
-        return None  # a quantile at the edge of the floating-point range
-    sigma = 1.0 / math.sqrt(phi2)
-    alpha = max(phi3 / (6.0 * phi2), _SP_CURVE_MIN / sigma)
-    log_scale = -0.5 * float(np.log(d).sum()) - c * quantile
+    kept, sigma, alpha, log_scale = [], [], [], []
+    for j, (i, b2, b3, log_d) in enumerate(zip(rows, np.vecdot(beta, beta).tolist(),
+                                               np.vecdot(beta, beta * beta).tolist(),
+                                               np.add.reduce(np.log(d), 1).tolist())):
+        ci = c[i]
+        phi2 = 0.5 * b2 + 1.0 / (ci * ci)
+        phi3 = b3 - 2.0 / (ci * ci * ci)
+        if 0.0 < phi2 < math.inf and math.isfinite(phi3):  # else a quantile at the range's edge
+            kept.append(j)
+            sigma.append(1.0 / math.sqrt(phi2))
+            alpha.append(max(phi3 / (6.0 * phi2), _SP_CURVE_MIN / sigma[-1]))
+            log_scale.append(-0.5 * log_d - ci * quantile[i])
+    if len(kept) < len(rows):
+        rows, beta = [rows[j] for j in kept], beta[kept]
+    c, quantile = [c[i] for i in rows], [quantile[i] for i in rows]
+    x0, q0, t0, a0 = np.array([c, quantile, [0.5 * v * _SP_SINH for v in sigma], alpha])[..., None]
 
-    def integrand(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Im and modulus of ``exp(K(s) - K(c) - (s - c) quantile) s'(t) / s``.
+    def integrand(nodes: tuple, of) -> tuple[np.ndarray, np.ndarray]:
+        """Im and modulus of ``exp(K(s) - K(c) - (s - c) quantile) s'(t) / s`` at ``nodes``, rows ``of``.
 
         Times the Jacobian ``dt / (sigma dv)``, in real arithmetic: each
         ``1 - beta_k (s - c)`` is ``re - i im``.
         """
-        grow = np.exp(v / _SP_SINH)
-        shrink = 1.0 / grow
-        t = (0.5 * sigma * _SP_SINH) * (grow - shrink)
-        at = alpha * t
+        spread, jacobian = nodes
+        t = t0[of] * spread
+        at = a0[of] * t
         unbend = _SP_SLOPE / np.hypot(_SP_SLOPE, at)
         lean = at * unbend
         shift = lean * t  # Re(s - c)
         slope = lean * (1.0 + unbend * unbend)  # d Re(s) / dt
-        im = np.multiply.outer(t, beta)
-        re = 1.0 - lean[:, None] * im
-        log_mod = np.log(re * re + im * im).sum(axis=1)
-        phase = 0.5 * np.arctan2(im, re).sum(axis=1) - quantile * t
+        im = t[:, :, None] * beta[of, None, :]
+        re = 1.0 - lean[:, :, None] * im
+        log_mod = np.add.reduce(np.log(re * re + im * im), 2)
+        phase = 0.5 * np.add.reduce(np.arctan2(im, re), 2) - q0[of] * t
         # s'(t) / s = (slope + i) / (x + i t) = (num_re + i num_im) / |s|^2
-        x = c + shift
+        x = x0[of] + shift
         num_re = slope * x + t
         num_im = x - slope * t
-        scale = (0.5 * (grow + shrink) * np.exp(-0.25 * log_mod - quantile * shift)
-                 / (x * x + t * t))
+        scale = jacobian * np.exp(-0.25 * log_mod - q0[of] * shift) / (x * x + t * t)
         return (scale * (num_re * np.sin(phase) + num_im * np.cos(phase)),
                 scale * np.hypot(num_re, num_im))
 
     h = 0.5 * _SP_H
     n = round(_SP_V / h)
-    values, modulus = integrand(h * np.arange(1, n + 1))
-    total = 0.5 / c + float(values.sum())
-    while modulus[-1] > _SP_TRIM * abs(total) and n * h < _SP_V_MAX:
-        more, more_modulus = integrand(h * np.arange(n + 1, 2 * n + 1))
-        values = np.concatenate([values, more])
-        modulus = np.concatenate([modulus, more_modulus])
-        total += float(more.sum())
+    values, modulus = integrand(_FIRST_PASS, slice(None))
+    total = [0.5 / cj + v for cj, v in zip(c, np.add.reduce(values, 1).tolist())]
+    odd = np.add.reduce(values[:, 1::2], 1).tolist()  # the rule with step _SP_H
+    longer = [j for j, m in enumerate(modulus[:, -1].tolist()) if m > _SP_TRIM * abs(total[j])]
+    while longer and n * h < _SP_V_MAX:
+        more, more_modulus = integrand(_sinh_nodes(h * np.arange(n + 1, 2 * n + 1)), longer)
+        modulus = np.concatenate([modulus, np.zeros_like(modulus)], axis=1)
+        modulus[longer, n:] = more_modulus
+        for j, v, v_odd in zip(longer, np.add.reduce(more, 1).tolist(),
+                               np.add.reduce(more[:, (n + 1) % 2::2], 1).tolist()):
+            total[j] += v
+            odd[j] += v_odd
         n *= 2
-    live = np.flatnonzero(modulus > _SP_TRIM * abs(total))
-    if live.size and live[-1] == n - 1:
-        return None
-    end = h * (live[-1] + 2 if live.size else 1)
-    # The first pass holds the rules with steps _SP_H and _SP_H / 2.
-    estimate = 2.0 * h * (0.5 / c + float(values[1::2].sum()))
-    for halving in range(_SP_MAX_HALVINGS):
-        if halving:
-            h *= 0.5
-            total += float(integrand(h * np.arange(1, int(end / h) + 1, 2))[0].sum())
-        previous, estimate = estimate, h * total
-        if abs(estimate - previous) <= _SP_RTOL * abs(estimate):
+        longer = [j for j, m in zip(longer, more_modulus[:, -1].tolist())
+                  if m > _SP_TRIM * abs(total[j])]
+    # The rows left in ``longer`` have not decayed by _SP_V_MAX.
+    estimate = [2.0 * h * (0.5 / cj + v) for cj, v in zip(c, odd)]
+    halving = [j for j in range(len(rows)) if j not in longer]
+    for step in range(_SP_MAX_HALVINGS):
+        if not halving:
             break
-    else:
-        return None
-    if not estimate * c > 0.0:  # the sign of the tail, or of the tail minus one
-        return None
-    tail = math.exp(log_scale + math.log(abs(estimate) * sigma / math.pi))
-    return min(tail, 1.0) if upper else max(1.0 - tail, 0.0)
+        if step == 1:  # later passes stop one node past the last node above the trim
+            end = {}
+            for j in halving:
+                live = np.flatnonzero(modulus[j] > _SP_TRIM * abs(total[j]))
+                end[j] = h * (live[-1] + 2 if live.size else 1)
+        if step:
+            h *= 0.5
+            count = {j: int(end[j] / h) for j in halving}
+            for m in set(count.values()):  # the rows with m nodes, as one stack
+                group = [j for j in halving if count[j] == m]
+                more = integrand(_sinh_nodes(h * np.arange(1, m + 1, 2)), group)[0]
+                for j, v in zip(group, np.add.reduce(more, 1).tolist()):
+                    total[j] += v
+        previous = [estimate[j] for j in halving]
+        for j in halving:
+            estimate[j] = h * total[j]
+        halving = [j for j, old in zip(halving, previous)
+                   if not abs(estimate[j] - old) <= _SP_RTOL * abs(estimate[j])]
+    for j, i in enumerate(rows):
+        # The sign of the tail, or of the tail minus one; the rows left in
+        # ``halving`` have not converged.
+        if j not in halving and j not in longer and estimate[j] * c[j] > 0.0:
+            tail = math.exp(log_scale[j] + math.log(abs(estimate[j]) * sigma[j] / math.pi))
+            p[i] = min(tail, 1.0) if upper[i] else max(1.0 - tail, 0.0)
+    return p
+
+
+def _tails(cases: list) -> list:
+    """:func:`weighted_chisq_sf` of each ``(weights, x)`` pair, without raising.
+
+    Each entry is the tail or the error the public call raises.  Tails
+    that take the contour run in one stack per weight count.
+    """
+    out: list = [None] * len(cases)
+    stacks: dict[int, list] = {}
+    for i, (weights, x) in enumerate(cases):
+        w = np.asarray(weights, dtype=float).ravel()
+        w = w[w != 0.0]
+        x = float(x)
+        quantile = x + float(w.sum())
+        if not math.isfinite(quantile):
+            out[i] = DistributionError(
+                f"weights, their sum and x must be finite, got {w.tolist()!r} and {x!r}")
+        elif w.size == 0:
+            out[i] = DegenerateDistributionError(
+                "the weighted chi-squared law needs at least one nonzero weight")
+        elif w.size == 1:
+            # Single component: exact chi-squared tail.
+            q = 1.0 + x / w[0]
+            if w[0] > 0.0:
+                out[i] = 1.0 if q <= 0.0 else math.erfc(math.sqrt(0.5 * q))
+            else:
+                out[i] = 0.0 if q <= 0.0 else math.erf(math.sqrt(0.5 * q))
+        else:
+            low, high = float(w.min()), float(w.max())
+            # The tail is scale-free; a negative quantile is mirrored,
+            # P(S > q) = 1 - P(-S > -q).
+            scale = -max(high, -low) if quantile < 0.0 else max(high, -low)
+            w_scaled, q = w / scale, quantile / scale
+            upper = q > float(w_scaled.sum())
+            # Same-sign weights pin the support to a half line; outside it
+            # the answer is exact.  Beyond its Chernoff bound at s = 1/4,
+            # exp(K(1/4) - q / 4) with K(1/4) < K, a tail underflows.
+            if low > 0.0 and quantile <= 0.0:
+                out[i] = 1.0
+            elif high < 0.0 and quantile >= 0.0:
+                out[i] = 0.0
+            elif upper and 0.25 * q > w.size - _LOG_UNDERFLOW:
+                out[i] = 1.0 if scale < 0.0 else 0.0
+            else:
+                stacks.setdefault(w.size, []).append((i, w, quantile, scale, w_scaled, q, upper))
+    for stack in stacks.values():
+        index, w, quantile, scale, w_scaled, q, upper = zip(*stack)
+        for i, w_i, q_i, scale_i, p in zip(index, w, quantile, scale,
+                                           _contour_sf(np.array(w_scaled), q, upper)):
+            if math.isnan(p):
+                out[i] = InternalConsistencyError(
+                    f"the saddle-point contour did not converge for weights {w_i.tolist()!r} "
+                    f"at quantile {q_i!r}")
+            else:
+                out[i] = 1.0 - p if scale_i < 0.0 else p
+    return out
 
 
 def weighted_chisq_sf(weights, x: float) -> float:
@@ -402,51 +560,19 @@ def weighted_chisq_sf(weights, x: float) -> float:
     One weight gives the exact chi-squared tail, ``erfc(sqrt(q / 2))`` at
     ``q = 1 + x / w`` (``erf`` for a negative weight).  Two or more
     weights, of any signs, take a trapezoid rule on a contour through the
-    saddle point (:func:`_contour_sf`), stopped when successive estimates
-    agree to 1e-12 relative: about 1e-12 relative accuracy down to tails
-    near 1e-300, and on the side of the mean where p is near 1 it
-    computes 1 - p directly, so p keeps full accuracy there.  A negative
-    uncentered quantile ``q = x + sum w`` is mirrored, ``P(S > q) = 1 -
-    P(-S > -q)``; a tail below the floating-point range is 0.  An input
-    the rule cannot resolve raises :class:`InternalConsistencyError`.
+    saddle point (:func:`_contour_sf`, here on a stack of one), stopped
+    when successive estimates agree to 1e-12 relative: about 1e-12
+    relative accuracy down to tails near 1e-300, and on the side of the
+    mean where p is near 1 it computes 1 - p directly, so p keeps full
+    accuracy there.  A negative uncentered quantile ``q = x + sum w`` is
+    mirrored, ``P(S > q) = 1 - P(-S > -q)``; a tail below the
+    floating-point range is 0.  An input the rule cannot resolve raises
+    :class:`InternalConsistencyError`.
     """
-    w = np.asarray(weights, dtype=float).ravel()
-    w = w[w != 0.0]
-    x = float(x)
-    quantile = x + float(w.sum())
-    if not math.isfinite(quantile):
-        raise DistributionError(
-            f"weights, their sum and x must be finite, got {w.tolist()!r} and {x!r}"
-        )
-    if w.size == 0:
-        raise DegenerateDistributionError(
-            "the weighted chi-squared law needs at least one nonzero weight"
-        )
-    if w.size == 1:
-        # Single component: exact chi-squared tail.
-        scale = w[0]
-        quantile = 1.0 + x / scale
-        if scale > 0.0:
-            return 1.0 if quantile <= 0.0 else math.erfc(math.sqrt(0.5 * quantile))
-        return 0.0 if quantile <= 0.0 else math.erf(math.sqrt(0.5 * quantile))
-    # Same-sign weights pin the support to a half line; outside it the
-    # answer is exact and no integral is needed.
-    low, high = float(w.min()), float(w.max())
-    if low > 0.0 and quantile <= 0.0:
-        return 1.0
-    if high < 0.0 and quantile >= 0.0:
-        return 0.0
-    mirror = quantile < 0.0
-    scale = max(high, -low)  # the tail is scale-free
-    if mirror:
-        scale = -scale
-    p = _contour_sf(w / scale, quantile / scale)
-    if p is None:
-        raise InternalConsistencyError(
-            f"the saddle-point contour did not converge for weights {w.tolist()!r} "
-            f"at quantile {quantile!r}"
-        )
-    return 1.0 - p if mirror else p
+    (p,) = _tails([(weights, x)])
+    if isinstance(p, Exception):
+        raise p
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +583,11 @@ def weighted_chisq_sf(weights, x: float) -> float:
 class TestResult:
     """Outcome of an independence test on one contingency table.
 
-    ``method`` is ``"imhof"``, the tag of the exact analytic tail.
+    ``method`` is ``"imhof"`` for every analytic tail, whichever route
+    :func:`weighted_chisq_sf` took: the ``erfc`` of one weight, the
+    support bound of same-sign weights, the Chernoff zero or the contour.
+    The tag is kept from the Imhof inversion the contour replaced, so
+    that reports keep their bytes.
     """
 
     statistic: float
@@ -470,25 +600,17 @@ class TestResult:
     n: float
 
 
-def _test_result(ns: NullSpectrum, statistic: float, estimator: str,
-                 n: float) -> TestResult:
-    """Analytic p-value of ``statistic`` (``n`` times the estimate) under ``ns``."""
+def _tail_cases(ns: NullSpectrum, statistics: dict[str, float]) -> dict[str, tuple]:
+    """The ``(weights, x)`` of each estimator's analytic tail under ``ns``.
+
+    ``statistics`` maps each estimator to ``n`` times its estimate.  The
+    estimators share one weight vector; the plug-in threshold is shifted
+    by ``B``.
+    """
     norm_const = ns.normalizer()
     weights = np.outer(ns.lambdas, ns.mus).ravel() / norm_const
-    if estimator == "unbiased":
-        threshold = statistic
-    else:
-        threshold = statistic - ns.bias_shift / norm_const
-    return TestResult(
-        statistic=float(statistic),
-        estimator=estimator,
-        p_value=weighted_chisq_sf(weights, threshold),
-        method="imhof",
-        lambdas=ns.lambdas,
-        mus=ns.mus,
-        bias_shift=ns.bias_shift,
-        n=n,
-    )
+    return {kind: (weights, value if kind == "unbiased" else value - ns.bias_shift / norm_const)
+            for kind, value in statistics.items()}
 
 
 def independence_test(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
@@ -503,7 +625,17 @@ def independence_test(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
     _require_estimator(estimator)
     ns = null_spectrum(t.row_counts / t.n, t.col_counts / t.n, dx, dy)
     ns.normalizer()  # zero total weight fails before the statistic
-    return _test_result(ns, t.n * _statistic(t, dx, dy, estimator), estimator, t.n)
+    statistic = t.n * _statistic(t, dx, dy, estimator)
+    return TestResult(
+        statistic=float(statistic),
+        estimator=estimator,
+        p_value=weighted_chisq_sf(*_tail_cases(ns, {estimator: statistic})[estimator]),
+        method="imhof",
+        lambdas=ns.lambdas,
+        mus=ns.mus,
+        bias_shift=ns.bias_shift,
+        n=t.n,
+    )
 
 
 def null_pvalue_unbiased(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
@@ -593,36 +725,62 @@ class AltInference:
     covariance with respect to each cell probability, divided by two (the
     half-gradient form in which the derivative is usually quoted; the
     centered table enters the covariance quadratically, hence the factor).
-    ``sigma`` is the multinomial covariance of the scaled cell proportions.
     ``asymp_var`` is the variance of ``sqrt(n)`` times the estimated
     squared distance correlation around its population value, from the
     full delta method applied to the covariance-over-variances ratio
     (both the numerator and the two variance estimates contribute).
+    ``p`` is the joint distribution they were evaluated at; ``sigma``, the
+    multinomial covariance of its scaled cell proportions, an (IJ, IJ)
+    matrix, is built when read.
     """
 
     dprime: np.ndarray
-    sigma: np.ndarray
+    p: JointDistribution
     asymp_var: float
 
+    @property
+    def sigma(self) -> np.ndarray:
+        return multinomial_sigma(self.p)
 
-def _dcov2_half_gradient(p: JointDistribution, dx: DistanceMatrix,
-                         dy: DistanceMatrix) -> np.ndarray:
-    """Half the gradient of dcov2 with respect to the cell probabilities."""
-    delta = p.delta()
-    dbar_x = dx.d @ p.row_marginal
-    dbar_y = dy.d @ p.col_marginal
+
+def _dvar2_gradients(marginal: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Gradient of dvar2 with respect to the marginal probabilities, for each row of ``marginal``."""
+    dbar = (d @ marginal[..., None])[..., 0]
+    sq_term = 2.0 * ((d * d) @ marginal[..., None])[..., 0]
+    return (sq_term - 2.0 * dbar**2 - 4.0 * (d @ (marginal * dbar)[..., None])[..., 0]
+            + 4.0 * np.vecdot(marginal, dbar)[:, None] * dbar)
+
+
+def _alt_many(pi: np.ndarray, dx: DistanceMatrix, dy: DistanceMatrix
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Half gradients of dcov2 and delta-method variances of a stack of joint tables (S, I, J).
+
+    Computed without raising: the variance of a table with a degenerate
+    margin is NaN.  With ``g`` the gradient of the correlation ratio and
+    ``Sigma = diag(pi) - pi pi^T``, the variance ``g^T Sigma g`` is
+    ``sum pi g^2 - (sum pi g)^2``, clamped at 0.
+    """
+    row, col = pi.sum(axis=2), pi.sum(axis=1)
+    var_x = _dvar2_many(row, 1.0, dx.d, "mle")
+    var_y = _dvar2_many(col, 1.0, dy.d, "mle")
+    degenerate = (var_x <= _DEGENERATE_TOL) | (var_y <= _DEGENERATE_TOL)
+    var_x, var_y = (np.where(degenerate, 1.0, v)[:, None, None] for v in (var_x, var_y))
+    delta = pi - row[:, :, None] * col[:, None, :]
+    dbar_x = (dx.d @ row[..., None])[..., 0]
+    dbar_y = (dy.d @ col[..., None])[..., 0]
     core = dx.d @ delta @ dy.d
-    row_part = dx.d @ (delta @ dbar_y)
-    col_part = dy.d @ (delta.T @ dbar_x)
-    return core - row_part[:, None] - col_part[None, :]
-
-
-def _dvar2_marginal_gradient(marginal: np.ndarray, d: DistanceMatrix) -> np.ndarray:
-    """Gradient of dvar2 with respect to the marginal probabilities."""
-    dbar = d.d @ marginal
-    mean_dist = float(marginal @ dbar)
-    sq_term = 2.0 * ((d.d * d.d) @ marginal)
-    return sq_term - 2.0 * dbar**2 - 4.0 * (d.d @ (marginal * dbar)) + 4.0 * mean_dist * dbar
+    row_part = dx.d @ (delta @ dbar_y[..., None])
+    col_part = dy.d @ (delta.transpose(0, 2, 1) @ dbar_x[..., None])
+    dprime = core - row_part - col_part.transpose(0, 2, 1)
+    denom = np.sqrt(var_x * var_y)
+    ratio = np.maximum(np.sum(delta * core, axis=(1, 2)), 0.0)[:, None, None] / denom
+    # d/dpi_ij of cov/sqrt(VX VY): the covariance gradient is 2*dprime and
+    # each variance enters through its own marginal.
+    grad = 2.0 * dprime / denom - ratio * (_dvar2_gradients(row, dx.d)[:, :, None] / (2.0 * var_x)
+                                           + _dvar2_gradients(col, dy.d)[:, None, :] / (2.0 * var_y))
+    mean = np.sum(pi * grad, axis=(1, 2))
+    asymp_var = np.maximum(np.sum(pi * grad * grad, axis=(1, 2)) - mean * mean, 0.0)
+    return dprime, np.where(degenerate, np.nan, asymp_var)
 
 
 def multinomial_sigma(p: JointDistribution) -> np.ndarray:
@@ -641,31 +799,16 @@ def alt_inference(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) 
     Both estimators share one limit variance.  Under exact independence
     every derivative vanishes and the variance is zero (the estimators are
     then degenerate at root-n scale and follow the weighted chi-squared
-    law instead).
+    law instead).  A stack of one of the variances ``catdcor test``
+    scores per encoding group.
     """
-    var_x = dvar2(p.row_marginal, dx)
-    var_y = dvar2(p.col_marginal, dy)
-    if var_x <= _DEGENERATE_TOL or var_y <= _DEGENERATE_TOL:
-        raise DegenerateMarginError(
-            "distance variance is zero on at least one margin"
-        )
-    dprime = _dcov2_half_gradient(p, dx, dy)
-    sigma = multinomial_sigma(p)
-
-    denom = np.sqrt(var_x * var_y)
-    cov = dcov2(p, dx, dy)
-    ratio = cov / denom
-    grad_vx = _dvar2_marginal_gradient(p.row_marginal, dx)
-    grad_vy = _dvar2_marginal_gradient(p.col_marginal, dy)
-    # d/dpi_ij of cov/sqrt(VX VY): the covariance gradient is 2*dprime and
-    # each variance enters through its own marginal.
-    grad = (
-        2.0 * dprime / denom
-        - ratio * (grad_vx[:, None] / (2.0 * var_x) + grad_vy[None, :] / (2.0 * var_y))
-    )
-    grad_vec = grad.ravel(order="C")
-    asymp_var = float(grad_vec @ sigma @ grad_vec)
-    return AltInference(dprime=dprime, sigma=sigma, asymp_var=max(asymp_var, 0.0))
+    _checked_marginal(p.row_marginal, dx)
+    _checked_marginal(p.col_marginal, dy)
+    dprime, asymp_var = _alt_many(p.pi[None], dx, dy)
+    if np.isnan(asymp_var[0]):
+        raise DegenerateMarginError("distance variance is zero on at least one margin")
+    dcov2(p, dx, dy)  # raises for a covariance below rounding noise
+    return AltInference(dprime=dprime[0], p=p, asymp_var=float(asymp_var[0]))
 
 
 def confidence_interval(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
@@ -681,14 +824,20 @@ def confidence_interval(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie strictly between 0 and 1")
     _require_estimator(estimator)
-    return _interval(_statistic(t, dx, dy, estimator), t.counts, t.n, dx, dy, level, estimator)
+    point = _statistic(t, dx, dy, estimator)
+    info = alt_inference(JointDistribution(t.counts / t.n), dx, dy)
+    return _interval(point, info.asymp_var, t.n, level, estimator)
 
 
-def _interval(point: float, counts: np.ndarray, n: float, dx: DistanceMatrix,
-              dy: DistanceMatrix, level: float, estimator: str) -> tuple[float, float]:
-    """:func:`confidence_interval` around ``point``, the estimate on ``counts`` (total ``n``)."""
-    info = alt_inference(JointDistribution(counts / n), dx, dy)
-    half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * np.sqrt(info.asymp_var / n)
+def _interval(point: float, asymp_var: float, n: float, level: float,
+              estimator: str) -> tuple[float, float]:
+    """:func:`confidence_interval` around ``point`` for the variance ``asymp_var`` at total ``n``.
+
+    A NaN variance, that of a degenerate margin, raises.
+    """
+    if math.isnan(asymp_var):
+        raise DegenerateMarginError("distance variance is zero on at least one margin")
+    half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * np.sqrt(asymp_var / n)
     lo, hi = point - half, point + half
     if estimator == "mle":
         lo, hi = max(lo, 0.0), min(hi, 1.0)

@@ -11,6 +11,9 @@ Kronecker quadratic form is a second route to the population squared
 distance covariance.  The centered form of the population squared
 distance variance and the term-by-term bias limits are the formulas the
 population side used before it took the kernel's sums at total 1.  The
+delta-method variance is the dense ``g^T Sigma g`` with the (IJ, IJ)
+multinomial covariance, one table at a time, as the interval was scored
+before it took ``sum pi g^2 - (sum pi g)^2`` on a stack.  The
 linear program behind
 ``catdcor.simulate._exact_pin_lp`` is kept as it was first built, one
 constraint row at a time.
@@ -127,6 +130,29 @@ def dvar2_bias_limit(marginal, d):
     term2 = -3.0 * float(m @ (d.d * d.d) @ m)
     term3 = -6.0 * mean_dist**2
     return term1 + term2 + term3
+
+
+def asymp_var_dense(pi, dx, dy):
+    """Delta-method variance of sqrt(n) dcor2 as ``g^T Sigma g``, ``Sigma = diag(pi) - pi pi^T``."""
+    row, col = pi.sum(axis=1), pi.sum(axis=0)
+    delta = pi - np.outer(row, col)
+    dbar_x, dbar_y = dx.d @ row, dy.d @ col
+    core = dx.d @ delta @ dy.d
+    dprime = core - (dx.d @ (delta @ dbar_y))[:, None] - (dy.d @ (delta.T @ dbar_x))[None, :]
+
+    def dvar_gradient(m, d):
+        dbar = d.d @ m
+        return (2.0 * ((d.d * d.d) @ m) - 2.0 * dbar**2 - 4.0 * (d.d @ (m * dbar))
+                + 4.0 * float(m @ dbar) * dbar)
+
+    var_x, var_y = dvar2_centered(row, dx), dvar2_centered(col, dy)
+    denom = np.sqrt(var_x * var_y)
+    ratio = max(float(np.sum(delta * core)), 0.0) / denom
+    grad = (2.0 * dprime / denom
+            - ratio * (dvar_gradient(row, dx)[:, None] / (2.0 * var_x)
+                       + dvar_gradient(col, dy)[None, :] / (2.0 * var_y))).ravel()
+    vec = pi.ravel()
+    return max(float(grad @ (np.diag(vec) - np.outer(vec, vec)) @ grad), 0.0)
 
 
 def crosstab(x, y, n_rows, n_cols):

@@ -4,8 +4,9 @@
 all negative, mixed), with K = 2-30 weights whose magnitudes are
 log-uniform over 12 decades, and pairs each with the uncentered
 quantiles 0 and +-1e-12 max|w|, where the density of a mixed or tiny
-spectrum is most singular.  ``tail_fuzz_pins.json`` holds one entry per
-case: the value and method tag that ``weighted_chisq_sf`` gave at commit
+spectrum is most singular.  ``cases_by_k()`` groups them by weight
+count, the stacks in which the package evaluates its tails.
+``tail_fuzz_pins.json`` holds one entry per case: the value and method tag that ``weighted_chisq_sf`` gave at commit
 1a287f1, before the contour took every spectrum, and, where that value
 came from the moment match or the current value differed from it by
 more than 1e-9, a 30-digit value computed with mpmath on another path
@@ -45,6 +46,19 @@ def cases():
         top = float(np.abs(weights).max())
         for quantile in (0.0, 1e-12 * top, -1e-12 * top):
             yield pattern, weights, quantile
+
+
+def cases_by_k():
+    """The cases grouped by weight count, as the stacks the contour runs.
+
+    Yields ``(k, stack)`` in increasing ``k``; ``stack`` lists ``(index,
+    pattern, weights, quantile)`` with ``index`` the case's position in
+    :func:`cases` and in the pins.
+    """
+    stacks = {}
+    for index, (pattern, weights, quantile) in enumerate(cases()):
+        stacks.setdefault(weights.size, []).append((index, pattern, weights, quantile))
+    yield from sorted(stacks.items())
 
 
 def load_pins():
@@ -91,14 +105,17 @@ def rebuild(old_src: str) -> None:
     for name in [m for m in sys.modules if m == "catdcor" or m.startswith("catdcor.")]:
         del sys.modules[name]
     new = importlib.import_module("catdcor.inference")
-    pins = []
-    for _, weights, quantile in cases():
-        x = quantile - weights.sum()
-        value, tag = old._weighted_chisq_sf_impl(weights, x)
-        exact = None
-        if tag != "imhof" or abs(new.weighted_chisq_sf(weights, x) - value) > 1e-9:
-            exact = _rays_30_digits(weights, x)
-        pins.append({"parent": value, "parent_method": tag, "exact": exact})
+    pins = [None] * len(list(cases()))
+    for _, stack in cases_by_k():
+        current = new._tails([(weights, quantile - weights.sum())
+                              for _, _, weights, quantile in stack])
+        for (index, _, weights, quantile), p in zip(stack, current):
+            x = quantile - weights.sum()
+            value, tag = old._weighted_chisq_sf_impl(weights, x)
+            exact = None
+            if tag != "imhof" or abs(p - value) > 1e-9:
+                exact = _rays_30_digits(weights, x)
+            pins[index] = {"parent": value, "parent_method": tag, "exact": exact}
     PINS.write_text("[\n" + ",\n".join(json.dumps(pin) for pin in pins) + "\n]\n")
 
 

@@ -9,6 +9,7 @@ import csv
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -971,6 +972,58 @@ class TestTestCommand:
             "error: DegenerateMarginError: fewer than two observed categories on a margin\n")
         assert [str(w.message) for w in record] == [
             "dropping 1 zero-count category before building the null spectrum"]
+
+    @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
+    def test_degenerate_variable_inside_an_encoding_group(self, tmp_path, capsys, pvalue):
+        # "b" holds one observed level between two healthy variables of the
+        # same one-hot group; the stacks are computed for the whole group,
+        # and "b" fails in its turn, after "a" and before "c" and "o".
+        rng = np.random.default_rng(8)
+        levels = ["u", "v", "w"]
+        columns = {"y": rng.choice(levels, 90), "a": rng.choice(levels, 90),
+                   "b": np.full(90, "v"), "c": rng.choice(levels, 90),
+                   "o": rng.choice(levels + ["z"], 90)}
+        meta = [{"name": name, "type": "nominal", "encoding": "onehot", "levels": levels}
+                for name in "yabc"]
+        meta.append({"name": "o", "type": "ordinal", "encoding": "ordinal",
+                     "levels": levels + ["z"]})
+        text = "y,a,b,c,o\n" + "".join(",".join(row) + "\n" for row in zip(*columns.values()))
+        csv_path, meta_path = write_raw(tmp_path, text, meta)
+        with pytest.warns(RuntimeWarning) as record:
+            code = main(["test", "--input", csv_path, "--metadata", meta_path,
+                         "--response", "y", "--pvalue", pvalue, "--perms", "99"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: DegenerateMarginError: fewer than two observed categories on a margin\n")
+        assert [str(w.message) for w in record] == [
+            "dropping 2 zero-count categories before building the null spectrum"]
+
+    @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
+    def test_zero_count_warnings_in_variable_order(self, tmp_path, pvalue):
+        # Two variables of one group and one of another each declare levels
+        # that never occur, and so does the response: one warning per margin,
+        # the first variable's, then the response's, then the others'.
+        rng = np.random.default_rng(9)
+        columns = {"y": rng.choice(["u", "v"], 90), "a": rng.choice(["u", "w"], 90),
+                   "o": rng.choice(["u", "v", "z"], 90), "c": rng.choice(["u", "v", "w"], 90),
+                   "d": rng.choice(["w"] * 5 + ["v"], 90)}
+        levels = {"y": ["u", "v", "w"], "a": ["u", "v", "w"], "o": ["u", "v", "w", "z", "t"],
+                  "c": ["u", "v", "w"], "d": ["u", "v", "w"]}
+        meta = [{"name": name, "type": "nominal",
+                 "encoding": "ordinal" if name == "o" else "onehot", "levels": levels[name]}
+                for name in columns]
+        text = "y,a,o,c,d\n" + "".join(",".join(row) + "\n" for row in zip(*columns.values()))
+        csv_path, meta_path = write_raw(tmp_path, text, meta)
+        out_path = str(tmp_path / "report.json")
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(["test", "--input", csv_path, "--metadata", meta_path,
+                         "--response", "y", "--pvalue", pvalue, "--perms", "99",
+                         "--out", out_path]) == 0
+        assert [(w.category, str(w.message)) for w in record] == [
+            (RuntimeWarning, f"dropping {k} zero-count categor{'y' if k == 1 else 'ies'} "
+                             "before building the null spectrum") for k in (1, 1, 2, 1)]
+        assert all(w.filename == record[0].filename for w in record)
 
     @pytest.mark.parametrize("estimator", ["mle", "unbiased"])
     @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])

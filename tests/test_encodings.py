@@ -1,6 +1,9 @@
 """Tests for category encodings and rescaled distance matrices."""
 
 import json
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -116,6 +119,12 @@ class TestCustom:
         with pytest.raises(DegenerateEncodingError):
             custom(["a", "b"], [[1.0, 0.0], [1.0, 0.0]])
 
+    def test_underflowing_squared_distance_rejected(self):
+        with pytest.raises(DegenerateEncodingError, match="pairwise distinct"):
+            custom(["a", "b"], [[0.0], [1e-200]])
+        with pytest.raises(DegenerateEncodingError, match="pairwise distinct"):
+            custom(["a", "b", "c"], [[1.0, 2.0], [0.0, 5.0], [1.0, 2.0]])
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises((ShapeError, ValueError)):
             custom(["a", "b"], [[1.0, 0.0], [1.0]])
@@ -171,6 +180,38 @@ class TestDistanceMatrix:
                 for m in range(size):
                     for k in range(size):
                         assert d[i, k] <= d[i, m] + d[m, k] + 1e-12
+
+    @pytest.mark.parametrize("make", [one_hot, ordinal_equal, semicircle_equal],
+                             ids=["one-hot", "ordinal", "semicircle"])
+    def test_bit_identical_to_pairwise_differences(self, make):
+        # The formula distance_matrix used for every encoding before one-hot
+        # took its closed form: all differences, then the symmetric part.
+        for size in range(2, 120):
+            pts = make(size).points
+            diff = pts[:, None, :] - pts[None, :, :]
+            d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            d = 0.5 * (d + d.T)
+            got = distance_matrix(make(size))
+            assert got.scale == float(d.max())
+            assert np.array_equal(got.d, d / d.max()), size
+
+    def test_three_thousand_one_hot_levels(self):
+        # Pairwise differences of 3000 one-hot points would take 201 GiB.
+        script = textwrap.dedent("""
+            import time
+            from catdcor import distance_matrix, one_hot
+            start = time.perf_counter()
+            d = distance_matrix(one_hot(3000))
+            seconds = time.perf_counter() - start
+            peak = next(line for line in open("/proc/self/status") if line.startswith("VmHWM"))
+            print(seconds, int(peak.split()[1]) / 1024, d.d.shape[0])
+        """)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             check=True).stdout.split()
+        seconds, peak_mb, size = float(out[0]), float(out[1]), int(out[2])
+        assert size == 3000
+        assert seconds < 1.0
+        assert peak_mb < 400.0
 
     def test_row_averages(self):
         dm = distance_matrix(ordinal_equal(3))

@@ -8,6 +8,7 @@ every analytic gradient.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from catdcor import (
     DegenerateMarginError,
     DistributionError,
     InsufficientReplicatesError,
+    InternalConsistencyError,
     JointDistribution,
     JointTable,
     NullSpectrum,
@@ -48,6 +50,7 @@ from catdcor import (
     spectrum,
     weighted_chisq_sf,
 )
+import catdcor.cli
 import scalar_reference as ref
 import tail_fuzz
 import tail_reference as tails
@@ -808,3 +811,140 @@ class TestEstimatorName:
     def test_unknown_estimator_is_configuration_error(self, call):
         with pytest.raises(ConfigurationError, match="estimator must be 'mle' or 'unbiased'"):
             call(self.TABLE, self.CODES)
+
+
+def relative_gap(got, expected):
+    return 0.0 if got == expected else abs(got - expected) / abs(expected)
+
+
+def perfbench_workload(name, seed, directory):
+    """The argv of a seeded perfbench workload, its inputs written to ``directory``."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module.WORKLOADS[name].make(seed, directory, False)[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStackedTails:
+    """Tails evaluated in stacks against the one-at-a-time contour they replaced."""
+
+    def test_pins_as_stacks_match_scalar_reference(self):
+        pins = tail_fuzz.load_pins()
+        seen = 0
+        for k, stack in tail_fuzz.cases_by_k():
+            got = inference._tails([(w, q - w.sum()) for _, _, w, q in stack])
+            for (index, pattern, w, q), p in zip(stack, got):
+                expected = tails.scalar_chisq_sf(w, q - w.sum())
+                assert relative_gap(p, expected) <= 1e-13, (k, pattern, index)
+                if pins[index]["exact"] is not None:
+                    assert abs(p - pins[index]["exact"]) <= 1e-12
+                seen += 1
+        assert seen == len(pins) == 450
+
+    def test_a_tail_does_not_depend_on_its_stack(self):
+        stacks = [[(w, q - w.sum()) for _, _, w, q in stack]
+                  for _, stack in tail_fuzz.cases_by_k()]
+        mixed = [case for stack in stacks for case in stack]
+        mixed = mixed[1::2] + mixed[::2]  # other neighbours, other row positions
+        alone = [weighted_chisq_sf(w, x) for w, x in mixed]
+        assert inference._tails(mixed) == alone
+
+    @pytest.mark.parametrize("seed", [7, 21])
+    def test_analytic_workload_tails_match_scalar_reference(self, tmp_path, seed, monkeypatch):
+        captured = []
+        stacked = inference._tails
+
+        def recording(cases):
+            captured.extend(cases)
+            return stacked(cases)
+
+        monkeypatch.setattr(catdcor.cli, "_tails", recording)
+        argv = perfbench_workload("test_analytic", seed, tmp_path)
+        assert catdcor.cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+        assert len(captured) == 80
+        assert len({len(w) for w, _ in captured}) == 9  # one stack per weight count
+        for (w, x), p in zip(captured, stacked(captured)):
+            assert relative_gap(p, tails.scalar_chisq_sf(w, x)) <= 1e-13
+
+    @pytest.mark.parametrize("limit, value, index", [
+        ("_SP_V_MAX", inference._SP_V, 15),  # no range doublings: the integrand has not decayed
+        ("_SP_MAX_HALVINGS", 1, 17),  # one estimate only: the halvings do not converge
+    ])
+    def test_failing_row_fails_alone(self, monkeypatch, limit, value, index):
+        _, weights, quantile = list(tail_fuzz.cases())[index]  # mixed signs, K = 3
+        cases = [([1.0, 0.6, 0.3], -0.5), (weights, quantile - weights.sum()),
+                 ([1.0, 0.9, 0.8], 2.0)]
+        monkeypatch.setattr(inference, limit, value)
+        got = inference._tails(cases)
+        assert isinstance(got[1], InternalConsistencyError)
+        assert [got[0], got[2]] == [weighted_chisq_sf(w, x) for w, x in cases[::2]]
+        with pytest.raises(InternalConsistencyError, match="did not converge for weights"):
+            weighted_chisq_sf(*cases[1])
+
+
+def dense_table(rng, n_rows, n_cols):
+    """Seeded counts of a random table, every margin observed, as proportions."""
+    while True:
+        pi = rng.dirichlet(np.ones(n_rows * n_cols))
+        counts = rng.multinomial(int(rng.integers(200, 5000)), pi).reshape(n_rows, n_cols)
+        if counts.sum(axis=1).all() and counts.sum(axis=0).all():
+            return counts / counts.sum()
+
+
+class TestStackedInterval:
+    ENCODINGS = (one_hot, ordinal_equal, semicircle_equal)
+
+    def test_variance_matches_dense_quadratic_form(self):
+        rng = np.random.default_rng(171)
+        for n_rows in range(2, 12):
+            for n_cols in range(2, 12):
+                make_x, make_y = (self.ENCODINGS[i] for i in rng.integers(0, 3, 2))
+                dx, dy = distance_matrix(make_x(n_rows)), distance_matrix(make_y(n_cols))
+                stack = np.array([dense_table(rng, n_rows, n_cols) for _ in range(3)])
+                variances = inference._alt_many(stack, dx, dy)[1]
+                for pi, variance in zip(stack, variances):
+                    assert relative_gap(variance, ref.asymp_var_dense(pi, dx, dy)) <= 1e-13
+                    # alt_inference is a stack of one of the same kernel.
+                    info = alt_inference(JointDistribution(pi), dx, dy)
+                    assert info.asymp_var == variance
+
+    def test_degenerate_table_is_nan_without_warnings(self):
+        dx = distance_matrix(one_hot(3))
+        stack = np.array([[[0.5, 0.5], [0.0, 0.0], [0.0, 0.0]],
+                          [[0.2, 0.1], [0.1, 0.3], [0.2, 0.1]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            variances = inference._alt_many(stack, dx, DM2)[1]
+        assert np.isnan(variances[0]) and variances[1] > 0.0
+        with pytest.raises(DegenerateMarginError, match="distance variance is zero"):
+            alt_inference(JointDistribution(stack[0]), dx, DM2)
+
+    def test_sigma_is_built_when_read(self):
+        info = alt_inference(JointDistribution(np.full((2, 3), 1.0 / 6.0)),
+                             DM2, distance_matrix(one_hot(3)))
+        assert "sigma" not in vars(info)
+        assert info.sigma.shape == (6, 6)
+
+    def test_interval_of_a_thousand_level_table(self):
+        # One-hot rows of 1000 levels: the dense covariance would be an
+        # (IJ)^2 = 10^8-entry matrix, 800 MB.
+        import tracemalloc
+
+        rng = np.random.default_rng(172)
+        x = rng.integers(0, 1000, 20000)
+        y = (x + rng.integers(0, 3, x.size)) % 10
+        dx, dy = distance_matrix(one_hot(1000)), distance_matrix(one_hot(10))
+        table = JointTable.from_codes(x, y, 1000, 10)
+        tracemalloc.start()
+        try:
+            lo, hi = confidence_interval(table, dx, dy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= lo < dcor2_mle(table, dx, dy) < hi <= 1.0
+        assert peak < 100e6
