@@ -457,10 +457,11 @@ def cmd_test(args: argparse.Namespace) -> None:
     per matrix size and the response's side is built once; the analytic
     tails of all variables run in one stack per weight count.  The
     permutation p-values of all variables that need them come after the
-    loop, from one set of response permutations.  All of this is computed
-    without raising; each variable then warns and fails in its turn, in a
-    fixed order: spectrum (with its zero-category warning), zero total
-    weight, the ``--estimator`` statistic, the replicate count
+    loop, from one set of response permutations, scored once per chunk,
+    variable and estimator.  All of this is computed without raising;
+    each variable then warns and fails in its turn, in a fixed order:
+    spectrum (with its zero-category warning), zero total weight, the
+    ``--estimator`` statistic, the replicate count
     (permutation only), the other statistic, the tail (analytic only),
     the interval.
     """

@@ -60,9 +60,8 @@ __all__ = [
     "dvar2_bias_limit",
 ]
 
-# Tables tabulated and scored per batch, features in screening or
-# replicates in a permutation test: an (n, 128) int index array, plus the
-# (128, n) permuted responses for replicates, about 1 MB each at n = 1000.
+# Tables tabulated per batch, features in screening or replicates in a
+# permutation test: an (n, 128) int index array, about 1 MB at n = 1000.
 _BLOCK = 128
 
 

@@ -653,6 +653,8 @@ def _require_replicates(reps: int) -> None:
         raise InsufficientReplicatesError(
             f"permutation test needs at least 99 replicates, got {reps}"
         )
+    if reps > 2**32:
+        raise ConfigurationError(f"permutation test takes at most 2**32 replicates, got {reps}")
 
 
 def _require_seed(seed) -> None:
@@ -664,6 +666,67 @@ def _require_seed(seed) -> None:
         raise ConfigurationError(f"seed must be {what}, got {seed!r}")
 
 
+# Replicates drawn and scored together: at most _CELLS cells of draws (chunk, n)
+# and 128 x n cells of one variable's tables (chunk, I, J), but never under _BLOCK
+# replicates; test_permutation's 999 x 500 draws are one chunk.
+_CELLS = 1 << 19
+# numpy's SeedSequence constants (hash A, hash B, mix) and PCG64's multiplier.
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX = (0xCA01F9DD, 0x4973F715)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _hashmix(value: np.ndarray, hashing: list) -> np.ndarray:
+    """SeedSequence's hash of uint32 ``value``; advances ``hashing = [constant, multiplier]``."""
+    value = value ^ hashing[0]
+    hashing[0] = hashing[0] * hashing[1] & 0xFFFFFFFF
+    value = value * hashing[0]
+    return value ^ value >> 16
+
+
+def _seed_words(seed, start: int, stop: int) -> list[list[int]]:
+    """``SeedSequence((seed, r)).generate_state(4, np.uint64)`` for ``start <= r < stop``.
+
+    numpy's algorithm on uint32 arrays, one entry per replicate; ``r < 2**32`` is one word.
+    """
+    words = [int(v) >> shift & 0xFFFFFFFF for v in (seed if isinstance(seed, tuple) else (seed,))
+             for shift in range(0, max(int(v).bit_length(), 1), 32)]
+    rep = np.arange(start, stop, dtype=np.uint32)
+    entropy, hashing = [np.full_like(rep, w) for w in words] + [rep], list(_HASH_A)
+    pool = [_hashmix(entropy[i] if i < len(entropy) else 0 * rep, hashing) for i in range(4)]
+    # Each pool word into every other, then each entropy word past the pool into all four.
+    sources = [(pool, src, dst) for src in range(4) for dst in range(4) if src != dst]
+    sources += [(entropy, src, dst) for src in range(4, len(entropy)) for dst in range(4)]
+    for source, src, dst in sources:
+        mixed = pool[dst] * _MIX[0] - _hashmix(source[src], hashing) * _MIX[1]
+        pool[dst] = mixed ^ mixed >> 16
+    hashing = list(_HASH_B)
+    state = np.array([_hashmix(pool[i % 4], hashing) for i in range(8)], dtype=np.uint64)
+    return (state[0::2] | state[1::2] << 32).T.tolist()
+
+
+def _keyed_draws(y: np.ndarray, seed, start: int, stop: int) -> np.ndarray:
+    """Rows ``default_rng((seed, r)).permutation(y)`` for ``start <= r < stop``.
+
+    One ``PCG64``, seeded from each replicate's words as ``pcg64_set_seed`` does, shuffles
+    a copy of ``y``.  The draws do not depend on the item size, so the rows are stored in
+    the smallest unsigned type that holds ``y``.
+    """
+    bits = np.random.PCG64(0)
+    shuffle = np.random.Generator(bits).shuffle
+    row = np.empty(len(y), dtype=np.int64)  # 8-byte items take the fastest shuffle
+    drawn = np.empty((stop - start, len(y)), dtype=np.min_scalar_type(int(y.max(initial=0))))
+    for out, (s_hi, s_lo, i_hi, i_lo) in zip(drawn, _seed_words(seed, start, stop)):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        row[:] = y
+        shuffle(row)
+        out[:] = row
+    return drawn
+
+
 def _permutation_pvalues(y: np.ndarray, dy: DistanceMatrix, variables: list,
                          reps: int, seed: int) -> list[dict[str, float]]:
     """Permutation p-values of several variables against one response.
@@ -671,20 +734,24 @@ def _permutation_pvalues(y: np.ndarray, dy: DistanceMatrix, variables: list,
     ``variables`` holds one ``(x, dx, observed)`` per variable: its codes
     (checked, like ``y``, by the caller, at ingest or by its tabulation)
     and a map from each estimator to its unscaled estimate on the
-    unpermuted table.  Replicate
-    ``rep`` permutes ``y`` with ``default_rng((seed, rep))``.  The draws
-    of up to ``_BLOCK`` replicates are made once and shared by every
-    variable, which tabulates that block with one ``np.bincount`` and
-    scores it with ``_score_many``, the kernel that computed ``observed``.
-    Permuting keeps both margins, so no replicate table is degenerate.
+    unpermuted table.  Replicate ``rep`` permutes ``y`` with
+    ``default_rng((seed, rep))``.  Every variable tabulates each chunk of
+    draws ``_BLOCK`` rows at a time, one ``np.bincount`` each, and scores
+    the chunk with one ``_score_many`` call per estimator, the kernel that
+    computed ``observed``.  Permuting keeps both margins, so no replicate
+    table is degenerate.
     """
-    n = float(len(y))
+    n, cols = float(len(y)), dy.n_categories
     exceed = [dict.fromkeys(observed, 0) for _, _, observed in variables]
-    for start in range(0, reps, _BLOCK):
-        drawn = np.stack([np.random.default_rng((seed, rep)).permutation(y)
-                          for rep in range(start, min(start + _BLOCK, reps))])
+    widest = max((dx.n_categories for _, dx, _ in variables), default=1) * cols
+    chunk = max(_BLOCK, min(_CELLS // len(y), _BLOCK * len(y) // widest))
+    for first in range(0, reps, chunk):
+        drawn = _keyed_draws(y, seed, first, min(first + chunk, reps))
         for (x, dx, observed), counts in zip(variables, exceed):
-            tables = _tabulate_many(x[:, None], drawn.T, dx.n_categories, dy.n_categories)
+            tables = np.empty((len(drawn), dx.n_categories, cols))
+            for start in range(0, len(drawn), _BLOCK):
+                tables[start:start + _BLOCK] = _tabulate_many(
+                    x[:, None], drawn[start:start + _BLOCK].T, dx.n_categories, cols)
             for kind, value in observed.items():
                 counts[kind] += int(np.count_nonzero(
                     _score_many(tables, n, dx, dy, kind)[0] >= value))
@@ -700,8 +767,9 @@ def permutation_test(x, y, dx: DistanceMatrix, dy: DistanceMatrix,
     ``x`` and ``y`` are integer-coded samples.  Each replicate draws an
     independent uniform permutation from a generator keyed by
     ``(seed, replicate index)``, so results are reproducible and do not
-    depend on any execution ordering; ``seed`` must be non-negative.  The
-    p-value is ``(1 + #{permuted statistic >= observed}) / (reps + 1)``.
+    depend on any execution ordering; ``seed`` must be non-negative and
+    ``reps`` from 99 to 2**32.  The p-value is
+    ``(1 + #{permuted statistic >= observed}) / (reps + 1)``.
     """
     _require_replicates(reps)
     _require_seed(seed)

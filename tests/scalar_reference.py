@@ -2,8 +2,9 @@
 
 The package computes every estimate, one table or a stack, with
 ``catdcor.estimators._score_many`` and its helpers.  These are the
-scalar formulas it used before, one table at a time, and the
-per-replicate permutation loop, kept here so that tests compare the
+scalar formulas it used before, one table at a time, the
+per-replicate permutation loop and the loop over blocks of 128
+replicates that came after it, kept here so that tests compare the
 kernel with a separate implementation rather than with itself.  The
 floating-point operations are the old ones, so on the tested platform
 the kernel matches them bit for bit; tests hold it to 1e-12.  The
@@ -22,6 +23,7 @@ constraint row at a time.
 import numpy as np
 
 from catdcor import DegenerateMarginError
+from catdcor.estimators import _score_many, _tabulate_many
 
 DEGENERATE_TOL = 1e-14
 
@@ -188,6 +190,27 @@ def permutation_pvalues(x, y, dx, dy, observed, reps, seed):
             exceed[kind] += stat >= value
             ties += stat == value
     return {kind: (1.0 + c) / (reps + 1.0) for kind, c in exceed.items()}, ties
+
+
+def blocked_permutation_pvalues(y, dy, variables, reps, seed):
+    """``_permutation_pvalues`` as a loop over blocks of at most 128 replicates.
+
+    Each block's permutations are stacked from one ``default_rng((seed,
+    rep))`` each, and every variable tabulates the block with one
+    ``np.bincount`` and scores it per estimator with ``_score_many``.
+    """
+    n = float(len(y))
+    exceed = [dict.fromkeys(observed, 0) for _, _, observed in variables]
+    for start in range(0, reps, 128):
+        drawn = np.stack([np.random.default_rng((seed, rep)).permutation(y)
+                          for rep in range(start, min(start + 128, reps))])
+        for (x, dx, observed), counts in zip(variables, exceed):
+            tables = _tabulate_many(x[:, None], drawn.T, dx.n_categories, dy.n_categories)
+            for kind, value in observed.items():
+                counts[kind] += int(np.count_nonzero(
+                    _score_many(tables, n, dx, dy, kind)[0] >= value))
+    return [{kind: (1.0 + c) / (reps + 1.0) for kind, c in counts.items()}
+            for counts in exceed]
 
 
 def exact_pin_lp_args(product, bump, capped):

@@ -28,6 +28,7 @@ import catdcor.cli
 from catdcor.cli import Dataset, ingest, main
 from catdcor.estimators import _BLOCK
 from catdcor.exceptions import CatdcorError, ConfigurationError, LabelError, ParseError
+from perfbench_inputs import perfbench_workload
 import scalar_reference as ref
 
 META = [
@@ -908,6 +909,34 @@ class TestTestCommand:
                 expected, _ = ref.permutation_pvalues(x, y, dx, dy, observed, 150, 11)
                 assert entry["p_values"] == expected
                 assert entry["p_value"] == expected["mle"]
+
+    def test_perfbench_permutation_input_matches_reference(self, tmp_path):
+        # The test_permutation workload at seed 7: 500 rows, 8 variables of
+        # 2 to 5 levels (the binary ones with fixed cross-tabs) and 999
+        # replicates, drawn as one chunk.  Every p-value equals the
+        # replicate-by-replicate reference loop's, exact ties included.
+        argv = perfbench_workload("test_permutation", 7, tmp_path)
+        options = dict(zip(argv[1::2], argv[2::2]))
+        assert (options["--perms"], options["--seed"]) == ("999", "7")
+        out_path = str(tmp_path / "perm.json")
+        assert main([*argv, "--out", out_path]) == 0
+        report = json.loads(open(out_path).read())
+        dataset, encodings = ingest(options["--input"], options["--metadata"])
+        names = list(dataset.column_names)
+        y = dataset.codes[:, names.index("y")]
+        dy = distance_matrix(encodings["y"])
+        all_ties = 0
+        assert len(report["results"]) == 8
+        for entry in report["results"]:
+            assert entry["method"] == "permutation"
+            x = dataset.codes[:, names.index(entry["variable"])]
+            dx = distance_matrix(encodings[entry["variable"]])
+            t = JointTable.from_codes(x, y, dx.n_categories, dy.n_categories)
+            observed = {kind: ref.dcor2(t.counts, dx, dy, kind) for kind in ("mle", "unbiased")}
+            expected, ties = ref.permutation_pvalues(x, y, dx, dy, observed, 999, 7)
+            assert entry["p_values"] == expected
+            all_ties += ties
+        assert all_ties > 0
 
     @pytest.mark.filterwarnings("ignore:dropping .* zero-count")
     @pytest.mark.parametrize("estimator", ["mle", "unbiased"])

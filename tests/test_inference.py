@@ -8,7 +8,7 @@ every analytic gradient.
 """
 
 import math
-import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -51,6 +51,7 @@ from catdcor import (
     weighted_chisq_sf,
 )
 import catdcor.cli
+from perfbench_inputs import perfbench_workload
 import scalar_reference as ref
 import tail_fuzz
 import tail_reference as tails
@@ -636,6 +637,83 @@ class TestFixedMarginPermutation:
         assert all_ties > 0
 
 
+class TestKeyedDraws:
+    """The replicate keys computed on arrays give ``default_rng((seed, r)).permutation(y)``."""
+
+    @staticmethod
+    def check_rows(y, seed, reps, chunk):
+        chunks = [inference._keyed_draws(y, seed, s, min(s + chunk, reps))
+                  for s in range(0, reps, chunk)]
+        assert all(c.dtype == np.uint8 for c in chunks)
+        expected = [np.random.default_rng((seed, r)).permutation(y) for r in range(reps)]
+        np.testing.assert_array_equal(np.concatenate(chunks), np.stack(expected))
+
+    # 2**64 + 3 has three 32-bit words, so (seed, r) fills the pool of four;
+    # 2**100 + 1 has four, so r goes through SeedSequence's extra mixing loop.
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 1,
+                                      True, np.int64(5), (3, 4)], ids=repr)
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8])
+    def test_rows_match_default_rng(self, seed, n, dtype):
+        y = np.random.default_rng((560, n)).integers(0, 4, n).astype(dtype)
+        self.check_rows(y, seed, 99, 64)
+
+    @pytest.mark.parametrize("reps", [99, 128, 129, inference._CELLS // 500 + 1])
+    def test_chunk_edges(self, reps):
+        # The chunk _permutation_pvalues takes for 500 rows and small tables.
+        y = np.random.default_rng(561).integers(0, 3, 500)
+        self.check_rows(y, 7, reps, inference._CELLS // 500)
+
+    def test_replicate_index_is_one_word(self):
+        # Replicate indices stop below 2**32; the bound is checked before
+        # anything is drawn.
+        inference._require_replicates(2**32)
+        with pytest.raises(ConfigurationError, match=r"at most 2\*\*32"):
+            inference._require_replicates(2**32 + 1)
+        with pytest.raises(ConfigurationError, match=r"at most 2\*\*32"):
+            permutation_test([0, 1, 0, 1], [0, 1, 1, 0], DM2, DM2, reps=2**32 + 1, seed=0)
+
+
+class TestPermutationMemory:
+    """Chunked draws and chunk-wide scoring keep the traced peak of the blocked loop."""
+
+    @staticmethod
+    def traced(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    # The last case has small n and wide tables: a chunk must not hold
+    # more table cells than the blocked loop's 128 replicates, and its 299
+    # replicates take three chunks.
+    @pytest.mark.parametrize("n, p, levels, response, reps",
+                             [(50_000, 3, 4, 3, 99), (2_000, 400, 10, 3, 99),
+                              (100, 64, 2, 50, 299)],
+                             ids=["large_n", "many_variables", "wide_response"])
+    def test_peak_within_blocked_loop(self, n, p, levels, response, reps):
+        rng = np.random.default_rng((570, n))
+        y = rng.integers(0, response, n)
+        dx = distance_matrix(one_hot(levels))
+        dy = distance_matrix(ordinal_equal(response))
+        variables = []
+        for _ in range(p):
+            x = rng.integers(0, levels, n)
+            table = JointTable.from_codes(x, y, levels, response)
+            variables.append((x, dx, {"mle": dcor2_mle(table, dx, dy),
+                                      "unbiased": dcor2_unbiased(table, dx, dy)}))
+        for fn in (inference._permutation_pvalues, ref.blocked_permutation_pvalues):
+            fn(y, dy, variables[:1], 99, 0)  # first-call allocations are not counted
+        got, peak = self.traced(inference._permutation_pvalues, y, dy, variables, reps, 1)
+        expected, blocked_peak = self.traced(ref.blocked_permutation_pvalues,
+                                             y, dy, variables, reps, 1)
+        assert got == expected
+        assert peak <= 1.5 * blocked_peak
+
+
 class TestAltInference:
     def test_independence_gives_zero(self):
         p = JointDistribution.independent([0.5, 0.3, 0.2], [0.2, 0.3, 0.5])
@@ -815,18 +893,6 @@ class TestEstimatorName:
 
 def relative_gap(got, expected):
     return 0.0 if got == expected else abs(got - expected) / abs(expected)
-
-
-def perfbench_workload(name, seed, directory):
-    """The argv of a seeded perfbench workload, its inputs written to ``directory``."""
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(module)
-    return module.WORKLOADS[name].make(seed, directory, False)[0]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
