@@ -17,7 +17,7 @@ import operator
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -394,11 +394,25 @@ def _write_json(payload: dict, out_path: str | None) -> None:
     _write(json.dumps(payload, indent=2, sort_keys=True, default=_numpy_json) + "\n", out_path)
 
 
-def _write_csv(rows: Iterable[Sequence], out_path: str | None, header: list[str]) -> None:
-    """One line per row of Python ints and floats, each cell its ``repr``."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row)) for row in rows)
-    _write("\n".join(lines) + "\n", out_path)
+def _write_csvs(files: Sequence[tuple[str | None, list[str], list[np.ndarray]]]) -> None:
+    """Write each ``(out_path, header, columns)`` as CSV, one line per row.
+
+    Float cells are their shortest round-trip ``repr``, formatted once per
+    distinct bit pattern of all files' floats; integer cells their ``str``.
+    """
+    floats = [c for _, _, columns in files for c in columns if c.dtype.kind == "f"]
+    # Unique int64 views keep 0.0 and -0.0 apart; unique floats would merge them.
+    patterns, where = np.unique(np.concatenate(
+        [np.asarray(c, dtype=np.float64).view(np.int64) for c in floats]), return_inverse=True)
+    table = np.array(list(map(repr, patterns.view(np.float64).tolist())), dtype=object)
+    texts = iter(np.split(table[where], np.cumsum([len(c) for c in floats])[:-1]))
+    for out_path, header, columns in files:
+        cells = np.full((len(columns[0]), 2 * len(columns)), ",", dtype=object)
+        cells[:, -1] = "\n"
+        for j, column in enumerate(columns):
+            cells[:, 2 * j] = (next(texts) if column.dtype.kind == "f"
+                               else list(map(str, column.tolist())))
+        _write(",".join(header) + "\n" + "".join(cells.ravel().tolist()), out_path)
 
 
 def _variables(args: argparse.Namespace) -> tuple:
@@ -586,8 +600,9 @@ def cmd_screen(args: argparse.Namespace) -> None:
         "low_confidence": report.low_confidence,
         "selected": report.selected,
     }, args.out)
-    ranked = enumerate(report.sorted_values().tolist(), start=1)
-    _write_csv(ranked, _sibling_path(args.out, "_ranked.csv"), ["rank", "value"])
+    values = report.sorted_values()
+    _write_csvs([(_sibling_path(args.out, "_ranked.csv"), ["rank", "value"],
+                  [np.arange(1, values.size + 1), values])])
 
 
 def _sibling_path(out_path: str | None, suffix: str) -> str | None:
@@ -626,14 +641,10 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     }
     _write_json(payload, args.out)
     delta = results[0].joint.delta()
-    _write_csv(delta.tolist(),
-               _sibling_path(args.out, "_delta.csv"),
-               [f"col{j + 1}" for j in range(delta.shape[1])])
-    for r in results:
-        points = roc_points(r.pooled_scores, r.pooled_truth)
-        _write_csv(points.tolist(),
-                   _sibling_path(args.out, f"_roc_{r.encoding}.csv"),
-                   ["fpr", "tpr"])
+    _write_csvs([(_sibling_path(args.out, "_delta.csv"),
+                  [f"col{j + 1}" for j in range(delta.shape[1])], list(delta.T))]
+                + [(_sibling_path(args.out, f"_roc_{r.encoding}.csv"), ["fpr", "tpr"],
+                    list(roc_points(r.pooled_scores, r.pooled_truth).T)) for r in results])
 
 
 def _build_parser() -> argparse.ArgumentParser:

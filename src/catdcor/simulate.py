@@ -117,7 +117,8 @@ class SettingSpec:
             if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
                 raise ShapeError(f"perturbed cell {(i, j)} outside the grid")
         if not 0 <= self.relevant_count <= self.n_features:
-            raise ShapeError("relevant_count must lie in [0, n_features]")
+            raise ShapeError(f"relevant_count {self.relevant_count} must lie in "
+                             f"[0, {self.n_features}], the feature count")
         row.setflags(write=False)
         col.setflags(write=False)
         object.__setattr__(self, "row_marginal", row)
@@ -295,8 +296,15 @@ def _cdf(p: np.ndarray) -> np.ndarray:
 
 
 def _inverse_cdf_sample(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, cdf.size - 1)
+    """Category of each uniform under ``cdf``, of shape ``(I,)`` or ``(I, u.shape[-1])``.
+
+    Counts the entries of ``cdf[:-1]`` that each ``u`` reaches: ``searchsorted(cdf, u,
+    side="right")`` capped at ``I - 1``, in ``I - 1`` branch-free passes.
+    """
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf) - 1))
+    for row in cdf[:-1]:
+        idx += u >= row
+    return idx
 
 
 def sample_dataset(spec: SettingSpec, seed, allow_rank_one: bool = False
@@ -321,7 +329,8 @@ def _draw_dataset(spec: SettingSpec, built: ConstructedJoint, seed) -> Simulated
 
     Each block of ``_BLOCK`` feature columns is one ``(cols, n)`` draw,
     which numpy's generators fill from the same stream as ``cols``
-    successive ``n``-vectors.
+    successive ``n``-vectors.  A uniform's category is the count of its CDF's entries,
+    the pinned last one excluded, that it reaches; relevant columns use each row's response.
     """
     col_marg = built.joint.col_marginal
     cond_cdf = _cdf(built.joint.pi / col_marg[None, :])
@@ -330,17 +339,14 @@ def _draw_dataset(spec: SettingSpec, built: ConstructedJoint, seed) -> Simulated
 
     rng = np.random.default_rng(seed)
     n = spec.n
-    response = _inverse_cdf_sample(response_cdf, rng.random(n))
+    response = _inverse_cdf_sample(response_cdf, rng.random(n)).astype(np.int64)
     columns = np.empty((spec.n_features, n), dtype=np.int64)
     per_response_cdf = cond_cdf[:, response]
     for start in range(0, spec.n_features, _BLOCK):
         u = rng.random((min(_BLOCK, spec.n_features - start), n))
         block = columns[start:start + len(u)]
         split = min(max(spec.relevant_count - start, 0), len(u))
-        block[:split] = np.minimum(
-            (u[:split, None, :] >= per_response_cdf).sum(axis=1),
-            spec.n_rows - 1,
-        )
+        block[:split] = _inverse_cdf_sample(per_response_cdf, u[:split])
         block[split:] = _inverse_cdf_sample(marg_cdf, u[split:])
     return SimulatedDataset(
         features=columns.T,
@@ -442,6 +448,9 @@ def run_benchmark(setting_id: int, n: int,
             f"encoding kinds must be distinct, got {','.join(encoding_kinds)}")
     spec = setting_spec(setting_id, n=n, n_features=n_features,
                         relevant_count=relevant_count)
+    if relevant_count in (0, n_features):
+        raise UndefinedAUCError(f"AUC needs both relevant and irrelevant features, got "
+                                f"{relevant_count} relevant of {n_features}")
     _require_scorable(n, estimator)
     dists = [(distance_matrix(encoding_for_kind(kind, spec.n_rows)),
               distance_matrix(encoding_for_kind(kind, spec.n_cols)))

@@ -1,10 +1,13 @@
 """Column-by-column reference for the simulation sampler.
 
 ``catdcor.simulate._draw_dataset`` draws the feature uniforms in blocks
-of columns and maps each block at once.  This is the loop it replaced:
-one ``rng.random(n)`` and one inverse-cdf lookup per column, kept here
-so that tests compare the blocked draw with a separate implementation of
-the same random stream.
+of columns and maps each block at once, counting for each uniform the
+CDF entries (the pinned last one excluded) that it reaches.  This is the
+loop it replaced, by binary search instead: one ``rng.random(n)`` per
+column and ``np.searchsorted(cdf, u, side="right")`` capped at the last
+category, relevant columns searched once per response category.  Tests
+compare the blocked draw with this separate implementation of the same
+random stream.
 """
 
 import numpy as np
@@ -27,14 +30,12 @@ def draw_dataset(spec, joint, seed):
     n = spec.n
     response = _inverse_cdf_sample(response_cdf, rng.random(n))
     features = np.empty((n, spec.n_features), dtype=np.int64)
-    per_response_cdf = cond_cdf[:, response]
     for s in range(spec.n_features):
         u = rng.random(n)
         if s < spec.relevant_count:
-            features[:, s] = np.minimum(
-                (u[None, :] >= per_response_cdf).sum(axis=0),
-                spec.n_rows - 1,
-            )
+            for c in range(spec.n_cols):
+                rows = response == c
+                features[rows, s] = _inverse_cdf_sample(cond_cdf[:, c], u[rows])
         else:
             features[:, s] = _inverse_cdf_sample(marg_cdf, u)
     return features, response

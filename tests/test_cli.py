@@ -23,6 +23,8 @@ from catdcor import (
     load_metadata,
     null_spectrum,
     permutation_test,
+    roc_points,
+    run_benchmark,
 )
 import catdcor.cli
 from catdcor.cli import Dataset, ingest, main
@@ -1101,6 +1103,12 @@ class TestTestCommand:
             "error: ConfigurationError: seed must be a non-negative integer, got -1\n")
 
 
+def per_cell_csv(header, columns):
+    """The CSV text of ``columns`` written one cell at a time, each its ``repr``."""
+    rows = zip(*[np.asarray(column).tolist() for column in columns])
+    return "\n".join([",".join(header)] + [",".join(map(repr, row)) for row in rows]) + "\n"
+
+
 class TestScreenCommand:
     def test_matches_direct_api(self, tmp_path):
         csv_path, meta_path = write_inputs(tmp_path, n=260)
@@ -1135,6 +1143,10 @@ class TestScreenCommand:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert values == sorted(values, reverse=True)
         assert len(values) == 4
+        report = json.loads(open(out_path).read())
+        values = np.array(report["values"])[report["order"]]
+        assert open(ranked_path, "rb").read() == per_cell_csv(
+            ["rank", "value"], [np.arange(1, values.size + 1), values]).encode()
 
     def test_test_only_flags_rejected(self, tmp_path):
         csv_path, meta_path = write_inputs(tmp_path, n=30)
@@ -1283,6 +1295,16 @@ class TestSimulateCommand:
             assert len(lines) > 2
         delta_lines = open(str(tmp_path / "a_delta.csv")).read().splitlines()
         assert len(delta_lines) == 6  # header plus five rows
+        # Every CSV byte as the library's values formatted one cell at a time.
+        results = run_benchmark(2, n=60, n_features=50, relevant_count=5, replicates=1, seed=9)
+        delta = results[0].joint.delta()
+        expected = {"a_delta.csv": per_cell_csv(
+            [f"col{j + 1}" for j in range(delta.shape[1])], list(delta.T))}
+        for r in results:
+            points = roc_points(r.pooled_scores, r.pooled_truth)
+            expected[f"a_roc_{r.encoding}.csv"] = per_cell_csv(["fpr", "tpr"], list(points.T))
+        for name, text in expected.items():
+            assert open(str(tmp_path / name), "rb").read() == text.encode()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         out_a = str(tmp_path / "w1.json")
@@ -1312,7 +1334,11 @@ class TestSimulateCommand:
         (["--n", "-5"], "DistributionError: empty sample"),
         (["--encodings", "onehot,onehot"],
          "ConfigurationError: encoding kinds must be distinct, got onehot,onehot"),
-    ], ids=["no-replicates", "negative-n", "repeated-kind"])
+        (["--relevant", "0"], "UndefinedAUCError: AUC needs both relevant and "
+         "irrelevant features, got 0 relevant of 40"),
+        (["--features", "0"],
+         "ShapeError: relevant_count 4 must lie in [0, 0], the feature count"),
+    ], ids=["no-replicates", "negative-n", "repeated-kind", "no-relevant", "no-features"])
     def test_bad_arguments_are_one_line_errors(self, tmp_path, capsys, flags, line):
         code = main(["simulate", "--setting", "1", "--n", "60", "--features", "40",
                      "--relevant", "4", "--replicates", "1", *flags,
@@ -1320,6 +1346,30 @@ class TestSimulateCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: {line}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestCsvWriter:
+    """The shared-table CSV writer against per-cell formatting."""
+
+    NAN_PAYLOADS = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(float)
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 0.0, 1.5, -0.0],
+        [*NAN_PAYLOADS, np.nan, 2.0],
+        [np.inf, -np.inf, 5e-324, -5e-324, np.inf],
+        [1e16, 0.1 + 0.2, 0.3, 1e16 + 2.0, 123456789.0],
+        [1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 1.0],
+    ], ids=["signed-zeros", "nan-payloads", "infinities-subnormal", "large-and-inexact",
+            "one-ulp-apart"])
+    def test_bytes_equal_per_cell_repr(self, tmp_path, values):
+        values = np.array(values)
+        ranked = (str(tmp_path / "ranked.csv"), ["rank", "value"],
+                  [np.arange(1, values.size + 1), values])
+        pairs = (str(tmp_path / "pairs.csv"), ["a", "b"], [values[::-1], values])
+        empty = (str(tmp_path / "empty.csv"), ["fpr", "tpr"], [values[:0], values[:0]])
+        catdcor.cli._write_csvs([ranked, pairs, empty])
+        for path, header, columns in (ranked, pairs, empty):
+            assert open(path, "rb").read() == per_cell_csv(header, columns).encode()
 
 
 class TestByteIdenticalReruns:

@@ -314,7 +314,8 @@ class TestDrawStream:
     @pytest.mark.parametrize("setting_id", range(1, 7))
     def test_every_setting(self, setting_id):
         spec = setting_spec(setting_id, n=70, n_features=300, relevant_count=50)
-        self.assert_matches_reference(spec, (3, setting_id, 1))
+        for seed in ((3, setting_id, 1), 21):
+            self.assert_matches_reference(spec, seed)
 
     @pytest.mark.parametrize("n_features, relevant_count", [
         (300, 0),      # irrelevant columns only
@@ -326,6 +327,34 @@ class TestDrawStream:
     def test_block_boundaries(self, n_features, relevant_count):
         spec = setting_spec(5, n=40, n_features=n_features, relevant_count=relevant_count)
         self.assert_matches_reference(spec, 11)
+
+    @staticmethod
+    def assert_counts_match_search(cdf, u):
+        found = catdcor.simulate._inverse_cdf_sample(cdf, u)
+        expected = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+        assert np.array_equal(found, expected)
+
+    def test_zero_probability_categories(self):
+        # Tied CDF entries; uniforms on every entry and between them.
+        cdf = catdcor.simulate._cdf(np.array([0.0, 0.2, 0.0, 0.0, 0.5, 0.3, 0.0]))
+        u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0.0),
+                            np.random.default_rng(1).random(500), [0.0]])
+        self.assert_counts_match_search(cdf, u)
+
+    def test_cumsum_overshooting_one(self):
+        # The cumulative sums pass 1 before the last entry is pinned to it.
+        cdf = catdcor.simulate._cdf(np.array([0.1, 0.2, 0.7 + 1e-12, 0.0]))
+        assert cdf[2] > 1.0
+        u = np.concatenate([np.random.default_rng(2).random(500),
+                            [np.nextafter(1.0, 0.0), 0.3, 0.1]])
+        self.assert_counts_match_search(cdf, u)
+
+    def test_many_categories_widen_the_counter(self):
+        cdf = catdcor.simulate._cdf(np.random.default_rng(3).dirichlet(np.ones(300)))
+        u = np.concatenate([np.random.default_rng(4).random((4, 250)).ravel(),
+                            [cdf[-2], np.nextafter(1.0, 0.0)]])
+        assert catdcor.simulate._inverse_cdf_sample(cdf, u).max() == 299
+        self.assert_counts_match_search(cdf, u)
 
     def test_features_column_major(self):
         spec = setting_spec(1, n=30, n_features=20, relevant_count=5)
@@ -493,9 +522,14 @@ class TestRunBenchmark:
          "encoding kinds must be distinct"),
         (dict(n=0), DistributionError, "empty sample"),
         (dict(n=-5), DistributionError, "empty sample"),
-    ], ids=["no-replicates", "repeated-kind", "n-zero", "n-negative"])
+        (dict(relevant_count=0), UndefinedAUCError, "got 0 relevant of 60"),
+        (dict(relevant_count=60), UndefinedAUCError, "got 60 relevant of 60"),
+        (dict(n_features=0), ShapeError, r"relevant_count 6 must lie in \[0, 0\]"),
+    ], ids=["no-replicates", "repeated-kind", "n-zero", "n-negative",
+            "no-relevant", "all-relevant", "no-features"])
     def test_rejected_before_sampling(self, monkeypatch, kwargs, error, match):
         monkeypatch.setattr(catdcor.simulate, "_draw_dataset", None)
+        monkeypatch.setattr(catdcor.simulate, "build_joint", None)
         args = dict(n=60, n_features=60, relevant_count=6, replicates=1)
         with pytest.raises(error, match=match):
             run_benchmark(2, **{**args, **kwargs})
