@@ -9,6 +9,7 @@ with a one-line structured message on stderr.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import functools
 import itertools
@@ -22,27 +23,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .encodings import DistanceMatrix, Encoding, distance_matrix, load_metadata
-from .estimators import _require_nondegenerate, _require_u_sample, _score_many, _tabulated
 from .exceptions import (
     CatdcorError,
     ConfigurationError,
-    DistributionError,
     InsufficientFeaturesError,
     LabelError,
     ParseError,
 )
-from .inference import (
-    _alt_many,
-    _interval,
-    _margin_laws,
-    _null_law,
-    _permutation_pvalues,
-    _raised,
-    _require_replicates,
-    _require_seed,
-    _tail_cases,
-    _tails,
-)
+from .inference import _require_seed, _test_many
 from .screening import apply_changepoint, screen
 from .simulate import roc_points, run_benchmark
 
@@ -127,7 +115,7 @@ def _ingest_stream(csv_path: str, labels: _Labels) -> Dataset:
     """The streaming route of :func:`ingest`, through ``csv.reader``."""
     names = labels.names
     try:
-        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+        with open(csv_path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -178,7 +166,7 @@ def _drop_missing(codes: np.ndarray, record: int) -> tuple[np.ndarray, tuple[int
 def _label_error(csv_path: str, labels: _Labels, positions: list[int | None],
                  record: int, col: int) -> LabelError:
     """The error for the undeclared text of analyzed column ``col`` in ``record``."""
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+    with open(csv_path, "r", encoding="utf-8-sig", newline="") as fh:
         cell = next(itertools.islice(csv.reader(fh), record + 1, None))[positions[col]]
     return LabelError(f"{csv_path}: line {record + 2}, column {labels.names[col]!r}: "
                       f"label {cell!r} is not in the declared level set")
@@ -271,6 +259,7 @@ def _ingest_bytes(csv_path: str, labels: _Labels) -> Dataset | None:
             raw = fh.read()
     except OSError:
         return None
+    raw = raw.removeprefix(codecs.BOM_UTF8)
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n")
     if b'"' in raw or b"\r" in raw:
@@ -359,6 +348,7 @@ def ingest(csv_path: str, metadata_path: str,
     bytes, CRLF line ends included (see :func:`_ingest_bytes`).  Any other
     file is streamed through ``csv.reader``, which reports every fault in
     the order it reaches them; a bad label gets the same error either way.
+    Both routes skip a leading UTF-8 byte-order mark.
     Peak memory grows with the number of analyzed cells: by bytes, about
     12 bytes each (the int64 codes and the file) on 1000 records of 2000
     two-byte labels, since rows are dropped before the codes are stored.
@@ -461,120 +451,16 @@ def cmd_encode(args: argparse.Namespace) -> None:
 
 
 def cmd_test(args: argparse.Namespace) -> None:
-    """Test every non-response variable for dependence on the response.
-
-    Variables are tabulated and scored per encoding group, as in
-    ``screen``: one tabulation per block of at most 128 variables that
-    share a distance matrix, scored once per estimator, with the
-    delta-method variances of the intervals scored per block too.  The
-    variables' sides of the null spectrum come from one ``eigvalsh`` call
-    per matrix size and the response's side is built once; the analytic
-    tails of all variables run in one stack per weight count.  The
-    permutation p-values of all variables that need them come after the
-    loop, from one set of response permutations, scored once per chunk,
-    variable and estimator.  All of this is computed without raising;
-    each variable then warns and fails in its turn, in a fixed order:
-    spectrum (with its zero-category warning), zero total weight, the
-    ``--estimator`` statistic, the replicate count
-    (permutation only), the other statistic, the tail (analytic only),
-    the interval.
-    """
+    """Test every non-response variable against the response: ``inference._test_many``."""
     dataset, y, dy, names, x, dists = _variables(args)
-    n = float(dataset.row_count)
-    if names and not n:
-        raise DistributionError("empty sample")
-    other = "unbiased" if args.estimator == "mle" else "mle"
-    # The bias-corrected stack divides by n - 3, so below n = 4 it is not
-    # scored.
-    kinds = [kind for kind in (args.estimator, other) if kind == "mle" or n >= 4]
-    scored = {kind: (np.zeros(len(names)), np.zeros(len(names), dtype=bool)) for kind in kinds}
-    rows: list = [None] * len(names)
-    asymp_var = np.zeros(len(names))
-    for dx, block, counts in _tabulated(x, y, dists, dy.n_categories):
-        for kind, (values, degenerate) in scored.items():
-            values[block], degenerate[block] = _score_many(counts, n, dx, dy, kind)
-        for s, row in zip(block, counts.sum(axis=2) / n):
-            rows[s] = row
-        asymp_var[block] = _alt_many(counts / n, dx, dy)[1]
-
-    def statistic(s: int, kind: str) -> float:
-        if kind == "unbiased":
-            _require_u_sample(n)
-        values, degenerate = scored[kind]
-        _require_nondegenerate(degenerate[s])
-        return float(values[s])
-
-    laws = _margin_laws(rows, [dx.d for dx in dists])
-    if names:
-        col = np.bincount(y, minlength=dy.n_categories) / n
-        response_law = _margin_laws([col], [dy.d])[0]
-    # Small-sample guard: the asymptotic law is unreliable when any
-    # observed category is rarer than 5/n.
-    methods = [args.pvalue if args.pvalue == "permutation" or min(row.min(), col.min()) >= 5.0 / n
-               else "permutation" for row in rows]
-    # The analytic tails of every variable whose earlier steps pass, stacked.
-    nulls, cases = [], {}
-    for s, (_, law) in enumerate(laws):
-        sides = (law, response_law[1])
-        nulls.append(None if any(isinstance(v, Exception) for v in sides) else _null_law(*sides))
-        if (methods[s] == "analytic" and nulls[s] and nulls[s].dvar_x * nulls[s].dvar_y > 0.0
-                and all(kind in scored and not scored[kind][1][s] for kind in (args.estimator, other))):
-            cases[s] = _tail_cases(nulls[s], {kind: n * scored[kind][0][s]
-                                              for kind in (args.estimator, other)})
-    found = iter(_tails([case for per in cases.values() for case in per.values()]))
-    tails = {s: {kind: next(found) for kind in per} for s, per in cases.items()}
-
-    results = []
-    permuted: list[tuple[dict, tuple]] = []  # (p-values to fill, variable)
-    for s, (name, dx) in enumerate(zip(names, dists)):
-        # In null_spectrum's order: the variable's side, then the response's.
-        _raised(laws[s], stacklevel=2)
-        if s == 0:
-            _raised(response_law, stacklevel=2)
-        ns = nulls[s]
-        ns.normalizer()
-        dcor2 = {args.estimator: statistic(s, args.estimator)}
-        if methods[s] == "permutation":
-            _require_replicates(args.perms)
-        dcor2[other] = statistic(s, other)
-        if methods[s] == "permutation":
-            p_values = {}
-            permuted.append((p_values, (x[:, s], dx, dcor2)))
-        else:
-            p_values = tails[s]
-            for p in p_values.values():
-                if isinstance(p, Exception):
-                    raise p
-        ci_lo, ci_hi = _interval(dcor2[args.estimator], asymp_var[s], n, 0.95, args.estimator)
-        results.append({
-            "variable": name,
-            "n": n,
-            "statistic": {kind: n * value for kind, value in dcor2.items()},
-            "p_values": p_values,
-            "method": "imhof" if methods[s] == "analytic" else "permutation",
-            "lambdas": ns.lambdas,
-            "mus": ns.mus,
-            "bias_shift": ns.bias_shift,
-            "confidence_interval": {
-                "level": 0.95,
-                "estimator": args.estimator,
-                "lo": ci_lo,
-                "hi": ci_hi,
-            },
-        })
-    if permuted:
-        found = _permutation_pvalues(y, dy, [v for _, v in permuted], args.perms, args.seed)
-        for (p_values, _), values in zip(permuted, found):
-            p_values.update(values)
-    for entry in results:
-        entry["p_value"] = entry["p_values"][args.estimator]
+    results = _test_many(x, y, dists, dy, args.estimator, args.pvalue, args.perms, args.seed)
     _write_json({
         "response": args.response,
         "estimator": args.estimator,
         "rows_used": dataset.row_count,
         "rows_dropped": dataset.dropped_rows,
         "seed": args.seed,
-        "results": results,
+        "results": [{"variable": name, **entry} for name, entry in zip(names, results)],
     }, args.out)
 
 

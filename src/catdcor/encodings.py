@@ -327,11 +327,12 @@ def parse_metadata(doc: object) -> dict[str, Encoding]:
 def load_metadata(path: str) -> dict[str, Encoding]:
     """Read a JSON metadata file and build the declared encodings.
 
-    An unreadable file, text that is not UTF-8 and invalid JSON all raise
-    :class:`ConfigurationError` naming the file.
+    A leading UTF-8 byte-order mark is skipped.  An unreadable file, text
+    that is not UTF-8 and invalid JSON all raise :class:`ConfigurationError`
+    naming the file.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from None

@@ -30,7 +30,8 @@ estimators are: margins with equal numbers of categories share one
 weights share each pass of the contour (:func:`_tails`), and the
 variances of a stack of tables come from one pass (:func:`_alt_many`).
 The stacks do not raise; each entry carries its value or its error, and
-the public functions are stacks of one that raise it.
+the public functions are stacks of one that raise it.  :func:`_test_many`
+runs them all for ``catdcor test`` and raises each variable's error.
 """
 
 from __future__ import annotations
@@ -50,8 +51,11 @@ from .estimators import (
     _dcor2 as _statistic,  # the unscaled estimate named by ``estimator``
     _dvar2_many,
     _require_estimator,
+    _require_nondegenerate,
+    _require_u_sample,
     _score_many,
     _tabulate_many,
+    _tabulated,
 )
 from .exceptions import (
     ConfigurationError,
@@ -910,3 +914,103 @@ def _interval(point: float, asymp_var: float, n: float, level: float,
     if estimator == "mle":
         lo, hi = max(lo, 0.0), min(hi, 1.0)
     return float(lo), float(hi)
+
+
+def _test_many(x: np.ndarray, y: np.ndarray, dists: list, dy: DistanceMatrix, estimator: str,
+               pvalue: str, reps: int, seed: int) -> list[dict]:
+    """``catdcor test``: each column of ``x`` against ``y``, its report entry without its name.
+
+    Variables are tabulated and scored per encoding group, as in
+    ``screen``: one tabulation per block of at most 128 variables that
+    share a distance matrix, scored once per estimator, with the
+    delta-method variances of the intervals scored per block too.  The
+    variables' sides of the null spectrum and the response's come from
+    one :func:`_margin_laws` call, one ``eigvalsh`` per matrix size; the
+    analytic tails of all variables run in one stack per weight count.
+    The permutation p-values of all variables that need them come after
+    the loop, from one set of response permutations, scored once per
+    chunk, variable and estimator.  All of this is computed without
+    raising; each variable then warns and fails in its turn, in a fixed
+    order: spectrum (with its zero-category warning), zero total weight,
+    the ``estimator`` statistic, the replicate count (permutation only),
+    the other statistic, the tail (analytic only), the interval.
+    """
+    if not dists:
+        return []
+    n = float(len(y))
+    if not n:
+        raise DistributionError("empty sample")
+    other = "unbiased" if estimator == "mle" else "mle"
+    # The bias-corrected stack divides by n - 3, so below n = 4 it is not scored.
+    scored = {kind: (np.zeros(len(dists)), np.zeros(len(dists), dtype=bool))
+              for kind in (estimator, other) if kind == "mle" or n >= 4}
+    rows: list = [None] * len(dists)
+    asymp_var = np.zeros(len(dists))
+    for dx, block, counts in _tabulated(x, y, dists, dy.n_categories):
+        for kind, (values, degenerate) in scored.items():
+            values[block], degenerate[block] = _score_many(counts, n, dx, dy, kind)
+        for s, row in zip(block, counts.sum(axis=2) / n):
+            rows[s] = row
+        asymp_var[block] = _alt_many(counts / n, dx, dy)[1]
+    col = np.bincount(y, minlength=dy.n_categories) / n
+    *laws, response_law = _margin_laws(rows + [col], [dx.d for dx in dists] + [dy.d])
+    # Small-sample guard: the asymptotic law is unreliable when any
+    # observed category is rarer than 5/n.
+    methods = [pvalue if pvalue == "permutation" or min(row.min(), col.min()) >= 5.0 / n
+               else "permutation" for row in rows]
+    # The analytic tails of every variable whose earlier steps pass, stacked.
+    nulls, cases = [], {}
+    for s, (_, law) in enumerate(laws):
+        sides = (law, response_law[1])
+        nulls.append(None if any(isinstance(v, Exception) for v in sides) else _null_law(*sides))
+        if (methods[s] == "analytic" and nulls[s] and nulls[s].dvar_x * nulls[s].dvar_y > 0.0
+                and all(kind in scored and not scored[kind][1][s] for kind in (estimator, other))):
+            cases[s] = _tail_cases(nulls[s], {kind: n * scored[kind][0][s]
+                                              for kind in (estimator, other)})
+    found = iter(_tails([case for per in cases.values() for case in per.values()]))
+    tails = {s: {kind: next(found) for kind in per} for s, per in cases.items()}
+
+    results = []
+    permuted: list[tuple[dict, tuple]] = []  # (p-values to fill, variable)
+    for s, dx in enumerate(dists):
+        # The variable's side, then the response's; warnings point at cmd_test's caller.
+        _raised(laws[s], stacklevel=3)
+        if s == 0:
+            _raised(response_law, stacklevel=3)
+        ns = nulls[s]
+        ns.normalizer()
+        dcor2 = {}
+        for kind in (estimator, other):
+            if kind == other and methods[s] == "permutation":
+                _require_replicates(reps)
+            if kind == "unbiased":
+                _require_u_sample(n)
+            values, degenerate = scored[kind]
+            _require_nondegenerate(degenerate[s])
+            dcor2[kind] = float(values[s])
+        if methods[s] == "permutation":
+            p_values = {}
+            permuted.append((p_values, (x[:, s], dx, dcor2)))
+        else:
+            p_values = tails[s]
+            for p in p_values.values():
+                if isinstance(p, Exception):
+                    raise p
+        lo, hi = _interval(dcor2[estimator], asymp_var[s], n, 0.95, estimator)
+        results.append({
+            "n": n,
+            "statistic": {kind: n * value for kind, value in dcor2.items()},
+            "p_values": p_values,
+            "method": "imhof" if methods[s] == "analytic" else "permutation",
+            "lambdas": ns.lambdas,
+            "mus": ns.mus,
+            "bias_shift": ns.bias_shift,
+            "confidence_interval": {"level": 0.95, "estimator": estimator, "lo": lo, "hi": hi},
+        })
+    if permuted:
+        found = _permutation_pvalues(y, dy, [v for _, v in permuted], reps, seed)
+        for (p_values, _), values in zip(permuted, found):
+            p_values.update(values)
+    for entry in results:
+        entry["p_value"] = entry["p_values"][estimator]
+    return results

@@ -32,6 +32,7 @@ from .estimators import _BLOCK, _score_many, _tabulate_many
 from .exceptions import (
     ConfigurationError,
     InfeasibleSettingError,
+    InsufficientFeaturesError,
     ShapeError,
     UndefinedAUCError,
 )
@@ -451,6 +452,9 @@ def run_benchmark(setting_id: int, n: int,
     if relevant_count in (0, n_features):
         raise UndefinedAUCError(f"AUC needs both relevant and irrelevant features, got "
                                 f"{relevant_count} relevant of {n_features}")
+    if n_features < 4:
+        raise InsufficientFeaturesError(
+            f"the two-piece fit needs at least 4 features, got {n_features}")
     _require_scorable(n, estimator)
     dists = [(distance_matrix(encoding_for_kind(kind, spec.n_rows)),
               distance_matrix(encoding_for_kind(kind, spec.n_cols)))

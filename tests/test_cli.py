@@ -5,6 +5,7 @@ must be byte-identical across repeated invocations and must agree with
 direct library calls.
 """
 
+import codecs
 import csv
 import json
 import os
@@ -610,6 +611,44 @@ class TestIngestRoutesAgree:
             outcome = assert_routes_agree(csv_path, meta_path)
             assert isinstance(outcome, ParseError)
             assert "not valid UTF-8" in str(outcome)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("fault", [None, "label", "ragged"])
+    def test_byte_order_mark(self, tmp_path, eol, fault):
+        # Excel's "CSV UTF-8" export starts the file with a BOM; each route
+        # gives what it gives for the file without one, with the fault and
+        # once it is mended.
+        header, rows, meta, write = write_plain_table(tmp_path, 10, eol)
+        assert header[0] in {entry["name"] for entry in meta}  # the BOM precedes its name
+        r = next(r for r in range(60, len(rows)) if "" not in rows[r])  # a record that is kept
+        clean = rows[r]
+        rows[r] = {None: clean, "label": ["undeclared"] + clean[1:], "ragged": clean[:-1]}[fault]
+        for kind in ({None: Dataset, "label": LabelError, "ragged": ParseError}[fault], Dataset):
+            csv_path, meta_path = write()
+            plain = route_outcomes(csv_path, meta_path)
+            data = open(csv_path, "rb").read()
+            open(csv_path, "wb").write(codecs.BOM_UTF8 + data)
+            assert type(assert_routes_agree(csv_path, meta_path)) is kind
+            for got, expected in zip(route_outcomes(csv_path, meta_path), plain):
+                assert type(got) is type(expected)
+                if isinstance(expected, Dataset):
+                    assert_same_dataset(got, expected)
+                elif expected is not None:
+                    assert str(got) == str(expected)
+            rows[r] = clean
+
+    def test_metadata_byte_order_mark(self, tmp_path):
+        _, _, _, write = write_plain_table(tmp_path, 10)
+        csv_path, meta_path = write()
+        dataset, encodings = ingest(csv_path, meta_path)
+        data = open(meta_path, "rb").read()
+        open(meta_path, "wb").write(codecs.BOM_UTF8 + data)
+        marked, marked_encodings = ingest(csv_path, meta_path)
+        assert_same_dataset(marked, dataset)
+        assert ({name: (enc.kind, enc.labels, enc.points.tolist())
+                 for name, enc in marked_encodings.items()}
+                == {name: (enc.kind, enc.labels, enc.points.tolist())
+                    for name, enc in encodings.items()})
 
     @pytest.mark.parametrize("note", [b"n", b'"n"'], ids=["unquoted", "quoted"])
     def test_ragged_record_before_invalid_utf8(self, tmp_path, note):
@@ -1338,7 +1377,10 @@ class TestSimulateCommand:
          "irrelevant features, got 0 relevant of 40"),
         (["--features", "0"],
          "ShapeError: relevant_count 4 must lie in [0, 0], the feature count"),
-    ], ids=["no-replicates", "negative-n", "repeated-kind", "no-relevant", "no-features"])
+        (["--features", "3", "--relevant", "1"],
+         "InsufficientFeaturesError: the two-piece fit needs at least 4 features, got 3"),
+    ], ids=["no-replicates", "negative-n", "repeated-kind", "no-relevant", "no-features",
+            "few-features"])
     def test_bad_arguments_are_one_line_errors(self, tmp_path, capsys, flags, line):
         code = main(["simulate", "--setting", "1", "--n", "60", "--features", "40",
                      "--relevant", "4", "--replicates", "1", *flags,

@@ -6,9 +6,11 @@ Only joint construction (``build_joint``, ``catdcor simulate``) needs
 scipy, and it imports it on first use, only for a setting whose margins
 leave room for its linear programs (setting 1 of the six).  Each check runs in a fresh
 interpreter with ``PYTHONPATH=src`` and lists the scipy modules loaded
-when it finishes.
+when it finishes.  The CLI's imports are checked on its source: it runs
+``catdcor test`` through one inference call.
 """
 
+import ast
 import csv
 import json
 import os
@@ -115,3 +117,16 @@ def test_simulate_with_infeasible_margins_loads_no_scipy(tmp_path):
             "--out", str(tmp_path / "sim.json")]
     assert scipy_modules_after(cli_code(argv), tmp_path) == []
     assert json.loads((tmp_path / "sim.json").read_text())["construction"] == "rank-one-clipped"
+
+
+def test_cli_binds_one_inference_call_and_no_estimator():
+    # ``catdcor test`` is composed in ``inference``: of its private names
+    # the CLI binds the seed check and the stacked test, and no estimator.
+    bound: dict[str, set] = {}
+    for node in ast.walk(ast.parse((ROOT / "src" / "catdcor" / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = bound.setdefault((node.module or "").rsplit(".", 1)[-1], set())
+            names.update(alias.asname or alias.name for alias in node.names)
+    assert {name for name in bound["inference"] if name.startswith("_")} == {
+        "_require_seed", "_test_many"}
+    assert not bound.get("estimators")

@@ -929,7 +929,7 @@ class TestStackedTails:
             captured.extend(cases)
             return stacked(cases)
 
-        monkeypatch.setattr(catdcor.cli, "_tails", recording)
+        monkeypatch.setattr(inference, "_tails", recording)
         argv = perfbench_workload("test_analytic", seed, tmp_path)
         assert catdcor.cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
         assert len(captured) == 80

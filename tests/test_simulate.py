@@ -15,6 +15,7 @@ from catdcor import (
     ConfigurationError,
     DistributionError,
     InfeasibleSettingError,
+    InsufficientFeaturesError,
     SettingSpec,
     ShapeError,
     UndefinedAUCError,
@@ -525,8 +526,10 @@ class TestRunBenchmark:
         (dict(relevant_count=0), UndefinedAUCError, "got 0 relevant of 60"),
         (dict(relevant_count=60), UndefinedAUCError, "got 60 relevant of 60"),
         (dict(n_features=0), ShapeError, r"relevant_count 6 must lie in \[0, 0\]"),
+        (dict(n_features=3, relevant_count=1), InsufficientFeaturesError,
+         "needs at least 4 features, got 3"),
     ], ids=["no-replicates", "repeated-kind", "n-zero", "n-negative",
-            "no-relevant", "all-relevant", "no-features"])
+            "no-relevant", "all-relevant", "no-features", "few-features"])
     def test_rejected_before_sampling(self, monkeypatch, kwargs, error, match):
         monkeypatch.setattr(catdcor.simulate, "_draw_dataset", None)
         monkeypatch.setattr(catdcor.simulate, "build_joint", None)
