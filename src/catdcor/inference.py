@@ -45,18 +45,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .encodings import DistanceMatrix
-from .estimators import (
-    _BLOCK,
-    JointTable,
-    _dcor2 as _statistic,  # the unscaled estimate named by ``estimator``
-    _dvar2_many,
-    _require_estimator,
-    _require_nondegenerate,
-    _require_u_sample,
-    _score_many,
-    _tabulate_many,
-    _tabulated,
-)
+from .estimators import JointTable
+from .estimators import _dcor2 as _statistic  # the unscaled estimate named by ``estimator``
 from .exceptions import (
     ConfigurationError,
     DegenerateCategoryError,
@@ -67,7 +57,9 @@ from .exceptions import (
     InternalConsistencyError,
     ShapeError,
 )
-from .measures import _DEGENERATE_TOL, JointDistribution, _checked_marginal, dcov2
+from .measures import (_BLOCK, _DEGENERATE_TOL, JointDistribution, _checked_marginal,
+                       _dvar2_many, _require_estimator, _require_nondegenerate,
+                       _require_u_sample, _score_many, _tabulate_many, _tabulated, dcov2)
 
 __all__ = [
     "NullSpectrum",
@@ -653,6 +645,8 @@ def null_pvalue_mle(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix) -> fl
 
 
 def _require_replicates(reps: int) -> None:
+    if not isinstance(reps, numbers.Integral):
+        raise ConfigurationError(f"permutation test replicates must be an integer, got {reps!r}")
     if reps < 99:
         raise InsufficientReplicatesError(
             f"permutation test needs at least 99 replicates, got {reps}"

@@ -1,33 +1,38 @@
-"""Population squared distance covariance, variance, and correlation.
+"""The kernel under both table APIs: contingency sums, estimates and population values.
 
-These operate on a known joint distribution over an ``I x J`` grid of
-category pairs together with the two rescaled distance matrices.  The
-squared distance covariance is the double sum
+For a table of (possibly fractional) counts ``n_ij`` with total ``n``
+and two distance matrices, the contingency sums are
+
+    T1 = sum n_ij n_kl  dX_ik dY_jl
+    T2 = sum n_ij n_k. n_.l dX_ik dY_jl
+    T3 = sum n_i. n_.j n_k. n_.l dX_ik dY_jl
+
+Their V- and U-statistic combinations are the two estimators of
+:mod:`catdcor.estimators`.  At total 1 the plug-in combination is the
+population squared distance covariance of a known joint distribution,
 
     sum_{i,j,k,l} (pi_ij - pi_i. pi_.j)(pi_kl - pi_k. pi_.l) dX_ik dY_jl
 
 which is zero exactly when the joint factorizes into its marginals, for
-any embedding with pairwise distinct points.  Each quantity here is the
-plug-in estimate of :mod:`catdcor.estimators` on the table ``pi`` of
-total 1, whose four-index sums are nested bilinear contractions costing
-``O(I^2 J + I J^2)`` instead of the naive ``O(I^2 J^2)`` of the
-Kronecker quadratic form.
+any embedding with pairwise distinct points; :func:`dcov2`, :func:`dvar2`
+and :func:`dcor2` are stacks of one at total 1.  The private kernel
+scores stacks of tables ``(S, I, J)`` by nested bilinear contractions,
+``O(I^2 J + I J^2)`` per table instead of the ``O(I^2 J^2)`` of the
+Kronecker form, beside the input rules its callers share.  Every module
+that tabulates or scores imports it from here.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .encodings import DistanceMatrix
-from .exceptions import (
-    DegenerateMarginError,
-    DistributionError,
-    InternalConsistencyError,
-    ShapeError,
-)
+from .exceptions import (ConfigurationError, DegenerateMarginError, DistributionError,
+                         InsufficientSampleError, InternalConsistencyError, ShapeError)
 
 __all__ = [
     "JointDistribution",
@@ -43,6 +48,9 @@ logger = logging.getLogger(__name__)
 _NEGATIVE_TOL = 1e-9
 # A margin whose distance variance is at most this is degenerate.
 _DEGENERATE_TOL = 1e-14
+# Tables tabulated per batch, features in screening or replicates in a
+# permutation test: an (n, 128) int index array, about 1 MB at n = 1000.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -120,6 +128,191 @@ def _checked_marginal(marginal, d: DistanceMatrix) -> np.ndarray:
     return m
 
 
+def _check_codes(codes: np.ndarray, levels, error: type, outside: str,
+                 labels: Sequence = ()) -> None:
+    """Raise ``error`` unless column ``s`` of 2-d ``codes`` holds integers in ``range(levels[s])``.
+
+    ``outside`` is formatted with the ``labels`` entry of the first column out of range.
+    """
+    if codes.dtype.kind not in "biu":
+        raise error(f"codes must be integers, got dtype {codes.dtype}")
+    bad = (codes.min(axis=0) < 0) | (codes.max(axis=0) >= levels)
+    if bad.any():
+        s = int(np.argmax(bad))
+        raise error(outside.format(labels[s] if labels else s))
+
+
+def _v_statistic(t1, t2, t3, n: float):
+    return t1 / n**2 - 2.0 * t2 / n**3 + t3 / n**4
+
+
+def _u_statistic(t1, t2, t3, n: float):
+    return (
+        t1 / (n * (n - 3.0))
+        - 2.0 * t2 / (n * (n - 2.0) * (n - 3.0))
+        + t3 / (n * (n - 1.0) * (n - 2.0) * (n - 3.0))
+    )
+
+
+def _require_estimator(estimator: str) -> None:
+    if estimator not in ("mle", "unbiased"):
+        raise ConfigurationError("estimator must be 'mle' or 'unbiased'")
+
+
+def _require_u_sample(n: float) -> None:
+    if n < 4.0:
+        raise InsufficientSampleError(
+            f"the bias-corrected estimator needs n >= 4 observations, got n = {n!r}"
+        )
+
+
+def _require_scorable(n: int, estimator: str) -> None:
+    """Check the estimator name and that ``n`` observations can be scored by it."""
+    _require_estimator(estimator)
+    if estimator == "unbiased":
+        _require_u_sample(float(n))
+    if n <= 0:
+        raise DistributionError("empty sample")
+
+
+def _require_nondegenerate(degenerate: bool) -> None:
+    """Raise for a table that :func:`_score_many` flagged as degenerate."""
+    if degenerate:
+        raise DegenerateMarginError(
+            "estimated distance variance is zero on at least one margin"
+        )
+
+
+def _tabulate_many(x: np.ndarray, y: np.ndarray, n_rows: int,
+                   n_cols: int) -> np.ndarray:
+    """Cross-tabulate column ``s`` of ``x`` against column ``s`` of ``y``.
+
+    ``x`` and ``y`` are 2-d and broadcast to one ``(n, S)`` shape, so one
+    side may be a single ``(n, 1)`` column shared by every slice: one
+    response against a block of features, or one feature against a block
+    of permuted responses.  Returns float counts of shape
+    ``(S, n_rows, n_cols)`` from one ``np.bincount``.  The codes are not
+    checked: callers validate them once, up front.
+    """
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    cells = n_rows * n_cols
+    index = np.multiply(np.broadcast_to(x, shape), n_cols, dtype=np.intp)
+    index += y
+    index += np.arange(0, shape[1] * cells, cells)
+    flat = np.bincount(index.ravel(order="K"), minlength=shape[1] * cells)
+    return flat.reshape(shape[1], n_rows, n_cols).astype(float)
+
+
+def _tabulated(x: np.ndarray, y: np.ndarray, dists: Sequence[DistanceMatrix],
+               n_cols: int) -> Iterator[tuple[DistanceMatrix, list[int], np.ndarray]]:
+    """Cross-tabulate every column of ``x`` against ``y``, a block at a time.
+
+    Columns sharing one ``DistanceMatrix`` object in ``dists`` are cut into
+    blocks of at most ``_BLOCK``; yields each block's matrix, its column
+    indices and its counts ``(len(block), I, n_cols)``.
+    """
+    groups: dict[int, list[int]] = {}
+    for s, dist in enumerate(dists):
+        groups.setdefault(id(dist), []).append(s)
+    for columns in groups.values():
+        dist = dists[columns[0]]
+        for start in range(0, len(columns), _BLOCK):
+            block = columns[start:start + _BLOCK]
+            yield dist, block, _tabulate_many(x[:, block], y[:, None],
+                                              dist.n_categories, n_cols)
+
+
+def _quad_many(m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``m[s] @ d @ m[s]`` for every row of ``m``."""
+    return (m[:, None, :] @ d @ m[:, :, None])[:, 0, 0]
+
+
+def _t_stats_many(counts: np.ndarray, dx: np.ndarray, dy: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T1, T2, T3) of every table in a stack ``(S, I, J)``."""
+    rows = counts.sum(axis=2)
+    cols = counts.sum(axis=1)
+    t1 = np.sum(counts * (dx @ counts @ dy), axis=(1, 2))
+    a = (dx @ rows[:, :, None])[:, :, 0]
+    b = dy @ cols[:, :, None]
+    t2 = (a[:, None, :] @ counts @ b)[:, 0, 0]
+    t3 = _quad_many(rows, dx) * _quad_many(cols, dy)
+    return t1, t2, t3
+
+
+def _dvar_t_stats_many(margins: np.ndarray, d: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The single-margin sums of every row of ``margins`` (S, K).
+
+    ``t3`` squares with Python's float power (numpy's square can differ
+    from it in the last bit).
+    """
+    t1 = _quad_many(margins, d * d)
+    a = d @ margins[:, :, None]
+    t2 = (margins[:, None, :] @ (a * a))[:, 0, 0]
+    ma = (margins[:, None, :] @ a)[:, 0, 0]
+    t3 = np.array([v**2 for v in ma.tolist()])
+    return t1, t2, t3
+
+
+def _dvar2_many(margins: np.ndarray, n: float, d: np.ndarray,
+                estimator: str) -> np.ndarray:
+    """Squared distance variance estimates of every row of ``margins``.
+
+    The plug-in estimate is clamped at 0; the bias-corrected one is not.
+    """
+    if estimator == "mle":
+        return np.maximum(_v_statistic(*_dvar_t_stats_many(margins, d), n), 0.0)
+    return _u_statistic(*_dvar_t_stats_many(margins, d), n)
+
+
+def _dcov2_many(counts: np.ndarray, n: float, dx: np.ndarray, dy: np.ndarray,
+                estimator: str) -> np.ndarray:
+    """Squared distance covariance estimates of every table in a stack.
+
+    The plug-in estimate is the population formula on the observed
+    proportions, not clamped: its callers clamp it at 0, and
+    :func:`dcov2` checks it first.  The bias-corrected one is the
+    U-statistic of (T1, T2, T3).
+    """
+    if estimator == "mle":
+        pi_hat = counts / n
+        delta = pi_hat - pi_hat.sum(axis=2)[:, :, None] * pi_hat.sum(axis=1)[:, None, :]
+        return np.sum(delta * (dx @ delta @ dy), axis=(1, 2))
+    return _u_statistic(*_t_stats_many(counts, dx, dy), n)
+
+
+def _margin_dvar2(margins: np.ndarray, n: float, d: np.ndarray,
+                  estimator: str) -> np.ndarray:
+    """``_dvar2_many``, computed once when every row of ``margins`` is the same."""
+    if len(margins) > 1 and (margins == margins[0]).all():
+        return np.broadcast_to(_dvar2_many(margins[:1], n, d, estimator), len(margins))
+    return _dvar2_many(margins, n, d, estimator)
+
+
+def _score_many(counts: np.ndarray, n: float, dx: DistanceMatrix,
+                dy: DistanceMatrix, estimator: str) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distance correlation estimate of every table in a stack.
+
+    ``counts`` has shape ``(S, I, J)`` and every table the total ``n``.
+    Returns the estimates and a mask of the tables with a degenerate
+    margin, which are scored 0 instead of raising.  This is the one
+    implementation behind :func:`dcor2` and ``estimators.dcor2_mle`` /
+    ``dcor2_unbiased`` (stacks of one), ``screen`` and the permutation
+    tests.  Neither the
+    codes nor ``n >= 4`` for the bias-corrected estimator is checked.
+    """
+    var_x = _margin_dvar2(counts.sum(axis=2), n, dx.d, estimator)
+    var_y = _margin_dvar2(counts.sum(axis=1), n, dy.d, estimator)
+    cov = _dcov2_many(counts, n, dx.d, dy.d, estimator)
+    if estimator == "mle":
+        cov = np.maximum(cov, 0.0)
+    # A variance at or below the tolerance, negative included, is degenerate.
+    degenerate = (var_x <= _DEGENERATE_TOL) | (var_y <= _DEGENERATE_TOL)
+    scale = np.sqrt(np.where(degenerate, 1.0, var_x * var_y))
+    return np.where(degenerate, 0.0, cov / scale), degenerate
+
+
 def dcov2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float:
     """Squared distance covariance of a known joint distribution.
 
@@ -128,8 +321,6 @@ def dcov2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float
     noise in ``(-1e-9, 0)`` is clamped to zero, while anything more
     negative raises :class:`InternalConsistencyError`.
     """
-    from .estimators import _dcov2_many  # estimators imports this module
-
     _check_shapes(p, dx, dy)
     value = float(_dcov2_many(p.pi[None], 1.0, dx.d, dy.d, "mle")[0])
     if value < 0.0:
@@ -150,8 +341,6 @@ def dvar2(marginal, d: DistanceMatrix) -> float:
     the plug-in estimate at total 1 and clamped at 0.  Zero exactly when
     the marginal is degenerate (all mass on one category).
     """
-    from .estimators import _dvar2_many  # estimators imports this module
-
     m = _checked_marginal(marginal, d)
     if m.min() < -1e-12:
         raise DistributionError("marginal probabilities must be nonnegative")
@@ -170,14 +359,14 @@ def dcor2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float
     zero distance variance.
     """
     _check_shapes(p, dx, dy)
-    var_x = dvar2(p.row_marginal, dx)
-    var_y = dvar2(p.col_marginal, dy)
-    if var_x <= _DEGENERATE_TOL or var_y <= _DEGENERATE_TOL:
+    values, degenerate = _score_many(p.pi[None], 1.0, dx, dy, "mle")
+    if degenerate[0]:
         raise DegenerateMarginError(
             "distance variance is zero on at least one margin; "
             "distance correlation is undefined"
         )
-    value = dcov2(p, dx, dy) / np.sqrt(var_x * var_y)
+    dcov2(p, dx, dy)  # raises for a covariance below rounding noise
+    value = values[0]
     if value > 1.0:
         logger.warning("clamping dcor2 = %r to 1", value)
         value = 1.0

@@ -19,16 +19,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .encodings import DistanceMatrix
-from .estimators import _require_estimator, _score_many, _tabulated
 from .exceptions import (
     ConfigurationError,
-    DistributionError,
     InsufficientFeaturesError,
-    InsufficientSampleError,
     InvalidThresholdError,
     LabelError,
     ShapeError,
 )
+from .measures import _check_codes, _require_scorable, _score_many, _tabulated
 
 __all__ = [
     "ScreeningReport",
@@ -99,8 +97,9 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
     feature_ids : sequence, optional
         Identifiers reported per column; defaults to ``0..S-1``.
 
-    All codes are checked before any scoring; the first column (in column
-    order) with a code outside its level set raises :class:`LabelError`.
+    All codes are checked before any scoring; codes of a non-integer dtype,
+    or the first column (in column order) with a code outside its level
+    set, raise :class:`LabelError`.
     Features sharing one ``DistanceMatrix`` object are tabulated and
     scored together, in blocks of at most 128 features, by the kernel that
     also computes :func:`dcor2_mle` / :func:`dcor2_unbiased` for a single
@@ -130,13 +129,10 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
             raise ConfigurationError("feature_ids length must match the feature count")
     _require_scorable(n, estimator)
     n_response_levels = response_dist.n_categories
-    if y.min() < 0 or y.max() >= n_response_levels:
-        raise LabelError("response codes fall outside the declared level set")
-    levels = np.array([dist.n_categories for dist in feature_dists], dtype=np.intp)
-    bad = (x.min(axis=0) < 0) | (x.max(axis=0) >= levels)
-    if bad.any():
-        first = ids[int(np.argmax(bad))]
-        raise LabelError(f"feature {first!r} contains codes outside its declared level set")
+    _check_codes(y[:, None], n_response_levels, LabelError,
+                 "response codes fall outside the declared level set")
+    _check_codes(x, [dist.n_categories for dist in feature_dists], LabelError,
+                 "feature {!r} contains codes outside its declared level set", ids)
 
     values = np.zeros(n_features)
     is_degenerate = np.zeros(n_features, dtype=bool)
@@ -144,17 +140,6 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
         values[block], is_degenerate[block] = _score_many(
             counts, float(n), dist, response_dist, estimator)
     return _ranked_report(ids, values, is_degenerate, estimator)
-
-
-def _require_scorable(n: int, estimator: str) -> None:
-    """Check the estimator name and that ``n`` observations can be scored by it."""
-    _require_estimator(estimator)
-    if estimator == "unbiased" and n < 4:
-        raise InsufficientSampleError(
-            "the bias-corrected estimator needs at least 4 observations"
-        )
-    if n <= 0:
-        raise DistributionError("empty sample")
 
 
 def _ranked_report(ids: list, values: np.ndarray, is_degenerate: np.ndarray,

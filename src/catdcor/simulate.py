@@ -23,12 +23,12 @@ truth, per replicate and on average.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encodings import distance_matrix, encoding_for_kind
-from .estimators import _BLOCK, _score_many, _tabulate_many
 from .exceptions import (
     ConfigurationError,
     InfeasibleSettingError,
@@ -37,8 +37,8 @@ from .exceptions import (
     UndefinedAUCError,
 )
 from .inference import _require_seed
-from .measures import JointDistribution
-from .screening import _ranked_report, _require_scorable, changepoint_threshold
+from .measures import _BLOCK, JointDistribution, _require_scorable, _score_many, _tabulate_many
+from .screening import _ranked_report, changepoint_threshold
 
 __all__ = [
     "SettingSpec",
@@ -442,6 +442,8 @@ def run_benchmark(setting_id: int, n: int,
     are reported on every result.  ``seed`` must be non-negative.
     """
     _require_seed(seed)
+    if not isinstance(replicates, numbers.Integral):
+        raise ConfigurationError(f"replicates must be an integer, got {replicates!r}")
     if replicates < 1:
         raise ConfigurationError(f"replicates must be at least 1, got {replicates}")
     if len(set(encoding_kinds)) < len(encoding_kinds):

@@ -1,7 +1,7 @@
 """Single-table references for the batched tabulate→score kernel.
 
 The package computes every estimate, one table or a stack, with
-``catdcor.estimators._score_many`` and its helpers.  These are the
+``catdcor.measures._score_many`` and its helpers.  These are the
 scalar formulas it used before, one table at a time, the
 per-replicate permutation loop and the loop over blocks of 128
 replicates that came after it, kept here so that tests compare the
@@ -23,7 +23,7 @@ constraint row at a time.
 import numpy as np
 
 from catdcor import DegenerateMarginError
-from catdcor.estimators import _score_many, _tabulate_many
+from catdcor.measures import _score_many, _tabulate_many
 
 DEGENERATE_TOL = 1e-14
 

@@ -29,7 +29,7 @@ from catdcor import (
 )
 import catdcor.cli
 from catdcor.cli import Dataset, ingest, main
-from catdcor.estimators import _BLOCK
+from catdcor.measures import _BLOCK
 from catdcor.exceptions import CatdcorError, ConfigurationError, LabelError, ParseError
 from perfbench_inputs import perfbench_workload
 import scalar_reference as ref

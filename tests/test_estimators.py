@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 from catdcor import (
     DegenerateMarginError,
+    DistributionError,
     InsufficientSampleError,
     JointDistribution,
     JointTable,
@@ -37,7 +38,7 @@ from catdcor import (
     semicircle_equal,
     t_stats,
 )
-from catdcor.estimators import _score_many, _tabulate_many
+from catdcor.measures import _score_many, _tabulate_many
 import scalar_reference as ref
 
 
@@ -451,9 +452,43 @@ class TestJointTable:
         with pytest.raises(ValueError):
             JointTable.from_codes([0, 3], [0, 1], 3, 2)
 
+    @pytest.mark.parametrize("x, y, error, match", [
+        ([0, 1, 2], [0, 1], ShapeError, "^x and y must be 1-d arrays of equal length$"),
+        ([[0, 1]], [[0, 1]], ShapeError, "^x and y must be 1-d arrays of equal length$"),
+        (np.array([], dtype=int), np.array([], dtype=int), DistributionError,
+         "^empty sample$"),
+        ([0, 3], [0, 1], ShapeError, "^codes fall outside the declared level ranges$"),
+        ([0, 1], [0, -1], ShapeError, "^codes fall outside the declared level ranges$"),
+        ([0.0, 1.0], [0, 1], ShapeError, "^codes must be integers, got dtype float64$"),
+        ([0, 1], np.array([0, 1], dtype=object), ShapeError,
+         "^codes must be integers, got dtype object$"),
+    ], ids=["length", "two-d", "empty", "row-range", "column-range", "float-x", "object-y"])
+    def test_from_codes_rejects(self, x, y, error, match):
+        with pytest.raises(error, match=match):
+            JointTable.from_codes(x, y, 3, 2)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint8, np.int16, np.uint16,
+                                       np.int32, np.uint32, np.int64])
+    def test_from_codes_takes_every_integer_dtype(self, dtype):
+        x, y = np.array([0, 0, 1, 1, 1]), np.array([1, 1, 0, 1, 0])
+        found = JointTable.from_codes(x.astype(dtype), y.astype(dtype), 2, 2)
+        assert found.counts.tolist() == [[0.0, 2.0], [2.0, 1.0]]
+
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
             JointTable(np.array([[1.0, -1.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("counts, error, match", [
+        ([1.0, 2.0], ShapeError, "^counts must form a 2-d table$"),
+        ([[1.0, 2.0]], ShapeError, "^counts need at least two levels per margin$"),
+        ([[1.0, np.nan], [1.0, 1.0]], DistributionError, "^counts must be finite$"),
+        ([[1.0, np.inf], [1.0, 1.0]], DistributionError, "^counts must be finite$"),
+        ([[0.0, 0.0], [0.0, 0.0]], DistributionError,
+         "^the table must contain at least one observation$"),
+    ], ids=["one-d", "one-row", "nan", "inf", "zero-total"])
+    def test_rejects_malformed_counts(self, counts, error, match):
+        with pytest.raises(error, match=match):
+            JointTable(np.array(counts))
 
     def test_fractional_counts_accepted(self):
         t = JointTable(np.array([[0.5, 1.5], [2.25, 0.75]]))

@@ -7,7 +7,9 @@ scipy, and it imports it on first use, only for a setting whose margins
 leave room for its linear programs (setting 1 of the six).  Each check runs in a fresh
 interpreter with ``PYTHONPATH=src`` and lists the scipy modules loaded
 when it finishes.  The CLI's imports are checked on its source: it runs
-``catdcor test`` through one inference call.
+``catdcor test`` through one inference call.  So is the package's
+layering: its modules import each other at module level only, without a
+cycle, and the dcov/dvar/dcor kernel is defined in ``measures`` alone.
 """
 
 import ast
@@ -130,3 +132,64 @@ def test_cli_binds_one_inference_call_and_no_estimator():
     assert {name for name in bound["inference"] if name.startswith("_")} == {
         "_require_seed", "_test_many"}
     assert not bound.get("estimators")
+
+
+PACKAGE = ROOT / "src" / "catdcor"
+KERNEL = {
+    "_tabulate_many", "_tabulated", "_quad_many", "_t_stats_many", "_dvar_t_stats_many",
+    "_v_statistic", "_u_statistic", "_dvar2_many", "_dcov2_many", "_margin_dvar2",
+    "_score_many", "_BLOCK", "_DEGENERATE_TOL", "_require_estimator", "_require_u_sample",
+    "_require_scorable", "_require_nondegenerate", "_check_codes",
+}
+
+
+def package_imports(tree: ast.Module) -> list[tuple[ast.AST, str]]:
+    """Each import of a ``catdcor`` module in ``tree``: the node and the module's short name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.append((node, node.module.split(".")[0]))
+            elif node.level == 1 or node.module == "catdcor":
+                found += [(node, alias.name) for alias in node.names]
+            elif (node.module or "").startswith("catdcor."):
+                found.append((node, node.module.split(".")[1]))
+        elif isinstance(node, ast.Import):
+            found += [(node, alias.name.split(".")[1]) for alias in node.names
+                      if alias.name.startswith("catdcor.")]
+    return found
+
+
+def test_package_layering():
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    graph, local, defined = {}, [], {}
+    for name, tree in trees.items():
+        imports = package_imports(tree)
+        graph[name] = {target for _, target in imports if target in trees}
+        nested = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn)}
+        local += [f"{name}:{node.lineno}" for node, _ in imports if id(node) in nested]
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [node])
+            for target in targets:
+                label = getattr(target, "name", None) or getattr(target, "id", None)
+                if label in KERNEL:
+                    defined.setdefault(label, []).append(name)
+    assert local == []
+    # Depth-first search for a back edge: the import graph is acyclic.
+    state: dict[str, str] = {}
+
+    def visit(name: str, path: tuple) -> None:
+        state[name] = "open"
+        for target in sorted(graph[name]):
+            assert state.get(target) != "open", " -> ".join(path + (target,))
+            if target not in state:
+                visit(target, path + (target,))
+        state[name] = "done"
+
+    for name in sorted(graph):
+        if name not in state:
+            visit(name, (name,))
+    assert defined == {name: ["measures"] for name in KERNEL}

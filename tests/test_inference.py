@@ -568,6 +568,29 @@ class TestPermutation:
         with pytest.raises(ConfigurationError, match="non-negative"):
             permutation_test([0, 1, 0, 1], [0, 1, 1, 0], DM2, DM2, reps=99, seed=-1)
 
+    @pytest.mark.parametrize("reps", [150.0, 1.5, "199"])
+    def test_non_integral_replicates(self, reps):
+        with pytest.raises(ConfigurationError, match="replicates must be an integer, got"):
+            permutation_test([0, 1, 0, 1], [0, 1, 1, 0], DM2, DM2, reps=reps, seed=0)
+
+    def test_numpy_integer_replicates(self):
+        rng = np.random.default_rng(53)
+        x = rng.integers(0, 3, size=80)
+        y = rng.integers(0, 4, size=80)
+        dx = distance_matrix(one_hot(3))
+        dy = distance_matrix(ordinal_equal(4))
+        assert permutation_test(x, y, dx, dy, estimator="mle", reps=np.int64(199),
+                                seed=1) == 0.845
+
+    @pytest.mark.parametrize("x, y", [
+        (np.array([0.0, 1.0, 0.0, 1.0]), [0, 1, 1, 0]),
+        ([0, 1, 0, 1], np.array([0.0, 1.0, 1.0, 0.0])),
+        (np.array([0, 1, 0, 1], dtype=object), [0, 1, 1, 0]),
+    ], ids=["float-x", "float-y", "object-x"])
+    def test_non_integer_codes(self, x, y):
+        with pytest.raises(ShapeError, match="codes must be integers, got dtype"):
+            permutation_test(x, y, DM2, DM2, reps=99, seed=0)
+
     def test_agrees_with_analytic_on_null(self):
         diffs = []
         dx = distance_matrix(one_hot(3))

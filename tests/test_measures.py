@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 from catdcor import (
     DegenerateMarginError,
     DistanceMatrix,
+    DistributionError,
     InternalConsistencyError,
     JointDistribution,
     ShapeError,
@@ -27,8 +28,7 @@ from catdcor import (
     ordinal_equal,
     semicircle_equal,
 )
-from catdcor.estimators import _score_many
-from catdcor.measures import _DEGENERATE_TOL
+from catdcor.measures import _DEGENERATE_TOL, _score_many
 import scalar_reference as ref
 
 
@@ -131,6 +131,17 @@ class TestDcov2:
         with pytest.raises(ShapeError):
             dcov2(DIAG22, distance_matrix(one_hot(3)), DM2)
 
+    @pytest.mark.parametrize("dx, dy, message", [
+        (distance_matrix(one_hot(3)), DM2,
+         "^row distance matrix has 3 categories, table has 2$"),
+        (DM2, distance_matrix(one_hot(4)),
+         "^column distance matrix has 4 categories, table has 2$"),
+    ])
+    def test_shape_messages(self, dx, dy, message):
+        for measure in (dcov2, dcor2):
+            with pytest.raises(ShapeError, match=message):
+                measure(DIAG22, dx, dy)
+
     def test_nonzero_for_non_product(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
@@ -211,6 +222,16 @@ class TestDvar2:
     def test_uniform_two_category(self):
         assert_allclose(dvar2([0.5, 0.5], DM2), 0.25)
 
+    @pytest.mark.parametrize("marginal, error, match", [
+        ([0.5, 0.25, 0.25], ShapeError, "^marginal length must match the distance matrix$"),
+        ([[0.5, 0.5]], ShapeError, "^marginal length must match the distance matrix$"),
+        ([1.1, -0.1], DistributionError, "^marginal probabilities must be nonnegative$"),
+        ([0.5, 0.4], DistributionError, "^marginal must sum to 1$"),
+    ], ids=["length", "two-d", "negative", "total"])
+    def test_rejects_malformed_marginal(self, marginal, error, match):
+        with pytest.raises(error, match=match):
+            dvar2(marginal, DM2)
+
     def test_degenerate_marginal_is_zero(self):
         assert dvar2([1.0, 0.0], DM2) == 0.0
 
@@ -272,6 +293,17 @@ class TestDcor2:
             values, degenerate = _score_many(p.pi[None], 1.0, dx, dy, "mle")
             assert not degenerate[0]
             assert dcor2(p, dx, dy) == values[0]
+
+    def test_equals_ratio_of_public_measures(self):
+        rng = np.random.default_rng(18)
+        for case in range(300):
+            n_rows, n_cols = (int(v) for v in rng.integers(2, 9, size=2))
+            make = ENCODINGS[case % 3]
+            dx, dy = distance_matrix(make(n_rows)), distance_matrix(make(n_cols))
+            p = random_distribution(rng, n_rows, n_cols)
+            ratio = dcov2(p, dx, dy) / np.sqrt(dvar2(p.row_marginal, dx)
+                                               * dvar2(p.col_marginal, dy))
+            assert dcor2(p, dx, dy) == min(ratio, 1.0)
 
     def test_independence_zero(self):
         p = JointDistribution.independent([0.4, 0.6], [0.3, 0.7])
@@ -341,6 +373,16 @@ class TestJointDistribution:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             JointDistribution(np.array([[0.6, -0.1], [0.3, 0.2]]))
+
+    @pytest.mark.parametrize("pi, error, match", [
+        ([0.5, 0.5], ShapeError, "^joint distribution must be a 2-d table$"),
+        ([[0.5, 0.5]], ShapeError, "^joint distribution needs at least two levels per margin$"),
+        ([[0.5, np.nan], [0.25, 0.25]], DistributionError, "^probabilities must be finite$"),
+        ([[0.5, 0.2], [0.2, 0.2]], DistributionError, r"^probabilities sum to .*1\.0999.*, not 1$"),
+    ], ids=["one-d", "one-row", "nan", "total"])
+    def test_rejects_malformed_table(self, pi, error, match):
+        with pytest.raises(error, match=match):
+            JointDistribution(np.array(pi))
 
     def test_marginals_are_sums(self):
         p = JointDistribution(np.array([[0.1, 0.2], [0.3, 0.4]]))

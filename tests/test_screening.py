@@ -16,6 +16,7 @@ from catdcor import (
     InvalidThresholdError,
     JointTable,
     LabelError,
+    ShapeError,
     apply_changepoint,
     changepoint_threshold,
     distance_matrix,
@@ -26,7 +27,7 @@ from catdcor import (
     select,
     semicircle_equal,
 )
-from catdcor.estimators import _score_many
+from catdcor.measures import _score_many
 import scalar_reference as ref
 
 D3 = distance_matrix(one_hot(3))
@@ -92,6 +93,44 @@ class TestScreen:
         x[0, 1] = 5
         with pytest.raises(LabelError):
             screen(x, y, [D3] * x.shape[1], D3)
+
+    @pytest.mark.parametrize("change, error, match", [
+        (lambda x, y: (x[:, 0], y), ShapeError, r"^features must form an \(n, S\) matrix$"),
+        (lambda x, y: (x, y[:-1]), ShapeError,
+         "^response length must match the number of rows$"),
+        (lambda x, y: (x.astype(float), y), LabelError,
+         "^codes must be integers, got dtype float64$"),
+        (lambda x, y: (x, y.astype(float)), LabelError,
+         "^codes must be integers, got dtype float64$"),
+        (lambda x, y: (x.astype(object), y), LabelError,
+         "^codes must be integers, got dtype object$"),
+        (lambda x, y: (x, np.where(y == 2, 3, y)), LabelError,
+         "^response codes fall outside the declared level set$"),
+        (lambda x, y: (x[:3], y[:3]), InsufficientSampleError,
+         r"^the bias-corrected estimator needs n >= 4 observations, got n = 3\.0$"),
+    ], ids=["features-1d", "response-length", "float-features", "float-response",
+            "object-features", "response-range", "unbiased-n-three"])
+    def test_malformed_input_raises(self, change, error, match):
+        x, y = change(*make_dataset(np.random.default_rng(65), n_noise=2))
+        dists = [D3] * (x.shape[1] if x.ndim == 2 else 1)
+        with pytest.raises(error, match=match):
+            screen(x, y, dists, D3, estimator="unbiased")
+
+    def test_wrong_id_count_raises(self):
+        x, y = make_dataset(np.random.default_rng(66), n_noise=2)
+        with pytest.raises(ConfigurationError,
+                           match="^feature_ids length must match the feature count$"):
+            screen(x, y, [D3] * 3, D3, feature_ids=["a", "b"])
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint8, np.int16, np.uint16,
+                                       np.int32, np.uint32])
+    def test_every_integer_dtype_scores_as_int64(self, dtype):
+        rng = np.random.default_rng(67)
+        x, y = rng.integers(0, 2, size=(50, 4)), rng.integers(0, 2, size=50)
+        d2 = distance_matrix(one_hot(2))
+        expected = screen(x, y, [d2] * 4, d2).values
+        found = screen(x.astype(dtype), y.astype(dtype), [d2] * 4, d2).values
+        assert found.tolist() == expected.tolist()
 
     def test_wrong_distance_count_raises(self):
         rng = np.random.default_rng(66)
@@ -267,6 +306,10 @@ class TestChangepoint:
     def test_too_short(self):
         with pytest.raises(InsufficientFeaturesError):
             changepoint_threshold([3.0, 2.0, 1.0])
+
+    def test_not_one_dimensional(self):
+        with pytest.raises(ShapeError, match="^sorted_values must be one-dimensional$"):
+            changepoint_threshold([[3.0, 2.0], [1.0, 0.0]])
 
     def test_matches_polyfit_oracle(self):
         # exhaustive two-line fits via numpy polyfit on random sequences

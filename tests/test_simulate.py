@@ -16,6 +16,7 @@ from catdcor import (
     DistributionError,
     InfeasibleSettingError,
     InsufficientFeaturesError,
+    InsufficientSampleError,
     SettingSpec,
     ShapeError,
     UndefinedAUCError,
@@ -519,16 +520,21 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("kwargs, error, match", [
         (dict(replicates=0), ConfigurationError, "replicates must be at least 1, got 0"),
+        (dict(replicates=1.5), ConfigurationError, "replicates must be an integer, got 1.5"),
+        (dict(replicates=2.0), ConfigurationError, "replicates must be an integer, got 2.0"),
         (dict(encoding_kinds=("onehot", "ordinal", "onehot")), ConfigurationError,
          "encoding kinds must be distinct"),
         (dict(n=0), DistributionError, "empty sample"),
         (dict(n=-5), DistributionError, "empty sample"),
+        (dict(n=3, estimator="unbiased"), InsufficientSampleError,
+         r"^the bias-corrected estimator needs n >= 4 observations, got n = 3\.0$"),
         (dict(relevant_count=0), UndefinedAUCError, "got 0 relevant of 60"),
         (dict(relevant_count=60), UndefinedAUCError, "got 60 relevant of 60"),
         (dict(n_features=0), ShapeError, r"relevant_count 6 must lie in \[0, 0\]"),
         (dict(n_features=3, relevant_count=1), InsufficientFeaturesError,
          "needs at least 4 features, got 3"),
-    ], ids=["no-replicates", "repeated-kind", "n-zero", "n-negative",
+    ], ids=["no-replicates", "float-replicates", "integral-float-replicates",
+            "repeated-kind", "n-zero", "n-negative", "unbiased-n-three",
             "no-relevant", "all-relevant", "no-features", "few-features"])
     def test_rejected_before_sampling(self, monkeypatch, kwargs, error, match):
         monkeypatch.setattr(catdcor.simulate, "_draw_dataset", None)
@@ -536,6 +542,12 @@ class TestRunBenchmark:
         args = dict(n=60, n_features=60, relevant_count=6, replicates=1)
         with pytest.raises(error, match=match):
             run_benchmark(2, **{**args, **kwargs})
+
+    def test_numpy_integer_replicates(self):
+        a = run_benchmark(2, n=60, n_features=60, relevant_count=6, replicates=2, seed=5)
+        b = run_benchmark(2, n=60, n_features=60, relevant_count=6,
+                          replicates=np.int64(2), seed=5)
+        assert [r.replicate_aucs.tolist() for r in a] == [r.replicate_aucs.tolist() for r in b]
 
     def test_estimator_checked_before_sampling(self):
         with pytest.raises(ConfigurationError, match="estimator"):
