@@ -2,8 +2,9 @@
 
 Every subcommand is a pure function of its input files, flags, and seed:
 identical invocations write byte-identical outputs.  Machine-readable
-results are JSON; tabular data for plotting is CSV.  Errors exit nonzero
-with a one-line structured message on stderr.
+results are JSON; tabular data for plotting is CSV.  Stderr gets one line
+per warning, ``warning: <Category>: <message>`` in the order raised, then
+for an error ``error: <Class>: <message>`` and exit status 1.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import operator
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -576,14 +578,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        if hasattr(args, "seed"):
-            _require_seed(args.seed)
-        args.func(args)
-    except CatdcorError as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 1
-    return 0
+    error = ""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            if hasattr(args, "seed"):
+                _require_seed(args.seed)
+            args.func(args)
+        except CatdcorError as exc:
+            error = f"error: {type(exc).__name__}: {exc}\n"
+        finally:
+            sys.stderr.writelines(f"warning: {w.category.__name__}: {w.message}\n" for w in caught)
+    sys.stderr.write(error)
+    return 1 if error else 0
 
 
 if __name__ == "__main__":

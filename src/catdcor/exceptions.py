@@ -3,8 +3,24 @@
 Every contract violation maps to a named class so callers can distinguish
 bad inputs from degenerate data and from internal faults.  All classes
 derive from :class:`CatdcorError`; the input-shaped ones also derive from
-``ValueError`` so generic handling still works.
+``ValueError`` so generic handling still works.  Every diagnostic (what
+was dropped, clamped or scored 0) leaves the package through :func:`_warn`.
 """
+
+import os
+import sys
+import warnings
+
+
+def _warn(message: str) -> None:
+    """Warn with ``message`` as a ``RuntimeWarning`` at the innermost frame outside the package.
+
+    The rule of Python 3.12's ``skip_file_prefixes``: the warning names the caller's line.
+    """
+    frame, level = sys._getframe(1), 2
+    while frame and os.path.dirname(frame.f_code.co_filename) == os.path.dirname(__file__):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 class CatdcorError(Exception):

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -56,6 +55,7 @@ from .exceptions import (
     InsufficientReplicatesError,
     InternalConsistencyError,
     ShapeError,
+    _warn,
 )
 from .measures import (_BLOCK, _DEGENERATE_TOL, JointDistribution, _checked_marginal,
                        _dvar2_many, _require_estimator, _require_nondegenerate,
@@ -163,16 +163,16 @@ def spectrum(marginal, d: DistanceMatrix) -> np.ndarray:
     radius, and dropped.  Returned sorted by decreasing magnitude, signs
     preserved.
     """
-    return _raised(_margin_laws([_positive_marginal(marginal, d)], [d.d])[0], 2)[0]
+    return _raised(_margin_laws([_positive_marginal(marginal, d)], [d.d])[0])[0]
 
 
 def _margin_laws(marginals: list, dists: list) -> list:
-    """:func:`_margin_law` of each marginal against its distance matrix, without warning or raising.
+    """The law of each marginal against its distance matrix, without warning or raising.
 
     ``marginals`` hold checked vectors and ``dists`` the arrays of their
     distance matrices.  Each entry is ``(dropped, law)``: the number of
-    zero categories dropped, and the spectrum and mean distance or the
-    error :func:`_margin_law` raises after its warning.  Margins with
+    zero categories dropped, and the spectrum and mean distance of the
+    kept ones or the error :func:`_raised` raises.  Margins with
     equal numbers of kept categories share one ``eigvalsh`` call.
     """
     kept, sizes = [], {}
@@ -204,28 +204,19 @@ def _margin_laws(marginals: list, dists: list) -> list:
     return laws
 
 
-def _raised(entry: tuple, stacklevel: int):
+def _raised(entry: tuple):
     """The law of a :func:`_margin_laws` entry, after its warning, or its error raised."""
     dropped, law = entry
     if dropped:
-        warnings.warn(
-            f"dropping {dropped} zero-count categor{'y' if dropped == 1 else 'ies'} "
-            "before building the null spectrum",
-            RuntimeWarning,
-            stacklevel=stacklevel + 1,
-        )
+        _warn(f"dropping {dropped} zero-count categor{'y' if dropped == 1 else 'ies'} "
+              "before building the null spectrum")
     if isinstance(law, Exception):
         raise law
     return law
 
 
-def _margin_law(marginal, d: DistanceMatrix) -> tuple[np.ndarray, float]:
-    """Spectrum and mean distance of a checked margin, its zero categories dropped (warns)."""
-    return _raised(_margin_laws([_checked_marginal(marginal, d)], [d.d])[0], stacklevel=3)
-
-
 def _null_law(row_law: tuple, col_law: tuple) -> NullSpectrum:
-    """The null spectrum of a row and a column :func:`_margin_law`."""
+    """The null spectrum of a row and a column margin's law."""
     (lambdas, mean_x), (mus, mean_y) = row_law, col_law
     return NullSpectrum(lambdas, mus, mean_x * mean_y,
                         float(np.sum(lambdas**2)), float(np.sum(mus**2)))
@@ -244,10 +235,10 @@ def null_spectrum(row_marginal, col_marginal,
     try:
         col = _checked_marginal(col_marginal, dy)
     except ShapeError:
-        _margin_law(row, dx)
+        _raised(_margin_laws([row], [dx.d])[0])
         raise
     row_law, col_law = _margin_laws([row, col], [dx.d, dy.d])
-    return _null_law(_raised(row_law, 2), _raised(col_law, 2))
+    return _null_law(_raised(row_law), _raised(col_law))
 
 
 # ---------------------------------------------------------------------------
@@ -967,10 +958,10 @@ def _test_many(x: np.ndarray, y: np.ndarray, dists: list, dy: DistanceMatrix, es
     results = []
     permuted: list[tuple[dict, tuple]] = []  # (p-values to fill, variable)
     for s, dx in enumerate(dists):
-        # The variable's side, then the response's; warnings point at cmd_test's caller.
-        _raised(laws[s], stacklevel=3)
+        # The variable's side, then the response's.
+        _raised(laws[s])
         if s == 0:
-            _raised(response_law, stacklevel=3)
+            _raised(response_law)
         ns = nulls[s]
         ns.normalizer()
         dcor2 = {}

@@ -24,7 +24,6 @@ that tabulates or scores imports it from here.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .encodings import DistanceMatrix
 from .exceptions import (ConfigurationError, DegenerateMarginError, DistributionError,
-                         InsufficientSampleError, InternalConsistencyError, ShapeError)
+                         InsufficientSampleError, InternalConsistencyError, ShapeError, _warn)
 
 __all__ = [
     "JointDistribution",
@@ -40,8 +39,6 @@ __all__ = [
     "dvar2",
     "dcor2",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Population dcov2 is nonnegative; anything below this is treated as a bug
 # rather than rounding noise.
@@ -77,7 +74,7 @@ class JointDistribution:
             raise DistributionError("probabilities must be nonnegative")
         total = pi.sum()
         if abs(total - 1.0) > 1e-12:
-            raise DistributionError(f"probabilities sum to {total!r}, not 1")
+            raise DistributionError(f"probabilities sum to {float(total)!r}, not 1")
         pi = np.clip(pi, 0.0, None)
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
@@ -197,7 +194,7 @@ def _tabulate_many(x: np.ndarray, y: np.ndarray, n_rows: int,
     shape = np.broadcast_shapes(x.shape, y.shape)
     cells = n_rows * n_cols
     index = np.multiply(np.broadcast_to(x, shape), n_cols, dtype=np.intp)
-    index += y
+    np.add(index, y, out=index, dtype=np.intp)  # intp + uint64 is float64
     index += np.arange(0, shape[1] * cells, cells)
     flat = np.bincount(index.ravel(order="K"), minlength=shape[1] * cells)
     return flat.reshape(shape[1], n_rows, n_cols).astype(float)
@@ -368,6 +365,6 @@ def dcor2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float
     dcov2(p, dx, dy)  # raises for a covariance below rounding noise
     value = values[0]
     if value > 1.0:
-        logger.warning("clamping dcor2 = %r to 1", value)
+        _warn(f"clamping dcor2 = {float(value)!r} to 1")
         value = 1.0
     return float(value)

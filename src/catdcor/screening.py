@@ -12,7 +12,6 @@ planning.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -25,6 +24,7 @@ from .exceptions import (
     InvalidThresholdError,
     LabelError,
     ShapeError,
+    _warn,
 )
 from .measures import _check_codes, _require_scorable, _score_many, _tabulated
 
@@ -147,16 +147,11 @@ def _ranked_report(ids: list, values: np.ndarray, is_degenerate: np.ndarray,
     """Report of scored features, ranked in descending order.
 
     Lists the degenerate features (in column order) with one warning,
-    attributed to the caller of :func:`screen` or of the simulation
-    harness, and breaks ties in the order by ascending feature id.
+    and breaks ties in the order by ascending feature id.
     """
     degenerate = [ids[s] for s in np.flatnonzero(is_degenerate)]
     if degenerate:
-        warnings.warn(
-            f"{len(degenerate)} feature(s) with degenerate margins scored 0",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        _warn(f"{len(degenerate)} feature(s) with degenerate margins scored 0")
     order = np.lexsort((np.arange(values.size), -values))
     return ScreeningReport(
         feature_ids=ids,

@@ -1034,14 +1034,13 @@ class TestTestCommand:
                 AB_META[1],
                 {"name": "c", "type": "nominal", "encoding": "onehot", "levels": ["u", "v"]}]
         csv_path, meta_path = write_raw(tmp_path, "a,b,c\n" + "p,x,u\np,x,v\n" * 4, meta)
-        with pytest.warns(RuntimeWarning) as record:
-            code = main(["test", "--input", csv_path, "--metadata", meta_path,
-                         "--response", "a", "--pvalue", pvalue])
+        code = main(["test", "--input", csv_path, "--metadata", meta_path,
+                     "--response", "a", "--pvalue", pvalue])
         assert code == 1
         assert capsys.readouterr().err == (
+            "warning: RuntimeWarning: dropping 1 zero-count category before building the null "
+            "spectrum\n"
             "error: DegenerateMarginError: fewer than two observed categories on a margin\n")
-        assert [str(w.message) for w in record] == [
-            "dropping 1 zero-count category before building the null spectrum"]
 
     @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
     def test_degenerate_variable_inside_an_encoding_group(self, tmp_path, capsys, pvalue):
@@ -1059,20 +1058,20 @@ class TestTestCommand:
                      "levels": levels + ["z"]})
         text = "y,a,b,c,o\n" + "".join(",".join(row) + "\n" for row in zip(*columns.values()))
         csv_path, meta_path = write_raw(tmp_path, text, meta)
-        with pytest.warns(RuntimeWarning) as record:
-            code = main(["test", "--input", csv_path, "--metadata", meta_path,
-                         "--response", "y", "--pvalue", pvalue, "--perms", "99"])
+        code = main(["test", "--input", csv_path, "--metadata", meta_path,
+                     "--response", "y", "--pvalue", pvalue, "--perms", "99"])
         assert code == 1
         assert capsys.readouterr().err == (
+            "warning: RuntimeWarning: dropping 2 zero-count categories before building the "
+            "null spectrum\n"
             "error: DegenerateMarginError: fewer than two observed categories on a margin\n")
-        assert [str(w.message) for w in record] == [
-            "dropping 2 zero-count categories before building the null spectrum"]
 
     @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
-    def test_zero_count_warnings_in_variable_order(self, tmp_path, pvalue):
+    def test_zero_count_warnings_in_variable_order(self, tmp_path, capsys, pvalue):
         # Two variables of one group and one of another each declare levels
-        # that never occur, and so does the response: one warning per margin,
-        # the first variable's, then the response's, then the others'.
+        # that never occur, and so does the response: one warning line per
+        # margin, the first variable's, then the response's, then the others'.
+        # Python's default filter would show the repeated text once.
         rng = np.random.default_rng(9)
         columns = {"y": rng.choice(["u", "v"], 90), "a": rng.choice(["u", "w"], 90),
                    "o": rng.choice(["u", "v", "z"], 90), "c": rng.choice(["u", "v", "w"], 90),
@@ -1085,15 +1084,15 @@ class TestTestCommand:
         text = "y,a,o,c,d\n" + "".join(",".join(row) + "\n" for row in zip(*columns.values()))
         csv_path, meta_path = write_raw(tmp_path, text, meta)
         out_path = str(tmp_path / "report.json")
-        with warnings.catch_warnings(record=True) as record:
+        with warnings.catch_warnings():
             warnings.simplefilter("always")
             assert main(["test", "--input", csv_path, "--metadata", meta_path,
                          "--response", "y", "--pvalue", pvalue, "--perms", "99",
                          "--out", out_path]) == 0
-        assert [(w.category, str(w.message)) for w in record] == [
-            (RuntimeWarning, f"dropping {k} zero-count categor{'y' if k == 1 else 'ies'} "
-                             "before building the null spectrum") for k in (1, 1, 2, 1)]
-        assert all(w.filename == record[0].filename for w in record)
+        assert capsys.readouterr().err == "".join(
+            f"warning: RuntimeWarning: dropping {k} zero-count "
+            f"categor{'y' if k == 1 else 'ies'} before building the null spectrum\n"
+            for k in (1, 1, 2, 1))
 
     @pytest.mark.parametrize("estimator", ["mle", "unbiased"])
     @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
@@ -1239,6 +1238,29 @@ class TestScreenCommand:
         np.testing.assert_array_equal(seen["x"], codes[:, others])
         assert np.shares_memory(seen["x"], codes) == view
 
+    def test_degenerate_feature_is_one_warning_line(self, tmp_path, capsys):
+        # "b" holds one observed level and scores 0.
+        meta = AB_META + [{"name": "c", "type": "nominal", "encoding": "onehot",
+                           "levels": ["u", "v"]}]
+        csv_path, meta_path = write_raw(tmp_path, "a,b,c\n" + 'p,x,u\n"q,r",x,v\n' * 4, meta)
+        out_path = str(tmp_path / "screen.json")
+        assert main(["screen", "--input", csv_path, "--metadata", meta_path,
+                     "--response", "a", "--out", out_path]) == 0
+        assert capsys.readouterr().err == (
+            "warning: RuntimeWarning: 1 feature(s) with degenerate margins scored 0\n")
+        assert json.loads(open(out_path).read())["degenerate"] == ["b"]
+
+    def test_warnings_written_before_an_unexpected_error(self, tmp_path, capsys, monkeypatch):
+        def failing_screen(*args, **kwargs):
+            warnings.warn("scored", RuntimeWarning)
+            raise KeyError("fault")
+
+        monkeypatch.setattr(catdcor.cli, "screen", failing_screen)
+        csv_path, meta_path = write_inputs(tmp_path, n=30)
+        with pytest.raises(KeyError):
+            main(["screen", "--input", csv_path, "--metadata", meta_path, "--response", "grade"])
+        assert capsys.readouterr().err == "warning: RuntimeWarning: scored\n"
+
     @pytest.mark.parametrize("command", ["screen", "test"])
     def test_every_row_dropped(self, tmp_path, capsys, command):
         csv_path, meta_path = write_raw(tmp_path, "a,b\np,\n,y\n")
@@ -1358,6 +1380,18 @@ class TestSimulateCommand:
         finally:
             del os.environ["CATDCOR_WORKERS"]
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
+
+    @pytest.mark.parametrize("action, lines", [("default", 1), ("always", 6)])
+    def test_degenerate_columns_are_warning_lines(self, tmp_path, capsys, action, lines):
+        # Four rows leave two constant feature columns in each of 2 replicates
+        # x 3 encodings; Python's default filter shows the repeated text once.
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert main(["simulate", "--setting", "4", "--n", "4", "--features", "30",
+                         "--relevant", "3", "--replicates", "2", "--seed", "2",
+                         "--out", str(tmp_path / "s.json")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: RuntimeWarning: 2 feature(s) with degenerate margins scored 0\n" * lines)
 
     def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
         code = main(["simulate", "--setting", "2", "--n", "60", "--features", "50",

@@ -468,7 +468,7 @@ class TestJointTable:
             JointTable.from_codes(x, y, 3, 2)
 
     @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint8, np.int16, np.uint16,
-                                       np.int32, np.uint32, np.int64])
+                                       np.int32, np.uint32, np.int64, np.uint64])
     def test_from_codes_takes_every_integer_dtype(self, dtype):
         x, y = np.array([0, 0, 1, 1, 1]), np.array([1, 1, 0, 1, 0])
         found = JointTable.from_codes(x.astype(dtype), y.astype(dtype), 2, 2)

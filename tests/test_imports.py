@@ -10,6 +10,7 @@ when it finishes.  The CLI's imports are checked on its source: it runs
 ``catdcor test`` through one inference call.  So is the package's
 layering: its modules import each other at module level only, without a
 cycle, and the dcov/dvar/dcor kernel is defined in ``measures`` alone.
+So is the one way out for diagnostics: ``exceptions._warn``.
 """
 
 import ast
@@ -193,3 +194,26 @@ def test_package_layering():
         if name not in state:
             visit(name, (name,))
     assert defined == {name: ["measures"] for name in KERNEL}
+
+
+def test_diagnostics_leave_through_one_helper():
+    # ``exceptions._warn`` alone calls ``warnings.warn`` and sets a
+    # stacklevel; no module imports ``logging``.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            where = (path.stem, owner.get(id(node)))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("warnings.warn", "warn"):
+                found.append(("warn",) + where)
+            elif isinstance(node, ast.keyword) and node.arg == "stacklevel":
+                found.append(("stacklevel",) + where)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                           else [alias.name for alias in node.names])
+                found += [("logging",) + where for module in modules
+                          if module.split(".")[0] == "logging"]
+    assert found == [("warn", "exceptions", "_warn"), ("stacklevel", "exceptions", "_warn")]

@@ -591,6 +591,15 @@ class TestPermutation:
         with pytest.raises(ShapeError, match="codes must be integers, got dtype"):
             permutation_test(x, y, DM2, DM2, reps=99, seed=0)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64])
+    def test_unsigned_codes_match_int64(self, dtype):
+        rng = np.random.default_rng(530)
+        x, y = rng.integers(0, 3, 60), rng.integers(0, 4, 60)
+        dx, dy = distance_matrix(one_hot(3)), distance_matrix(ordinal_equal(4))
+        expected = permutation_test(x, y, dx, dy, reps=199, seed=5)
+        assert permutation_test(x.astype(dtype), y.astype(dtype), dx, dy,
+                                reps=199, seed=5) == expected
+
     def test_agrees_with_analytic_on_null(self):
         diffs = []
         dx = distance_matrix(one_hot(3))

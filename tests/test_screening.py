@@ -123,7 +123,7 @@ class TestScreen:
             screen(x, y, [D3] * 3, D3, feature_ids=["a", "b"])
 
     @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint8, np.int16, np.uint16,
-                                       np.int32, np.uint32])
+                                       np.int32, np.uint32, np.uint64])
     def test_every_integer_dtype_scores_as_int64(self, dtype):
         rng = np.random.default_rng(67)
         x, y = rng.integers(0, 2, size=(50, 4)), rng.integers(0, 2, size=50)
