@@ -59,7 +59,7 @@ from .exceptions import (
 )
 from .measures import (_BLOCK, _DEGENERATE_TOL, JointDistribution, _checked_marginal,
                        _dvar2_many, _require_estimator, _require_nondegenerate,
-                       _require_u_sample, _score_many, _tabulate_many, _tabulated, dcov2)
+                       _require_u_sample, _score_pairs, _tabulate_many, _tabulated, dcov2)
 
 __all__ = [
     "NullSpectrum",
@@ -726,9 +726,9 @@ def _permutation_pvalues(y: np.ndarray, dy: DistanceMatrix, variables: list,
     unpermuted table.  Replicate ``rep`` permutes ``y`` with
     ``default_rng((seed, rep))``.  Every variable tabulates each chunk of
     draws ``_BLOCK`` rows at a time, one ``np.bincount`` each, and scores
-    the chunk with one ``_score_many`` call per estimator, the kernel that
-    computed ``observed``.  Permuting keeps both margins, so no replicate
-    table is degenerate.
+    it under every estimator with one ``_score_pairs`` call sharing the
+    margins and centered tables, the kernel that computed ``observed``.
+    Permuting keeps both margins, so no replicate table is degenerate.
     """
     n, cols = float(len(y)), dy.n_categories
     exceed = [dict.fromkeys(observed, 0) for _, _, observed in variables]
@@ -741,9 +741,9 @@ def _permutation_pvalues(y: np.ndarray, dy: DistanceMatrix, variables: list,
             for start in range(0, len(drawn), _BLOCK):
                 tables[start:start + _BLOCK] = _tabulate_many(
                     x[:, None], drawn[start:start + _BLOCK].T, dx.n_categories, cols)
-            for kind, value in observed.items():
-                counts[kind] += int(np.count_nonzero(
-                    _score_many(tables, n, dx, dy, kind)[0] >= value))
+            scores = _score_pairs(tables, n, [(dx, dy, kind) for kind in observed])
+            for (kind, value), (values, _) in zip(observed.items(), scores):
+                counts[kind] += int(np.count_nonzero(values >= value))
     return [{kind: (1.0 + c) / (reps + 1.0) for kind, c in counts.items()}
             for counts in exceed]
 
@@ -905,20 +905,20 @@ def _test_many(x: np.ndarray, y: np.ndarray, dists: list, dy: DistanceMatrix, es
                pvalue: str, reps: int, seed: int) -> list[dict]:
     """``catdcor test``: each column of ``x`` against ``y``, its report entry without its name.
 
-    Variables are tabulated and scored per encoding group, as in
-    ``screen``: one tabulation per block of at most 128 variables that
-    share a distance matrix, scored once per estimator, with the
-    delta-method variances of the intervals scored per block too.  The
-    variables' sides of the null spectrum and the response's come from
-    one :func:`_margin_laws` call, one ``eigvalsh`` per matrix size; the
-    analytic tails of all variables run in one stack per weight count.
-    The permutation p-values of all variables that need them come after
-    the loop, from one set of response permutations, scored once per
-    chunk, variable and estimator.  All of this is computed without
-    raising; each variable then warns and fails in its turn, in a fixed
-    order: spectrum (with its zero-category warning), zero total weight,
-    the ``estimator`` statistic, the replicate count (permutation only),
-    the other statistic, the tail (analytic only), the interval.
+    Variables are tabulated and scored per encoding group, as in ``screen``:
+    one tabulation per block of at most 128 variables that share a distance
+    matrix, scored under both estimators by one call sharing the margins
+    and the centered tables, with the intervals' delta-method variances
+    scored per block too.  The variables' sides of the null spectrum and the
+    response's come from one :func:`_margin_laws` call, one ``eigvalsh`` per
+    matrix size; the analytic tails of all variables run in one stack per
+    weight count.  The permutation p-values of all variables that need them
+    come after the loop, from one set of response permutations, scored once
+    per chunk and variable.  All of this is computed without raising; each
+    variable then warns and fails in its turn, in a fixed order: spectrum
+    (with its zero-category warning), zero total weight, the ``estimator``
+    statistic, the replicate count (permutation only), the other statistic,
+    the tail (analytic only), the interval.
     """
     if not dists:
         return []
@@ -932,8 +932,8 @@ def _test_many(x: np.ndarray, y: np.ndarray, dists: list, dy: DistanceMatrix, es
     rows: list = [None] * len(dists)
     asymp_var = np.zeros(len(dists))
     for dx, block, counts in _tabulated(x, y, dists, dy.n_categories):
-        for kind, (values, degenerate) in scored.items():
-            values[block], degenerate[block] = _score_many(counts, n, dx, dy, kind)
+        for kind, score in zip(scored, _score_pairs(counts, n, [(dx, dy, k) for k in scored])):
+            scored[kind][0][block], scored[kind][1][block] = score
         for s, row in zip(block, counts.sum(axis=2) / n):
             rows[s] = row
         asymp_var[block] = _alt_many(counts / n, dx, dy)[1]

@@ -244,10 +244,11 @@ def _dvar_t_stats_many(margins: np.ndarray, d: np.ndarray
     ``t3`` squares with Python's float power (numpy's square can differ
     from it in the last bit).
     """
-    t1 = _quad_many(margins, d * d)
-    a = d @ margins[:, :, None]
-    t2 = (margins[:, None, :] @ (a * a))[:, 0, 0]
-    ma = (margins[:, None, :] @ a)[:, 0, 0]
+    row, col = margins[:, None, :], margins[:, :, None]
+    t1 = (row @ (d * d) @ col)[:, 0, 0]
+    a = d @ col
+    t2 = (row @ (a * a))[:, 0, 0]
+    ma = (row @ a)[:, 0, 0]
     t3 = np.array([v**2 for v in ma.tolist()])
     return t1, t2, t3
 
@@ -263,51 +264,58 @@ def _dvar2_many(margins: np.ndarray, n: float, d: np.ndarray,
     return _u_statistic(*_dvar_t_stats_many(margins, d), n)
 
 
+def _centered(counts: np.ndarray, n: float) -> np.ndarray:
+    """The proportions of every table in a stack less the outer product of their margins."""
+    pi_hat = counts / n
+    return pi_hat - pi_hat.sum(axis=2)[:, :, None] * pi_hat.sum(axis=1)[:, None, :]
+
+
 def _dcov2_many(counts: np.ndarray, n: float, dx: np.ndarray, dy: np.ndarray,
-                estimator: str) -> np.ndarray:
+                estimator: str, delta: np.ndarray | None = None) -> np.ndarray:
     """Squared distance covariance estimates of every table in a stack.
 
-    The plug-in estimate is the population formula on the observed
-    proportions, not clamped: its callers clamp it at 0, and
-    :func:`dcov2` checks it first.  The bias-corrected one is the
-    U-statistic of (T1, T2, T3).
+    The plug-in estimate is the population formula on ``delta``, the
+    centered tables (computed unless given), not clamped: its callers
+    clamp it at 0, and :func:`dcov2` checks it first.  The bias-corrected
+    one is the U-statistic of (T1, T2, T3).
     """
     if estimator == "mle":
-        pi_hat = counts / n
-        delta = pi_hat - pi_hat.sum(axis=2)[:, :, None] * pi_hat.sum(axis=1)[:, None, :]
+        delta = _centered(counts, n) if delta is None else delta
         return np.sum(delta * (dx @ delta @ dy), axis=(1, 2))
     return _u_statistic(*_t_stats_many(counts, dx, dy), n)
 
 
-def _margin_dvar2(margins: np.ndarray, n: float, d: np.ndarray,
-                  estimator: str) -> np.ndarray:
-    """``_dvar2_many``, computed once when every row of ``margins`` is the same."""
-    if len(margins) > 1 and (margins == margins[0]).all():
-        return np.broadcast_to(_dvar2_many(margins[:1], n, d, estimator), len(margins))
-    return _dvar2_many(margins, n, d, estimator)
+def _score_pairs(counts: np.ndarray, n: float, pairs: Sequence[tuple]) -> list:
+    """Per pair ``(dx, dy, estimator)``, dcor2 estimates of a stack ``(S, I, J)`` of total ``n``.
+
+    Tables with a degenerate margin score 0 and are flagged in a mask.
+    The margins, their equality check and the centered tables are shared
+    by all pairs.  Neither the codes nor ``n >= 4`` is checked.
+    """
+    # A margin whose rows all agree (fixed by permutations) is scored once.
+    rows, cols = [m[:1] if len(m) > 1 and (m == m[0]).all() else m
+                  for m in (counts.sum(axis=2), counts.sum(axis=1))]
+    delta, scores = None, []
+    for dx, dy, estimator in pairs:
+        var_x = _dvar2_many(rows, n, dx.d, estimator)
+        var_y = _dvar2_many(cols, n, dy.d, estimator)
+        if estimator == "mle" and delta is None:
+            delta = _centered(counts, n)
+        cov = _dcov2_many(counts, n, dx.d, dy.d, estimator, delta)
+        if estimator == "mle":
+            cov = np.maximum(cov, 0.0)
+        # At or below the tolerance (negative included) is degenerate; one flag per table.
+        degenerate = np.logical_or(var_x <= _DEGENERATE_TOL, var_y <= _DEGENERATE_TOL,
+                                   out=np.empty(len(counts), dtype=bool))
+        scale = np.sqrt(np.where(degenerate, 1.0, var_x * var_y))
+        scores.append((np.where(degenerate, 0.0, cov / scale), degenerate))
+    return scores
 
 
 def _score_many(counts: np.ndarray, n: float, dx: DistanceMatrix,
                 dy: DistanceMatrix, estimator: str) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distance correlation estimate of every table in a stack.
-
-    ``counts`` has shape ``(S, I, J)`` and every table the total ``n``.
-    Returns the estimates and a mask of the tables with a degenerate
-    margin, which are scored 0 instead of raising.  This is the one
-    implementation behind :func:`dcor2` and ``estimators.dcor2_mle`` /
-    ``dcor2_unbiased`` (stacks of one), ``screen`` and the permutation
-    tests.  Neither the
-    codes nor ``n >= 4`` for the bias-corrected estimator is checked.
-    """
-    var_x = _margin_dvar2(counts.sum(axis=2), n, dx.d, estimator)
-    var_y = _margin_dvar2(counts.sum(axis=1), n, dy.d, estimator)
-    cov = _dcov2_many(counts, n, dx.d, dy.d, estimator)
-    if estimator == "mle":
-        cov = np.maximum(cov, 0.0)
-    # A variance at or below the tolerance, negative included, is degenerate.
-    degenerate = (var_x <= _DEGENERATE_TOL) | (var_y <= _DEGENERATE_TOL)
-    scale = np.sqrt(np.where(degenerate, 1.0, var_x * var_y))
-    return np.where(degenerate, 0.0, cov / scale), degenerate
+    """:func:`_score_pairs` of one pair, for dcor2, dcor2_mle, dcor2_unbiased and screen."""
+    return _score_pairs(counts, n, [(dx, dy, estimator)])[0]
 
 
 def dcov2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float:

@@ -101,9 +101,9 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
     or the first column (in column order) with a code outside its level
     set, raise :class:`LabelError`.
     Features sharing one ``DistanceMatrix`` object are tabulated and
-    scored together, in blocks of at most 128 features, by the kernel that
-    also computes :func:`dcor2_mle` / :func:`dcor2_unbiased` for a single
-    table.  An empty sample raises :class:`DistributionError`.
+    scored together in blocks of at most 128, one call per block of the
+    kernel behind :func:`dcor2_mle`, sharing the margins and centered
+    tables.  An empty sample raises :class:`DistributionError`.
 
     Features whose margin carries no distance variation (for example a
     constant column) receive the score 0 and are listed in
@@ -143,15 +143,15 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
 
 
 def _ranked_report(ids: list, values: np.ndarray, is_degenerate: np.ndarray,
-                   estimator: str) -> ScreeningReport:
+                   estimator: str, where: str = "") -> ScreeningReport:
     """Report of scored features, ranked in descending order.
 
-    Lists the degenerate features (in column order) with one warning,
-    and breaks ties in the order by ascending feature id.
+    Lists the degenerate features (in column order) with one warning
+    ending in ``where``, and breaks ties in the order by ascending id.
     """
     degenerate = [ids[s] for s in np.flatnonzero(is_degenerate)]
     if degenerate:
-        _warn(f"{len(degenerate)} feature(s) with degenerate margins scored 0")
+        _warn(f"{len(degenerate)} feature(s) with degenerate margins scored 0{where}")
     order = np.lexsort((np.arange(values.size), -values))
     return ScreeningReport(
         feature_ids=ids,

@@ -37,7 +37,7 @@ from .exceptions import (
     UndefinedAUCError,
 )
 from .inference import _require_seed
-from .measures import _BLOCK, JointDistribution, _require_scorable, _score_many, _tabulate_many
+from .measures import _BLOCK, JointDistribution, _require_scorable, _score_pairs, _tabulate_many
 from .screening import _ranked_report, changepoint_threshold
 
 __all__ = [
@@ -433,19 +433,22 @@ def run_benchmark(setting_id: int, n: int,
     """Run one scenario end to end and summarize per-encoding metrics.
 
     Each replicate samples one dataset (seeded by ``(seed, setting, r)``),
-    tabulates it once, scores the tables once per encoding kind applied
-    to features and response alike (the scores ``screen`` would give),
-    and records the AUC of the score ranking plus the sensitivity and
-    specificity of the slope-break selection.  The approximate
-    construction is enabled here because most scenarios require it; the
-    method actually used, and the joint every replicate was drawn from,
-    are reported on every result.  ``seed`` must be non-negative.
+    tabulates it once, scores each block under every encoding kind with
+    one call sharing the margins and the centered tables (features and
+    response alike: the scores ``screen`` would give, warning with the
+    replicate and kind), and records the AUC of the ranking plus the
+    sensitivity and specificity of the slope-break selection.  The
+    approximate construction is enabled because most scenarios require
+    it; the method actually used, and the joint every replicate was
+    drawn from, are reported on every result.  ``seed`` must be >= 0.
     """
     _require_seed(seed)
     if not isinstance(replicates, numbers.Integral):
         raise ConfigurationError(f"replicates must be an integer, got {replicates!r}")
     if replicates < 1:
         raise ConfigurationError(f"replicates must be at least 1, got {replicates}")
+    if not encoding_kinds:
+        raise ConfigurationError("run_benchmark needs at least one encoding kind")
     if len(set(encoding_kinds)) < len(encoding_kinds):
         raise ConfigurationError(
             f"encoding kinds must be distinct, got {','.join(encoding_kinds)}")
@@ -458,8 +461,8 @@ def run_benchmark(setting_id: int, n: int,
         raise InsufficientFeaturesError(
             f"the two-piece fit needs at least 4 features, got {n_features}")
     _require_scorable(n, estimator)
-    dists = [(distance_matrix(encoding_for_kind(kind, spec.n_rows)),
-              distance_matrix(encoding_for_kind(kind, spec.n_cols)))
+    pairs = [(distance_matrix(encoding_for_kind(kind, spec.n_rows)),
+              distance_matrix(encoding_for_kind(kind, spec.n_cols)), estimator)
              for kind in encoding_kinds]
     ids = list(range(n_features))
     blocks = [slice(start, start + _BLOCK) for start in range(0, n_features, _BLOCK)]
@@ -467,20 +470,19 @@ def run_benchmark(setting_id: int, n: int,
     replicate_seeds = tuple((seed, setting_id, r) for r in range(replicates))
     built = build_joint(spec, allow_rank_one=True)
     # Per kind and replicate: the AUC, sensitivity and specificity, and the scores.
-    metrics = np.empty((len(dists), replicates, 3))
-    scores = np.empty((len(dists), replicates, n_features))
-    is_degenerate = np.empty((len(dists), n_features), dtype=bool)
+    metrics = np.empty((len(pairs), replicates, 3))
+    scores = np.empty((len(pairs), replicates, n_features))
+    is_degenerate = np.empty((len(pairs), n_features), dtype=bool)
     for r, rep_seed in enumerate(replicate_seeds):
         data = _draw_dataset(spec, built, rep_seed)
         values = scores[:, r]
         for block in blocks:
             counts = _tabulate_many(data.features[:, block], data.response[:, None],
                                     spec.n_rows, spec.n_cols)
-            for k, (feat_dist, resp_dist) in enumerate(dists):
-                values[k, block], is_degenerate[k, block] = _score_many(
-                    counts, float(n), feat_dist, resp_dist, estimator)
-        for k in range(len(dists)):
-            report = _ranked_report(ids, values[k], is_degenerate[k], estimator)
+            values[:, block], is_degenerate[:, block] = zip(*_score_pairs(counts, float(n), pairs))
+        for k, kind in enumerate(encoding_kinds):
+            report = _ranked_report(ids, values[k], is_degenerate[k], estimator,
+                                    f" (replicate {r}, {kind} encoding)")
             # The strict rule of apply_changepoint.
             selected = values[k] > changepoint_threshold(report.sorted_values()).threshold
             metrics[k, r] = (roc_auc(values[k], truth),

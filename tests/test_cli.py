@@ -1367,31 +1367,29 @@ class TestSimulateCommand:
         for name, text in expected.items():
             assert open(str(tmp_path / name), "rb").read() == text.encode()
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
-        out_a = str(tmp_path / "w1.json")
-        out_b = str(tmp_path / "w8.json")
+    def test_repeated_runs_write_identical_bytes(self, tmp_path):
+        out_a = str(tmp_path / "a.json")
+        out_b = str(tmp_path / "b.json")
         args = ["simulate", "--setting", "1", "--n", "50", "--features", "40",
                 "--relevant", "4", "--replicates", "1", "--seed", "2"]
-        os.environ["CATDCOR_WORKERS"] = "1"
-        try:
-            assert main(args + ["--out", out_a]) == 0
-            os.environ["CATDCOR_WORKERS"] = "8"
-            assert main(args + ["--out", out_b]) == 0
-        finally:
-            del os.environ["CATDCOR_WORKERS"]
+        assert main(args + ["--out", out_a]) == 0
+        assert main(args + ["--out", out_b]) == 0
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
 
-    @pytest.mark.parametrize("action, lines", [("default", 1), ("always", 6)])
-    def test_degenerate_columns_are_warning_lines(self, tmp_path, capsys, action, lines):
+    @pytest.mark.parametrize("action", ["default", "always"])
+    def test_degenerate_columns_are_warning_lines(self, tmp_path, capsys, action):
         # Four rows leave two constant feature columns in each of 2 replicates
-        # x 3 encodings; Python's default filter shows the repeated text once.
+        # x 3 encodings; each warning names its replicate and encoding, so
+        # Python's default filter writes all six.
         with warnings.catch_warnings():
             warnings.simplefilter(action)
             assert main(["simulate", "--setting", "4", "--n", "4", "--features", "30",
                          "--relevant", "3", "--replicates", "2", "--seed", "2",
                          "--out", str(tmp_path / "s.json")]) == 0
-        assert capsys.readouterr().err == (
-            "warning: RuntimeWarning: 2 feature(s) with degenerate margins scored 0\n" * lines)
+        assert capsys.readouterr().err == "".join(
+            "warning: RuntimeWarning: 2 feature(s) with degenerate margins scored 0 "
+            f"(replicate {r}, {kind} encoding)\n"
+            for r in range(2) for kind in ("onehot", "ordinal", "semicircle"))
 
     def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
         code = main(["simulate", "--setting", "2", "--n", "60", "--features", "50",

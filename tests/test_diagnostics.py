@@ -46,7 +46,8 @@ CASES = {
     "run_benchmark": (lambda: run_benchmark(4, n=4, encoding_kinds=("onehot",),
                                             n_features=30, relevant_count=3, replicates=1,
                                             seed=2),
-                      "2 feature(s) with degenerate margins scored 0"),
+                      "2 feature(s) with degenerate margins scored 0 "
+                      "(replicate 0, onehot encoding)"),
     "dcor2_clamp": (lambda: dcor2(JointDistribution(np.diag([0.5, 0.5])), D2, D2),
                     "clamping dcor2 = 1.0000000000000002 to 1"),
 }

@@ -138,9 +138,9 @@ def test_cli_binds_one_inference_call_and_no_estimator():
 PACKAGE = ROOT / "src" / "catdcor"
 KERNEL = {
     "_tabulate_many", "_tabulated", "_quad_many", "_t_stats_many", "_dvar_t_stats_many",
-    "_v_statistic", "_u_statistic", "_dvar2_many", "_dcov2_many", "_margin_dvar2",
-    "_score_many", "_BLOCK", "_DEGENERATE_TOL", "_require_estimator", "_require_u_sample",
-    "_require_scorable", "_require_nondegenerate", "_check_codes",
+    "_v_statistic", "_u_statistic", "_dvar2_many", "_dcov2_many", "_centered",
+    "_score_pairs", "_score_many", "_BLOCK", "_DEGENERATE_TOL", "_require_estimator",
+    "_require_u_sample", "_require_scorable", "_require_nondegenerate", "_check_codes",
 }
 
 

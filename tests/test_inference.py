@@ -706,6 +706,35 @@ class TestKeyedDraws:
             permutation_test([0, 1, 0, 1], [0, 1, 1, 0], DM2, DM2, reps=2**32 + 1, seed=0)
 
 
+class TestStackedScoring:
+    """``catdcor test`` scores both estimators with one call per block and chunk."""
+
+    @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
+    def test_one_scorer_call_per_block(self, monkeypatch, pvalue):
+        rng = np.random.default_rng(41)
+        n = 400
+        x = np.column_stack([rng.integers(0, 3, (n, 300)), rng.integers(0, 4, (n, 5))])
+        y = rng.integers(0, 3, n)
+        dists = [distance_matrix(one_hot(3))] * 300 + [distance_matrix(ordinal_equal(4))] * 5
+        calls = []
+        score_pairs = inference._score_pairs
+
+        def counting_score_pairs(counts, n, pairs):
+            calls.append((len(counts), [pair[2] for pair in pairs]))
+            return score_pairs(counts, n, pairs)
+
+        monkeypatch.setattr(inference, "_score_pairs", counting_score_pairs)
+        reports = inference._test_many(x, y, dists, distance_matrix(one_hot(3)), "unbiased",
+                                       pvalue, 99, 0)
+        # Blocks of 128, 128 and 44 variables sharing one matrix, then the 5
+        # sharing the other; permutation p-values add one call per variable
+        # for the single chunk of 99 replicates.
+        blocks = [(size, ["unbiased", "mle"]) for size in (128, 128, 44, 5)]
+        permuted = [(99, ["unbiased", "mle"])] * 305 if pvalue == "permutation" else []
+        assert calls == blocks + permuted
+        assert {r["method"] for r in reports} == {"imhof" if pvalue == "analytic" else pvalue}
+
+
 class TestPermutationMemory:
     """Chunked draws and chunk-wide scoring keep the traced peak of the blocked loop."""
 

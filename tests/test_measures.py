@@ -28,7 +28,8 @@ from catdcor import (
     ordinal_equal,
     semicircle_equal,
 )
-from catdcor.measures import _DEGENERATE_TOL, _score_many
+from catdcor.measures import (_DEGENERATE_TOL, _dcov2_many, _dvar2_many, _score_many,
+                              _score_pairs, _tabulate_many)
 import scalar_reference as ref
 
 
@@ -395,3 +396,86 @@ class TestJointDistribution:
         dx = distance_matrix(semicircle_equal(3))
         dy = distance_matrix(ordinal_equal(3))
         assert dcor2(p, dx, dy) > 0.9
+
+
+def unshared_score(counts, n, dx, dy, estimator):
+    """One pair scored with nothing shared: every margin, its equality check and
+    the centered tables recomputed, as each pair was scored before the kernel
+    shared them."""
+    variances = []
+    for margins, d in ((counts.sum(axis=2), dx), (counts.sum(axis=1), dy)):
+        if len(margins) > 1 and (margins == margins[0]).all():
+            variances.append(np.broadcast_to(_dvar2_many(margins[:1], n, d.d, estimator),
+                                             len(margins)))
+        else:
+            variances.append(_dvar2_many(margins, n, d.d, estimator))
+    var_x, var_y = variances
+    cov = _dcov2_many(counts, n, dx.d, dy.d, estimator)
+    if estimator == "mle":
+        cov = np.maximum(cov, 0.0)
+    degenerate = (var_x <= _DEGENERATE_TOL) | (var_y <= _DEGENERATE_TOL)
+    scale = np.sqrt(np.where(degenerate, 1.0, var_x * var_y))
+    return np.where(degenerate, 0.0, cov / scale), degenerate
+
+
+class TestScorePairs:
+    """One call scores every pair as a separate call per pair would, bit for bit."""
+
+    @staticmethod
+    def check(counts, n, pairs):
+        found = _score_pairs(counts, n, pairs)
+        assert len(found) == len(pairs)
+        for (values, degenerate), pair in zip(found, pairs):
+            assert values.shape == degenerate.shape == (len(counts),)
+            for expected in (_score_many(counts, n, *pair), unshared_score(counts, n, *pair)):
+                assert np.array_equal(values, expected[0])
+                assert np.array_equal(degenerate, expected[1])
+        return found
+
+    @staticmethod
+    def pairs(rng, n_rows, n_cols, estimators):
+        return [(distance_matrix(ENCODINGS[int(rng.integers(3))](n_rows)),
+                 random_distance(rng, n_cols), estimator) for estimator in estimators]
+
+    def test_mixed_estimators(self):
+        rng = np.random.default_rng(30)
+        for trial in range(40):
+            n_rows, n_cols = (int(v) for v in rng.integers(2, 9, size=2))
+            n = int(rng.integers(4, 60))
+            counts = _tabulate_many(rng.integers(0, n_rows, (n, 20)),
+                                    rng.integers(0, n_cols, (n, 1)), n_rows, n_cols)
+            estimators = ["mle", "unbiased", "unbiased", "mle", "unbiased"][:1 + trial % 5]
+            self.check(counts, float(n), self.pairs(rng, n_rows, n_cols, estimators))
+
+    def test_degenerate_margin(self):
+        rng = np.random.default_rng(31)
+        n = 30
+        x = rng.integers(0, 4, (n, 12))
+        x[:, [0, 5, 11]] = 2  # constant feature columns
+        counts = _tabulate_many(x, rng.integers(0, 3, (n, 1)), 4, 3)
+        found = self.check(counts, float(n), self.pairs(rng, 4, 3, ["mle", "unbiased", "mle"]))
+        for values, degenerate in found:
+            assert np.flatnonzero(degenerate).tolist() == [0, 5, 11]
+            assert np.all(values[degenerate] == 0.0)
+
+    def test_fixed_margins(self):
+        # One feature against permuted responses: both margins are the same
+        # in every table, so each pair scores each margin once.
+        rng = np.random.default_rng(32)
+        n = 80
+        x = rng.integers(0, 5, (n, 1))
+        y = rng.permuted(np.repeat(rng.integers(0, 4, (n, 1)), 50, axis=1), axis=0)
+        counts = _tabulate_many(x, y, 5, 4)
+        assert (counts.sum(axis=2) == counts[0].sum(axis=1)).all()
+        assert (counts.sum(axis=1) == counts[0].sum(axis=0)).all()
+        self.check(counts, float(n), self.pairs(rng, 5, 4, ["unbiased", "mle"]))
+
+    def test_population_stack_of_one(self):
+        # dcor2's path: one joint distribution at total 1.
+        rng = np.random.default_rng(33)
+        for _ in range(30):
+            n_rows, n_cols = (int(v) for v in rng.integers(2, 9, size=2))
+            p = random_distribution(rng, n_rows, n_cols)
+            pairs = self.pairs(rng, n_rows, n_cols, ["mle", "mle"])
+            found = self.check(p.pi[None], 1.0, pairs)
+            assert [float(v[0]) for v, _ in found] == [dcor2(p, dx, dy) for dx, dy, _ in pairs]

@@ -1,6 +1,7 @@
 """Tests for the benchmark scenarios: construction, sampling, and metrics."""
 
 import hashlib
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -31,6 +32,7 @@ from catdcor import (
     screen,
     setting_spec,
 )
+from catdcor.measures import _score_many, _score_pairs, _tabulate_many
 from catdcor.simulate import _draw_dataset
 
 import draw_reference as ref
@@ -462,6 +464,58 @@ class TestRunBenchmark:
         with pytest.raises(ConfigurationError, match="non-negative"):
             run_benchmark(2, n=60, n_features=60, relevant_count=6, replicates=1, seed=-1)
 
+    def test_one_scorer_call_per_block(self, monkeypatch):
+        # 300 features are blocks of 128, 128 and 44 columns; one call
+        # scores each block under every encoding kind.
+        calls = []
+
+        def counting_score_pairs(counts, n, pairs):
+            calls.append((len(counts), [pair[2] for pair in pairs]))
+            return _score_pairs(counts, n, pairs)
+
+        monkeypatch.setattr(catdcor.simulate, "_score_pairs", counting_score_pairs)
+        run_benchmark(4, n=50, n_features=300, relevant_count=3, replicates=2, seed=3,
+                      estimator="unbiased")
+        assert calls == [(size, ["unbiased"] * 3) for size in (128, 128, 44)] * 2
+
+    def test_shared_scoring_peak_within_per_kind_scoring(self, monkeypatch):
+        # One setting-4 replicate at n = 5000: scoring each 128-column block
+        # once for all kinds peaks no higher, traced, than scoring it once
+        # per kind with nothing shared (warm runs differ by a few hundred
+        # bytes of Python objects), and no higher than a loop over 128-column
+        # blocks scored per kind plus the harness's own result arrays (about
+        # 70 KB).  A wider stack would add megabytes: its (n, S) tabulation
+        # index alone is 8 n S bytes.
+        n, kinds = 5000, ("onehot", "ordinal", "semicircle")
+
+        def traced_peak(call):
+            call()  # the first call allocates once-only objects
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def benchmark():
+            run_benchmark(4, n=n, n_features=1000, relevant_count=50, replicates=1, seed=7)
+
+        def blocked_loop():
+            spec = setting_spec(4, n=n, n_features=1000, relevant_count=50)
+            data = _draw_dataset(spec, build_joint(spec, allow_rank_one=True), (7, 4, 0))
+            dists = [(distance_matrix(encoding_for_kind(kind, 8)),) * 2 for kind in kinds]
+            for start in range(0, 1000, 128):
+                counts = _tabulate_many(data.features[:, start:start + 128],
+                                        data.response[:, None], 8, 8)
+                for dx, dy in dists:
+                    _score_many(counts, float(n), dx, dy, "mle")
+
+        shared = traced_peak(benchmark)
+        assert shared <= traced_peak(blocked_loop) + 2**20
+        monkeypatch.setattr(catdcor.simulate, "_score_pairs", lambda counts, n, pairs: [
+            _score_many(counts, n, *pair) for pair in pairs])
+        assert shared <= traced_peak(benchmark) + 4096
+
     def test_joint_built_once(self, monkeypatch):
         calls = []
 
@@ -479,7 +533,8 @@ class TestRunBenchmark:
 
         One tabulation per replicate, scored under every encoding, must
         give the scores screen gives on the same dataset, bit for bit, and
-        the same degenerate warnings.  Returns the harness's warnings.
+        the same degenerate warnings, each naming its replicate and
+        encoding.  Returns the harness's warnings.
         """
         kinds = ("onehot", "ordinal", "semicircle")
         spec = setting_spec(setting_id, n=n, n_features=n_features, relevant_count=3)
@@ -498,7 +553,8 @@ class TestRunBenchmark:
                     warnings.simplefilter("always")
                     report = screen(data.features, data.response, [dist] * n_features,
                                     dist, estimator=estimator)
-                screen_warnings += [str(w.message) for w in caught]
+                screen_warnings += [f"{w.message} (replicate {r}, {result.encoding} encoding)"
+                                    for w in caught]
                 scores = result.pooled_scores[n_features * r:n_features * (r + 1)]
                 assert np.array_equal(scores, report.values)
                 assert np.all(scores[report.degenerate] == 0.0)
@@ -516,7 +572,9 @@ class TestRunBenchmark:
         # Four rows leave two constant feature columns in each replicate:
         # one warning per replicate and encoding, and those scores are 0.
         found = self.replicate_warnings_and_scores(4, n=4, n_features=30, estimator="mle")
-        assert found == ["2 feature(s) with degenerate margins scored 0"] * 6
+        assert found == [f"2 feature(s) with degenerate margins scored 0 (replicate {r}, "
+                         f"{kind} encoding)" for r in range(2)
+                         for kind in ("onehot", "ordinal", "semicircle")]
 
     @pytest.mark.parametrize("kwargs, error, match", [
         (dict(replicates=0), ConfigurationError, "replicates must be at least 1, got 0"),
@@ -524,6 +582,8 @@ class TestRunBenchmark:
         (dict(replicates=2.0), ConfigurationError, "replicates must be an integer, got 2.0"),
         (dict(encoding_kinds=("onehot", "ordinal", "onehot")), ConfigurationError,
          "encoding kinds must be distinct"),
+        (dict(encoding_kinds=()), ConfigurationError,
+         "^run_benchmark needs at least one encoding kind$"),
         (dict(n=0), DistributionError, "empty sample"),
         (dict(n=-5), DistributionError, "empty sample"),
         (dict(n=3, estimator="unbiased"), InsufficientSampleError,
@@ -534,7 +594,7 @@ class TestRunBenchmark:
         (dict(n_features=3, relevant_count=1), InsufficientFeaturesError,
          "needs at least 4 features, got 3"),
     ], ids=["no-replicates", "float-replicates", "integral-float-replicates",
-            "repeated-kind", "n-zero", "n-negative", "unbiased-n-three",
+            "repeated-kind", "no-kinds", "n-zero", "n-negative", "unbiased-n-three",
             "no-relevant", "all-relevant", "no-features", "few-features"])
     def test_rejected_before_sampling(self, monkeypatch, kwargs, error, match):
         monkeypatch.setattr(catdcor.simulate, "_draw_dataset", None)
