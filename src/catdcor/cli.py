@@ -580,6 +580,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     error = ""
     with warnings.catch_warnings(record=True) as caught:
+        # One run's warnings share a line, so a filter that shows a text once would
+        # hide repeats: show each one the caller neither ignores nor raises.
+        warnings.filters[:] = [("always", *f[1:]) if f[0] in ("default", "module", "once")
+                               else f for f in warnings.filters]
+        warnings.simplefilter("always", append=True)
         try:
             if hasattr(args, "seed"):
                 _require_seed(args.seed)

@@ -659,6 +659,9 @@ def _require_seed(seed) -> None:
 # and 128 x n cells of one variable's tables (chunk, I, J), but never under _BLOCK
 # replicates; test_permutation's 999 x 500 draws are one chunk.
 _CELLS = 1 << 19
+# Replicates whose fixed-margin value is within this share of the largest T1 of
+# the observed one are rescored: the two forms differ by about 1e-15 of it.
+_BAND = 1e-9
 # numpy's SeedSequence constants (hash A, hash B, mix) and PCG64's multiplier.
 _HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 _MIX = (0xCA01F9DD, 0x4973F715)
@@ -716,6 +719,15 @@ def _keyed_draws(y: np.ndarray, seed, start: int, stop: int) -> np.ndarray:
     return drawn
 
 
+def _fixed_margin_sums(tables: np.ndarray, dx: np.ndarray,
+                       dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T1, T2) of a stack ``(R, I, J)`` sharing both margins, without an ``(IJ)^2`` matrix."""
+    flat = tables.reshape(len(tables), -1)
+    weights = np.outer(dx @ tables[0].sum(axis=1), dy @ tables[0].sum(axis=0))
+    inner = dx @ (tables.reshape(-1, tables.shape[2]) @ dy).reshape(tables.shape)
+    return np.einsum("ri,ri->r", flat, inner.reshape(flat.shape)), flat @ weights.ravel()
+
+
 def _permutation_pvalues(y: np.ndarray, dy: DistanceMatrix, variables: list,
                          reps: int, seed: int) -> list[dict[str, float]]:
     """Permutation p-values of several variables against one response.
@@ -723,12 +735,17 @@ def _permutation_pvalues(y: np.ndarray, dy: DistanceMatrix, variables: list,
     ``variables`` holds one ``(x, dx, observed)`` per variable: its codes
     (checked, like ``y``, by the caller, at ingest or by its tabulation)
     and a map from each estimator to its unscaled estimate on the
-    unpermuted table.  Replicate ``rep`` permutes ``y`` with
-    ``default_rng((seed, rep))``.  Every variable tabulates each chunk of
-    draws ``_BLOCK`` rows at a time, one ``np.bincount`` each, and scores
-    it under every estimator with one ``_score_pairs`` call sharing the
-    margins and centered tables, the kernel that computed ``observed``.
-    Permuting keeps both margins, so no replicate table is degenerate.
+    unpermuted table, which is not degenerate.  Replicate ``rep`` permutes
+    ``y`` with ``default_rng((seed, rep))``.  Every variable tabulates each
+    chunk of draws ``_BLOCK`` rows at a time, one ``np.bincount`` each.
+    Permuting keeps both margins, so each replicate's estimate is an
+    increasing affine function of ``T1 - 2 T2 / m``, with ``m = n`` for the
+    plug-in estimator and ``n - 2`` for the other (the sums of
+    :mod:`catdcor.measures`).  A replicate whose value is clearly above or
+    below the observed table's is counted from it.  The rest, inside
+    ``_BAND`` times the largest T1, and every replicate when the plug-in
+    observed estimate is clamped at 0, are rescored by ``_score_pairs``,
+    the kernel that computed ``observed``, so it decides every close call.
     """
     n, cols = float(len(y)), dy.n_categories
     exceed = [dict.fromkeys(observed, 0) for _, _, observed in variables]
@@ -741,9 +758,19 @@ def _permutation_pvalues(y: np.ndarray, dy: DistanceMatrix, variables: list,
             for start in range(0, len(drawn), _BLOCK):
                 tables[start:start + _BLOCK] = _tabulate_many(
                     x[:, None], drawn[start:start + _BLOCK].T, dx.n_categories, cols)
-            scores = _score_pairs(tables, n, [(dx, dy, kind) for kind in observed])
-            for (kind, value), (values, _) in zip(observed.items(), scores):
-                counts[kind] += int(np.count_nonzero(values >= value))
+            table = _tabulate_many(x[:, None], y[:, None], dx.n_categories, cols)
+            (t1, t2), (t1_obs, t2_obs) = (_fixed_margin_sums(t, dx.d, dy.d) for t in (tables, table))
+            band = _BAND * max(t1.max(), t1_obs[0])
+            gaps, near = {}, np.zeros(len(tables), dtype=bool)
+            for kind, value in observed.items():
+                gaps[kind] = t1 - t1_obs - 2.0 * (t2 - t2_obs) / (n if kind == "mle" else n - 2.0)
+                near |= (np.abs(gaps[kind]) <= band) | (kind == "mle" and value <= 0.0)
+            for kind, gap in gaps.items():
+                counts[kind] += int(np.count_nonzero(gap[~near] > 0.0))
+            if near.any():
+                scores = _score_pairs(tables[near], n, [(dx, dy, kind) for kind in observed])
+                for (kind, value), (values, _) in zip(observed.items(), scores):
+                    counts[kind] += int(np.count_nonzero(values >= value))
     return [{kind: (1.0 + c) / (reps + 1.0) for kind, c in counts.items()}
             for counts in exceed]
 

@@ -951,16 +951,28 @@ class TestTestCommand:
                 assert entry["p_values"] == expected
                 assert entry["p_value"] == expected["mle"]
 
-    def test_perfbench_permutation_input_matches_reference(self, tmp_path):
-        # The test_permutation workload at seed 7: 500 rows, 8 variables of
-        # 2 to 5 levels (the binary ones with fixed cross-tabs) and 999
-        # replicates, drawn as one chunk.  Every p-value equals the
-        # replicate-by-replicate reference loop's, exact ties included.
-        argv = perfbench_workload("test_permutation", 7, tmp_path)
+    @pytest.mark.parametrize("seed", [7, 21])
+    def test_perfbench_permutation_input_matches_reference(self, tmp_path, monkeypatch, seed):
+        # The test_permutation workload at both benchmark seeds: 500 rows, 8
+        # variables of 2 to 5 levels (the binary ones with fixed cross-tabs)
+        # and 999 replicates, drawn as one chunk.  Every p-value equals the
+        # replicate-by-replicate reference loop's, exact ties included, and
+        # the full kernel rescores fewer than 1% of the replicate tables.
+        argv = perfbench_workload("test_permutation", seed, tmp_path)
         options = dict(zip(argv[1::2], argv[2::2]))
-        assert (options["--perms"], options["--seed"]) == ("999", "7")
+        assert (options["--perms"], options["--seed"]) == ("999", str(seed))
         out_path = str(tmp_path / "perm.json")
+        scored = []
+        score_pairs = catdcor.inference._score_pairs
+
+        def counting_score_pairs(counts, n, pairs):
+            scored.append(len(counts))
+            return score_pairs(counts, n, pairs)
+
+        monkeypatch.setattr(catdcor.inference, "_score_pairs", counting_score_pairs)
         assert main([*argv, "--out", out_path]) == 0
+        # Each variable's observed table is scored once, in its block.
+        assert 0 < sum(scored) - 8 < 0.01 * 8 * 999
         report = json.loads(open(out_path).read())
         dataset, encodings = ingest(options["--input"], options["--metadata"])
         names = list(dataset.column_names)
@@ -974,7 +986,7 @@ class TestTestCommand:
             dx = distance_matrix(encodings[entry["variable"]])
             t = JointTable.from_codes(x, y, dx.n_categories, dy.n_categories)
             observed = {kind: ref.dcor2(t.counts, dx, dy, kind) for kind in ("mle", "unbiased")}
-            expected, ties = ref.permutation_pvalues(x, y, dx, dy, observed, 999, 7)
+            expected, ties = ref.permutation_pvalues(x, y, dx, dy, observed, 999, seed)
             assert entry["p_values"] == expected
             all_ties += ties
         assert all_ties > 0
@@ -1066,12 +1078,13 @@ class TestTestCommand:
             "null spectrum\n"
             "error: DegenerateMarginError: fewer than two observed categories on a margin\n")
 
-    @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
-    def test_zero_count_warnings_in_variable_order(self, tmp_path, capsys, pvalue):
-        # Two variables of one group and one of another each declare levels
-        # that never occur, and so does the response: one warning line per
-        # margin, the first variable's, then the response's, then the others'.
-        # Python's default filter would show the repeated text once.
+    @staticmethod
+    def run_zero_count_inputs(tmp_path, pvalue, action):
+        """``catdcor test`` under the filter ``action`` on four margins that drop categories.
+
+        Two variables of one group and one of another each declare levels
+        that never occur, and so does the response.
+        """
         rng = np.random.default_rng(9)
         columns = {"y": rng.choice(["u", "v"], 90), "a": rng.choice(["u", "w"], 90),
                    "o": rng.choice(["u", "v", "z"], 90), "c": rng.choice(["u", "v", "w"], 90),
@@ -1085,14 +1098,29 @@ class TestTestCommand:
         csv_path, meta_path = write_raw(tmp_path, text, meta)
         out_path = str(tmp_path / "report.json")
         with warnings.catch_warnings():
-            warnings.simplefilter("always")
+            warnings.simplefilter(action)
             assert main(["test", "--input", csv_path, "--metadata", meta_path,
                          "--response", "y", "--pvalue", pvalue, "--perms", "99",
                          "--out", out_path]) == 0
-        assert capsys.readouterr().err == "".join(
-            f"warning: RuntimeWarning: dropping {k} zero-count "
-            f"categor{'y' if k == 1 else 'ies'} before building the null spectrum\n"
-            for k in (1, 1, 2, 1))
+
+    # One line per margin, the first variable's, then the response's, then the others'.
+    ZERO_COUNT_LINES = "".join(
+        f"warning: RuntimeWarning: dropping {k} zero-count "
+        f"categor{'y' if k == 1 else 'ies'} before building the null spectrum\n"
+        for k in (1, 1, 2, 1))
+
+    @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
+    def test_zero_count_warnings_in_variable_order(self, tmp_path, capsys, pvalue):
+        self.run_zero_count_inputs(tmp_path, pvalue, "always")
+        assert capsys.readouterr().err == self.ZERO_COUNT_LINES
+
+    @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
+    def test_zero_count_warnings_under_default_filter(self, tmp_path, capsys, pvalue):
+        # Every warning of a run is attributed to the line that called main,
+        # so Python's default filter alone would show each text once: two
+        # lines.  main writes all four.
+        self.run_zero_count_inputs(tmp_path, pvalue, "default")
+        assert capsys.readouterr().err == self.ZERO_COUNT_LINES
 
     @pytest.mark.parametrize("estimator", ["mle", "unbiased"])
     @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])

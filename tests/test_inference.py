@@ -707,7 +707,7 @@ class TestKeyedDraws:
 
 
 class TestStackedScoring:
-    """``catdcor test`` scores both estimators with one call per block and chunk."""
+    """``catdcor test`` scores both estimators with one call per block and rescores few replicates."""
 
     @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
     def test_one_scorer_call_per_block(self, monkeypatch, pvalue):
@@ -727,11 +727,16 @@ class TestStackedScoring:
         reports = inference._test_many(x, y, dists, distance_matrix(one_hot(3)), "unbiased",
                                        pvalue, 99, 0)
         # Blocks of 128, 128 and 44 variables sharing one matrix, then the 5
-        # sharing the other; permutation p-values add one call per variable
-        # for the single chunk of 99 replicates.
+        # sharing the other.  Permutation p-values rescore only replicates
+        # near the observed value: at most one call per variable for the
+        # single chunk of 99 replicates, each with fewer tables than the chunk.
         blocks = [(size, ["unbiased", "mle"]) for size in (128, 128, 44, 5)]
-        permuted = [(99, ["unbiased", "mle"])] * 305 if pvalue == "permutation" else []
-        assert calls == blocks + permuted
+        assert calls[:4] == blocks
+        if pvalue == "permutation":
+            assert 0 < len(calls) - 4 <= 305
+            assert all(0 < size < 99 and kinds == ["unbiased", "mle"] for size, kinds in calls[4:])
+        else:
+            assert len(calls) == 4
         assert {r["method"] for r in reports} == {"imhof" if pvalue == "analytic" else pvalue}
 
 
@@ -771,6 +776,125 @@ class TestPermutationMemory:
         got, peak = self.traced(inference._permutation_pvalues, y, dy, variables, reps, 1)
         expected, blocked_peak = self.traced(ref.blocked_permutation_pvalues,
                                              y, dy, variables, reps, 1)
+        assert got == expected
+        assert peak <= 1.5 * blocked_peak
+
+
+class TestFixedMarginSums:
+    """Replicates decided by their two fixed-margin sums keep the full kernel's every count.
+
+    Each case is compared with the replicate-by-replicate reference loop.
+    """
+
+    @staticmethod
+    def check(x, y, dx, dy, reps=199, seed=0):
+        """The p-values of ``_permutation_pvalues``, equal to the reference loop's; and its ties."""
+        table = JointTable.from_codes(x, y, dx.n_categories, dy.n_categories)
+        observed = {"mle": dcor2_mle(table, dx, dy), "unbiased": dcor2_unbiased(table, dx, dy)}
+        expected, ties = ref.permutation_pvalues(x, y, dx, dy, observed, reps, seed)
+        assert inference._permutation_pvalues(y, dy, [(x, dx, observed)], reps, seed) == [expected]
+        return expected, ties
+
+    @staticmethod
+    def rescored(monkeypatch):
+        """The stack sizes ``_permutation_pvalues`` passes to ``_score_pairs`` from now on."""
+        sizes = []
+        score_pairs = inference._score_pairs
+
+        def counting_score_pairs(counts, n, pairs):
+            sizes.append(len(counts))
+            return score_pairs(counts, n, pairs)
+
+        monkeypatch.setattr(inference, "_score_pairs", counting_score_pairs)
+        return sizes
+
+    @pytest.mark.parametrize("kind", [one_hot, ordinal_equal, semicircle_equal])
+    def test_sums_match_reference(self, kind):
+        rng = np.random.default_rng(580)
+        x, y = rng.integers(0, 4, 60), rng.integers(0, 3, 60)
+        dx, dy = distance_matrix(kind(4)), distance_matrix(kind(3))
+        tables = np.stack([ref.crosstab(x, rng.permutation(y), 4, 3) for _ in range(20)])
+        t1, t2 = inference._fixed_margin_sums(tables, dx.d, dy.d)
+        expected = np.array([ref.t_stats(t, dx, dy)[:2] for t in tables])
+        assert_allclose(t1, expected[:, 0], rtol=1e-12)
+        assert_allclose(t2, expected[:, 1], rtol=1e-12)
+
+    def test_band_of_everything_rescores_every_replicate(self, monkeypatch):
+        rng = np.random.default_rng(581)
+        y = rng.integers(0, 3, 60)
+        x = np.where(rng.random(60) < 0.3, y, rng.integers(0, 3, 60))
+        dx, dy = distance_matrix(one_hot(3)), distance_matrix(ordinal_equal(3))
+        narrow = self.check(x, y, dx, dy, reps=257)
+        sizes = self.rescored(monkeypatch)
+        monkeypatch.setattr(inference, "_BAND", np.inf)
+        assert self.check(x, y, dx, dy, reps=257) == narrow
+        assert sum(sizes) == 257
+
+    def test_exact_ties(self, monkeypatch):
+        # A binary variable against a binary response: a replicate table is
+        # fixed by one cell, so many replicates tie the observed table.
+        rng = np.random.default_rng(582)
+        y = np.repeat([0, 1], 20)
+        x = np.where(rng.random(40) < 0.6, y, 1 - y)
+        sizes = self.rescored(monkeypatch)
+        _, ties = self.check(x, y, DM2, DM2)
+        assert ties > 0
+        assert 0 < sum(sizes) < 199
+
+    def test_clamped_plugin_estimate_of_zero(self, monkeypatch):
+        # The balanced 2 x 2 of test_observed_ranked_last_gives_one: the
+        # plug-in estimate is clamped at 0, so every replicate is rescored
+        # and ranks at or above it.
+        x, y = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        assert dcor2_mle(JointTable.from_codes(x, y, 2, 2), DM2, DM2) == 0.0
+        sizes = self.rescored(monkeypatch)
+        p_values, _ = self.check(x, y, DM2, DM2)
+        assert p_values["mle"] == 1.0
+        assert sum(sizes) == 199
+
+    @pytest.mark.parametrize("kind", [one_hot, semicircle_equal])
+    def test_two_by_two(self, kind):
+        rng = np.random.default_rng(583)
+        y = rng.integers(0, 2, 50)
+        x = np.where(rng.random(50) < 0.4, y, rng.integers(0, 2, 50))
+        d = distance_matrix(kind(2))
+        self.check(x, y, d, d)
+
+    def test_response_with_zero_count_category(self):
+        # The response declares four levels and never takes level 2: its
+        # null spectrum drops the category, and its replicate tables keep
+        # an empty column.
+        rng = np.random.default_rng(584)
+        y = rng.choice([0, 1, 3], 80)
+        x = np.where(rng.random(80) < 0.3, y % 3, rng.integers(0, 3, 80))
+        dx, dy = distance_matrix(ordinal_equal(3)), distance_matrix(semicircle_equal(4))
+        expected, _ = self.check(x, y, dx, dy)
+        with pytest.warns(RuntimeWarning, match="dropping 1 zero-count category"):
+            (entry,) = inference._test_many(x[:, None], y, [dx], dy, "mle", "permutation",
+                                            199, 0)
+        assert entry["p_values"] == expected
+
+    # A form over kron(dX, dY) would hold (IJ)^2 cells a variable: 2.9 MB at
+    # I = 60, under this rule's slack, and 32 MB at I = 200, 3.5 times the
+    # blocked loop's peak.
+    @pytest.mark.parametrize("levels", [60, 200])
+    def test_wide_tables_peak_within_blocked_loop(self, levels):
+        rng = np.random.default_rng((585, levels))
+        n, reps = 2_000, 199
+        y = rng.integers(0, 10, n)
+        dx, dy = distance_matrix(ordinal_equal(levels)), distance_matrix(one_hot(10))
+        variables = []
+        for _ in range(2):
+            x = rng.integers(0, levels, n)
+            table = JointTable.from_codes(x, y, levels, 10)
+            variables.append((x, dx, {"mle": dcor2_mle(table, dx, dy),
+                                      "unbiased": dcor2_unbiased(table, dx, dy)}))
+        for fn in (inference._permutation_pvalues, ref.blocked_permutation_pvalues):
+            fn(y, dy, variables[:1], 99, 0)  # first-call allocations are not counted
+        traced = TestPermutationMemory.traced
+        got, peak = traced(inference._permutation_pvalues, y, dy, variables, reps, 1)
+        expected, blocked_peak = traced(ref.blocked_permutation_pvalues,
+                                        y, dy, variables, reps, 1)
         assert got == expected
         assert peak <= 1.5 * blocked_peak
 
