@@ -40,6 +40,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import Iterator
 
 import numpy as np
 
@@ -59,7 +60,7 @@ from .exceptions import (
 )
 from .measures import (_BLOCK, _DEGENERATE_TOL, JointDistribution, _checked_marginal,
                        _dvar2_many, _require_estimator, _require_nondegenerate,
-                       _require_u_sample, _score_pairs, _tabulate_many, _tabulated, dcov2)
+                       _require_u_sample, _score_pairs, _tabulated, dcov2)
 
 __all__ = [
     "NullSpectrum",
@@ -656,9 +657,11 @@ def _require_seed(seed) -> None:
 
 
 # Replicates drawn and scored together: at most _CELLS cells of draws (chunk, n)
-# and 128 x n cells of one variable's tables (chunk, I, J), but never under _BLOCK
+# and 128 x n cells of one run's joint tables, but never under _BLOCK
 # replicates; test_permutation's 999 x 500 draws are one chunk.
 _CELLS = 1 << 19
+# Runs of permuted variables share one bincount while their joint has at most this many cells.
+_JOINT = 64
 # Replicates whose fixed-margin value is within this share of the largest T1 of
 # the observed one are rescored: the two forms differ by about 1e-15 of it.
 _BAND = 1e-9
@@ -728,6 +731,29 @@ def _fixed_margin_sums(tables: np.ndarray, dx: np.ndarray,
     return np.einsum("ri,ri->r", flat, inner.reshape(flat.shape)), flat @ weights.ravel()
 
 
+def _grouped_tables(groups: list, cols: int, rows: np.ndarray) -> Iterator[np.ndarray]:
+    """Each variable's tables ``(R, I, cols)`` against the rows ``(R, n)`` of ``rows``, in order.
+
+    A run in ``groups``, a list of ``(x, dx, observed)``, shares one joint code: one add
+    into one ``(_BLOCK, n)`` intp index and one ``np.bincount`` per ``_BLOCK`` rows.  Each
+    variable sums out the others by einsum, far faster than ``sum``; alone, it is a view.
+    """
+    index = np.empty((min(len(rows), _BLOCK), rows.shape[1]), dtype=np.intp)
+    for group in groups:
+        sizes = [dx.n_categories for _, dx, _ in group]
+        cells = math.prod(sizes) * cols
+        code = np.ravel_multi_index([x for x, _, _ in group], sizes) * cols
+        joint = np.empty((len(rows), *sizes, cols))
+        for start in range(0, len(rows), _BLOCK):
+            block = rows[start:start + _BLOCK]
+            at = np.add(code, block, out=index[:len(block)], dtype=np.intp)
+            at += cells * np.arange(len(block))[:, None]
+            joint.reshape(-1)[start * cells:(start + len(block)) * cells] = np.bincount(
+                at.ravel(), minlength=len(block) * cells)
+        yield from (np.einsum(joint, [*range(joint.ndim)], [0, v, joint.ndim - 1])
+                    for v in range(1, joint.ndim - 1))
+
+
 def _permutation_pvalues(y: np.ndarray, dy: DistanceMatrix, variables: list,
                          reps: int, seed: int) -> list[dict[str, float]]:
     """Permutation p-values of several variables against one response.
@@ -736,8 +762,9 @@ def _permutation_pvalues(y: np.ndarray, dy: DistanceMatrix, variables: list,
     (checked, like ``y``, by the caller, at ingest or by its tabulation)
     and a map from each estimator to its unscaled estimate on the
     unpermuted table, which is not degenerate.  Replicate ``rep`` permutes
-    ``y`` with ``default_rng((seed, rep))``.  Every variable tabulates each
-    chunk of draws ``_BLOCK`` rows at a time, one ``np.bincount`` each.
+    ``y`` with ``default_rng((seed, rep))``.  Runs of variables whose joint
+    table has at most ``_JOINT`` cells (or one wider variable) share one
+    ``np.bincount`` per ``_BLOCK`` draws; the unpermuted tables are made once.
     Permuting keeps both margins, so each replicate's estimate is an
     increasing affine function of ``T1 - 2 T2 / m``, with ``m = n`` for the
     plug-in estimator and ``n - 2`` for the other (the sums of
@@ -749,17 +776,21 @@ def _permutation_pvalues(y: np.ndarray, dy: DistanceMatrix, variables: list,
     """
     n, cols = float(len(y)), dy.n_categories
     exceed = [dict.fromkeys(observed, 0) for _, _, observed in variables]
-    widest = max((dx.n_categories for _, dx, _ in variables), default=1) * cols
-    chunk = max(_BLOCK, min(_CELLS // len(y), _BLOCK * len(y) // widest))
+    groups, cells = [], []  # runs of variables, the cells of each run's joint table
+    for variable in variables:
+        if not groups or cells[-1] * variable[1].n_categories > _JOINT:
+            groups.append([])
+            cells.append(cols)
+        groups[-1].append(variable)
+        cells[-1] *= variable[1].n_categories
+    chunk = max(_BLOCK, min(_CELLS // len(y), _BLOCK * len(y) // max(cells, default=1)))
+    sums = [_fixed_margin_sums(table, dx.d, dy.d) for (_, dx, _), table
+            in zip(variables, _grouped_tables(groups, cols, y[None]))]
     for first in range(0, reps, chunk):
         drawn = _keyed_draws(y, seed, first, min(first + chunk, reps))
-        for (x, dx, observed), counts in zip(variables, exceed):
-            tables = np.empty((len(drawn), dx.n_categories, cols))
-            for start in range(0, len(drawn), _BLOCK):
-                tables[start:start + _BLOCK] = _tabulate_many(
-                    x[:, None], drawn[start:start + _BLOCK].T, dx.n_categories, cols)
-            table = _tabulate_many(x[:, None], y[:, None], dx.n_categories, cols)
-            (t1, t2), (t1_obs, t2_obs) = (_fixed_margin_sums(t, dx.d, dy.d) for t in (tables, table))
+        for (_, dx, observed), counts, (t1_obs, t2_obs), tables in zip(
+                variables, exceed, sums, _grouped_tables(groups, cols, drawn)):
+            t1, t2 = _fixed_margin_sums(tables, dx.d, dy.d)
             band = _BAND * max(t1.max(), t1_obs[0])
             gaps, near = {}, np.zeros(len(tables), dtype=bool)
             for kind, value in observed.items():

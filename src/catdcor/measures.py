@@ -314,7 +314,7 @@ def _score_pairs(counts: np.ndarray, n: float, pairs: Sequence[tuple]) -> list:
 
 def _score_many(counts: np.ndarray, n: float, dx: DistanceMatrix,
                 dy: DistanceMatrix, estimator: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_score_pairs` of one pair, for dcor2, dcor2_mle, dcor2_unbiased and screen."""
+    """:func:`_score_pairs` of one pair, for dcor2_mle, dcor2_unbiased and screen."""
     return _score_pairs(counts, n, [(dx, dy, estimator)])[0]
 
 
@@ -364,14 +364,12 @@ def dcor2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float
     zero distance variance.
     """
     _check_shapes(p, dx, dy)
-    values, degenerate = _score_many(p.pi[None], 1.0, dx, dy, "mle")
-    if degenerate[0]:
-        raise DegenerateMarginError(
-            "distance variance is zero on at least one margin; "
-            "distance correlation is undefined"
-        )
-    dcov2(p, dx, dy)  # raises for a covariance below rounding noise
-    value = values[0]
+    var_x, var_y = dvar2(p.row_marginal, dx), dvar2(p.col_marginal, dy)
+    if var_x <= _DEGENERATE_TOL or var_y <= _DEGENERATE_TOL:
+        raise DegenerateMarginError("distance variance is zero on at least one margin; "
+                                    "distance correlation is undefined")
+    # dcov2 computes the covariance once, checks it and clamps it; max turns -0.0 into 0.0.
+    value = max(0.0, dcov2(p, dx, dy)) / np.sqrt(var_x * var_y)
     if value > 1.0:
         _warn(f"clamping dcor2 = {float(value)!r} to 1")
         value = 1.0

@@ -56,9 +56,10 @@ CASES = {
 @pytest.mark.parametrize("name", list(CASES))
 def test_warning_names_the_calling_file(name, monkeypatch):
     call, text = CASES[name]
-    if name == "dcor2_clamp":  # the kernel scores a population dcor2 just above 1
-        monkeypatch.setattr(catdcor.measures, "_score_many",
-                            lambda *args: (np.array([1.0 + 2.0**-52]), np.array([False])))
+    if name == "dcor2_clamp":  # the kernel's covariance puts a population dcor2 just above 1
+        dcov2_many = catdcor.measures._dcov2_many
+        monkeypatch.setattr(catdcor.measures, "_dcov2_many",
+                            lambda *args: dcov2_many(*args) * (1.0 + 2.0**-52))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         call()

@@ -51,6 +51,7 @@ from catdcor import (
     weighted_chisq_sf,
 )
 import catdcor.cli
+from catdcor.measures import _tabulate_many
 from perfbench_inputs import perfbench_workload
 import scalar_reference as ref
 import tail_fuzz
@@ -753,13 +754,20 @@ class TestPermutationMemory:
             tracemalloc.stop()
         return result, peak
 
-    # The last case has small n and wide tables: a chunk must not hold
+    # wide_response has small n and wide tables: a chunk must not hold
     # more table cells than the blocked loop's 128 replicates, and its 299
-    # replicates take three chunks.
+    # replicates take three chunks.  At n = 200 the blocked loop's (n, 128)
+    # index no longer hides a table-sized allocation: a (IJ)^2 Kronecker
+    # matrix (2.9 MB at I = 60, J = 10) fails wide_table_small_n.  The
+    # binary variables of grouped_variables form 134 runs against an 8-level
+    # response: an index held per run (62 times the blocked peak) or every
+    # variable's chunk tables at once (2.9 times) fails.
     @pytest.mark.parametrize("n, p, levels, response, reps",
                              [(50_000, 3, 4, 3, 99), (2_000, 400, 10, 3, 99),
-                              (100, 64, 2, 50, 299)],
-                             ids=["large_n", "many_variables", "wide_response"])
+                              (100, 64, 2, 50, 299), (200, 2, 60, 10, 99),
+                              (2_000, 400, 2, 8, 199)],
+                             ids=["large_n", "many_variables", "wide_response",
+                                  "wide_table_small_n", "grouped_variables"])
     def test_peak_within_blocked_loop(self, n, p, levels, response, reps):
         rng = np.random.default_rng((570, n))
         y = rng.integers(0, response, n)
@@ -1199,3 +1207,133 @@ class TestStackedInterval:
             tracemalloc.stop()
         assert 0.0 <= lo < dcor2_mle(table, dx, dy) < hi <= 1.0
         assert peak < 100e6
+
+
+class TestGroupedTabulation:
+    """Runs of variables tabulated from one joint code keep every table and every p-value.
+
+    Each case is compared with the replicate-by-replicate reference loop.
+    """
+
+    @staticmethod
+    def variables(rng, y, dy, kinds_levels, dtype=None):
+        """``(x, dx, observed)`` per ``(kind, levels)``, x drawn partly from ``y``."""
+        variables = []
+        for kind, levels in kinds_levels:
+            x = np.where(rng.random(len(y)) < 0.4, y % levels,
+                         rng.integers(0, levels, len(y)))
+            x = x.astype(dtype) if dtype else x
+            dx = distance_matrix(kind(levels))
+            table = JointTable.from_codes(x, y, levels, dy.n_categories)
+            variables.append((x, dx, {"mle": dcor2_mle(table, dx, dy),
+                                      "unbiased": dcor2_unbiased(table, dx, dy)}))
+        return variables
+
+    @staticmethod
+    def check(y, dy, variables, reps=199, seed=0):
+        """The p-values of ``_permutation_pvalues``, equal to the reference loop's; the ties."""
+        expected, all_ties = [], 0
+        for x, dx, observed in variables:
+            p_values, ties = ref.permutation_pvalues(x, y, dx, dy, observed, reps, seed)
+            expected.append(p_values)
+            all_ties += ties
+        assert inference._permutation_pvalues(y, dy, variables, reps, seed) == expected
+        return expected, all_ties
+
+    @staticmethod
+    def recorded_runs(monkeypatch):
+        """The level counts of each run ``_grouped_tables`` tabulates from now on."""
+        runs = []
+        grouped_tables = inference._grouped_tables
+
+        def recording(groups, cols, rows):
+            runs.append([[dx.n_categories for _, dx, _ in group] for group in groups])
+            return grouped_tables(groups, cols, rows)
+
+        monkeypatch.setattr(inference, "_grouped_tables", recording)
+        return runs
+
+    def test_mixed_levels_form_runs(self, monkeypatch):
+        # With a 3-level response the runs are [2, 3], [4, 5], [2, 2, 2, 2]
+        # and [3]: at most 64 joint cells each.
+        rng = np.random.default_rng(590)
+        y = np.repeat(np.arange(3), 10)
+        dy = distance_matrix(ordinal_equal(3))
+        kinds = (one_hot, ordinal_equal, semicircle_equal)
+        levels = (2, 3, 4, 5, 2, 2, 2, 2, 3)
+        variables = self.variables(rng, y, dy, [(kinds[v % 3], k) for v, k in enumerate(levels)])
+        runs = self.recorded_runs(monkeypatch)
+        _, ties = self.check(y, dy, variables)
+        assert ties > 0
+        assert runs[0] == [[2, 3], [4, 5], [2, 2, 2, 2], [3]]
+
+    def test_wide_variable_between_runs(self, monkeypatch):
+        # 30 levels x 4 response levels is wider than _JOINT: a run of its own.
+        rng = np.random.default_rng(591)
+        y = rng.integers(0, 4, 90)
+        dy = distance_matrix(semicircle_equal(4))
+        variables = self.variables(rng, y, dy, [(one_hot, 2), (one_hot, 3), (ordinal_equal, 30),
+                                                (semicircle_equal, 2), (one_hot, 4)])
+        runs = self.recorded_runs(monkeypatch)
+        self.check(y, dy, variables)
+        assert runs[0] == [[2, 3], [30], [2, 4]]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.uint64])
+    def test_narrow_and_unsigned_codes(self, dtype):
+        rng = np.random.default_rng(592)
+        y = rng.integers(0, 3, 70)
+        dy = distance_matrix(one_hot(3))
+        levels = [(one_hot, 2), (ordinal_equal, 3), (semicircle_equal, 4)]
+        variables = self.variables(rng, y, dy, levels)
+        narrow = [(x.astype(dtype), dx, observed) for x, dx, observed in variables]
+        expected, _ = self.check(y, dy, variables)
+        assert inference._permutation_pvalues(y.astype(dtype), dy, narrow, 199, 0) == expected
+
+    def test_response_of_300_levels(self):
+        # The draws are uint16; every variable is wider than _JOINT alone.
+        rng = np.random.default_rng(593)
+        y = rng.permutation(np.arange(600) % 300)
+        dy = distance_matrix(ordinal_equal(300))
+        variables = self.variables(rng, y, dy, [(one_hot, 2), (ordinal_equal, 3)])
+        assert inference._keyed_draws(y, 0, 0, 2).dtype == np.uint16
+        self.check(y, dy, variables, reps=99)
+
+    def test_chunks_with_short_last_block(self, monkeypatch):
+        # At n = 20 a chunk is 128 replicates: 299 take chunks of 128, 128
+        # and 43, the last a short block.
+        rng = np.random.default_rng(594)
+        y = np.repeat(np.arange(2), 10)
+        variables = self.variables(rng, y, DM2, [(one_hot, 2), (ordinal_equal, 3),
+                                                 (one_hot, 2), (semicircle_equal, 4)])
+        runs = self.recorded_runs(monkeypatch)
+        _, ties = self.check(y, DM2, variables, reps=299)
+        assert ties > 0
+        assert len(runs) == 1 + 3  # the unpermuted tables, then one call per chunk
+
+    def test_every_variable_alone_gives_same_counts(self, monkeypatch):
+        rng = np.random.default_rng(595)
+        y = rng.integers(0, 3, 50)
+        dy = distance_matrix(ordinal_equal(3))
+        variables = self.variables(rng, y, dy, [(one_hot, 2), (one_hot, 3), (ordinal_equal, 2),
+                                                (semicircle_equal, 5), (one_hot, 2)])
+        grouped = inference._permutation_pvalues(y, dy, variables, 257, 4)
+        runs = self.recorded_runs(monkeypatch)
+        monkeypatch.setattr(inference, "_JOINT", 1)
+        assert self.check(y, dy, variables, reps=257, seed=4)[0] == grouped
+        assert runs[0] == [[2], [3], [2], [5], [2]]
+
+    def test_tables_match_tabulate_many(self):
+        rng = np.random.default_rng(596)
+        n = 40
+        y = rng.integers(0, 3, n)
+        dy = distance_matrix(one_hot(3))
+        variables = self.variables(rng, y, dy, [(one_hot, 2), (ordinal_equal, 3),
+                                                (one_hot, 4), (ordinal_equal, 30)])
+        drawn = inference._keyed_draws(y, 0, 0, 300)
+        groups = [variables[:2], variables[2:3], variables[3:]]
+        tables = list(inference._grouped_tables(groups, 3, drawn))
+        assert len(tables) == len(variables)
+        for (x, dx, _), got in zip(variables, tables):
+            expected = _tabulate_many(x[:, None], drawn.T, dx.n_categories, 3)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
