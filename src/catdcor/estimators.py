@@ -32,7 +32,7 @@ from .encodings import DistanceMatrix
 from .exceptions import DistributionError, ShapeError
 from .measures import (JointDistribution, _check_codes, _check_shapes, _checked_marginal,
                        _dcov2_many, _dvar2_many, _dvar_t_stats_many, _require_nondegenerate,
-                       _require_u_sample, _score_many, _t_stats_many, _tabulate_many)
+                       _require_u_sample, _score_many, _t_stats_many, _tabulate)
 
 __all__ = [
     "JointTable",
@@ -90,7 +90,7 @@ class JointTable:
         for codes, levels in ((x, n_rows), (y, n_cols)):
             _check_codes(codes[:, None], levels, ShapeError,
                          "codes fall outside the declared level ranges")
-        return cls(_tabulate_many(x[:, None], y[:, None], n_rows, n_cols)[0])
+        return cls(_tabulate(x[None], n_cols, y, (n_rows, n_cols))[0])
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -60,7 +60,7 @@ from .exceptions import (
 )
 from .measures import (_BLOCK, _DEGENERATE_TOL, JointDistribution, _checked_marginal,
                        _dvar2_many, _require_estimator, _require_nondegenerate,
-                       _require_u_sample, _score_pairs, _tabulated, dcov2)
+                       _require_u_sample, _score_pairs, _tabulate, _tabulated, dcov2)
 
 __all__ = [
     "NullSpectrum",
@@ -734,22 +734,14 @@ def _fixed_margin_sums(tables: np.ndarray, dx: np.ndarray,
 def _grouped_tables(groups: list, cols: int, rows: np.ndarray) -> Iterator[np.ndarray]:
     """Each variable's tables ``(R, I, cols)`` against the rows ``(R, n)`` of ``rows``, in order.
 
-    A run in ``groups``, a list of ``(x, dx, observed)``, shares one joint code: one add
-    into one ``(_BLOCK, n)`` intp index and one ``np.bincount`` per ``_BLOCK`` rows.  Each
-    variable sums out the others by einsum, far faster than ``sum``; alone, it is a view.
+    A run in ``groups``, a list of ``(x, dx, observed)``, is tabulated once by
+    :func:`_tabulate`, its joint code shared by every row.  Each variable sums out the
+    others of the run by einsum; alone, it is a view of the run's tables.
     """
-    index = np.empty((min(len(rows), _BLOCK), rows.shape[1]), dtype=np.intp)
     for group in groups:
         sizes = [dx.n_categories for _, dx, _ in group]
-        cells = math.prod(sizes) * cols
         code = np.ravel_multi_index([x for x, _, _ in group], sizes) * cols
-        joint = np.empty((len(rows), *sizes, cols))
-        for start in range(0, len(rows), _BLOCK):
-            block = rows[start:start + _BLOCK]
-            at = np.add(code, block, out=index[:len(block)], dtype=np.intp)
-            at += cells * np.arange(len(block))[:, None]
-            joint.reshape(-1)[start * cells:(start + len(block)) * cells] = np.bincount(
-                at.ravel(), minlength=len(block) * cells)
+        joint = _tabulate(rows, 1, code, (*sizes, cols))
         yield from (np.einsum(joint, [*range(joint.ndim)], [0, v, joint.ndim - 1])
                     for v in range(1, joint.ndim - 1))
 
@@ -964,9 +956,9 @@ def _test_many(x: np.ndarray, y: np.ndarray, dists: list, dy: DistanceMatrix, es
     """``catdcor test``: each column of ``x`` against ``y``, its report entry without its name.
 
     Variables are tabulated and scored per encoding group, as in ``screen``:
-    one tabulation per block of at most 128 variables that share a distance
-    matrix, scored under both estimators by one call sharing the margins
-    and the centered tables, with the intervals' delta-method variances
+    the variables that share a distance matrix are tabulated together, then
+    scored in blocks of at most 128 under both estimators by one call sharing
+    the margins and the centered tables, with the intervals' delta-method variances
     scored per block too.  The variables' sides of the null spectrum and the
     response's come from one :func:`_margin_laws` call, one ``eigvalsh`` per
     matrix size; the analytic tails of all variables run in one stack per

@@ -18,12 +18,15 @@ any embedding with pairwise distinct points; :func:`dcov2`, :func:`dvar2`
 and :func:`dcor2` are stacks of one at total 1.  The private kernel
 scores stacks of tables ``(S, I, J)`` by nested bilinear contractions,
 ``O(I^2 J + I J^2)`` per table instead of the ``O(I^2 J^2)`` of the
-Kronecker form, beside the input rules its callers share.  Every module
-that tabulates or scores imports it from here.
+Kronecker form, beside the input rules its callers share.  Every table
+comes from one tabulation function, :func:`_tabulate`, which crosses a
+stack of code rows with one shared code row.  Every module that tabulates
+or scores imports them from here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -45,8 +48,8 @@ __all__ = [
 _NEGATIVE_TOL = 1e-9
 # A margin whose distance variance is at most this is degenerate.
 _DEGENERATE_TOL = 1e-14
-# Tables tabulated per batch, features in screening or replicates in a
-# permutation test: an (n, 128) int index array, about 1 MB at n = 1000.
+# Tables per np.bincount of _tabulate and per scoring call: the (128, n)
+# intp index is about 1 MB at n = 1000.
 _BLOCK = 128
 
 
@@ -180,43 +183,49 @@ def _require_nondegenerate(degenerate: bool) -> None:
         )
 
 
-def _tabulate_many(x: np.ndarray, y: np.ndarray, n_rows: int,
-                   n_cols: int) -> np.ndarray:
-    """Cross-tabulate column ``s`` of ``x`` against column ``s`` of ``y``.
+def _tabulate(rows: np.ndarray, scale: int, shared: np.ndarray, shape: tuple,
+              take: Sequence[int] | None = None) -> np.ndarray:
+    """Float tables ``(S, *shape)``: table ``s`` counts the flat cells ``scale * rows[s] + shared``.
 
-    ``x`` and ``y`` are 2-d and broadcast to one ``(n, S)`` shape, so one
-    side may be a single ``(n, 1)`` column shared by every slice: one
-    response against a block of features, or one feature against a block
-    of permuted responses.  Returns float counts of shape
-    ``(S, n_rows, n_cols)`` from one ``np.bincount``.  The codes are not
-    checked: callers validate them once, up front.
+    ``rows`` is ``(S, n)``, or with ``take`` the ``S`` rows it lists; ``shared`` is one code
+    row ``(n,)``, the same for every table.  Codes of the first axis against a shared last
+    axis take ``scale = shape[-1]``; codes of the last axis against a shared flat code of the
+    others take ``scale = 1``.  Up to ``_BLOCK`` tables share one ``np.bincount`` through one
+    reused intp index, and no more than ``_BLOCK`` rows are copied at a time.  The codes are
+    not checked: callers validate them once, up front.
     """
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    cells = n_rows * n_cols
-    index = np.multiply(np.broadcast_to(x, shape), n_cols, dtype=np.intp)
-    np.add(index, y, out=index, dtype=np.intp)  # intp + uint64 is float64
-    index += np.arange(0, shape[1] * cells, cells)
-    flat = np.bincount(index.ravel(order="K"), minlength=shape[1] * cells)
-    return flat.reshape(shape[1], n_rows, n_cols).astype(float)
+    count, cells = len(rows) if take is None else len(take), math.prod(shape)
+    tables = np.empty((count, cells))
+    index = np.empty((min(count, _BLOCK), len(shared)), dtype=np.intp)
+    for start in range(0, count, _BLOCK):
+        block = rows[start:start + _BLOCK] if take is None else rows[take[start:start + _BLOCK]]
+        at = index[:len(block)]
+        scaled = block if scale == 1 else np.multiply(block, scale, out=at, dtype=np.intp)
+        np.add(scaled, shared, out=at, dtype=np.intp)  # intp + uint64 is float64
+        at += cells * np.arange(len(block))[:, None]  # each table's own cells
+        tables[start:start + len(block)] = np.bincount(
+            at.ravel(), minlength=len(block) * cells).reshape(len(block), cells)
+    return tables.reshape(count, *shape)
 
 
 def _tabulated(x: np.ndarray, y: np.ndarray, dists: Sequence[DistanceMatrix],
                n_cols: int) -> Iterator[tuple[DistanceMatrix, list[int], np.ndarray]]:
-    """Cross-tabulate every column of ``x`` against ``y``, a block at a time.
+    """Cross-tabulate every column of ``x`` against ``y``, a scoring block at a time.
 
-    Columns sharing one ``DistanceMatrix`` object in ``dists`` are cut into
-    blocks of at most ``_BLOCK``; yields each block's matrix, its column
-    indices and its counts ``(len(block), I, n_cols)``.
+    Columns sharing one ``DistanceMatrix`` object in ``dists`` are tabulated together by
+    :func:`_tabulate`; yields each block of at most ``_BLOCK`` of them with its matrix, its
+    column indices and its counts ``(len(block), I, n_cols)``.
     """
     groups: dict[int, list[int]] = {}
     for s, dist in enumerate(dists):
         groups.setdefault(id(dist), []).append(s)
     for columns in groups.values():
         dist = dists[columns[0]]
+        # One group holds every column in order: its rows need no copy.
+        tables = _tabulate(x.T, n_cols, y, (dist.n_categories, n_cols),
+                           None if len(columns) == len(dists) else columns)
         for start in range(0, len(columns), _BLOCK):
-            block = columns[start:start + _BLOCK]
-            yield dist, block, _tabulate_many(x[:, block], y[:, None],
-                                              dist.n_categories, n_cols)
+            yield dist, columns[start:start + _BLOCK], tables[start:start + _BLOCK]
 
 
 def _quad_many(m: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -100,9 +100,9 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
     All codes are checked before any scoring; codes of a non-integer dtype,
     or the first column (in column order) with a code outside its level
     set, raise :class:`LabelError`.
-    Features sharing one ``DistanceMatrix`` object are tabulated and
-    scored together in blocks of at most 128, one call per block of the
-    kernel behind :func:`dcor2_mle`, sharing the margins and centered
+    Features sharing one ``DistanceMatrix`` object are tabulated
+    together, then scored in blocks of at most 128, one call per block of
+    the kernel behind :func:`dcor2_mle`, sharing the margins and centered
     tables.  An empty sample raises :class:`DistributionError`.
 
     Features whose margin carries no distance variation (for example a

@@ -37,7 +37,7 @@ from .exceptions import (
     UndefinedAUCError,
 )
 from .inference import _require_seed
-from .measures import _BLOCK, JointDistribution, _require_scorable, _score_pairs, _tabulate_many
+from .measures import _BLOCK, JointDistribution, _require_scorable, _score_pairs, _tabulated
 from .screening import _ranked_report, changepoint_threshold
 
 __all__ = [
@@ -465,7 +465,6 @@ def run_benchmark(setting_id: int, n: int,
               distance_matrix(encoding_for_kind(kind, spec.n_cols)), estimator)
              for kind in encoding_kinds]
     ids = list(range(n_features))
-    blocks = [slice(start, start + _BLOCK) for start in range(0, n_features, _BLOCK)]
     truth = np.arange(n_features) < relevant_count
     replicate_seeds = tuple((seed, setting_id, r) for r in range(replicates))
     built = build_joint(spec, allow_rank_one=True)
@@ -476,9 +475,9 @@ def run_benchmark(setting_id: int, n: int,
     for r, rep_seed in enumerate(replicate_seeds):
         data = _draw_dataset(spec, built, rep_seed)
         values = scores[:, r]
-        for block in blocks:
-            counts = _tabulate_many(data.features[:, block], data.response[:, None],
-                                    spec.n_rows, spec.n_cols)
+        # One group: every feature's rows share the first kind's matrix.
+        for _, block, counts in _tabulated(data.features, data.response,
+                                           [pairs[0][0]] * n_features, spec.n_cols):
             values[:, block], is_degenerate[:, block] = zip(*_score_pairs(counts, float(n), pairs))
         for k, kind in enumerate(encoding_kinds):
             report = _ranked_report(ids, values[k], is_degenerate[k], estimator,

@@ -23,7 +23,7 @@ constraint row at a time.
 import numpy as np
 
 from catdcor import DegenerateMarginError
-from catdcor.measures import _score_many, _tabulate_many
+from catdcor.measures import _score_many
 
 DEGENERATE_TOL = 1e-14
 
@@ -157,6 +157,22 @@ def asymp_var_dense(pi, dx, dy):
     return max(float(grad @ (np.diag(vec) - np.outer(vec, vec)) @ grad), 0.0)
 
 
+def tabulate(x, y, n_rows, n_cols):
+    """Float counts ``(S, n_rows, n_cols)`` of column ``s`` of ``x`` against column ``s`` of ``y``.
+
+    ``x`` and ``y`` broadcast to one ``(n, S)`` shape.  Their cell numbers fill one ``(n, S)``
+    intp array, and each table is counted from its column by its own ``np.add.at``.
+    """
+    cell = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.intp)
+    cell[...] = x
+    cell *= n_cols
+    cell += np.asarray(y, dtype=np.intp)
+    tables = np.zeros((cell.shape[1], n_rows * n_cols))
+    for table, column in zip(tables, cell.T):
+        np.add.at(table, column, 1.0)
+    return tables.reshape(-1, n_rows, n_cols)
+
+
 def crosstab(x, y, n_rows, n_cols):
     return np.bincount(x * n_cols + y, minlength=n_rows * n_cols).reshape(
         n_rows, n_cols).astype(float)
@@ -196,8 +212,8 @@ def blocked_permutation_pvalues(y, dy, variables, reps, seed):
     """``_permutation_pvalues`` as a loop over blocks of at most 128 replicates.
 
     Each block's permutations are stacked from one ``default_rng((seed,
-    rep))`` each, and every variable tabulates the block with one
-    ``np.bincount`` and scores it per estimator with ``_score_many``.
+    rep))`` each, and every variable tabulates the block with
+    :func:`tabulate` and scores it per estimator with ``_score_many``.
     """
     n = float(len(y))
     exceed = [dict.fromkeys(observed, 0) for _, _, observed in variables]
@@ -205,7 +221,7 @@ def blocked_permutation_pvalues(y, dy, variables, reps, seed):
         drawn = np.stack([np.random.default_rng((seed, rep)).permutation(y)
                           for rep in range(start, min(start + 128, reps))])
         for (x, dx, observed), counts in zip(variables, exceed):
-            tables = _tabulate_many(x[:, None], drawn.T, dx.n_categories, dy.n_categories)
+            tables = tabulate(x[:, None], drawn.T, dx.n_categories, dy.n_categories)
             for kind, value in observed.items():
                 counts[kind] += int(np.count_nonzero(
                     _score_many(tables, n, dx, dy, kind)[0] >= value))

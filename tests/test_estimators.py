@@ -38,7 +38,7 @@ from catdcor import (
     semicircle_equal,
     t_stats,
 )
-from catdcor.measures import _score_many, _tabulate_many
+from catdcor.measures import _score_many
 import scalar_reference as ref
 
 
@@ -427,12 +427,12 @@ class TestSharedMargins:
             x = rng.integers(0, n_x, (n, 1))
             stacks = [
                 # one response against a block of features: rows shared
-                _tabulate_many(rng.integers(0, n_x, (n, 9)), y, n_x, n_y),
+                ref.tabulate(rng.integers(0, n_x, (n, 9)), y, n_x, n_y),
                 # one feature against permuted responses: both margins shared
-                _tabulate_many(x, rng.permuted(np.repeat(y, 9, axis=1), axis=0), n_x, n_y),
+                ref.tabulate(x, rng.permuted(np.repeat(y, 9, axis=1), axis=0), n_x, n_y),
                 # nothing shared
-                _tabulate_many(rng.integers(0, n_x, (n, 9)), rng.integers(0, n_y, (n, 9)),
-                               n_x, n_y),
+                ref.tabulate(rng.integers(0, n_x, (n, 9)), rng.integers(0, n_y, (n, 9)),
+                             n_x, n_y),
             ]
             for counts in stacks:
                 for estimator in ("mle", "unbiased"):

@@ -28,8 +28,8 @@ from catdcor import (
     ordinal_equal,
     semicircle_equal,
 )
-from catdcor.measures import (_DEGENERATE_TOL, _dcov2_many, _dvar2_many, _score_many,
-                              _score_pairs, _tabulate_many)
+from catdcor.measures import (_BLOCK, _DEGENERATE_TOL, _dcov2_many, _dvar2_many,
+                              _score_many, _score_pairs, _tabulate)
 import scalar_reference as ref
 
 
@@ -442,8 +442,8 @@ class TestScorePairs:
         for trial in range(40):
             n_rows, n_cols = (int(v) for v in rng.integers(2, 9, size=2))
             n = int(rng.integers(4, 60))
-            counts = _tabulate_many(rng.integers(0, n_rows, (n, 20)),
-                                    rng.integers(0, n_cols, (n, 1)), n_rows, n_cols)
+            counts = ref.tabulate(rng.integers(0, n_rows, (n, 20)),
+                                  rng.integers(0, n_cols, (n, 1)), n_rows, n_cols)
             estimators = ["mle", "unbiased", "unbiased", "mle", "unbiased"][:1 + trial % 5]
             self.check(counts, float(n), self.pairs(rng, n_rows, n_cols, estimators))
 
@@ -452,7 +452,7 @@ class TestScorePairs:
         n = 30
         x = rng.integers(0, 4, (n, 12))
         x[:, [0, 5, 11]] = 2  # constant feature columns
-        counts = _tabulate_many(x, rng.integers(0, 3, (n, 1)), 4, 3)
+        counts = ref.tabulate(x, rng.integers(0, 3, (n, 1)), 4, 3)
         found = self.check(counts, float(n), self.pairs(rng, 4, 3, ["mle", "unbiased", "mle"]))
         for values, degenerate in found:
             assert np.flatnonzero(degenerate).tolist() == [0, 5, 11]
@@ -465,7 +465,7 @@ class TestScorePairs:
         n = 80
         x = rng.integers(0, 5, (n, 1))
         y = rng.permuted(np.repeat(rng.integers(0, 4, (n, 1)), 50, axis=1), axis=0)
-        counts = _tabulate_many(x, y, 5, 4)
+        counts = ref.tabulate(x, y, 5, 4)
         assert (counts.sum(axis=2) == counts[0].sum(axis=1)).all()
         assert (counts.sum(axis=1) == counts[0].sum(axis=0)).all()
         self.check(counts, float(n), self.pairs(rng, 5, 4, ["unbiased", "mle"]))
@@ -479,3 +479,50 @@ class TestScorePairs:
             pairs = self.pairs(rng, n_rows, n_cols, ["mle", "mle"])
             found = self.check(p.pi[None], 1.0, pairs)
             assert [float(v[0]) for v, _ in found] == [dcor2(p, dx, dy) for dx, dy, _ in pairs]
+
+
+INTEGER_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]
+
+
+class TestTabulate:
+    """The one tabulation kernel, table for table equal to the per-table ``np.add.at`` reference."""
+
+    @pytest.mark.parametrize("dtype", INTEGER_DTYPES)
+    @pytest.mark.parametrize("count", [0, 1, _BLOCK, 2 * _BLOCK + 1])
+    def test_rows_against_shared_column_codes(self, dtype, count):
+        # uint64 codes: a bare intp + uint64 add would give float64.
+        rng = np.random.default_rng((34, count))
+        n = 37
+        x = rng.integers(0, 4, (n, count)).astype(dtype)
+        y = rng.integers(0, 3, n).astype(dtype)
+        got = _tabulate(x.T, 3, y, (4, 3))
+        assert got.shape == (count, 4, 3) and got.dtype == np.float64
+        assert np.array_equal(got, ref.tabulate(x, y[:, None], 4, 3))
+
+    @pytest.mark.parametrize("dtype", INTEGER_DTYPES)
+    def test_listed_rows(self, dtype):
+        rng = np.random.default_rng(35)
+        n = 50
+        x = rng.integers(0, 5, (n, 2 * _BLOCK + 1)).astype(dtype)
+        y = rng.integers(0, 2, n).astype(dtype)
+        take = rng.permutation(x.shape[1])[:_BLOCK + 3].tolist()
+        assert np.array_equal(_tabulate(x.T, 2, y, (5, 2), take),
+                              ref.tabulate(x[:, take], y[:, None], 5, 2))
+
+    def test_one_observation(self):
+        x = np.array([[0, 2, 1, 2]])
+        got = _tabulate(x.T, 2, np.array([1]), (3, 2))
+        assert np.array_equal(got, ref.tabulate(x, np.array([[1]]), 3, 2))
+        assert got.sum(axis=(1, 2)).tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("dtype, cols", [(np.uint8, 4), (np.uint16, 300)])
+    def test_draws_against_joint_code(self, dtype, cols):
+        # Draws of the last axis against the shared joint code of two variables.
+        rng = np.random.default_rng(36)
+        n, sizes = 600, (2, 3)
+        joint = np.ravel_multi_index([rng.integers(0, k, n) for k in sizes], sizes)
+        drawn = np.stack([rng.permutation(np.arange(n) % cols)
+                          for _ in range(_BLOCK + 7)]).astype(dtype)
+        got = _tabulate(drawn, 1, joint * cols, (*sizes, cols))
+        expected = ref.tabulate(joint[:, None], drawn.T, 6, cols)
+        assert np.array_equal(got, expected.reshape(len(drawn), *sizes, cols))

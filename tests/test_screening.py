@@ -280,6 +280,34 @@ class TestBatchedKernel:
         assert peak < 1_500_000
 
 
+class TestGroupMemory:
+    def test_single_group_peak_within_blocked_loop(self):
+        # 5000 features sharing one matrix at n = 2000: tabulating the group
+        # through one (128, n) index peaks near a loop over 128-column blocks.
+        # A copy of the group's codes (10 MB) or its index (80 MB) would not.
+        rng = np.random.default_rng(68)
+        n, p = 2000, 5000
+        x = rng.integers(0, 3, (n, p), dtype=np.int8)
+        y = rng.integers(0, 3, n, dtype=np.int8)
+
+        def blocked_loop():
+            for start in range(0, p, 128):
+                counts = ref.tabulate(x[:, start:start + 128], y[:, None], 3, 3)
+                _score_many(counts, float(n), D3, D3, "mle")
+
+        def traced_peak(call):
+            call()  # the first call allocates once-only objects
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak = traced_peak(lambda: screen(x, y, [D3] * p, D3))
+        assert peak <= 1.5 * traced_peak(blocked_loop)
+
+
 class TestChangepoint:
     def test_obvious_break(self):
         values = [10.0, 9.8, 9.6, 0.1, 0.09, 0.08, 0.07]

@@ -32,7 +32,7 @@ from catdcor import (
     screen,
     setting_spec,
 )
-from catdcor.measures import _score_many, _score_pairs, _tabulate_many
+from catdcor.measures import _score_many, _score_pairs
 from catdcor.simulate import _draw_dataset
 
 import draw_reference as ref
@@ -505,8 +505,8 @@ class TestRunBenchmark:
             data = _draw_dataset(spec, build_joint(spec, allow_rank_one=True), (7, 4, 0))
             dists = [(distance_matrix(encoding_for_kind(kind, 8)),) * 2 for kind in kinds]
             for start in range(0, 1000, 128):
-                counts = _tabulate_many(data.features[:, start:start + 128],
-                                        data.response[:, None], 8, 8)
+                counts = scalar_reference.tabulate(data.features[:, start:start + 128],
+                                                   data.response[:, None], 8, 8)
                 for dx, dy in dists:
                     _score_many(counts, float(n), dx, dy, "mle")
 
