@@ -46,8 +46,11 @@ __all__ = [
 ]
 
 
-def _default_labels(count: int) -> tuple[str, ...]:
-    return tuple(str(i + 1) for i in range(count))
+def _levels(kind: str, n_categories: int, labels: Sequence[str] | None) -> tuple[str, ...]:
+    """The labels of a named ``kind`` of encoding, ``"1".."I"`` unless given."""
+    if n_categories < 2:
+        raise CardinalityError(f"{kind} encoding needs at least two categories")
+    return tuple(str(i + 1) for i in range(n_categories)) if labels is None else tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -172,9 +175,7 @@ def one_hot(n_categories: int, labels: Sequence[str] | None = None) -> Encoding:
     All pairs of distinct categories sit at raw distance ``sqrt(2)``, so the
     rescaled distance matrix has zeros on the diagonal and ones elsewhere.
     """
-    if n_categories < 2:
-        raise CardinalityError("one-hot encoding needs at least two categories")
-    labels = _default_labels(n_categories) if labels is None else tuple(labels)
+    labels = _levels("one-hot", n_categories, labels)
     return Encoding(labels=labels, points=np.eye(n_categories), kind="one-hot")
 
 
@@ -185,9 +186,7 @@ def ordinal_equal(n_categories: int, labels: Sequence[str] | None = None) -> Enc
     ``i1 < i2 < i3`` the distance from ``i1`` to ``i3`` equals the sum of
     the two intermediate distances.
     """
-    if n_categories < 2:
-        raise CardinalityError("ordinal encoding needs at least two categories")
-    labels = _default_labels(n_categories) if labels is None else tuple(labels)
+    labels = _levels("ordinal", n_categories, labels)
     points = np.arange(1.0, n_categories + 1.0)[:, None]
     return Encoding(labels=labels, points=points, kind="ordinal")
 
@@ -200,9 +199,7 @@ def semicircle_equal(n_categories: int, labels: Sequence[str] | None = None) -> 
     Unlike the line embedding, every ordered triple satisfies a strict
     triangle inequality, which damps the dominance of extreme categories.
     """
-    if n_categories < 2:
-        raise CardinalityError("semicircle encoding needs at least two categories")
-    labels = _default_labels(n_categories) if labels is None else tuple(labels)
+    labels = _levels("semicircle", n_categories, labels)
     theta = np.arange(n_categories) * np.pi / (n_categories - 1)
     points = np.column_stack([np.cos(theta), np.sin(theta)])
     return Encoding(labels=labels, points=points, kind="semicircle")

@@ -574,8 +574,7 @@ class TestResult:
     ``method`` is ``"imhof"`` for every analytic tail, whichever route
     :func:`weighted_chisq_sf` took: the ``erfc`` of one weight, the
     support bound of same-sign weights, the Chernoff zero or the contour.
-    The tag is kept from the Imhof inversion the contour replaced, so
-    that reports keep their bytes.
+    The tag is fixed, so report bytes do not depend on the route.
     """
 
     statistic: float
@@ -929,7 +928,7 @@ def confidence_interval(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix,
     [0, 1]; the bias-corrected one is left unclipped.
     """
     if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie strictly between 0 and 1")
+        raise ConfigurationError("confidence level must lie strictly between 0 and 1")
     _require_estimator(estimator)
     point = _statistic(t, dx, dy, estimator)
     info = alt_inference(JointDistribution(t.counts / t.n), dx, dy)

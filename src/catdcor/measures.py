@@ -372,14 +372,14 @@ def dcor2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float
     :class:`DegenerateMarginError` when either margin has (numerically)
     zero distance variance.
     """
-    _check_shapes(p, dx, dy)
-    var_x, var_y = dvar2(p.row_marginal, dx), dvar2(p.col_marginal, dy)
-    if var_x <= _DEGENERATE_TOL or var_y <= _DEGENERATE_TOL:
+    # dcov2 checks the shapes and the covariance against rounding noise.
+    dcov2(p, dx, dy)
+    value, degenerate = _score_many(p.pi[None], 1.0, dx, dy, "mle")
+    if degenerate[0]:
         raise DegenerateMarginError("distance variance is zero on at least one margin; "
                                     "distance correlation is undefined")
-    # dcov2 computes the covariance once, checks it and clamps it; max turns -0.0 into 0.0.
-    value = max(0.0, dcov2(p, dx, dy)) / np.sqrt(var_x * var_y)
+    value = max(0.0, float(value[0]))  # max turns -0.0 into 0.0
     if value > 1.0:
-        _warn(f"clamping dcor2 = {float(value)!r} to 1")
+        _warn(f"clamping dcor2 = {value!r} to 1")
         value = 1.0
-    return float(value)
+    return value

@@ -196,24 +196,13 @@ def changepoint_threshold(sorted_values) -> ChangepointResult:
             "the two-piece fit needs at least 4 values"
         )
     x = np.arange(1.0, m + 1.0)
-    cum_w = np.arange(1.0, m + 1.0)
-    cum_x = np.cumsum(x)
-    cum_xx = np.cumsum(x * x)
-    cum_y = np.cumsum(y)
-    cum_yy = np.cumsum(y * y)
-    cum_xy = np.cumsum(x * y)
+    # Running sums of the moments [1, x, x^2, y, y^2, xy], one row each.
+    cum = np.cumsum([np.ones(m), x, x * x, y, y * y, x * y], axis=1)
 
     # Break after position b (1-based), b in [2, m-2]: left = 1..b.
     b = np.arange(2, m - 1)
-    left = _segment_rss(cum_w[b - 1], cum_x[b - 1], cum_xx[b - 1],
-                        cum_y[b - 1], cum_yy[b - 1], cum_xy[b - 1])
-    right = _segment_rss(cum_w[-1] - cum_w[b - 1],
-                         cum_x[-1] - cum_x[b - 1],
-                         cum_xx[-1] - cum_xx[b - 1],
-                         cum_y[-1] - cum_y[b - 1],
-                         cum_yy[-1] - cum_yy[b - 1],
-                         cum_xy[-1] - cum_xy[b - 1])
-    total = left + right
+    left = cum[:, b - 1]
+    total = _segment_rss(*left) + _segment_rss(*(cum[:, -1:] - left))
     best_pos = int(np.argmin(total))
     best_rss = float(total[best_pos])
     tie_tol = 1e-9 * (1.0 + abs(best_rss))
@@ -269,9 +258,9 @@ class BoundParams:
         for name in ("epsilon", "n", "n_features", "max_levels",
                      "response_levels", "sigma2_min"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise ConfigurationError(f"{name} must be strictly positive")
         if self.epsilon > 1.0:
-            raise ValueError("epsilon cannot exceed 1 for rescaled distances")
+            raise ConfigurationError("epsilon cannot exceed 1 for rescaled distances")
 
 
 def screening_bound(params: BoundParams) -> float:

@@ -108,6 +108,9 @@ class SettingSpec:
     def __post_init__(self) -> None:
         row = np.asarray(self.row_marginal, dtype=float)
         col = np.asarray(self.col_marginal, dtype=float)
+        if row.shape != (self.n_rows,) or col.shape != (self.n_cols,):
+            raise ShapeError(f"marginals must be 1-d of lengths n_rows = {self.n_rows} "
+                             f"and n_cols = {self.n_cols}")
         if abs(row.sum() - 1.0) > 1e-12 or abs(col.sum() - 1.0) > 1e-12:
             raise ShapeError("marginals must sum to 1")
         if row.min() <= 0.0 or col.min() <= 0.0:

@@ -17,13 +17,15 @@ multinomial covariance, one table at a time, as the interval was scored
 before it took ``sum pi g^2 - (sum pi g)^2`` on a stack.  The
 linear program behind
 ``catdcor.simulate._exact_pin_lp`` is kept as it was first built, one
-constraint row at a time.
+constraint row at a time.  The slope-break fit keeps one running sum per
+moment, as the change point did before it took one ``(6, m)`` array.
 """
 
 import numpy as np
 
 from catdcor import DegenerateMarginError
 from catdcor.measures import _score_many
+from catdcor.screening import _segment_rss
 
 DEGENERATE_TOL = 1e-14
 
@@ -277,3 +279,16 @@ def exact_pin_lp_args(product, bump, capped):
               for i in range(n_rows) for j in range(n_cols)]
     return dict(c=objective, A_eq=a_eq, b_eq=b_eq, A_ub=np.array(rows_ub),
                 b_ub=np.array(rhs_ub), bounds=bounds + [(0.0, None)], method="highs")
+
+
+def changepoint_total_rss(values):
+    """Total residual sum of the two-piece fit at each break 2..m-2, one running sum per moment."""
+    y = np.asarray(values, dtype=float)
+    m = y.shape[0]
+    x = np.arange(1.0, m + 1.0)
+    sums = [np.arange(1.0, m + 1.0), np.cumsum(x), np.cumsum(x * x),
+            np.cumsum(y), np.cumsum(y * y), np.cumsum(x * y)]
+    b = np.arange(2, m - 1)
+    left = _segment_rss(*(cum[b - 1] for cum in sums))
+    right = _segment_rss(*(cum[-1] - cum[b - 1] for cum in sums))
+    return left + right

@@ -326,7 +326,8 @@ class TestDcor2:
 
     def test_degenerate_margin_raises(self):
         p = JointDistribution(np.array([[0.6, 0.4], [0.0, 0.0]]))
-        with pytest.raises(DegenerateMarginError):
+        with pytest.raises(DegenerateMarginError, match="^distance variance is zero on at "
+                           "least one margin; distance correlation is undefined$"):
             dcor2(p, DM2, DM2)
 
     def test_bounded_by_one(self):

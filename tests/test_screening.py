@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from catdcor import (
     BoundParams,
+    CatdcorError,
     ConfigurationError,
     DistributionError,
     InsufficientFeaturesError,
@@ -19,6 +20,7 @@ from catdcor import (
     ShapeError,
     apply_changepoint,
     changepoint_threshold,
+    confidence_interval,
     distance_matrix,
     one_hot,
     ordinal_equal,
@@ -30,6 +32,7 @@ from catdcor import (
 from catdcor.measures import _score_many
 import scalar_reference as ref
 
+D2 = distance_matrix(one_hot(2))
 D3 = distance_matrix(one_hot(3))
 
 
@@ -357,6 +360,22 @@ class TestChangepoint:
                     best_rss, best_b = rss, b
             assert result.index == best_b
 
+    def test_fit_matches_one_running_sum_per_moment(self):
+        # The (6, m) running sums give the same residuals bit for bit, so the
+        # same break, tie flag and threshold.
+        rng = np.random.default_rng(72)
+        for case in range(200):
+            m = int(rng.integers(4, 300))
+            values = np.sort(rng.standard_normal(m) * 10.0 ** rng.integers(-6, 6))[::-1]
+            if case % 4 == 0:
+                values = np.round(values, 1)  # ties among the scores
+            total = ref.changepoint_total_rss(values)
+            best = total.min()
+            breaks = np.flatnonzero(total <= best + 1e-9 * (1.0 + abs(best))) + 2
+            result = changepoint_threshold(values)
+            assert (result.index, result.low_confidence) == (breaks[0], breaks.size > 1)
+            assert result.threshold == 0.5 * (values[breaks[0] - 1] + values[breaks[0]])
+
     def test_two_point_segments_allowed(self):
         values = [5.0, 4.0, 1.0, 0.5]
         result = changepoint_threshold(values)
@@ -446,6 +465,20 @@ class TestScreeningBound:
         values_s = [screening_bound(self._params(n_features=s))
                     for s in (10, 100, 1000)]
         assert values_s[0] <= values_s[1] <= values_s[2]
+
+    def test_bad_parameters_are_configuration_errors(self):
+        # Catchable as ValueError, as before, and as the package's own errors.
+        t = JointTable(np.full((2, 2), 5.0))
+        for call, text in (
+                (lambda: self._params(n=0.0), "n must be strictly positive"),
+                (lambda: self._params(epsilon=1.5),
+                 "epsilon cannot exceed 1 for rescaled distances"),
+                (lambda: confidence_interval(t, D2, D2, level=1.0),
+                 "confidence level must lie strictly between 0 and 1")):
+            with pytest.raises(ConfigurationError, match=f"^{text}$") as caught:
+                call()
+            assert isinstance(caught.value, CatdcorError)
+            assert isinstance(caught.value, ValueError)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,11 @@ with 99 replicates.  Output files are compared by ``perfbench/check.py`` at
 its own tolerances; exit codes and ``error:`` lines must be equal.
 ``warning:`` lines are not compared, since their format changed on purpose.
 
+``simulate`` runs live through both packages (settings 1 to 6 at two
+seeds, n = 40, 40 features, 5 relevant, 2 replicates): its JSON report is
+compared by ``perfbench/check.py``, and its ``_delta.csv`` and ROC point
+files must be byte-identical.
+
 Two differences from the seed package are intended and checked another way:
 
 - A CSV or metadata file that starts with a byte-order mark reads as the
@@ -218,6 +223,22 @@ def test_recorded_outcomes_are_the_seed_package_s(case, tmp_path, expected):
     # The recorded outcomes of the slow seed package, rerun live for a few inputs.
     for cmd, got, ref in zip(COMMANDS, commands(case, tmp_path, seed_cli), expected[case]):
         assert differences(got, ref) == [], cmd
+
+
+@pytest.mark.parametrize("setting", range(1, 7))
+@pytest.mark.parametrize("seed", (3, 11))
+def test_simulate_matches_seed_package(setting, seed, tmp_path):
+    argv = ["simulate", "--setting", str(setting), "--n", "40", "--features", "40",
+            "--relevant", "5", "--replicates", "2", "--seed", str(seed)]
+    got, ref = (run(main, argv, tmp_path / name) for name, main in
+                (("got", cli.main), ("ref", seed_cli.main)))
+    assert got[:2] == ref[:2] == [0, []]
+    assert sorted(got[2]) == sorted(ref[2]) == [
+        "report.json", "report_delta.csv", "report_roc_onehot.csv",
+        "report_roc_ordinal.csv", "report_roc_semicircle.csv"]
+    assert check.compare_json(got[2]["report.json"], ref[2]["report.json"], "report.json") == []
+    for name in sorted(got[2])[1:]:
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
 
 
 if __name__ == "__main__":

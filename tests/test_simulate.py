@@ -88,6 +88,17 @@ class TestSettingSpec:
         with pytest.raises(ValueError):
             setting_spec(7, n=100)
 
+    @pytest.mark.parametrize("row, col", [
+        ([0.5, 0.5], [0.25, 0.25, 0.5]),             # a row marginal of 2 levels on 3 rows
+        ([0.25, 0.25, 0.5], [0.5, 0.25, 0.125, 0.125]),
+        ([[0.25, 0.25, 0.5]], [0.25, 0.25, 0.5]),    # not 1-d
+        ([0.25, 0.25, 0.5], 1.0),
+    ])
+    def test_marginals_must_match_the_grid(self, row, col):
+        with pytest.raises(ShapeError, match="^marginals must be 1-d of lengths "
+                                             r"n_rows = 3 and n_cols = 3$"):
+            small_spec(row, col, (), 0)
+
     def test_desk_scale_defaults(self):
         spec = setting_spec(3, n=50)
         assert spec.n_features == 1000
