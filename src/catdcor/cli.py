@@ -59,6 +59,8 @@ _FOLD = np.uint64(0x9E3779B97F4A7C15)
 _MULTIPLIERS = np.cumprod(np.full(64, _FOLD))
 # Cap of the slot search, in hashed keys, and of the slot tables, in entries.
 _SLOT_SEARCH = 1 << 22
+# Bytes of kept code rows staged between copies into the columns.
+_STAGE = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -153,11 +155,12 @@ def _ingest_stream(csv_path: str, labels: _Labels) -> Dataset:
 
 
 def _drop_missing(codes: np.ndarray, record: int) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """The rows of ``codes`` (records from ``record`` on) without a missing
-    token, and the record and column of the first undeclared text left."""
+    """The rows of ``codes`` (records from ``record`` on) without a missing token, moved
+    to its front, and the record and column of the first undeclared text left."""
     if codes.min(initial=0) < 0:
         keep = np.flatnonzero((codes != -1).all(axis=1))
-        codes = codes[keep]
+        codes[:keep.size] = codes[keep]
+        codes = codes[:keep.size]
         bad = np.flatnonzero(codes == -2)
         if bad.size:
             row, col = divmod(int(bad[0]), codes.shape[1])
@@ -179,7 +182,7 @@ class _Slots(NamedTuple):
 
     a: np.uint64       # odd multiplier: a key's slot is (key * a) >> shift
     shift: np.uint64   # 64 - b for a table of 2**b slots
-    ids: np.ndarray    # text id per slot, then the undeclared id for "not found"
+    ids: np.ndarray    # text id per slot, the undeclared id where no text hashes
     words: np.ndarray  # (words per text, 2**b)
 
 
@@ -209,7 +212,7 @@ def _slots(texts: list[bytes], rows: int) -> _Slots | None:
         if distinct.any():
             a = _MULTIPLIERS[np.argmax(distinct)]
             slot = ((keys * a) >> shift).view(np.int64)
-            ids = np.full((1 << bits) + 1, n, dtype=np.int64)
+            ids = np.full(1 << bits, n, dtype=np.int64)
             ids[slot] = np.arange(n)
             slot_words = np.zeros((len(words), 1 << bits), dtype=np.uint64)
             slot_words[:, slot] = words
@@ -218,27 +221,31 @@ def _slots(texts: list[bytes], rows: int) -> _Slots | None:
     return None
 
 
-def _slot_index(word_at: np.ndarray, before: np.ndarray, length: np.ndarray,
-                slots: _Slots) -> np.ndarray:
-    """Slots of the cells after byte offsets ``before``, ``length`` bytes long.
+def _cell_codes(windows: np.ndarray, before: np.ndarray, length: np.ndarray, slots: _Slots,
+                table: np.ndarray, offset: np.ndarray, out: np.ndarray) -> None:
+    """Write to ``out`` the codes of the cells after offsets ``before``, ``length`` bytes long.
 
-    ``word_at[i]`` holds the 8 bytes from offset i, so a cell's word k is
-    read from 7k bytes past the byte before it, whose place the tag takes.
-    A cell whose packed words differ from its slot's gets the "not found"
-    slot after the table.
+    ``windows[i]`` holds the 8 bytes from offset i (``take`` reads an aligned
+    copy), so a cell's word k is read from 7k bytes past the byte before it,
+    whose place the tag takes.  Column j's code for slot s is
+    ``table[offset[j] + s]``, or -2 where the cell's words differ from the slot's.
     """
-    words = []
+    cell_words = []
     for k in range(len(slots.words)):
-        word = word_at[before + 7 * k].view("<u8")
+        word = windows[7 * k:].take(before).view("<u8")
         tag = np.clip(length - 7 * k, 0, 8)
         word &= _MASKS[tag]
         word |= tag.view(np.uint64)
-        words.append(word)
-    keys = functools.reduce(lambda keys, word: keys * _FOLD + word, words)
-    slot = ((keys * slots.a) >> slots.shift).view(np.int64)
-    found = functools.reduce(operator.and_, [row[slot] == word
-                                             for row, word in zip(slots.words, words)])
-    return np.where(found, slot, len(slots.ids) - 1)
+        cell_words.append(word)
+    # A lone word is its own key, which must stay as it is for the check.
+    slot = functools.reduce(lambda keys, word: keys * _FOLD + word, cell_words) * slots.a
+    slot >>= slots.shift
+    slot = slot.view(np.int64)
+    mismatch = functools.reduce(operator.or_, [row.take(slot) != word
+                                               for row, word in zip(slots.words, cell_words)])
+    slot += offset
+    np.take(table, slot, out=out)
+    np.copyto(out, -2, where=mismatch)
 
 
 def _ingest_bytes(csv_path: str, labels: _Labels) -> Dataset | None:
@@ -249,12 +256,12 @@ def _ingest_bytes(csv_path: str, labels: _Labels) -> Dataset | None:
     file, a ``"`` byte, a ``\\r`` outside a CRLF line end, invalid UTF-8, a
     cell over ``csv.field_size_limit()`` bytes, a ragged or blank record,
     and an analyzed column absent from the header (or none at all).  Each
-    chunk of records is split at its ``,`` and ``\\n`` bytes; each
-    analyzed cell's packed bytes hash to a slot of a :class:`_Slots` table,
-    and one table of slots by column group gives its code.  Rows with a
-    missing token are dropped in the chunk, before the rest land in the
-    column-major code array.  A label set that :func:`_slots` finds no
-    table for streams too.
+    chunk of records is split at its ``,`` and ``\\n`` bytes; each analyzed
+    cell's packed bytes, read from the chunk's own copy of the file's 8-byte
+    windows, hash to a slot of a :class:`_Slots` table that gives its code.
+    Rows with a missing token are dropped in the chunk, and the rest are
+    staged row-major, about 2 MB at a time, for the column-major code
+    array.  A label set that :func:`_slots` finds no table for streams too.
     """
     try:
         with open(csv_path, "rb") as fh:
@@ -281,9 +288,9 @@ def _ingest_bytes(csv_path: str, labels: _Labels) -> Dataset | None:
     slots = _slots([text.encode("utf-8") for text in labels.ids], len(labels.table))
     if slots is None:
         return None
-    # Analyzed column j's code for the text in slot s is table[group[j], s].
-    table = labels.table[:, slots.ids]
-    offset = labels.group * table.shape[1]
+    # Analyzed column j's code for the text in slot s is table[offset[j] + s].
+    offset = labels.group * len(slots.ids)
+    table = labels.table[:, slots.ids].ravel()
     gather = positions != list(range(width))
     # A newline to end the last record, and zero bytes so that every word
     # read for a cell stays inside the buffer.
@@ -291,41 +298,50 @@ def _ingest_bytes(csv_path: str, labels: _Labels) -> Dataset | None:
     data = b"".join((raw, b"" if raw.endswith(b"\n") else b"\n", bytes(pad)))
     del raw
     buf = np.frombuffer(data, dtype=np.uint8)
-    # The 8 bytes from each offset; numpy gathers S8 faster than unaligned '<u8'.
+    # The 8 bytes from each offset, unaligned: each chunk copies its own.
     word_at = np.ndarray((len(data) - 7,), dtype="S8", buffer=data, strides=(1,))
     pos, end = len(head) + 1, len(data) - pad
-    codes = np.empty((data.count(b"\n", pos, end), len(positions)), dtype=np.int64, order="F")
-    record, kept, bad = 0, 0, None
+    codes = np.empty((np.count_nonzero(buf[pos:end] == ord("\n")), len(positions)),
+                     dtype=np.int64, order="F")
+    # Kept rows wait here, row-major, for one copy into the columns; a chunk's
+    # rows fit, since a record takes at least max(width, 2) bytes.
+    height = max(_STAGE // (8 * len(positions)), _CHUNK // max(width, 2) + 1)
+    stage = np.empty((min(len(codes), height), len(positions)), dtype=np.int64)
+    record, kept, staged, bad = 0, 0, 0, None
     while pos < end:
         chunk_end = data.find(b"\n", min(pos + _CHUNK, end) - 1) + 1
         # The chunk's bytes, from the newline that ends the line before it.
         chunk = buf[pos - 1:chunk_end]
+        lines = np.count_nonzero(chunk == ord("\n")) - 1
         delims = np.flatnonzero((chunk == ord(",")) | (chunk == ord("\n")))
-        line_ends = np.flatnonzero(chunk[delims] == ord("\n"))
-        line_len = np.diff(delims[line_ends]) - 1
+        line_len = np.diff(delims[::width]) - 1
+        # Every line has ``width`` cells when the newlines are every width-th
+        # delimiter; csv.reader reads a blank line as a record of no fields.
+        if (delims.size != lines * width + 1 or (chunk[delims[::width]] != ord("\n")).any()
+                or not line_len.all()):
+            return None
         length = np.diff(delims) - 1
         if line_len.max() > limit and length.max() > limit:
             return None
-        # csv.reader reads a blank line as a record of no fields.
-        if (np.diff(line_ends) != width).any() or not line_len.all():
-            return None
-        lines = line_ends.size - 1
-        # Every line has ``width`` cells, so cell (r, j) follows delimiter
-        # r * width + j and has length[r * width + j] bytes.
-        before = delims[:-1]
+        # Cell (r, j) follows delimiter r * width + j and has length[r * width + j] bytes.
+        before, length = delims[:-1].reshape(lines, width), length.reshape(lines, width)
         if gather:
-            before = before.reshape(lines, width)[:, positions]
-            length = length.reshape(lines, width)[:, positions]
-        slot = _slot_index(word_at[pos - 1:], before, length, slots).reshape(lines, -1)
-        slot += offset
-        rows, first_bad = _drop_missing(table.ravel()[slot], record)
+            before, length = before[:, positions], length[:, positions]
+        if staged + lines > len(stage):
+            codes[kept - staged:kept] = stage[:staged]
+            staged = 0
+        rows = stage[staged:staged + lines]
+        _cell_codes(word_at[pos - 1:chunk_end + pad - 7], before, length, slots, table,
+                    offset, rows)
+        rows, first_bad = _drop_missing(rows, record)
         bad = bad or first_bad
-        codes[kept:kept + len(rows)] = rows
+        staged += len(rows)
         kept += len(rows)
         record += lines
         pos = chunk_end
     if bad:
         raise _label_error(csv_path, labels, positions, *bad)
+    codes[kept - staged:kept] = stage[:staged]
     # Rows past ``kept`` were never written; the row slice keeps each column contiguous.
     return Dataset(labels.names, codes[:kept], kept, record - kept)
 
@@ -352,8 +368,8 @@ def ingest(csv_path: str, metadata_path: str,
     the order it reaches them; a bad label gets the same error either way.
     Both routes skip a leading UTF-8 byte-order mark.
     Peak memory grows with the number of analyzed cells: by bytes, about
-    12 bytes each (the int64 codes and the file) on 1000 records of 2000
-    two-byte labels, since rows are dropped before the codes are stored.
+    13 bytes each (the int64 codes, the file and a 2 MB stage) on 1000
+    records of 2000 two-byte labels, since rows are dropped before storing.
     """
     encodings = load_metadata(metadata_path)
     labels = _Labels.of(encodings, missing_tokens)
@@ -422,14 +438,16 @@ def _variables(args: argparse.Namespace) -> tuple:
             f"response column {args.response!r} is not among the analyzed variables "
             f"{list(names)}"
         )
-    shared: dict[tuple, DistanceMatrix] = {}
+    # The matrix of each Encoding object (load_metadata shares one among the
+    # variables of one kind and levels) and of each distinct array of points.
+    shared: dict[int | tuple, DistanceMatrix] = {}
 
     def dist(name: str) -> DistanceMatrix:
-        points = encodings[name].points
-        key = (points.shape, points.tobytes())
-        if key not in shared:
-            shared[key] = distance_matrix(encodings[name])
-        return shared[key]
+        enc = encodings[name]
+        if id(enc) not in shared:
+            key = (enc.points.shape, enc.points.tobytes())
+            shared[id(enc)] = shared[key] = shared.get(key) or distance_matrix(enc)
+        return shared[id(enc)]
 
     r = names.index(args.response)
     keep = [j for j in range(len(names)) if j != r]

@@ -373,12 +373,12 @@ def dcor2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float
     zero distance variance.
     """
     # dcov2 checks the shapes and the covariance against rounding noise.
-    dcov2(p, dx, dy)
-    value, degenerate = _score_many(p.pi[None], 1.0, dx, dy, "mle")
-    if degenerate[0]:
+    value = dcov2(p, dx, dy)
+    var_x, var_y = dvar2(p.row_marginal, dx), dvar2(p.col_marginal, dy)
+    if var_x <= _DEGENERATE_TOL or var_y <= _DEGENERATE_TOL:
         raise DegenerateMarginError("distance variance is zero on at least one margin; "
                                     "distance correlation is undefined")
-    value = max(0.0, float(value[0]))  # max turns -0.0 into 0.0
+    value = max(0.0, float(value / np.sqrt(var_x * var_y)))  # max turns -0.0 into 0.0
     if value > 1.0:
         _warn(f"clamping dcor2 = {value!r} to 1")
         value = 1.0

@@ -7,6 +7,7 @@ direct library calls.
 
 import codecs
 import csv
+import itertools
 import json
 import os
 import tracemalloc
@@ -29,7 +30,7 @@ from catdcor import (
 )
 import catdcor.cli
 from catdcor.cli import Dataset, ingest, main
-from catdcor.measures import _BLOCK
+from catdcor.measures import _BLOCK, _tabulated
 from catdcor.exceptions import CatdcorError, ConfigurationError, LabelError, ParseError
 from perfbench_inputs import perfbench_workload
 import scalar_reference as ref
@@ -699,6 +700,15 @@ class TestIngestRoutesAgree:
         assert assert_routes_agree(csv_path, meta_path).codes.tolist() == [[1], [0]]
 
 
+def assert_stage_routes_agree(csv_path, meta_path, missing_tokens=("",)):
+    """:func:`assert_routes_agree`, and each column of the byte route's codes contiguous."""
+    outcome = assert_routes_agree(csv_path, meta_path, missing_tokens)
+    by_bytes = route_outcomes(csv_path, meta_path, missing_tokens)[0]
+    if isinstance(by_bytes, Dataset):
+        assert by_bytes.codes.strides[0] == by_bytes.codes.itemsize
+    return outcome
+
+
 class TestIngestByteRouteChunks:
     """The byte route against the streaming route where records are split
     into chunks of one line or a few, so that dropped rows and bad labels
@@ -735,6 +745,69 @@ class TestIngestByteRouteChunks:
             outcome = assert_routes_agree(*write(**variant))
             assert isinstance(outcome, LabelError)
             assert f"line {first + 2}," not in str(outcome)
+
+    @pytest.mark.parametrize("stage_rows", [1, 4, 16, None])
+    @pytest.mark.parametrize("chunk", [1, 40, 97, None])
+    def test_routes_agree_across_stage_flushes(self, tmp_path, monkeypatch, chunk, stage_rows):
+        # Kept rows are staged ``stage_rows`` at a time (or a chunk's rows, if
+        # more) before each copy into the columns; None keeps the defaults.
+        if chunk is not None:
+            monkeypatch.setattr(catdcor.cli, "_CHUNK", chunk)
+        header, rows, meta, write = write_plain_table(tmp_path, 26, n=150)
+        if stage_rows is None:
+            # More than one default stage: 6750 records of 60 analyzed columns.
+            cols = [header.index(entry["name"]) for entry in meta]
+            meta = [dict(entry, name=f"{entry['name']}_{k}") for k in range(6) for entry in meta]
+            header = [entry["name"] for entry in meta]
+            rows = [[row[j] for _ in range(6) for j in cols] for row in rows * 45]
+        else:
+            monkeypatch.setattr(catdcor.cli, "_STAGE", 8 * len(meta) * stage_rows)
+        analyzed = [header.index(entry["name"]) for entry in meta]
+        dataset = assert_stage_routes_agree(*write(rows=rows, header=header, meta=meta))
+        assert 0 < dataset.dropped_rows < dataset.row_count
+        assert dataset.codes.nbytes > catdcor.cli._STAGE
+        # Dropped rows and bad labels on both sides of many flushes: each
+        # record in 7 has a bad label, and one in 5 of those a missing cell.
+        for r in range(5, len(rows), 7):
+            rows[r][analyzed[r % len(analyzed)]] = "undeclared"
+            if r % 5 == 0:
+                rows[r][analyzed[-1 - r % len(analyzed)]] = ""
+        outcome = assert_stage_routes_agree(*write(rows=rows, header=header, meta=meta))
+        assert isinstance(outcome, LabelError)
+        assert "line 7," not in str(outcome)  # record 5 was dropped
+
+    @pytest.mark.parametrize("chunk", [97, None])
+    @pytest.mark.parametrize("names, texts", [(["a"], ["p", "q", "r"]),
+                                              (["a", "b"], ["p,q", "q,p", ","])],
+                             ids=["one_column", "two_columns"])
+    def test_chunk_of_more_rows_than_a_stage(self, tmp_path, monkeypatch, chunk, names, texts):
+        # A record takes 2 bytes at the fewest ("r" and "," here, both
+        # dropped): a chunk of 97 bytes holds up to 49 records, the default
+        # chunk all 3000, and a stage of a row's bytes must still fit them.
+        if chunk is not None:
+            monkeypatch.setattr(catdcor.cli, "_CHUNK", chunk)
+        monkeypatch.setattr(catdcor.cli, "_STAGE", 8)
+        meta = [{"name": name, "type": "nominal", "encoding": "onehot", "levels": ["p", "q"]}
+                for name in names]
+        rng = np.random.default_rng(27)
+        cells = np.array(texts)[rng.choice(3, 3000, p=[0.45, 0.45, 0.1])]
+        cells[1000:1200] = texts[2]
+        csv_path, meta_path = write_raw(tmp_path, ",".join(names) + "\n"
+                                        + "".join(cell + "\n" for cell in cells), meta)
+        dataset = assert_stage_routes_agree(csv_path, meta_path, ("", "r"))
+        assert dataset.row_count > 128 and dataset.dropped_rows >= 200
+
+    @pytest.mark.parametrize("chunk", [1, 40, None])
+    @pytest.mark.parametrize("records", [["p,", ",y"], ["p,x"], ["z,x"]],
+                             ids=["every_row_dropped", "single_record", "single_bad_label"])
+    def test_small_files(self, tmp_path, monkeypatch, chunk, records):
+        if chunk is not None:
+            monkeypatch.setattr(catdcor.cli, "_CHUNK", chunk)
+        for eol, final in itertools.product(["\n", "\r\n"], [True, False]):
+            text = eol.join(["a,b"] + records) + (eol if final else "")
+            outcome = assert_stage_routes_agree(*write_raw(tmp_path, text))
+            if isinstance(outcome, Dataset):
+                assert outcome.row_count == (len(records) == 1)
 
     def test_codes_columns_contiguous(self, tmp_path):
         # Scoring reads the codes a column at a time; C-order codes made
@@ -793,6 +866,32 @@ class TestIngestByteRouteChunks:
         dataset, _ = ingest(csv_path, meta_path)
         assert_same_dataset(dataset, streamed)
         assert 0 < dataset.dropped_rows < n
+
+    # Traced bytes the byte route may hold beyond its code array and the
+    # file: a stage of about 2 MB and one chunk's arrays.  A copy of every
+    # offset's 8-byte window (48 MB here) or a full-height stage (16 MB)
+    # would exceed it.
+    SCRATCH_BYTES = 4 * 2**20
+
+    @pytest.mark.parametrize("seed", [7, 21])
+    def test_screen_wide_input_by_bytes(self, tmp_path, monkeypatch, seed):
+        argv = perfbench_workload("screen_wide", seed, tmp_path)
+        csv_path, meta_path = argv[argv.index("--input") + 1], argv[argv.index("--metadata") + 1]
+        labels = catdcor.cli._Labels.of(load_metadata(meta_path), ("",))
+        streamed = catdcor.cli._ingest_stream(csv_path, labels)
+        # Only the byte route can ingest now.
+        monkeypatch.setattr(catdcor.cli, "_ingest_stream", None)
+        dataset, _ = ingest(csv_path, meta_path)
+        assert_same_dataset(dataset, streamed)
+        assert dataset.codes.strides[0] == dataset.codes.itemsize
+        assert 0 < dataset.dropped_rows < 100
+        tracemalloc.start()
+        try:
+            catdcor.cli._ingest_bytes(csv_path, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= dataset.codes.nbytes + os.path.getsize(csv_path) + self.SCRATCH_BYTES
 
 
 class TestEncodeCommand:
@@ -1236,6 +1335,41 @@ class TestScreenCommand:
         # grade and tone share the 3-level semicircle; color and shape are
         # one-hot with 3 and 2 levels; size is ordinal.
         assert sorted(built) == ["one-hot", "one-hot", "ordinal", "semicircle"]
+
+    def test_equal_custom_encodings_share_a_matrix(self, tmp_path, monkeypatch):
+        # Each custom entry is an Encoding object of its own; equal points
+        # still share one DistanceMatrix, so that the kernels group them.
+        points = [[0.0], [1.0], [3.5]]
+        meta = [{"name": "y", "type": "nominal", "encoding": "onehot", "levels": ["a", "b"]}]
+        meta += [{"name": name, "type": "ordinal", "encoding": "custom", "levels": levels,
+                  "points": pts}
+                 for name, levels, pts in [("c0", ["p", "q", "r"], points),
+                                           ("c1", ["p", "q", "r"], points),
+                                           ("c2", ["u", "v", "w"], points),
+                                           ("c3", ["p", "q", "r"], [[0.0], [2.0], [3.5]])]]
+        rng = np.random.default_rng(28)
+        cells = np.array([["a", "p", "p", "u", "p"], ["b", "q", "q", "v", "q"],
+                          ["a", "r", "r", "w", "r"]])[rng.integers(0, 3, (40, 5)), np.arange(5)]
+        csv_path, meta_path = write_raw(
+            tmp_path, "y,c0,c1,c2,c3\n" + "".join(",".join(row) + "\n" for row in cells), meta)
+        seen = {}
+
+        class Captured(Exception):
+            pass
+
+        def screening(x, y, dists, *args, **kwargs):
+            seen["dists"] = dists
+            raise Captured
+
+        monkeypatch.setattr(catdcor.cli, "screen", screening)
+        with pytest.raises(Captured):
+            main(["screen", "--input", csv_path, "--metadata", meta_path, "--response", "y"])
+        c0, c1, c2, c3 = seen["dists"]
+        assert c0 is c1 is c2
+        assert c3 is not c0
+        groups = [block for _, block, _ in _tabulated(np.zeros((4, 4), np.int64),
+                                                      np.zeros(4, np.int64), seen["dists"], 2)]
+        assert groups == [[0, 1, 2], [3]]
 
 
     @pytest.mark.parametrize("response, view", [

@@ -28,6 +28,7 @@ from catdcor import (
     ordinal_equal,
     semicircle_equal,
 )
+import catdcor.measures
 from catdcor.measures import (_BLOCK, _DEGENERATE_TOL, _dcov2_many, _dvar2_many,
                               _score_many, _score_pairs, _tabulate)
 import scalar_reference as ref
@@ -305,6 +306,23 @@ class TestDcor2:
             ratio = dcov2(p, dx, dy) / np.sqrt(dvar2(p.row_marginal, dx)
                                                * dvar2(p.col_marginal, dy))
             assert dcor2(p, dx, dy) == min(ratio, 1.0)
+
+    @pytest.mark.parametrize("pi", [[[0.3, 0.2], [0.1, 0.4]], [[0.6, 0.4], [0.0, 0.0]]],
+                             ids=["scored", "degenerate"])
+    def test_one_covariance_evaluation(self, pi, monkeypatch):
+        # dcov2's rounding-noise check and the ratio share one evaluation.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _dcov2_many(*args)
+
+        monkeypatch.setattr(catdcor.measures, "_dcov2_many", counting)
+        try:
+            dcor2(JointDistribution(np.array(pi)), DM2, DM2)
+        except DegenerateMarginError:
+            pass
+        assert len(calls) == 1
 
     def test_independence_zero(self):
         p = JointDistribution.independent([0.4, 0.6], [0.3, 0.7])
