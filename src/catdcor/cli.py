@@ -261,7 +261,9 @@ def _ingest_bytes(csv_path: str, labels: _Labels) -> Dataset | None:
     windows, hash to a slot of a :class:`_Slots` table that gives its code.
     Rows with a missing token are dropped in the chunk, and the rest are
     staged row-major, about 2 MB at a time, for the column-major code
-    array.  A label set that :func:`_slots` finds no table for streams too.
+    array.  After the chunk with the first bad label, later chunks are only
+    split and checked for a fault that declines the file.  A label set that
+    :func:`_slots` finds no table for streams too.
     """
     try:
         with open(csv_path, "rb") as fh:
@@ -323,6 +325,9 @@ def _ingest_bytes(csv_path: str, labels: _Labels) -> Dataset | None:
         length = np.diff(delims) - 1
         if line_len.max() > limit and length.max() > limit:
             return None
+        if bad:  # past a bad label only these checks can change the outcome
+            pos = chunk_end
+            continue
         # Cell (r, j) follows delimiter r * width + j and has length[r * width + j] bytes.
         before, length = delims[:-1].reshape(lines, width), length.reshape(lines, width)
         if gather:

@@ -956,14 +956,15 @@ def _test_many(x: np.ndarray, y: np.ndarray, dists: list, dy: DistanceMatrix, es
 
     Variables are tabulated and scored per encoding group, as in ``screen``:
     the variables that share a distance matrix are tabulated together, then
-    scored in blocks of at most 128 under both estimators by one call sharing
-    the margins and the centered tables, with the intervals' delta-method variances
-    scored per block too.  The variables' sides of the null spectrum and the
-    response's come from one :func:`_margin_laws` call, one ``eigvalsh`` per
-    matrix size; the analytic tails of all variables run in one stack per
-    weight count.  The permutation p-values of all variables that need them
-    come after the loop, from one set of response permutations, scored once
-    per chunk and variable.  All of this is computed without raising; each
+    scored under both estimators by one call per group, which shares the
+    margins and their variances across the group and the centered tables
+    across each block of at most 128; the intervals' delta-method
+    variances take blocks of at most 128 too.  The variables' sides of the
+    null spectrum and the response's come from one :func:`_margin_laws`
+    call, one ``eigvalsh`` per matrix size; the analytic tails of all
+    variables run in one stack per weight count.  The permutation p-values
+    of all variables that need them come after the loop, from one set of
+    response permutations, scored once per chunk and variable.  All of this is computed without raising; each
     variable then warns and fails in its turn, in a fixed order: spectrum
     (with its zero-category warning), zero total weight, the ``estimator``
     statistic, the replicate count (permutation only), the other statistic,
@@ -980,12 +981,14 @@ def _test_many(x: np.ndarray, y: np.ndarray, dists: list, dy: DistanceMatrix, es
               for kind in (estimator, other) if kind == "mle" or n >= 4}
     rows: list = [None] * len(dists)
     asymp_var = np.zeros(len(dists))
-    for dx, block, counts in _tabulated(x, y, dists, dy.n_categories):
+    for dx, group, counts in _tabulated(x, y, dists, dy.n_categories):
         for kind, score in zip(scored, _score_pairs(counts, n, [(dx, dy, k) for k in scored])):
-            scored[kind][0][block], scored[kind][1][block] = score
-        for s, row in zip(block, counts.sum(axis=2) / n):
+            scored[kind][0][group], scored[kind][1][group] = score
+        for s, row in zip(group, counts.sum(axis=2) / n):
             rows[s] = row
-        asymp_var[block] = _alt_many(counts / n, dx, dy)[1]
+        for start in range(0, len(group), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            asymp_var[group[block]] = _alt_many(counts[block] / n, dx, dy)[1]
     col = np.bincount(y, minlength=dy.n_categories) / n
     *laws, response_law = _margin_laws(rows + [col], [dx.d for dx in dists] + [dy.d])
     # Small-sample guard: the asymptotic law is unreliable when any

@@ -48,8 +48,8 @@ __all__ = [
 _NEGATIVE_TOL = 1e-9
 # A margin whose distance variance is at most this is degenerate.
 _DEGENERATE_TOL = 1e-14
-# Tables per np.bincount of _tabulate and per scoring call: the (128, n)
-# intp index is about 1 MB at n = 1000.
+# Tables per np.bincount of _tabulate and per table-sized scoring step: the
+# (128, n) intp index is about 1 MB at n = 1000.
 _BLOCK = 128
 
 
@@ -210,11 +210,11 @@ def _tabulate(rows: np.ndarray, scale: int, shared: np.ndarray, shape: tuple,
 
 def _tabulated(x: np.ndarray, y: np.ndarray, dists: Sequence[DistanceMatrix],
                n_cols: int) -> Iterator[tuple[DistanceMatrix, list[int], np.ndarray]]:
-    """Cross-tabulate every column of ``x`` against ``y``, a scoring block at a time.
+    """Cross-tabulate every column of ``x`` against ``y``, an encoding group at a time.
 
-    Columns sharing one ``DistanceMatrix`` object in ``dists`` are tabulated together by
-    :func:`_tabulate`; yields each block of at most ``_BLOCK`` of them with its matrix, its
-    column indices and its counts ``(len(block), I, n_cols)``.
+    Columns sharing one ``DistanceMatrix`` object in ``dists`` form a group, tabulated
+    together by :func:`_tabulate`; yields each group whole, for one :func:`_score_pairs`
+    call, with its matrix, its column indices and its counts ``(len(columns), I, n_cols)``.
     """
     groups: dict[int, list[int]] = {}
     for s, dist in enumerate(dists):
@@ -222,10 +222,8 @@ def _tabulated(x: np.ndarray, y: np.ndarray, dists: Sequence[DistanceMatrix],
     for columns in groups.values():
         dist = dists[columns[0]]
         # One group holds every column in order: its rows need no copy.
-        tables = _tabulate(x.T, n_cols, y, (dist.n_categories, n_cols),
-                           None if len(columns) == len(dists) else columns)
-        for start in range(0, len(columns), _BLOCK):
-            yield dist, columns[start:start + _BLOCK], tables[start:start + _BLOCK]
+        yield dist, columns, _tabulate(x.T, n_cols, y, (dist.n_categories, n_cols),
+                                       None if len(columns) == len(dists) else columns)
 
 
 def _quad_many(m: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -237,7 +235,7 @@ def _t_stats_many(counts: np.ndarray, dx: np.ndarray, dy: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(T1, T2, T3) of every table in a stack ``(S, I, J)``."""
     rows = counts.sum(axis=2)
-    cols = counts.sum(axis=1)
+    cols = np.einsum("sij->sj", counts)
     t1 = np.sum(counts * (dx @ counts @ dy), axis=(1, 2))
     a = (dx @ rows[:, :, None])[:, :, 0]
     b = dy @ cols[:, :, None]
@@ -250,15 +248,15 @@ def _dvar_t_stats_many(margins: np.ndarray, d: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The single-margin sums of every row of ``margins`` (S, K).
 
-    ``t3`` squares with Python's float power (numpy's square can differ
-    from it in the last bit).
+    ``t3`` squares with ``np.float_power``, which calls libm's ``pow`` as
+    Python's float ``**`` does and agrees with it bit for bit; numpy's
+    square and its ``power`` by 2 multiply and can differ in the last bit.
     """
     row, col = margins[:, None, :], margins[:, :, None]
     t1 = (row @ (d * d) @ col)[:, 0, 0]
     a = d @ col
     t2 = (row @ (a * a))[:, 0, 0]
-    ma = (row @ a)[:, 0, 0]
-    t3 = np.array([v**2 for v in ma.tolist()])
+    t3 = np.float_power((row @ a)[:, 0, 0], 2.0)
     return t1, t2, t3
 
 
@@ -276,7 +274,8 @@ def _dvar2_many(margins: np.ndarray, n: float, d: np.ndarray,
 def _centered(counts: np.ndarray, n: float) -> np.ndarray:
     """The proportions of every table in a stack less the outer product of their margins."""
     pi_hat = counts / n
-    return pi_hat - pi_hat.sum(axis=2)[:, :, None] * pi_hat.sum(axis=1)[:, None, :]
+    pi_hat -= np.einsum("si,sj->sij", pi_hat.sum(axis=2), np.einsum("sij->sj", pi_hat))
+    return pi_hat
 
 
 def _dcov2_many(counts: np.ndarray, n: float, dx: np.ndarray, dy: np.ndarray,
@@ -298,19 +297,26 @@ def _score_pairs(counts: np.ndarray, n: float, pairs: Sequence[tuple]) -> list:
     """Per pair ``(dx, dy, estimator)``, dcor2 estimates of a stack ``(S, I, J)`` of total ``n``.
 
     Tables with a degenerate margin score 0 and are flagged in a mask.
-    The margins, their equality check and the centered tables are shared
-    by all pairs.  Neither the codes nor ``n >= 4`` is checked.
+    The margins, their equality check, each pair's distance variances and
+    the ratio step run once per stack, on arrays of ``S`` rows; the
+    table-sized work runs on slices of at most ``_BLOCK`` tables, whose
+    centered tables all pairs share.  Each step acts on one table at a
+    time, so a table's score does not depend on its stack.  Neither the
+    codes nor ``n >= 4`` is checked.
     """
     # A margin whose rows all agree (fixed by permutations) is scored once.
     rows, cols = [m[:1] if len(m) > 1 and (m == m[0]).all() else m
-                  for m in (counts.sum(axis=2), counts.sum(axis=1))]
-    delta, scores = None, []
-    for dx, dy, estimator in pairs:
+                  for m in (counts.sum(axis=2), np.einsum("sij->sj", counts))]
+    covs = np.empty((len(pairs), len(counts)))
+    for start in range(0, len(counts), _BLOCK):
+        block = counts[start:start + _BLOCK]
+        delta = _centered(block, n) if any(pair[2] == "mle" for pair in pairs) else None
+        for cov, (dx, dy, estimator) in zip(covs, pairs):
+            cov[start:start + _BLOCK] = _dcov2_many(block, n, dx.d, dy.d, estimator, delta)
+    scores = []
+    for cov, (dx, dy, estimator) in zip(covs, pairs):
         var_x = _dvar2_many(rows, n, dx.d, estimator)
         var_y = _dvar2_many(cols, n, dy.d, estimator)
-        if estimator == "mle" and delta is None:
-            delta = _centered(counts, n)
-        cov = _dcov2_many(counts, n, dx.d, dy.d, estimator, delta)
         if estimator == "mle":
             cov = np.maximum(cov, 0.0)
         # At or below the tolerance (negative included) is degenerate; one flag per table.

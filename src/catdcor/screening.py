@@ -101,9 +101,10 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
     or the first column (in column order) with a code outside its level
     set, raise :class:`LabelError`.
     Features sharing one ``DistanceMatrix`` object are tabulated
-    together, then scored in blocks of at most 128, one call per block of
-    the kernel behind :func:`dcor2_mle`, sharing the margins and centered
-    tables.  An empty sample raises :class:`DistributionError`.
+    together and scored by one call per group of the kernel behind
+    :func:`dcor2_mle`, which computes the margins and their variances once
+    per group and the centered tables per block of at most 128.  An empty
+    sample raises :class:`DistributionError`.
 
     Features whose margin carries no distance variation (for example a
     constant column) receive the score 0 and are listed in
@@ -136,8 +137,8 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
 
     values = np.zeros(n_features)
     is_degenerate = np.zeros(n_features, dtype=bool)
-    for dist, block, counts in _tabulated(x, y, feature_dists, n_response_levels):
-        values[block], is_degenerate[block] = _score_many(
+    for dist, group, counts in _tabulated(x, y, feature_dists, n_response_levels):
+        values[group], is_degenerate[group] = _score_many(
             counts, float(n), dist, response_dist, estimator)
     return _ranked_report(ids, values, is_degenerate, estimator)
 

@@ -436,8 +436,9 @@ def run_benchmark(setting_id: int, n: int,
     """Run one scenario end to end and summarize per-encoding metrics.
 
     Each replicate samples one dataset (seeded by ``(seed, setting, r)``),
-    tabulates it once, scores each block under every encoding kind with
-    one call sharing the margins and the centered tables (features and
+    tabulates it once, scores it under every encoding kind with one call
+    that computes the margins once and the centered tables once per block
+    of at most 128 features, for all kinds (features and
     response alike: the scores ``screen`` would give, warning with the
     replicate and kind), and records the AUC of the ranking plus the
     sensitivity and specificity of the slope-break selection.  The
@@ -479,9 +480,9 @@ def run_benchmark(setting_id: int, n: int,
         data = _draw_dataset(spec, built, rep_seed)
         values = scores[:, r]
         # One group: every feature's rows share the first kind's matrix.
-        for _, block, counts in _tabulated(data.features, data.response,
-                                           [pairs[0][0]] * n_features, spec.n_cols):
-            values[:, block], is_degenerate[:, block] = zip(*_score_pairs(counts, float(n), pairs))
+        [(_, _, counts)] = _tabulated(data.features, data.response,
+                                      [pairs[0][0]] * n_features, spec.n_cols)
+        values[:], is_degenerate[:] = zip(*_score_pairs(counts, float(n), pairs))
         for k, kind in enumerate(encoding_kinds):
             report = _ranked_report(ids, values[k], is_degenerate[k], estimator,
                                     f" (replicate {r}, {kind} encoding)")

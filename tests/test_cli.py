@@ -809,6 +809,58 @@ class TestIngestByteRouteChunks:
             if isinstance(outcome, Dataset):
                 assert outcome.row_count == (len(records) == 1)
 
+    @staticmethod
+    def write_records_after_bad_label(tmp_path, tail=""):
+        """30000 records of 4 bytes, more than one default chunk, with an
+        undeclared label in record 10 and ``tail`` in place of record 25000."""
+        rng = np.random.default_rng(28)
+        records = [f"{a},{b}" for a, b in zip(rng.choice(["p", "p", "q"], 30000),
+                                               rng.choice(["x", "y"], 30000))]
+        records[10] = "z" + records[10][1:]
+        if tail:
+            records[25000] = tail
+        assert 4 + 25000 * 4 > catdcor.cli._CHUNK  # a later chunk than record 10's
+        return write_raw(tmp_path, "a,b\n" + "".join(r + "\n" for r in records),
+                         [AB_META[0] | {"levels": ["p", "q"]}, AB_META[1]])
+
+    @pytest.mark.parametrize("chunk", [1, 40, None])
+    @pytest.mark.parametrize("tail, error", [("", LabelError), ("p", ParseError)],
+                             ids=["clean_tail", "ragged_tail"])
+    def test_bad_label_then_later_chunks(self, tmp_path, monkeypatch, chunk, tail, error):
+        # Past the first bad label the byte route only checks the split: a
+        # ragged record in a later chunk still declines the file to
+        # csv.reader, whose ParseError ``ingest`` raises.
+        if chunk is not None:
+            monkeypatch.setattr(catdcor.cli, "_CHUNK", chunk)
+        outcome = assert_routes_agree(*self.write_records_after_bad_label(tmp_path, tail))
+        assert type(outcome) is error
+        assert ("line 25002 has 1 fields" if tail else "line 12, column 'a': label 'z'"
+                ) in str(outcome)
+
+    @pytest.mark.parametrize("chunk", [1, 40, None])
+    def test_no_cell_decoded_after_the_bad_chunk(self, tmp_path, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(catdcor.cli, "_CHUNK", chunk)
+        cell_codes, found_bad = catdcor.cli._cell_codes, []
+
+        def recording(*args):
+            cell_codes(*args)
+            found_bad.append(bool((args[-1] == -2).any()))
+
+        monkeypatch.setattr(catdcor.cli, "_cell_codes", recording)
+        csv_path, meta_path = self.write_records_after_bad_label(tmp_path)
+        labels = catdcor.cli._Labels.of(load_metadata(meta_path), ("",))
+        with pytest.raises(LabelError):
+            catdcor.cli._ingest_bytes(csv_path, labels)
+        calls = len(found_bad)
+        assert found_bad.index(True) == calls - 1
+        with open(csv_path, "r+b") as fh:
+            fh.seek(4 + 10 * 4)
+            fh.write(b"p")
+        found_bad.clear()
+        assert catdcor.cli._ingest_bytes(csv_path, labels).row_count == 30000
+        assert not any(found_bad) and len(found_bad) > calls
+
     def test_codes_columns_contiguous(self, tmp_path):
         # Scoring reads the codes a column at a time; C-order codes made
         # catdcor screen on a wide file more than twice as slow.

@@ -51,6 +51,7 @@ from catdcor import (
     weighted_chisq_sf,
 )
 import catdcor.cli
+import catdcor.measures
 from perfbench_inputs import perfbench_workload
 import scalar_reference as ref
 import tail_fuzz
@@ -707,10 +708,12 @@ class TestKeyedDraws:
 
 
 class TestStackedScoring:
-    """``catdcor test`` scores both estimators with one call per block and rescores few replicates."""
+    """``catdcor test`` scores both estimators in one call per group and rescores few replicates."""
 
     @pytest.mark.parametrize("pvalue", ["analytic", "permutation"])
     def test_one_scorer_call_per_block(self, monkeypatch, pvalue):
+        # One scorer call per encoding group; its table-sized steps, and the
+        # intervals' variances, take blocks of at most 128 tables.
         rng = np.random.default_rng(41)
         n = 400
         x = np.column_stack([rng.integers(0, 3, (n, 300)), rng.integers(0, 4, (n, 5))])
@@ -724,19 +727,35 @@ class TestStackedScoring:
             return score_pairs(counts, n, pairs)
 
         monkeypatch.setattr(inference, "_score_pairs", counting_score_pairs)
+        stacks = {}
+        for module, name in [(catdcor.measures, "_centered"), (catdcor.measures, "_dcov2_many"),
+                             (inference, "_alt_many")]:
+            def counting(tables, *args, kernel=getattr(module, name),
+                         sizes=stacks.setdefault(name, [])):
+                sizes.append(len(tables))
+                return kernel(tables, *args)
+
+            monkeypatch.setattr(module, name, counting)
         reports = inference._test_many(x, y, dists, distance_matrix(one_hot(3)), "unbiased",
                                        pvalue, 99, 0)
-        # Blocks of 128, 128 and 44 variables sharing one matrix, then the 5
-        # sharing the other.  Permutation p-values rescore only replicates
-        # near the observed value: at most one call per variable for the
-        # single chunk of 99 replicates, each with fewer tables than the chunk.
-        blocks = [(size, ["unbiased", "mle"]) for size in (128, 128, 44, 5)]
-        assert calls[:4] == blocks
+        # The group of 300 variables sharing one matrix, then the 5 sharing
+        # the other; blocks of 128, 128 and 44 tables, then 5.  Permutation
+        # p-values rescore only replicates near the observed value: at most
+        # one call per variable for the single chunk of 99 replicates, each
+        # with fewer tables than the chunk.
+        assert calls[:2] == [(300, ["unbiased", "mle"]), (5, ["unbiased", "mle"])]
+        blocks = [128, 128, 44, 5]
+        assert stacks["_centered"][:4] == blocks
+        assert stacks["_dcov2_many"][:8] == [size for size in blocks for _ in range(2)]
+        assert stacks["_alt_many"] == blocks
+        assert max(size for sizes in stacks.values() for size in sizes) <= 128
         if pvalue == "permutation":
-            assert 0 < len(calls) - 4 <= 305
-            assert all(0 < size < 99 and kinds == ["unbiased", "mle"] for size, kinds in calls[4:])
+            assert 0 < len(calls) - 2 <= 305
+            assert all(0 < size < 99 and kinds == ["unbiased", "mle"] for size, kinds in calls[2:])
+            assert len(stacks["_centered"]) == len(calls) + 2
         else:
-            assert len(calls) == 4
+            assert len(calls) == 2
+            assert len(stacks["_centered"]) == 4 and len(stacks["_dcov2_many"]) == 8
         assert {r["method"] for r in reports} == {"imhof" if pvalue == "analytic" else pvalue}
 
 

@@ -500,6 +500,72 @@ class TestScorePairs:
             assert [float(v[0]) for v, _ in found] == [dcor2(p, dx, dy) for dx, dy, _ in pairs]
 
 
+class TestStackIndependence:
+    """A table's score does not depend on the stack it is scored in.
+
+    The permutation p-values rescore replicate tables by the kernel that
+    scored the observed table, so their ties need every score of a table
+    bit for bit equal to its stack-of-one score, wherever it sits in a
+    stack of any size.
+    """
+
+    @staticmethod
+    def tables(rng, count, n_rows, n_cols, n, fractional):
+        p = rng.dirichlet(np.ones(n_rows * n_cols), count)
+        counts = p * n if fractional else np.array([rng.multinomial(n, q) for q in p], float)
+        return counts.reshape(count, n_rows, n_cols)
+
+    @pytest.mark.parametrize("fractional", [False, True], ids=["integer", "fractional"])
+    def test_score_equals_stack_of_one(self, fractional):
+        rng = np.random.default_rng((37, fractional))
+        n, compared = 60, 0
+        for n_rows in range(2, 11):
+            for n_cols in range(2, 11):
+                pairs = [(distance_matrix(ENCODINGS[(n_rows + n_cols) % 3](n_rows)),
+                          random_distance(rng, n_cols), estimator)
+                         for estimator in ("mle", "unbiased")]
+                table = self.tables(rng, 1, n_rows, n_cols, n, fractional)
+                alone = [values[0] for values, _ in _score_pairs(table, float(n), pairs)]
+                for size in (1, 5, 127, 128, 129, 300):
+                    stack = self.tables(rng, size, n_rows, n_cols, n, fractional)
+                    at = sorted({0, size // 2, size - 1} | {127, 128} & set(range(size)))
+                    stack[at] = table
+                    for values, expected in zip(_score_pairs(stack, float(n), pairs), alone):
+                        assert (values[0][at] == expected).all(), (n_rows, n_cols, size)
+                        compared += len(at)
+                # A stack of copies: its margins agree and are scored once.
+                copies = np.repeat(table, 300, axis=0)
+                for values, expected in zip(_score_pairs(copies, float(n), pairs), alone):
+                    assert (values[0] == expected).all(), (n_rows, n_cols)
+        assert compared == 81 * 2 * 19
+
+
+class TestKernelSwaps:
+    """Each faster form in the kernel equals the form it replaced, bit for bit.
+
+    The CLI's byte-identical outputs rest on these; a platform where one
+    fails names the swap here rather than in a distant CLI pin.
+    """
+
+    def test_float_power_is_python_power(self):
+        rng = np.random.default_rng(38)
+        v = np.exp(rng.uniform(np.log(1e-150), np.log(1e150), 1_000_000))
+        assert np.array_equal(np.float_power(v, 2.0), np.array([x**2 for x in v.tolist()]))
+
+    def test_einsum_sums_and_outer_products(self):
+        rng = np.random.default_rng(39)
+        for size in (1, 3, 128, 129):
+            for n_rows in range(2, 33):
+                for n_cols in range(2, 33):
+                    scale = 10.0 ** rng.integers(-3, 4)
+                    counts = rng.random((size, n_rows, n_cols)) * scale
+                    cols = np.einsum("sij->sj", counts)
+                    assert np.array_equal(cols, counts.sum(axis=1)), (size, n_rows, n_cols)
+                    rows = counts.sum(axis=2)
+                    assert np.array_equal(np.einsum("si,sj->sij", rows, cols),
+                                          rows[:, :, None] * cols[:, None, :])
+
+
 INTEGER_DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]
 
 

@@ -11,6 +11,7 @@ import scipy.optimize
 from numpy.testing import assert_allclose
 from scipy.stats import rankdata
 
+import catdcor.measures
 import catdcor.simulate
 from catdcor import (
     ConfigurationError,
@@ -476,8 +477,8 @@ class TestRunBenchmark:
             run_benchmark(2, n=60, n_features=60, relevant_count=6, replicates=1, seed=-1)
 
     def test_one_scorer_call_per_block(self, monkeypatch):
-        # 300 features are blocks of 128, 128 and 44 columns; one call
-        # scores each block under every encoding kind.
+        # 300 features are one group: one call scores it under every
+        # encoding kind, its table-sized steps in blocks of 128, 128 and 44.
         calls = []
 
         def counting_score_pairs(counts, n, pairs):
@@ -485,9 +486,24 @@ class TestRunBenchmark:
             return _score_pairs(counts, n, pairs)
 
         monkeypatch.setattr(catdcor.simulate, "_score_pairs", counting_score_pairs)
-        run_benchmark(4, n=50, n_features=300, relevant_count=3, replicates=2, seed=3,
-                      estimator="unbiased")
-        assert calls == [(size, ["unbiased"] * 3) for size in (128, 128, 44)] * 2
+        stacks = {}
+        for name in ("_centered", "_dcov2_many"):
+            def counting(tables, *args, kernel=getattr(catdcor.measures, name),
+                         sizes=stacks.setdefault(name, [])):
+                sizes.append(len(tables))
+                return kernel(tables, *args)
+
+            monkeypatch.setattr(catdcor.measures, name, counting)
+        blocks = [128, 128, 44]
+        for estimator, centered in [("unbiased", []), ("mle", blocks * 2)]:
+            calls.clear()
+            for sizes in stacks.values():
+                sizes.clear()
+            run_benchmark(4, n=50, n_features=300, relevant_count=3, replicates=2, seed=3,
+                          estimator=estimator)
+            assert calls == [(300, [estimator] * 3)] * 2
+            assert stacks["_centered"] == centered
+            assert stacks["_dcov2_many"] == [size for size in blocks for _ in range(3)] * 2
 
     def test_shared_scoring_peak_within_per_kind_scoring(self, monkeypatch):
         # One setting-4 replicate at n = 5000: scoring each 128-column block
