@@ -33,7 +33,7 @@ from .exceptions import (
     ParseError,
 )
 from .inference import _require_seed, _test_many
-from .screening import apply_changepoint, screen
+from .screening import _screen, apply_changepoint
 from .simulate import roc_points, run_benchmark
 
 __all__ = ["Dataset", "ingest", "main"]
@@ -229,11 +229,13 @@ def _cell_codes(windows: np.ndarray, before: np.ndarray, length: np.ndarray, slo
     copy), so a cell's word k is read from 7k bytes past the byte before it,
     whose place the tag takes.  Column j's code for slot s is
     ``table[offset[j] + s]``, or -2 where the cell's words differ from the slot's.
+    That index is below ``table.size`` by construction: a slot is below 2**b,
+    and ``offset[j]`` is column j's group number times 2**b.
     """
     cell_words = []
     for k in range(len(slots.words)):
         word = windows[7 * k:].take(before).view("<u8")
-        tag = np.clip(length - 7 * k, 0, 8)
+        tag = np.minimum(length, 8) if k == 0 else np.clip(length - 7 * k, 0, 8)
         word &= _MASKS[tag]
         word |= tag.view(np.uint64)
         cell_words.append(word)
@@ -244,7 +246,8 @@ def _cell_codes(windows: np.ndarray, before: np.ndarray, length: np.ndarray, slo
     mismatch = functools.reduce(operator.or_, [row.take(slot) != word
                                                for row, word in zip(slots.words, cell_words)])
     slot += offset
-    np.take(table, slot, out=out)
+    # "wrap" never wraps an index in range, and unlike "raise" it writes to out unbuffered.
+    np.take(table, slot, out=out, mode="wrap")
     np.copyto(out, -2, where=mismatch)
 
 
@@ -322,7 +325,8 @@ def _ingest_bytes(csv_path: str, labels: _Labels) -> Dataset | None:
         if (delims.size != lines * width + 1 or (chunk[delims[::width]] != ord("\n")).any()
                 or not line_len.all()):
             return None
-        length = np.diff(delims) - 1
+        length = np.diff(delims)
+        length -= 1
         if line_len.max() > limit and length.max() > limit:
             return None
         if bad:  # past a bad label only these checks can change the outcome
@@ -366,6 +370,8 @@ def ingest(csv_path: str, metadata_path: str,
     column and the line, where line N is the N-th record of the file
     (the header is line 1).  A record of the wrong width raises
     :class:`ParseError`, checked before the metadata columns and labels.
+    Every kept cell is mapped through its column's declared labels, so
+    each code lies in ``range(levels)``: nothing downstream checks it again.
 
     A file with no ``"`` byte and no fault but a bad label is decoded by
     bytes, CRLF line ends included (see :func:`_ingest_bytes`).  Any other
@@ -403,8 +409,48 @@ def _write(text: str, out_path: str | None) -> None:
         raise ConfigurationError(f"cannot write {out_path}: {exc}") from None
 
 
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """A C encoder whose item separator starts a line at ``depth`` of ``indent=2``."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, default=_numpy_json)``, nested ``depth`` deep.
+
+    A list of scalars (a numpy array's too) is one call of :func:`_encoder`.
+    So is a dict, rebuilt in key order, with each value that is not a scalar
+    as a 0 whose text is then replaced by its own, from here: encoded
+    strings hold no raw newline, so the item separator splits the items.
+    Anything else, such as a list of small records, ``json.dumps`` writes,
+    faster than one C call per record, and each of its newlines takes the
+    indent.
+    """
+    if isinstance(value, (np.ndarray, np.generic)) and not isinstance(value, (str, float)):
+        value = _numpy_json(value)
+    encoder = _encoder(depth + 1)
+    if isinstance(value, (list, tuple)) and value and set(map(type, value)) <= _SCALARS:
+        opening, body, closing = "[", encoder.encode(value)[1:-1], "]"
+    elif isinstance(value, dict) and value:
+        items = sorted(value.items())
+        parts = encoder.encode({key: v if type(v) in _SCALARS else 0 for key, v in items})
+        opening, closing = "{}"
+        body = encoder.item_separator.join(
+            part if type(v) in _SCALARS else part[:-1] + _json(v, depth + 1)
+            for part, (_, v) in zip(parts[1:-1].split(encoder.item_separator), items))
+    else:
+        return json.dumps(value, indent=2, sort_keys=True,
+                          default=_numpy_json).replace("\n", "\n" + "  " * depth)
+    return opening + encoder.item_separator[1:] + body + "\n" + "  " * depth + closing
+
+
 def _write_json(payload: dict, out_path: str | None) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True, default=_numpy_json) + "\n", out_path)
+    """Write ``json.dumps(payload, indent=2, sort_keys=True, default=_numpy_json)``
+    and a newline, its flat lists and dicts encoded in C (see :func:`_json`)."""
+    _write(_json(payload) + "\n", out_path)
 
 
 def _write_csvs(files: Sequence[tuple[str | None, list[str], list[np.ndarray]]]) -> None:
@@ -492,7 +538,8 @@ def cmd_test(args: argparse.Namespace) -> None:
 def cmd_screen(args: argparse.Namespace) -> None:
     """Rank all features by dependence on the response; emit report and CSV."""
     dataset, y, dy, names, x, dists = _variables(args)
-    report = screen(x, y, dists, dy, estimator=args.estimator, feature_ids=names)
+    # Ingest mapped every kept cell through its column's labels: no code check here.
+    report = _screen(x, y, dists, dy, args.estimator, names)
     try:
         apply_changepoint(report)
     except InsufficientFeaturesError:

@@ -302,7 +302,7 @@ def parse_metadata(doc: object) -> dict[str, Encoding]:
             )
         if name in encodings:
             raise ConfigurationError(f"duplicate metadata entry for {name!r}")
-        labels = [str(lev) for lev in levels]
+        labels = tuple(map(str, levels))
         if enc_kind == "custom":
             if "points" not in entry:
                 raise ConfigurationError(
@@ -310,7 +310,7 @@ def parse_metadata(doc: object) -> dict[str, Encoding]:
                 )
             encodings[name] = custom(labels, entry["points"])
         elif enc_kind in _KIND_BUILDERS:
-            key = (enc_kind, tuple(labels))
+            key = (enc_kind, labels)
             if key not in shared:
                 shared[key] = encoding_for_kind(enc_kind, len(labels), labels=labels)
             encodings[name] = shared[key]

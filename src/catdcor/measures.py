@@ -231,11 +231,14 @@ def _quad_many(m: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (m[:, None, :] @ d @ m[:, :, None])[:, 0, 0]
 
 
-def _t_stats_many(counts: np.ndarray, dx: np.ndarray, dy: np.ndarray
+def _t_stats_many(counts: np.ndarray, dx: np.ndarray, dy: np.ndarray, margins: Sequence = ()
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T1, T2, T3) of every table in a stack ``(S, I, J)``."""
-    rows = counts.sum(axis=2)
-    cols = np.einsum("sij->sj", counts)
+    """(T1, T2, T3) of every table in a stack ``(S, I, J)``.
+
+    ``margins`` are the stack's row and column sums, ``(S, I)`` and ``(S, J)``
+    or one row shared by every table; they are summed from ``counts`` unless given.
+    """
+    rows, cols = margins or (counts.sum(axis=2), np.einsum("sij->sj", counts))
     t1 = np.sum(counts * (dx @ counts @ dy), axis=(1, 2))
     a = (dx @ rows[:, :, None])[:, :, 0]
     b = dy @ cols[:, :, None]
@@ -278,19 +281,20 @@ def _centered(counts: np.ndarray, n: float) -> np.ndarray:
     return pi_hat
 
 
-def _dcov2_many(counts: np.ndarray, n: float, dx: np.ndarray, dy: np.ndarray,
-                estimator: str, delta: np.ndarray | None = None) -> np.ndarray:
+def _dcov2_many(counts: np.ndarray, n: float, dx: np.ndarray, dy: np.ndarray, estimator: str,
+                delta: np.ndarray | None = None, margins: Sequence = ()) -> np.ndarray:
     """Squared distance covariance estimates of every table in a stack.
 
     The plug-in estimate is the population formula on ``delta``, the
     centered tables (computed unless given), not clamped: its callers
     clamp it at 0, and :func:`dcov2` checks it first.  The bias-corrected
-    one is the U-statistic of (T1, T2, T3).
+    one is the U-statistic of (T1, T2, T3), from ``margins`` if given
+    (see :func:`_t_stats_many`).
     """
     if estimator == "mle":
         delta = _centered(counts, n) if delta is None else delta
         return np.sum(delta * (dx @ delta @ dy), axis=(1, 2))
-    return _u_statistic(*_t_stats_many(counts, dx, dy), n)
+    return _u_statistic(*_t_stats_many(counts, dx, dy, margins), n)
 
 
 def _score_pairs(counts: np.ndarray, n: float, pairs: Sequence[tuple]) -> list:
@@ -300,7 +304,8 @@ def _score_pairs(counts: np.ndarray, n: float, pairs: Sequence[tuple]) -> list:
     The margins, their equality check, each pair's distance variances and
     the ratio step run once per stack, on arrays of ``S`` rows; the
     table-sized work runs on slices of at most ``_BLOCK`` tables, whose
-    centered tables all pairs share.  Each step acts on one table at a
+    centered tables all pairs share and whose rows of the margins the
+    bias-corrected covariance reads.  Each step acts on one table at a
     time, so a table's score does not depend on its stack.  Neither the
     codes nor ``n >= 4`` is checked.
     """
@@ -311,8 +316,10 @@ def _score_pairs(counts: np.ndarray, n: float, pairs: Sequence[tuple]) -> list:
     for start in range(0, len(counts), _BLOCK):
         block = counts[start:start + _BLOCK]
         delta = _centered(block, n) if any(pair[2] == "mle" for pair in pairs) else None
+        margins = [m if len(m) == 1 else m[start:start + _BLOCK] for m in (rows, cols)]
         for cov, (dx, dy, estimator) in zip(covs, pairs):
-            cov[start:start + _BLOCK] = _dcov2_many(block, n, dx.d, dy.d, estimator, delta)
+            cov[start:start + _BLOCK] = _dcov2_many(block, n, dx.d, dy.d, estimator, delta,
+                                                    margins)
     scores = []
     for cov, (dx, dy, estimator) in zip(covs, pairs):
         var_x = _dvar2_many(rows, n, dx.d, estimator)

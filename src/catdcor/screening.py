@@ -99,7 +99,8 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
 
     All codes are checked before any scoring; codes of a non-integer dtype,
     or the first column (in column order) with a code outside its level
-    set, raise :class:`LabelError`.
+    set, raise :class:`LabelError`.  (``catdcor screen`` checks its codes
+    once, at ingest, and skips this check.)
     Features sharing one ``DistanceMatrix`` object are tabulated
     together and scored by one call per group of the kernel behind
     :func:`dcor2_mle`, which computes the margins and their variances once
@@ -129,17 +130,27 @@ def screen(features, response, feature_dists: Sequence[DistanceMatrix],
         if len(ids) != n_features:
             raise ConfigurationError("feature_ids length must match the feature count")
     _require_scorable(n, estimator)
-    n_response_levels = response_dist.n_categories
-    _check_codes(y[:, None], n_response_levels, LabelError,
+    _check_codes(y[:, None], response_dist.n_categories, LabelError,
                  "response codes fall outside the declared level set")
     _check_codes(x, [dist.n_categories for dist in feature_dists], LabelError,
                  "feature {!r} contains codes outside its declared level set", ids)
+    return _screen(x, y, feature_dists, response_dist, estimator, ids)
 
-    values = np.zeros(n_features)
-    is_degenerate = np.zeros(n_features, dtype=bool)
-    for dist, group, counts in _tabulated(x, y, feature_dists, n_response_levels):
+
+def _screen(x: np.ndarray, y: np.ndarray, feature_dists: Sequence[DistanceMatrix],
+            response_dist: DistanceMatrix, estimator: str, ids: list) -> ScreeningReport:
+    """The scoring of :func:`screen`, for codes known to lie in their level sets.
+
+    ``catdcor screen`` calls it directly, since ingest maps every kept cell
+    through its column's declared labels: the codes are checked once, there.
+    The estimator and the sample size are still checked.
+    """
+    _require_scorable(len(y), estimator)
+    values = np.zeros(len(ids))
+    is_degenerate = np.zeros(len(ids), dtype=bool)
+    for dist, group, counts in _tabulated(x, y, feature_dists, response_dist.n_categories):
         values[group], is_degenerate[group] = _score_many(
-            counts, float(n), dist, response_dist, estimator)
+            counts, float(len(y)), dist, response_dist, estimator)
     return _ranked_report(ids, values, is_degenerate, estimator)
 
 
@@ -231,8 +242,8 @@ def apply_changepoint(report: ScreeningReport) -> ScreeningReport:
     report.low_confidence = result.low_confidence
     # The strict rule of :func:`select`, also when an all-noise panel
     # pushes the midpoint to zero or below.
-    report.selected = [fid for fid, value in zip(report.feature_ids, report.values)
-                       if value > result.threshold]
+    report.selected = [report.feature_ids[s]
+                       for s in np.flatnonzero(report.values > result.threshold)]
     return report
 
 

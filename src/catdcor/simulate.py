@@ -37,7 +37,7 @@ from .exceptions import (
     UndefinedAUCError,
 )
 from .inference import _require_seed
-from .measures import _BLOCK, JointDistribution, _require_scorable, _score_pairs, _tabulated
+from .measures import _BLOCK, JointDistribution, _require_scorable, _score_pairs, _tabulate
 from .screening import _ranked_report, changepoint_threshold
 
 __all__ = [
@@ -479,9 +479,8 @@ def run_benchmark(setting_id: int, n: int,
     for r, rep_seed in enumerate(replicate_seeds):
         data = _draw_dataset(spec, built, rep_seed)
         values = scores[:, r]
-        # One group: every feature's rows share the first kind's matrix.
-        [(_, _, counts)] = _tabulated(data.features, data.response,
-                                      [pairs[0][0]] * n_features, spec.n_cols)
+        counts = _tabulate(data.features.T, spec.n_cols, data.response,
+                           (spec.n_rows, spec.n_cols))
         values[:], is_degenerate[:] = zip(*_score_pairs(counts, float(n), pairs))
         for k, kind in enumerate(encoding_kinds):
             report = _ranked_report(ids, values[k], is_degenerate[k], estimator,

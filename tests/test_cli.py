@@ -9,6 +9,7 @@ import codecs
 import csv
 import itertools
 import json
+import math
 import os
 import tracemalloc
 import warnings
@@ -29,6 +30,7 @@ from catdcor import (
     run_benchmark,
 )
 import catdcor.cli
+import catdcor.screening
 from catdcor.cli import Dataset, ingest, main
 from catdcor.measures import _BLOCK, _tabulated
 from catdcor.exceptions import CatdcorError, ConfigurationError, LabelError, ParseError
@@ -946,6 +948,82 @@ class TestIngestByteRouteChunks:
         assert peak <= dataset.codes.nbytes + os.path.getsize(csv_path) + self.SCRATCH_BYTES
 
 
+class TestIngestCodesInLevelSets:
+    """What ``catdcor screen`` rests on instead of a second code check: every
+    code that either ingest route keeps lies in its column's level set."""
+
+    @pytest.mark.parametrize("missing_tokens", [("",), ("", "NA"), ("NA", "?")])
+    @pytest.mark.parametrize("seed", [40, 41, 42])
+    def test_kept_codes_in_range_by_both_routes(self, tmp_path, seed, missing_tokens):
+        # PLAIN holds labels of up to 21 bytes; "NA" is a label of some
+        # columns and, with some token sets, a missing token as well.
+        _, rows, meta, write = write_plain_table(tmp_path, seed, n=300)
+        rng = np.random.default_rng(seed)
+        rows = [[missing_tokens[0] if cell == "" else cell for cell in row] for row in rows]
+        for row in rows[::7]:
+            row[int(rng.integers(len(row) - 1))] = missing_tokens[-1]
+        csv_path, meta_path = write(rows=rows)
+        levels = {entry["name"]: len(entry["levels"]) for entry in meta}
+        datasets = route_outcomes(csv_path, meta_path, missing_tokens)
+        # A quoted copy of the file goes the streaming way through ingest.
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text('"' + open(csv_path, encoding="utf-8").read().replace(",", '",', 1),
+                          encoding="utf-8")
+        datasets.append(ingest(str(quoted), meta_path, missing_tokens)[0])
+        for dataset in datasets:
+            assert isinstance(dataset, Dataset)
+            assert dataset.dropped_rows > 0
+            bounds = [levels[name] for name in dataset.column_names]
+            assert (dataset.codes >= 0).all()
+            assert (dataset.codes.max(axis=0, initial=-1) < bounds).all()
+        assert_same_dataset(datasets[0], datasets[1])
+
+    @pytest.mark.parametrize("width", [7, 20], ids=["one-word", "multi-word"])
+    @pytest.mark.parametrize("seed", [43, 44, 45])
+    def test_byte_route_lookup_index_below_table_size(self, tmp_path, monkeypatch, seed,
+                                                      width):
+        # Random label sets with texts of up to ``width`` bytes, and
+        # undeclared texts of up to twice that, looked up before the
+        # LabelError is raised.
+        rng = np.random.default_rng(seed)
+        alphabet = np.array(list("abcxyz019_-"))
+
+        def text(length):
+            return "".join(rng.choice(alphabet, length))
+
+        pool = list(dict.fromkeys(text(int(rng.integers(1, width + 1))) for _ in range(60)))
+        meta, columns = [], []
+        for k in range(int(rng.integers(3, 9))):
+            labels = [pool[i] for i in rng.choice(len(pool), int(rng.integers(2, 8)),
+                                                  replace=False)]
+            meta.append({"name": f"v{k}", "type": "nominal", "encoding": "onehot",
+                         "levels": labels})
+            columns.append(np.array(labels, dtype=object)[rng.integers(0, len(labels), 200)])
+        cells = np.column_stack(columns)
+        undeclared = rng.random(cells.shape) < 0.02
+        cells[undeclared] = [text(int(rng.integers(1, 2 * width))) + "!"
+                             for _ in range(undeclared.sum())]
+        csv_path, meta_path = write_raw(
+            tmp_path, "\n".join([",".join(m["name"] for m in meta)]
+                                + [",".join(row) for row in cells]) + "\n", meta)
+        labels = catdcor.cli._Labels.of(load_metadata(meta_path), ("",))
+        slots = catdcor.cli._slots([text.encode() for text in labels.ids], len(labels.table))
+        assert (len(slots.words) == 1) == (width == 7)
+        lookups = []
+        take = np.take
+
+        def checked_take(table, index, *args, **kwargs):
+            if kwargs.get("mode") == "wrap":
+                lookups.append((table.size, int(index.min()), int(index.max()), index.size))
+            return take(table, index, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", checked_take)
+        with pytest.raises(LabelError):
+            catdcor.cli._ingest_bytes(csv_path, labels)
+        assert sum(size for *_, size in lookups) == cells.size
+        assert all(0 <= low and high < size for size, low, high, _ in lookups)
+
+
 class TestEncodeCommand:
     def test_matrix_values(self, tmp_path, capsys):
         _, meta_path = write_inputs(tmp_path, n=5)
@@ -1413,7 +1491,7 @@ class TestScreenCommand:
             seen["dists"] = dists
             raise Captured
 
-        monkeypatch.setattr(catdcor.cli, "screen", screening)
+        monkeypatch.setattr(catdcor.cli, "_screen", screening)
         with pytest.raises(Captured):
             main(["screen", "--input", csv_path, "--metadata", meta_path, "--response", "y"])
         c0, c1, c2, c3 = seen["dists"]
@@ -1443,7 +1521,7 @@ class TestScreenCommand:
             raise Captured
 
         monkeypatch.setattr(catdcor.cli, "ingest", ingesting)
-        monkeypatch.setattr(catdcor.cli, "screen", screening)
+        monkeypatch.setattr(catdcor.cli, "_screen", screening)
         with pytest.raises(Captured):
             main(["screen", "--input", csv_path, "--metadata", meta_path,
                   "--response", response])
@@ -1464,12 +1542,34 @@ class TestScreenCommand:
             "warning: RuntimeWarning: 1 feature(s) with degenerate margins scored 0\n")
         assert json.loads(open(out_path).read())["degenerate"] == ["b"]
 
+    def test_codes_checked_once_at_ingest(self, tmp_path, monkeypatch):
+        # The command scores ingest's codes without a second check; the
+        # public screen still checks the response and every feature.
+        calls = []
+        check_codes = catdcor.screening._check_codes
+        monkeypatch.setattr(catdcor.screening, "_check_codes",
+                            lambda *args: (calls.append(args[0].shape), check_codes(*args)))
+        csv_path, meta_path = write_inputs(tmp_path, n=60)
+        out_path = str(tmp_path / "screen.json")
+        assert main(["screen", "--input", csv_path, "--metadata", meta_path,
+                     "--response", "grade", "--out", out_path]) == 0
+        assert calls == []
+        dataset, encodings = ingest(csv_path, meta_path)
+        dists = [distance_matrix(enc) for enc in encodings.values()]
+        report = catdcor.screening.screen(dataset.codes[:, 1:], dataset.codes[:, 0],
+                                          dists[1:], dists[0], feature_ids=list(encodings)[1:])
+        assert calls == [(60, 1), (60, 4)]
+        catdcor.screening.apply_changepoint(report)
+        written = json.loads(open(out_path).read())
+        assert written["values"] == report.values.tolist()
+        assert written["selected"] == report.selected
+
     def test_warnings_written_before_an_unexpected_error(self, tmp_path, capsys, monkeypatch):
         def failing_screen(*args, **kwargs):
             warnings.warn("scored", RuntimeWarning)
             raise KeyError("fault")
 
-        monkeypatch.setattr(catdcor.cli, "screen", failing_screen)
+        monkeypatch.setattr(catdcor.cli, "_screen", failing_screen)
         csv_path, meta_path = write_inputs(tmp_path, n=30)
         with pytest.raises(KeyError):
             main(["screen", "--input", csv_path, "--metadata", meta_path, "--response", "grade"])
@@ -1658,6 +1758,78 @@ class TestCsvWriter:
         catdcor.cli._write_csvs([ranked, pairs, empty])
         for path, header, columns in (ranked, pairs, empty):
             assert open(path, "rb").read() == per_cell_csv(header, columns).encode()
+
+
+class TestJsonWriter:
+    """``_write_json`` writes exactly the bytes of ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @staticmethod
+    def dumps(payload):
+        return json.dumps(payload, indent=2, sort_keys=True,
+                          default=catdcor.cli._numpy_json) + "\n"
+
+    @pytest.mark.parametrize("seed", [7, 21])
+    @pytest.mark.parametrize("workload", ["screen_wide", "test_analytic", "test_permutation",
+                                          "simulate_s4"])
+    def test_cli_reports(self, tmp_path, monkeypatch, workload, seed):
+        payloads = []
+        write_json = catdcor.cli._write_json
+        monkeypatch.setattr(catdcor.cli, "_write_json",
+                            lambda payload, out: (payloads.append(payload),
+                                                  write_json(payload, out)))
+        out_path = tmp_path / "report.json"
+        assert main(perfbench_workload(workload, seed, tmp_path)
+                    + ["--out", str(out_path)]) == 0
+        [payload] = payloads
+        assert out_path.read_bytes() == self.dumps(payload).encode()
+
+    TEXTS = ["", "a", "é", "日本", "\x00\x1f\x7f", "tab\there", "line\n", '"q"', "\\", "😀",
+             "\ud800", "long " * 5]
+
+    def payload(self, rng, depth=0):
+        kind = rng.integers(10) if depth < 4 else 0
+        if kind < 4:
+            return [None, True, False, 0, -7, 2**70, 0.0, -0.0, 1.5, math.nan, math.inf,
+                    -math.inf, 5e-324, np.float64(-0.0), np.float64(np.nan), np.int64(-3),
+                    np.uint8(7), np.bool_(False), np.float32(0.1), np.str_("s"),
+                    np.array(2.5), np.array(7), str(rng.choice(self.TEXTS)),
+                    ][rng.integers(23)]
+        if kind == 4:
+            return rng.normal(size=rng.integers(4)) * 10.0 ** rng.integers(-300, 300)
+        if kind == 5:
+            return np.arange(rng.integers(7)).reshape(-1, 1) if rng.integers(2) else np.zeros(0)
+        items = [self.payload(rng, depth + 1) for _ in range(rng.integers(5))]
+        if kind == 6:
+            return tuple(items)
+        if kind < 9:
+            return items
+        return {str(rng.choice(self.TEXTS)) + str(k): item for k, item in enumerate(items)}
+
+    def test_fuzzed_payloads(self, tmp_path):
+        rng = np.random.default_rng(50)
+        out_path = str(tmp_path / "out.json")
+        for _ in range(1500):
+            payload = {"p": self.payload(rng), "q": [self.payload(rng)]}
+            catdcor.cli._write_json(payload, out_path)
+            assert open(out_path, "rb").read() == self.dumps(payload).encode(), payload
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], {"a": {}}, {"a": [[]]}, {1: [2], 0: {"b": None}}, {2.5: [1], -1.0: [2]},
+        {None: [3]}, {True: [0], False: {}}, {"z": [1, "a"], "y": {"k": [np.int64(4)]}},
+        [{"b": 1, "a": 2}, {"c": [3]}], {"n": (np.float64(1.0), np.array([1.0, np.nan]))},
+    ])
+    def test_edge_payloads(self, tmp_path, payload):
+        out_path = str(tmp_path / "out.json")
+        catdcor.cli._write_json(payload, out_path)
+        assert open(out_path, "rb").read() == self.dumps(payload).encode()
+
+    @pytest.mark.parametrize("payload", [{"a": [object()]}, {(1,): [1]}, {"a": {b"k": 1}}])
+    def test_errors_match_json_dumps(self, tmp_path, payload):
+        with pytest.raises(TypeError) as expected:
+            self.dumps(payload)
+        with pytest.raises(TypeError) as found:
+            catdcor.cli._write_json(payload, str(tmp_path / "out.json"))
+        assert str(found.value) == str(expected.value)
 
 
 class TestByteIdenticalReruns:

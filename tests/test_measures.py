@@ -30,7 +30,7 @@ from catdcor import (
 )
 import catdcor.measures
 from catdcor.measures import (_BLOCK, _DEGENERATE_TOL, _dcov2_many, _dvar2_many,
-                              _score_many, _score_pairs, _tabulate)
+                              _score_many, _score_pairs, _t_stats_many, _tabulate)
 import scalar_reference as ref
 
 
@@ -538,6 +538,55 @@ class TestStackIndependence:
                 for values, expected in zip(_score_pairs(copies, float(n), pairs), alone):
                     assert (values[0] == expected).all(), (n_rows, n_cols)
         assert compared == 81 * 2 * 19
+
+
+class TestMarginsOncePerStack:
+    """The bias-corrected covariance reads each slice's margins from the stack's,
+    which :func:`_score_pairs` sums once, instead of summing them again."""
+
+    def test_t_stats_use_the_given_margins(self):
+        # T1 reads only the tables; T2 and T3 read the margins passed in,
+        # one row of which holds for every table.
+        rng = np.random.default_rng(40)
+        counts = rng.integers(0, 9, (6, 4, 3)).astype(float)
+        dx, dy = random_distance(rng, 4).d, random_distance(rng, 3).d
+        rows, cols = rng.random((6, 4)), rng.random((1, 3))
+        t1, t2, t3 = _t_stats_many(counts, dx, dy, (rows, cols))
+        assert np.array_equal(t1, _t_stats_many(counts, dx, dy)[0])
+        for s in range(6):
+            assert t2[s] == pytest.approx(rows[s] @ dx @ counts[s] @ dy @ cols[0], rel=1e-12)
+            assert t3[s] == pytest.approx((rows[s] @ dx @ rows[s]) * (cols[0] @ dy @ cols[0]),
+                                          rel=1e-12)
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["varying", "fixed"])
+    def test_each_slice_gets_the_stack_margins(self, monkeypatch, fixed):
+        rng = np.random.default_rng(41)
+        n = 50
+        x = rng.integers(0, 4, (n, 1 if fixed else 300))
+        y = rng.permuted(np.repeat(rng.integers(0, 3, (n, 1)), 300 if fixed else 1, axis=1),
+                         axis=0)
+        counts = ref.tabulate(x, y, 4, 3)
+        calls = []
+
+        def recording(block, dx, dy, margins=()):
+            calls.append((len(block), [m.copy() for m in margins]))
+            return _t_stats_many(block, dx, dy, margins)
+
+        monkeypatch.setattr(catdcor.measures, "_t_stats_many", recording)
+        pair = (distance_matrix(one_hot(4)), distance_matrix(ordinal_equal(3)), "unbiased")
+        found = _score_pairs(counts, float(n), [pair])
+        assert [size for size, _ in calls] == [128, 128, 44]
+        for (size, (rows, cols)), start in zip(calls, (0, 128, 256)):
+            block = counts[start:start + size]
+            # Every table shares the response's margin, and with a fixed feature its own.
+            for given, own, rows_given in ((rows, block.sum(axis=2), 1 if fixed else size),
+                                           (cols, block.sum(axis=1), 1)):
+                assert len(given) == rows_given
+                assert np.array_equal(np.broadcast_to(given, own.shape), own)
+        monkeypatch.undo()
+        for values, expected in zip(found, _score_pairs(counts, float(n), [pair])):
+            assert np.array_equal(values, expected)
+        assert np.array_equal(found[0][0], unshared_score(counts, float(n), *pair)[0])
 
 
 class TestKernelSwaps:
