@@ -477,8 +477,9 @@ def _write_csvs(files: Sequence[tuple[str | None, list[str], list[np.ndarray]]])
 def _variables(args: argparse.Namespace) -> tuple:
     """Ingest ``args.input`` and split off the ``args.response`` column.
 
-    Returns the dataset, the response's codes and distance matrix, and the
-    other variables' names (in column order), codes ``(rows, names)`` and
+    Returns the report keys that ``catdcor test`` and ``catdcor screen``
+    share, the response's codes and distance matrix, and the other
+    variables' names (in column order), codes ``(rows, names)`` and
     distance matrices.  Many variables share one encoding: each distinct
     matrix is built once, and the kernels score its variables together.
     """
@@ -504,7 +505,9 @@ def _variables(args: argparse.Namespace) -> tuple:
     keep = [j for j in range(len(names)) if j != r]
     # A view, not a copy, when the response is the first or the last column.
     columns = slice(1, None) if r == 0 else slice(None, r) if r == len(keep) else keep
-    return (dataset, dataset.codes[:, r], dist(args.response),
+    keys = {"response": args.response, "estimator": args.estimator,
+            "rows_used": dataset.row_count, "rows_dropped": dataset.dropped_rows}
+    return (keys, dataset.codes[:, r], dist(args.response),
             [names[j] for j in keep], dataset.codes[:, columns], [dist(names[j]) for j in keep])
 
 
@@ -523,13 +526,10 @@ def cmd_encode(args: argparse.Namespace) -> None:
 
 def cmd_test(args: argparse.Namespace) -> None:
     """Test every non-response variable against the response: ``inference._test_many``."""
-    dataset, y, dy, names, x, dists = _variables(args)
+    keys, y, dy, names, x, dists = _variables(args)
     results = _test_many(x, y, dists, dy, args.estimator, args.pvalue, args.perms, args.seed)
     _write_json({
-        "response": args.response,
-        "estimator": args.estimator,
-        "rows_used": dataset.row_count,
-        "rows_dropped": dataset.dropped_rows,
+        **keys,
         "seed": args.seed,
         "results": [{"variable": name, **entry} for name, entry in zip(names, results)],
     }, args.out)
@@ -537,7 +537,7 @@ def cmd_test(args: argparse.Namespace) -> None:
 
 def cmd_screen(args: argparse.Namespace) -> None:
     """Rank all features by dependence on the response; emit report and CSV."""
-    dataset, y, dy, names, x, dists = _variables(args)
+    keys, y, dy, names, x, dists = _variables(args)
     # Ingest mapped every kept cell through its column's labels: no code check here.
     report = _screen(x, y, dists, dy, args.estimator, names)
     try:
@@ -545,10 +545,7 @@ def cmd_screen(args: argparse.Namespace) -> None:
     except InsufficientFeaturesError:
         pass  # fewer than 4 features: report scores without a threshold
     _write_json({
-        "response": args.response,
-        "estimator": args.estimator,
-        "rows_used": dataset.row_count,
-        "rows_dropped": dataset.dropped_rows,
+        **keys,
         "feature_ids": report.feature_ids,
         "values": report.values,
         "order": report.order,

@@ -229,7 +229,6 @@ def distance_matrix(encoding: Encoding) -> DistanceMatrix:
         return DistanceMatrix(d=np.subtract(1.0, d, out=d), scale=math.sqrt(2.0))
     diff = pts[:, None, :] - pts[None, :, :]
     d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    d = 0.5 * (d + d.T)
     scale = float(d.max())
     return DistanceMatrix(d=d / scale, scale=scale)
 

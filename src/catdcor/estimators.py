@@ -32,7 +32,7 @@ from .encodings import DistanceMatrix
 from .exceptions import DistributionError, ShapeError
 from .measures import (JointDistribution, _check_codes, _check_shapes, _checked_marginal,
                        _dcov2_many, _dvar2_many, _dvar_t_stats_many, _require_nondegenerate,
-                       _require_u_sample, _score_many, _t_stats_many, _tabulate)
+                       _require_u_sample, _score_pairs, _t_stats_many, _tabulate)
 
 __all__ = [
     "JointTable",
@@ -181,7 +181,7 @@ def _dcor2(t: JointTable, dx: DistanceMatrix, dy: DistanceMatrix, estimator: str
     _check_shapes(t, dx, dy)
     if estimator == "unbiased":
         _require_u_sample(t.n)
-    values, degenerate = _score_many(t.counts[None], t.n, dx, dy, estimator)
+    values, degenerate = _score_pairs(t.counts[None], t.n, [(dx, dy, estimator)])[0]
     _require_nondegenerate(degenerate[0])
     return float(values[0])
 

@@ -173,8 +173,7 @@ def _margin_laws(marginals: list, dists: list) -> list:
     ``marginals`` hold checked vectors and ``dists`` the arrays of their
     distance matrices.  Each entry is ``(dropped, law)``: the number of
     zero categories dropped, and the spectrum and mean distance of the
-    kept ones or the error :func:`_raised` raises.  Margins with
-    equal numbers of kept categories share one ``eigvalsh`` call.
+    kept ones or the error :func:`_raised` raises.
     """
     kept, sizes = [], {}
     for s, (m, d) in enumerate(zip(marginals, dists)):
@@ -191,12 +190,11 @@ def _margin_laws(marginals: list, dists: list) -> list:
         d = np.array([kept[s][2] for s in members])
         eigvals = np.linalg.eigvalsh(_surrogate(m, d))
         magnitude = np.abs(eigvals)
-        stack = np.arange(len(members))[:, None]
-        ranked = eigvals[stack, np.argsort(magnitude, axis=1)]
-        spectra = ranked[:, 1:]
-        spectra = spectra[stack, np.argsort(-np.abs(spectra), axis=1, kind="stable")]
+        # Decreasing magnitude, ties in eigvalsh order: the last is the structural zero.
+        ranked = eigvals[np.arange(len(members))[:, None],
+                         np.argsort(-magnitude, axis=1, kind="stable")]
         means = np.vecdot(m, (m[:, None, :] @ d)[:, 0, :]).tolist()
-        for s, values, zero, radius, mean in zip(members, spectra, ranked[:, 0],
+        for s, values, zero, radius, mean in zip(members, ranked[:, :-1], ranked[:, -1],
                                                  magnitude.max(axis=1).tolist(), means):
             laws[s] = (kept[s][0], (values, mean) if abs(zero) <= _EIG_ZERO_REL * radius else
                        InternalConsistencyError(
@@ -376,11 +374,10 @@ def _contour_sf(w: np.ndarray, quantile: list, upper: list) -> list:
     power of ``t`` (Takahasi & Mori 1974).  By conjugate symmetry the
     integral is ``(1/pi) int_0^inf Im[...] dt``.  ``exp(K(c) - c
     quantile)`` is factored out, so tails near 1e-300 keep their relative
-    accuracy.  Each pass evaluates the rows that need it as one (rows,
-    nodes, K) array, a halving one per node count, and each row keeps its
-    own stop rule, so no row depends on the others.  A row is NaN where
-    the saddle point leaves the floating-point range, the integrand has
-    not decayed by ``v = _SP_V_MAX`` or the step halvings do not converge.
+    accuracy.  Each row keeps its own stop rule, so no row depends on
+    the others.  A row is NaN where the saddle point leaves the
+    floating-point range, the integrand has not decayed by ``v =
+    _SP_V_MAX`` or the step halvings do not converge.
     """
     p = [math.nan] * len(w)
     c = _saddle(w, quantile, upper)
@@ -388,8 +385,7 @@ def _contour_sf(w: np.ndarray, quantile: list, upper: list) -> list:
     # Off the floating-point range the saddle has the wrong sign or passes a pole.
     rows = [i for i, (ci, d_min) in enumerate(zip(c, np.minimum.reduce(d, 1).tolist()))
             if math.isfinite(ci) and (ci > 0.0) == upper[i] and d_min > 0.0]
-    if len(rows) < len(w):
-        w, d = w[rows], d[rows]
+    w, d = w[rows], d[rows]
     beta = 2.0 * w / d  # K^(n)(c) = (n - 1)! / 2 * sum beta^n
     kept, sigma, alpha, log_scale = [], [], [], []
     for j, (i, b2, b3, log_d) in enumerate(zip(rows, np.vecdot(beta, beta).tolist(),
@@ -403,8 +399,7 @@ def _contour_sf(w: np.ndarray, quantile: list, upper: list) -> list:
             sigma.append(1.0 / math.sqrt(phi2))
             alpha.append(max(phi3 / (6.0 * phi2), _SP_CURVE_MIN / sigma[-1]))
             log_scale.append(-0.5 * log_d - ci * quantile[i])
-    if len(kept) < len(rows):
-        rows, beta = [rows[j] for j in kept], beta[kept]
+    rows, beta = [rows[j] for j in kept], beta[kept]
     c, quantile = [c[i] for i in rows], [quantile[i] for i in rows]
     x0, q0, t0, a0 = np.array([c, quantile, [0.5 * v * _SP_SINH for v in sigma], alpha])[..., None]
 

@@ -176,7 +176,7 @@ def _require_scorable(n: int, estimator: str) -> None:
 
 
 def _require_nondegenerate(degenerate: bool) -> None:
-    """Raise for a table that :func:`_score_many` flagged as degenerate."""
+    """Raise for a table that :func:`_score_pairs` flagged as degenerate."""
     if degenerate:
         raise DegenerateMarginError(
             "estimated distance variance is zero on at least one margin"
@@ -332,12 +332,6 @@ def _score_pairs(counts: np.ndarray, n: float, pairs: Sequence[tuple]) -> list:
         scale = np.sqrt(np.where(degenerate, 1.0, var_x * var_y))
         scores.append((np.where(degenerate, 0.0, cov / scale), degenerate))
     return scores
-
-
-def _score_many(counts: np.ndarray, n: float, dx: DistanceMatrix,
-                dy: DistanceMatrix, estimator: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_score_pairs` of one pair, for dcor2_mle, dcor2_unbiased and screen."""
-    return _score_pairs(counts, n, [(dx, dy, estimator)])[0]
 
 
 def dcov2(p: JointDistribution, dx: DistanceMatrix, dy: DistanceMatrix) -> float:

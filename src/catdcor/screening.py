@@ -26,7 +26,7 @@ from .exceptions import (
     ShapeError,
     _warn,
 )
-from .measures import _check_codes, _require_scorable, _score_many, _tabulated
+from .measures import _check_codes, _require_scorable, _score_pairs, _tabulated
 
 __all__ = [
     "ScreeningReport",
@@ -149,8 +149,8 @@ def _screen(x: np.ndarray, y: np.ndarray, feature_dists: Sequence[DistanceMatrix
     values = np.zeros(len(ids))
     is_degenerate = np.zeros(len(ids), dtype=bool)
     for dist, group, counts in _tabulated(x, y, feature_dists, response_dist.n_categories):
-        values[group], is_degenerate[group] = _score_many(
-            counts, float(len(y)), dist, response_dist, estimator)
+        values[group], is_degenerate[group] = _score_pairs(
+            counts, float(len(y)), [(dist, response_dist, estimator)])[0]
     return _ranked_report(ids, values, is_degenerate, estimator)
 
 

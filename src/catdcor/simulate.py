@@ -384,12 +384,8 @@ def roc_auc(scores, truth) -> float:
     if np.isnan(s).any():
         return float("nan")  # a NaN score leaves the ranking undefined
     # Average ranks (1-based) over runs of tied scores, as in a rank-sum test.
-    order = np.argsort(s, kind="stable")
-    sorted_s = s[order]
-    starts = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
-    ends = np.r_[starts[1:], s.size]
-    ranks = np.empty(s.size)
-    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    _, where, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[where]
     return float((ranks[t].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

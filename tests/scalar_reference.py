@@ -1,7 +1,7 @@
 """Single-table references for the batched tabulate→score kernel.
 
 The package computes every estimate, one table or a stack, with
-``catdcor.measures._score_many`` and its helpers.  These are the
+``catdcor.measures._score_pairs`` and its helpers.  These are the
 scalar formulas it used before, one table at a time, the
 per-replicate permutation loop and the loop over blocks of 128
 replicates that came after it, kept here so that tests compare the
@@ -19,12 +19,18 @@ linear program behind
 ``catdcor.simulate._exact_pin_lp`` is kept as it was first built, one
 constraint row at a time.  The slope-break fit keeps one running sum per
 moment, as the change point did before it took one ``(6, m)`` array.
+The AUC's tie-averaged ranks come from a stable argsort and the runs of
+equal sorted scores, the margin laws from two sorts of each spectrum, and
+the distance matrix is symmetrized after the pairwise sums, as the
+package did before it took ``np.unique``'s counts, one sort and the
+``einsum`` result as it is.
 """
 
 import numpy as np
 
-from catdcor import DegenerateMarginError
-from catdcor.measures import _score_many
+from catdcor import DegenerateMarginError, InternalConsistencyError
+from catdcor.inference import _EIG_ZERO_REL, _surrogate
+from catdcor.measures import _score_pairs
 from catdcor.screening import _segment_rss
 
 DEGENERATE_TOL = 1e-14
@@ -215,7 +221,7 @@ def blocked_permutation_pvalues(y, dy, variables, reps, seed):
 
     Each block's permutations are stacked from one ``default_rng((seed,
     rep))`` each, and every variable tabulates the block with
-    :func:`tabulate` and scores it per estimator with ``_score_many``.
+    :func:`tabulate` and scores it per estimator with ``_score_pairs``.
     """
     n = float(len(y))
     exceed = [dict.fromkeys(observed, 0) for _, _, observed in variables]
@@ -226,7 +232,7 @@ def blocked_permutation_pvalues(y, dy, variables, reps, seed):
             tables = tabulate(x[:, None], drawn.T, dx.n_categories, dy.n_categories)
             for kind, value in observed.items():
                 counts[kind] += int(np.count_nonzero(
-                    _score_many(tables, n, dx, dy, kind)[0] >= value))
+                    _score_pairs(tables, n, [(dx, dy, kind)])[0][0] >= value))
     return [{kind: (1.0 + c) / (reps + 1.0) for kind, c in counts.items()}
             for counts in exceed]
 
@@ -292,3 +298,55 @@ def changepoint_total_rss(values):
     left = _segment_rss(*(cum[b - 1] for cum in sums))
     right = _segment_rss(*(cum[-1] - cum[b - 1] for cum in sums))
     return left + right
+
+
+def roc_auc(scores, truth):
+    """The rank-sum AUC from a stable argsort, averaging ranks over runs of equal scores."""
+    s, t = np.asarray(scores, dtype=float), np.asarray(truth, dtype=bool)
+    n_pos = int(t.sum())
+    order = np.argsort(s, kind="stable")
+    sorted_s = s[order]
+    starts = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
+    ends = np.r_[starts[1:], s.size]
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return float((ranks[t].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * (s.size - n_pos)))
+
+
+def margin_laws(marginals, dists):
+    """``inference._margin_laws`` sorting each spectrum twice.
+
+    An ascending sort by magnitude puts the structural zero first; a
+    stable sort of the rest by decreasing magnitude gives the spectrum.
+    """
+    kept, sizes = [], {}
+    for s, (m, d) in enumerate(zip(marginals, dists)):
+        keep = m > 0.0
+        kept.append((len(m) - int(keep.sum()), m[keep], d[np.ix_(keep, keep)]))
+        sizes.setdefault(int(keep.sum()), []).append(s)
+    laws = [(dropped, DegenerateMarginError("fewer than two observed categories on a margin"))
+            for dropped, _, _ in kept]
+    for members in (members for size, members in sizes.items() if size >= 2):
+        m = np.array([kept[s][1] for s in members])
+        d = np.array([kept[s][2] for s in members])
+        eigvals = np.linalg.eigvalsh(_surrogate(m, d))
+        magnitude = np.abs(eigvals)
+        stack = np.arange(len(members))[:, None]
+        ranked = eigvals[stack, np.argsort(magnitude, axis=1)]
+        spectra = ranked[:, 1:]
+        spectra = spectra[stack, np.argsort(-np.abs(spectra), axis=1, kind="stable")]
+        means = np.vecdot(m, (m[:, None, :] @ d)[:, 0, :]).tolist()
+        for s, values, zero, radius, mean in zip(members, spectra, ranked[:, 0],
+                                                 magnitude.max(axis=1).tolist(), means):
+            laws[s] = (kept[s][0], (values, mean) if abs(zero) <= _EIG_ZERO_REL * radius else
+                       InternalConsistencyError(
+                           f"expected one structural zero eigenvalue, smallest magnitude is "
+                           f"{zero!r} against spectral radius {radius!r}"))
+    return laws
+
+
+def pairwise_distances(points):
+    """Euclidean distances of every pair of ``points``, then their symmetric part."""
+    diff = points[:, None, :] - points[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return 0.5 * (d + d.T)

@@ -24,8 +24,17 @@ from catdcor import (
     semicircle_equal,
 )
 
+import scalar_reference as ref
+
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
+
+
+def random_custom(size):
+    """Seeded custom points of ``size`` categories: dimension 1 to 40, scale 1e-8 to 1e8."""
+    rng = np.random.default_rng(size)
+    pts = 10.0 ** rng.uniform(-8, 8) * rng.normal(size=(size, int(rng.integers(1, 41))))
+    return custom([str(i) for i in range(size)], pts)
 
 
 def raw_distances(encoding):
@@ -181,16 +190,13 @@ class TestDistanceMatrix:
                     for k in range(size):
                         assert d[i, k] <= d[i, m] + d[m, k] + 1e-12
 
-    @pytest.mark.parametrize("make", [one_hot, ordinal_equal, semicircle_equal],
-                             ids=["one-hot", "ordinal", "semicircle"])
+    @pytest.mark.parametrize("make", [one_hot, ordinal_equal, semicircle_equal, random_custom],
+                             ids=["one-hot", "ordinal", "semicircle", "custom"])
     def test_bit_identical_to_pairwise_differences(self, make):
         # The formula distance_matrix used for every encoding before one-hot
         # took its closed form: all differences, then the symmetric part.
         for size in range(2, 120):
-            pts = make(size).points
-            diff = pts[:, None, :] - pts[None, :, :]
-            d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            d = 0.5 * (d + d.T)
+            d = ref.pairwise_distances(make(size).points)
             got = distance_matrix(make(size))
             assert got.scale == float(d.max())
             assert np.array_equal(got.d, d / d.max()), size

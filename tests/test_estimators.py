@@ -38,7 +38,7 @@ from catdcor import (
     semicircle_equal,
     t_stats,
 )
-from catdcor.measures import _score_many
+from catdcor.measures import _score_pairs
 import scalar_reference as ref
 
 
@@ -436,8 +436,8 @@ class TestSharedMargins:
             ]
             for counts in stacks:
                 for estimator in ("mle", "unbiased"):
-                    values, degenerate = _score_many(counts, n, dx, dy, estimator)
-                    singles = [_score_many(c[None], n, dx, dy, estimator) for c in counts]
+                    values, degenerate = _score_pairs(counts, n, [(dx, dy, estimator)])[0]
+                    singles = [_score_pairs(c[None], n, [(dx, dy, estimator)])[0] for c in counts]
                     assert values.tolist() == [v[0] for v, _ in singles]
                     assert degenerate.tolist() == [d[0] for _, d in singles]
 

@@ -179,6 +179,32 @@ class TestNullSpectrum:
             with pytest.raises(ShapeError, match="marginal length must match"):
                 null_spectrum(*margins, DM2, DM2)
 
+    def test_margin_laws_equal_two_sort_reference(self):
+        # Named encodings and random custom points, 2 to 30 categories; uniform
+        # one-hot margins repeat eigenvalues, and some margins have zero counts.
+        # Margins not summing to 1 lose the structural zero and give the error.
+        rng = np.random.default_rng(45)
+        marginals, dists = [], []
+        for size in range(2, 31):
+            for make in (one_hot, ordinal_equal, semicircle_equal, None):
+                d = (random_distance(rng, size) if make is None else distance_matrix(make(size))).d
+                uniform = np.full(size, 1.0 / size)
+                zeros = rng.dirichlet(np.ones(size))
+                zeros[1:][rng.random(size - 1) < 0.3] = 0.0
+                for m in (uniform, random_marginal(rng, size), zeros / zeros.sum(),
+                          1.5 * random_marginal(rng, size)):
+                    marginals.append(m)
+                    dists.append(d)
+        got, expected = inference._margin_laws(marginals, dists), ref.margin_laws(marginals, dists)
+        assert any(isinstance(law, InternalConsistencyError) for _, law in got)
+        for (dropped, law), (ref_dropped, ref_law) in zip(got, expected, strict=True):
+            assert dropped == ref_dropped
+            if isinstance(ref_law, Exception):
+                assert type(law) is type(ref_law) and str(law) == str(ref_law)
+            else:
+                assert isinstance(law, tuple), law
+                assert law[0].tobytes() == ref_law[0].tobytes() and law[1] == ref_law[1]
+
     def test_normalizer(self):
         ns = null_spectrum([0.5, 0.5], [0.5, 0.5], DM2, DM2)
         assert_allclose(ns.normalizer(), 0.25)

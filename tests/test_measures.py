@@ -30,7 +30,7 @@ from catdcor import (
 )
 import catdcor.measures
 from catdcor.measures import (_BLOCK, _DEGENERATE_TOL, _dcov2_many, _dvar2_many,
-                              _score_many, _score_pairs, _t_stats_many, _tabulate)
+                              _score_pairs, _t_stats_many, _tabulate)
 import scalar_reference as ref
 
 
@@ -292,7 +292,7 @@ class TestDcor2:
             make = ENCODINGS[case % 3]
             dx, dy = distance_matrix(make(n_rows)), distance_matrix(make(n_cols))
             p = random_distribution(rng, n_rows, n_cols)
-            values, degenerate = _score_many(p.pi[None], 1.0, dx, dy, "mle")
+            values, degenerate = _score_pairs(p.pi[None], 1.0, [(dx, dy, "mle")])[0]
             assert not degenerate[0]
             assert dcor2(p, dx, dy) == values[0]
 
@@ -446,7 +446,7 @@ class TestScorePairs:
         assert len(found) == len(pairs)
         for (values, degenerate), pair in zip(found, pairs):
             assert values.shape == degenerate.shape == (len(counts),)
-            for expected in (_score_many(counts, n, *pair), unshared_score(counts, n, *pair)):
+            for expected in (_score_pairs(counts, n, [pair])[0], unshared_score(counts, n, *pair)):
                 assert np.array_equal(values, expected[0])
                 assert np.array_equal(degenerate, expected[1])
         return found

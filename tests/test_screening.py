@@ -29,7 +29,7 @@ from catdcor import (
     select,
     semicircle_equal,
 )
-from catdcor.measures import _score_many
+from catdcor.measures import _score_pairs
 import scalar_reference as ref
 
 D2 = distance_matrix(one_hot(2))
@@ -204,7 +204,7 @@ class TestBatchedKernel:
         counts = 50.0 * rng.dirichlet(np.ones(12), size=20).reshape(20, 4, 3)
         counts *= 50.0 / counts.sum(axis=(1, 2))[:, None, None]
         n = float(counts[0].sum())
-        values, degenerate = _score_many(counts, n, dx, dy, estimator)
+        values, degenerate = _score_pairs(counts, n, [(dx, dy, estimator)])[0]
         expected = [ref.dcor2(c, dx, dy, estimator) for c in counts]
         assert not degenerate.any()
         assert_allclose(values, expected, rtol=1e-12, atol=0.0)
@@ -296,7 +296,7 @@ class TestGroupMemory:
         def blocked_loop():
             for start in range(0, p, 128):
                 counts = ref.tabulate(x[:, start:start + 128], y[:, None], 3, 3)
-                _score_many(counts, float(n), D3, D3, "mle")
+                _score_pairs(counts, float(n), [(D3, D3, "mle")])[0]
 
         def traced_peak(call):
             call()  # the first call allocates once-only objects

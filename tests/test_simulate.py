@@ -33,7 +33,7 @@ from catdcor import (
     screen,
     setting_spec,
 )
-from catdcor.measures import _score_many, _score_pairs
+from catdcor.measures import _score_pairs
 from catdcor.simulate import _draw_dataset
 
 import draw_reference as ref
@@ -426,6 +426,20 @@ class TestRocAuc:
                              / (n_pos * (n - n_pos)))
             assert roc_auc(scores, truth) == expected
 
+    def test_equals_run_start_ranks(self):
+        rng = np.random.default_rng(84)
+        for n in (4, 5, 9, 60, 500, 5000):
+            for levels in (1, 2, 7, n // 3 + 1, None):  # heavy ties to none
+                scores = (rng.random(n) if levels is None else
+                          rng.integers(-levels, levels + 1, size=n) * rng.choice([0.1, 3.0, 1e-300]))
+                scores[rng.random(n) < 0.1] = 0.0
+                scores[rng.random(n) < 0.1] = -0.0
+                for n_pos in sorted({1, 2, n // 10 + 1, n // 2, n - 1}):
+                    truth = np.zeros(n, dtype=bool)
+                    truth[rng.choice(n, n_pos, replace=False)] = True
+                    assert roc_auc(scores, truth) == scalar_reference.roc_auc(scores, truth), (
+                        n, levels, n_pos)
+
     def test_nan_score_gives_nan(self):
         assert np.isnan(roc_auc([0.1, np.nan, 0.3], [True, False, False]))
 
@@ -535,12 +549,12 @@ class TestRunBenchmark:
                 counts = scalar_reference.tabulate(data.features[:, start:start + 128],
                                                    data.response[:, None], 8, 8)
                 for dx, dy in dists:
-                    _score_many(counts, float(n), dx, dy, "mle")
+                    _score_pairs(counts, float(n), [(dx, dy, "mle")])[0]
 
         shared = traced_peak(benchmark)
         assert shared <= traced_peak(blocked_loop) + 2**20
         monkeypatch.setattr(catdcor.simulate, "_score_pairs", lambda counts, n, pairs: [
-            _score_many(counts, n, *pair) for pair in pairs])
+            _score_pairs(counts, n, [pair])[0] for pair in pairs])
         assert shared <= traced_peak(benchmark) + 4096
 
     def test_joint_built_once(self, monkeypatch):
