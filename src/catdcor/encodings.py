@@ -53,6 +53,13 @@ def _levels(kind: str, n_categories: int, labels: Sequence[str] | None) -> tuple
     return tuple(str(i + 1) for i in range(n_categories)) if labels is None else tuple(labels)
 
 
+def _frozen(obj: object, name: str, array: np.ndarray) -> None:
+    """Store a read-only copy of ``array`` as field ``name`` of the frozen dataclass ``obj``."""
+    array = array.copy()
+    array.setflags(write=False)
+    object.__setattr__(obj, name, array)
+
+
 @dataclass(frozen=True)
 class Encoding:
     """An ordered set of category labels with one embedding point each.
@@ -100,9 +107,7 @@ class Encoding:
             gaps = block[1:] - block[:-1]
             if np.einsum("ij,ij->i", gaps, gaps).min() <= 0.0:
                 raise DegenerateEncodingError("embedding points must be pairwise distinct")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        _frozen(self, "points", pts)
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -134,18 +139,14 @@ class DistanceMatrix:
             raise ShapeError("distances must be finite")
         if np.any(np.diag(d) != 0.0):
             raise ShapeError("distance matrix must have a zero diagonal")
-        # Compared in tiles, so that the transposed reads stay in cache.
-        if any(np.any(d[i:i + 128, j:j + 128] != d[j:j + 128, i:i + 128].T)
-               for i in range(0, len(d), 128) for j in range(i, len(d), 128)):
+        if not np.array_equal(d, d.T):
             raise ShapeError("distance matrix must be symmetric")
         # The diagonal is zero, so every other entry must be positive.
         if np.count_nonzero(d > 0.0) < d.size - len(d):
             raise DegenerateEncodingError("off-diagonal distances must be positive")
         if not self.scale > 0.0:
             raise ShapeError("scale must be positive")
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
+        _frozen(self, "d", d)
 
     @property
     def n_categories(self) -> int:

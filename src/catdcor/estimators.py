@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import DistanceMatrix
+from .encodings import DistanceMatrix, _frozen
 from .exceptions import DistributionError, ShapeError
 from .measures import (JointDistribution, _check_codes, _check_shapes, _checked_marginal,
                        _dcov2_many, _dvar2_many, _dvar_t_stats_many, _require_nondegenerate,
@@ -74,9 +74,7 @@ class JointTable:
             raise DistributionError("counts must be nonnegative")
         if counts.sum() <= 0.0:
             raise DistributionError("the table must contain at least one observation")
-        counts = counts.copy()
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        _frozen(self, "counts", counts)
 
     @classmethod
     def from_codes(cls, x, y, n_rows: int, n_cols: int) -> "JointTable":

@@ -199,7 +199,7 @@ def _margin_laws(marginals: list, dists: list) -> list:
             laws[s] = (kept[s][0], (values, mean) if abs(zero) <= _EIG_ZERO_REL * radius else
                        InternalConsistencyError(
                            f"expected one structural zero eigenvalue, smallest magnitude is "
-                           f"{zero!r} against spectral radius {radius!r}"))
+                           f"{float(zero)!r} against spectral radius {radius!r}"))
     return laws
 
 

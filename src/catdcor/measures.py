@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .encodings import DistanceMatrix
+from .encodings import DistanceMatrix, _frozen
 from .exceptions import (ConfigurationError, DegenerateMarginError, DistributionError,
                          InsufficientSampleError, InternalConsistencyError, ShapeError, _warn)
 
@@ -78,9 +78,7 @@ class JointDistribution:
         total = pi.sum()
         if abs(total - 1.0) > 1e-12:
             raise DistributionError(f"probabilities sum to {float(total)!r}, not 1")
-        pi = np.clip(pi, 0.0, None)
-        pi.setflags(write=False)
-        object.__setattr__(self, "pi", pi)
+        _frozen(self, "pi", np.clip(pi, 0.0, None))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import distance_matrix, encoding_for_kind
+from .encodings import _frozen, distance_matrix, encoding_for_kind
 from .exceptions import (
     ConfigurationError,
     InfeasibleSettingError,
@@ -123,10 +123,8 @@ class SettingSpec:
         if not 0 <= self.relevant_count <= self.n_features:
             raise ShapeError(f"relevant_count {self.relevant_count} must lie in "
                              f"[0, {self.n_features}], the feature count")
-        row.setflags(write=False)
-        col.setflags(write=False)
-        object.__setattr__(self, "row_marginal", row)
-        object.__setattr__(self, "col_marginal", col)
+        _frozen(self, "row_marginal", row)
+        _frozen(self, "col_marginal", col)
 
 
 @dataclass(frozen=True)
