@@ -544,17 +544,7 @@ def cmd_screen(args: argparse.Namespace) -> None:
         apply_changepoint(report)
     except InsufficientFeaturesError:
         pass  # fewer than 4 features: report scores without a threshold
-    _write_json({
-        **keys,
-        "feature_ids": report.feature_ids,
-        "values": report.values,
-        "order": report.order,
-        "degenerate": report.degenerate,
-        "threshold": report.threshold,
-        "changepoint_index": report.changepoint_index,
-        "low_confidence": report.low_confidence,
-        "selected": report.selected,
-    }, args.out)
+    _write_json({**keys, **vars(report)}, args.out)
     values = report.sorted_values()
     _write_csvs([(_sibling_path(args.out, "_ranked.csv"), ["rank", "value"],
                   [np.arange(1, values.size + 1), values])])

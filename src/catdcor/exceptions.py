@@ -11,6 +11,27 @@ import os
 import sys
 import warnings
 
+__all__ = [
+    "CatdcorError",
+    "CardinalityError",
+    "DegenerateEncodingError",
+    "ShapeError",
+    "DistributionError",
+    "InsufficientSampleError",
+    "DegenerateMarginError",
+    "DegenerateCategoryError",
+    "DegenerateDistributionError",
+    "InsufficientReplicatesError",
+    "InsufficientFeaturesError",
+    "InvalidThresholdError",
+    "UndefinedAUCError",
+    "InfeasibleSettingError",
+    "ConfigurationError",
+    "LabelError",
+    "ParseError",
+    "InternalConsistencyError",
+]
+
 
 def _warn(message: str) -> None:
     """Warn with ``message`` as a ``RuntimeWarning`` at the innermost frame outside the package.

@@ -267,9 +267,8 @@ class BoundParams:
     sigma2_min: float
 
     def __post_init__(self) -> None:
-        for name in ("epsilon", "n", "n_features", "max_levels",
-                     "response_levels", "sigma2_min"):
-            if not getattr(self, name) > 0.0:
+        for name, value in vars(self).items():
+            if not value > 0.0:
                 raise ConfigurationError(f"{name} must be strictly positive")
         if self.epsilon > 1.0:
             raise ConfigurationError("epsilon cannot exceed 1 for rescaled distances")
